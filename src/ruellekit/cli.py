@@ -25,6 +25,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -73,11 +74,13 @@ def _tokenize(obj, floats: list):
     return obj
 
 
+_FLOAT_TOKEN = re.compile(r'"__rk_float_(\d+)__"')
+
+
 def dump_report(report: dict) -> str:
     floats: list = []
     text = json.dumps(_tokenize(report, floats), sort_keys=True, indent=2)
-    for i, x in enumerate(floats):
-        text = text.replace(f'"__rk_float_{i}__"', _format_float(x))
+    text = _FLOAT_TOKEN.sub(lambda m: _format_float(floats[int(m.group(1))]), text)
     return text + "\n"
 
 
@@ -111,6 +114,11 @@ def _write_csv(rows, path: str) -> None:
 # Config parsing
 # ---------------------------------------------------------------------------
 
+def _opt(value, default):
+    """A flag's value, or the default when the flag was not given (0 is a value)."""
+    return default if value is None else value
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -142,14 +150,14 @@ def _sequence_from(desc: dict):
 def _potential_from(cfg: dict, args) -> potentials.Potential:
     desc = cfg.get("potential")
     if desc is None:
-        d = args.d or 2
+        d = _opt(args.d, 2)
         return potentials.Potential.constant(d, 0.0)
     kind = desc.get("kind")
     params = desc.get("params", {})
     try:
         if kind == "constant":
             return potentials.Potential.constant(
-                int(params.get("d", args.d or 2)), float(params.get("value", 0.0))
+                int(params.get("d", _opt(args.d, 2))), float(params.get("value", 0.0))
             )
         if kind == "table":
             return potentials.Potential.from_table(
@@ -160,9 +168,9 @@ def _potential_from(cfg: dict, args) -> potentials.Potential:
             )
         if kind == "ising_lr":
             ip = ising.IsingParams(
-                alpha=float(params.get("alpha", args.alpha or 3.0)),
-                beta=float(params.get("beta", args.beta or 1.0)),
-                cutoff=int(params.get("cutoff", args.cutoff or 200)),
+                alpha=float(params.get("alpha", _opt(args.alpha, 3.0))),
+                beta=float(params.get("beta", _opt(args.beta, 1.0))),
+                cutoff=int(params.get("cutoff", _opt(args.cutoff, 200))),
             )
             return ising.g_potential(ip)
         if kind == "hofbauer":
@@ -214,9 +222,9 @@ def _random_word(rng: np.random.Generator, d: int, max_len: int) -> tuple[int, .
 
 def _rpf_data(cfg, args):
     f = _potential_from(cfg, args)
-    depth = args.depth or max(f.depth() or 1, 1)
-    tol = args.tol if args.tol is not None else transfer.DEFAULT_TOL
-    max_iter = args.max_iter or transfer.DEFAULT_MAX_ITER
+    depth = _opt(args.depth, max(f.depth() or 1, 1))
+    tol = _opt(args.tol, transfer.DEFAULT_TOL)
+    max_iter = _opt(args.max_iter, transfer.DEFAULT_MAX_ITER)
     rpf = transfer.power_iterate(f, depth, tol=tol, max_iter=max_iter)
     return f, rpf, tol
 
@@ -250,7 +258,7 @@ def _cmd_pressure(cfg, args):
 def _cmd_normalize(cfg, args):
     f, rpf, tol = _rpf_data(cfg, args)
     fbar = transfer.normalize(f, rpf)
-    check_depth = args.n or fbar.depth()
+    check_depth = _opt(args.n, fbar.depth())
     check = transfer.check_normalized(fbar, check_depth)
     results = {
         "depth": fbar.depth(),
@@ -264,8 +272,8 @@ def _cmd_normalize(cfg, args):
 
 def _cmd_kernel(cfg, args):
     f = _potential_from(cfg, args)
-    beta = args.beta or 1.0
-    n = args.n or 2
+    beta = _opt(args.beta, 1.0)
+    n = _opt(args.n, 2)
     y = _point_from_literal(cfg.get("boundary", "|0"))
     word = parse_word(cfg.get("test_word", "0"))
     g = CylinderFunction.indicator(f.d, word)
@@ -293,8 +301,8 @@ def _default_cylinders(d: int, max_depth: int = 2):
 
 def _cmd_tl(cfg, args):
     f = _potential_from(cfg, args)
-    beta = args.beta or 1.0
-    n_max = args.n or 12
+    beta = _opt(args.beta, 1.0)
+    n_max = _opt(args.n, 12)
     rng = np.random.default_rng(args.seed)
     if "cylinders" in cfg:
         cylinders = [parse_word(w) for w in cfg["cylinders"]]
@@ -315,12 +323,12 @@ def _cmd_tl(cfg, args):
 
 
 def _cmd_dlr_check(cfg, args):
-    d = args.d or 2
-    depth = args.depth or 2
-    n = args.n or 2
-    r = args.r if args.r is not None else 2
-    tol = args.tol if args.tol is not None else 1e-12
-    beta = args.beta or 1.0
+    d = _opt(args.d, 2)
+    depth = _opt(args.depth, 2)
+    n = _opt(args.n, 2)
+    r = _opt(args.r, 2)
+    tol = _opt(args.tol, 1e-12)
+    beta = _opt(args.beta, 1.0)
     rng = np.random.default_rng(args.seed)
     residuals = []
     for _ in range(10):
@@ -378,7 +386,7 @@ def _cmd_interaction(cfg, args):
 
 def _cmd_walters(cfg, args):
     f = _potential_from(cfg, args)
-    n_sup = args.n or 16
+    n_sup = _opt(args.n, 16)
     estimates = [
         {"p": p, "value": potentials.walters_estimate(f, p, n_sup)} for p in (1, 2, 4, 8)
     ]
@@ -398,11 +406,12 @@ def _cmd_walters(cfg, args):
 
 def _cmd_uniqueness(cfg, args):
     f = _potential_from(cfg, args)
-    beta = args.beta or 1.0
-    N = args.n or 8
+    beta = _opt(args.beta, 1.0)
+    N = _opt(args.n, 8)
     rng = np.random.default_rng(args.seed)
-    value, bound = dlr.D_estimate(f, N)
+    # the 2N window is the larger one: its size guard refuses before any work
     value2, _ = dlr.D_estimate(f, 2 * N)
+    value, bound = dlr.D_estimate(f, N)
     stabilized = abs(value - value2) < 1e-12
     margins = []
     holds_all = True
@@ -427,11 +436,11 @@ def _cmd_uniqueness(cfg, args):
 
 
 def _cmd_ising(cfg, args):
-    alpha = args.alpha or 3.0
+    alpha = _opt(args.alpha, 3.0)
     params = ising.IsingParams(
-        alpha=alpha, beta=args.beta or 1.0, cutoff=args.cutoff or 200
+        alpha=alpha, beta=_opt(args.beta, 1.0), cutoff=_opt(args.cutoff, 200)
     )
-    terms = args.n or 100
+    terms = _opt(args.n, 100)
     rng = np.random.default_rng(args.seed)
     zv, ze = ising.zeta(alpha, params.cutoff)
     gv, ge = ising.g_one_sided(params, Point.constant(1))
@@ -468,13 +477,13 @@ def _cmd_ising(cfg, args):
 
 
 def _cmd_change_of_measure(cfg, args):
-    depth = args.depth or 3
-    tol = args.tol if args.tol is not None else 1e-9
+    depth = _opt(args.depth, 3)
+    tol = _opt(args.tol, 1e-9)
     if cfg.get("potential") is not None:
         f = _potential_from(cfg, args)
         deviations = [dlr.change_of_measure_check(f, depth)]
     else:
-        d = args.d or 2
+        d = _opt(args.d, 2)
         rng = np.random.default_rng(args.seed)
         deviations = [
             dlr.change_of_measure_check(_random_table_potential(rng, d, 2), depth)

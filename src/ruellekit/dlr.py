@@ -6,18 +6,31 @@ test function over all ways of rewriting the first n coordinates:
     kernel(g | y) = sum_w  e^{beta S_n f(w . sigma^n y)} g(w . sigma^n y)
                     / partition
 
-where w runs over the d^n words.  The kernel reads y only through
-sigma^n y (the coordinates outside the volume); every routine here takes
-that image explicitly or computes it, so boundary dependence is
-structural rather than numerical.
+where w runs over the d^n words.  Summed over w, numerator and partition
+function are iterates of the Ruelle operator (L h)(x) = sum_a
+e^{beta f(a x)} h(a x):
 
-All weights pass through a max-subtracted log-sum-exp, so adding a
-constant to the exponent moves every log-weight by the same amount and
-cancels in the normalised kernel.
+    kernel(g | y) = (L^n g)(sigma^n y) / (L^n 1)(sigma^n y).
+
+For table-backed potentials every kernel here is computed in that form
+by one engine: n operator steps on value tables of depth
+D = max(depth(g), depth(f) - 1, 1), each step exact, one pass serving
+every boundary (and every volume up to n) at once.  The cost grows
+linearly in n, and volumes are not bounded by the table-size guard.
+Potentials without a table (callables) are still summed over the d^n
+words through the certified evaluator.
+
+The kernel reads y only through sigma^n y (the coordinates outside the
+volume); the engine reads exactly the first D of them, so boundary
+dependence is structural rather than numerical.  Weights are exponentials
+of beta f minus its maximum (a max-subtracted log-sum-exp on the word
+sums), so adding a constant to the exponent cancels in the normalised
+kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,9 +58,101 @@ from .shift import (
 )
 from .transfer import DEFAULT_MAX_ITER, DEFAULT_TOL, normalize, power_iterate
 
+# Nominal rounding allowance of one computed kernel value.
+_KERNEL_ROUNDING = 1e-15
+
 
 # ---------------------------------------------------------------------------
-# Log-weights over the volume words
+# The kernel engine: Ruelle-operator iterates on value tables
+# ---------------------------------------------------------------------------
+
+class _Engine:
+    """Iterates of the Ruelle operator L of beta*f on blocks of columns.
+
+    A block has one row per depth-D word and one column per function of
+    the first D coordinates.  A step maps every column h to L h, so after
+    n steps the row of the word (y_{n+1}, ..., y_{n+D}) holds
+    (L^n h)(sigma^n y) for every boundary y at once.  Steps are exact
+    when D covers the test functions' depth and the potential's reach
+    past the preimage symbol, depth(f) - 1.
+
+    The weights exp(beta f(a w) - top) on the d^(D+1) extended words
+    (a, w), top = max beta f, are at most 1, and each step divides the
+    block by a power of two near its maximum, which is exact: the true
+    iterate is  block * 2**exp2 * exp(n * top)  and no step overflows.
+    """
+
+    def __init__(self, d: int, depth: int, logits: np.ndarray):
+        self.d = d
+        self.depth = depth
+        self.logits = logits
+        self.top = float(np.max(logits))
+        # weights[a, p, s] carries child row a * d**(D-1) + p into row p * d + s
+        self.weights = np.exp(logits - self.top).reshape(d, -1, d, 1)
+
+    @classmethod
+    def of(cls, f: Potential, beta: float, q: int = 0) -> "_Engine":
+        """The engine of a table-backed beta*f for test functions of depth <= q."""
+        depth = max(q, f.truncation_depth() - 1, 1)
+        check_table_size(f.d, depth + 1)
+        values = f.table.values
+        return cls(f.d, depth, beta * np.repeat(values, f.d ** (depth + 1) // values.size))
+
+    def columns(self, tests: list[CylinderFunction]) -> np.ndarray:
+        """The block [g_1, ..., g_k, 1] of depth-D value tables."""
+        size = self.d ** self.depth
+        cols = [np.repeat(g.values, size // g.values.size) for g in tests]
+        return np.column_stack(cols + [np.ones(size)])
+
+    def iterates(self, block: np.ndarray, split: int = 0):
+        """Yield (n, block_n, exp2_n) for n = 1, 2, ...
+
+        The first `split` steps keep the preimage symbol apart instead of
+        summing over it: column u becomes the d columns u.a.  Started from
+        the constant 1, column u after j <= split steps holds
+        L^j 1_[u] = e^{beta S_j f(u x)} for each word u of length j.
+        """
+        d = self.d
+        exp2 = 0
+        for n in itertools.count(1):
+            terms = self.weights * block.reshape(d, -1, 1, block.shape[1])
+            if n <= split:
+                block = np.moveaxis(terms, 0, -1).reshape(block.shape[0], -1)
+            else:
+                block = terms.sum(axis=0).reshape(block.shape)
+            e = math.frexp(float(np.max(block)))[1]
+            block = np.ldexp(block, -e)
+            exp2 += e
+            yield n, block, exp2
+
+    def run(self, block: np.ndarray, n: int, split: int = 0) -> tuple[np.ndarray, int]:
+        """The block after n steps, with its power-of-two exponent."""
+        exp2 = 0
+        for _, block, exp2 in itertools.islice(self.iterates(block, split), n):
+            pass
+        return block, exp2
+
+    def row(self, y: Point, n: int) -> int:
+        """The row a volume-n kernel at boundary y reads: y_{n+1} ... y_{n+D}."""
+        return word_index(y.coords(n + self.depth)[n:], self.d)
+
+    def sweep(self, tests, boundaries, volumes):
+        """Yield (n, K) for each n of the increasing `volumes` (all >= 1):
+        K[b, j] is the volume-n kernel of tests[j] at boundaries[b]."""
+        volumes = list(volumes)
+        if not volumes:
+            return
+        wanted = set(volumes)
+        for n, block, _ in self.iterates(self.columns(tests)):
+            if n in wanted:
+                rows = [self.row(y, n) for y in boundaries]
+                yield n, block[rows, :-1] / block[rows, -1:]
+            if n == volumes[-1]:
+                return
+
+
+# ---------------------------------------------------------------------------
+# Word enumeration (potentials without a table)
 # ---------------------------------------------------------------------------
 
 def _log_weights_given_tail(
@@ -55,18 +160,11 @@ def _log_weights_given_tail(
 ) -> tuple[np.ndarray, float]:
     """log-weights beta * S_n f(w . tail) over all d^n words w, with bound.
 
-    Table-backed potentials index one exact S_n table; anything else walks
-    the words through the certified evaluator.
+    Walks the words through the certified evaluator: the kernel path for
+    potentials without a table.
     """
     d = f.d
     check_table_size(d, n)
-    if f.table is not None:
-        m = f.truncation_depth()
-        sn = birkhoff_table(f, n)  # depth n + m - 1
-        stride = d ** (m - 1)
-        offset = word_index(tail.coords(m - 1), d) if m > 1 else 0
-        logw = beta * sn.values[np.arange(d ** n) * stride + offset]
-        return logw, 0.0
     logw = np.empty(d ** n)
     err = 0.0
     for i, row in enumerate(word_table(n, d)):
@@ -102,8 +200,30 @@ def _kernel_given_tail(
     gv = _test_values_given_tail(g, n, tail)
     value = float(p @ gv)
     # each weight carries relative error at most e^{2 werr} - 1
-    bound = math.expm1(2.0 * werr) * float(np.max(np.abs(gv))) + 1e-15
+    bound = math.expm1(2.0 * werr) * float(np.max(np.abs(gv))) + _KERNEL_ROUNDING
     return value, bound
+
+
+def _sweep(f: Potential, beta: float, tests, boundaries, volumes):
+    """Yield (n, K) for each n of the increasing `volumes`: K[b, j] is the
+    volume-n kernel of tests[j] at boundaries[b]."""
+    if f.table is not None:
+        yield from _Engine.of(f, beta, max(g.depth for g in tests)).sweep(
+            tests, boundaries, volumes
+        )
+        return
+    for n in volumes:
+        yield n, np.array(
+            [[_kernel_given_tail(f, beta, n, shift_n(y, n), g)[0] for g in tests]
+             for y in boundaries]
+        )
+
+
+def _kernels(f: Potential, beta: float, n: int, tests, boundaries) -> np.ndarray:
+    """Volume-n kernels of tests (columns) at boundaries (rows)."""
+    if n < 1:
+        raise ValueError("volume must contain at least one site")
+    return next(_sweep(f, beta, tests, boundaries, [n]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +231,27 @@ def _kernel_given_tail(
 # ---------------------------------------------------------------------------
 
 def partition(f: Potential, beta: float, n: int, y: Point) -> float:
-    """Z_n(y): the total weight sum_w exp(beta S_n f(w . sigma^n y))."""
+    """Z_n(y) = sum_w exp(beta S_n f(w . sigma^n y)) = (L^n 1)(sigma^n y).
+
+    Returns inf when Z_n(y) exceeds the float range.
+    """
     if n < 1:
         raise ValueError("volume must contain at least one site")
-    logw, _ = _log_weights_given_tail(f, beta, n, shift_n(y, n))
-    top = float(np.max(logw))
-    return math.exp(top) * float(np.exp(logw - top).sum())
+    if f.table is None:
+        logw, _ = _log_weights_given_tail(f, beta, n, shift_n(y, n))
+        top = float(np.max(logw))
+        return math.exp(top) * float(np.exp(logw - top).sum())
+    eng = _Engine.of(f, beta)
+    block, exp2 = eng.run(eng.columns([]), n)
+    # Z = block * 2**exp2 * e^{n top}; fold e^{n top} into the power of two
+    # so that the result overflows only when Z itself does
+    ln2 = math.log(2.0)
+    k = round(n * eng.top / ln2)
+    mantissa = float(block[eng.row(y, n), 0]) * math.exp(n * eng.top - k * ln2)
+    try:
+        return math.ldexp(mantissa, exp2 + k)
+    except OverflowError:
+        return math.inf
 
 
 def kernel(
@@ -125,21 +260,29 @@ def kernel(
     """The volume-n Gibbs average of g conditioned on the boundary y."""
     if g.d != f.d:
         raise ValueError("alphabet mismatch")
-    if n < 1:
-        raise ValueError("volume must contain at least one site")
-    return _kernel_given_tail(f, beta, n, shift_n(y, n), g)[0]
+    return float(_kernels(f, beta, n, [g], [y])[0, 0])
 
 
 def kernel_measure(
     f: Potential, beta: float, n: int, y: Point, depth_out: int | None = None
 ) -> CylinderMeasure:
-    """The kernel as a measure on depth-`depth_out` cylinders (default n)."""
+    """The kernel as a measure on depth-`depth_out` cylinders (default n).
+
+    For a table-backed potential the masses of all d^depth_out cylinders
+    come from one pass: L^n 1_[u] = L^(n-k) (L^k 1_[u]) with k = depth_out,
+    the inner iterates built by k splitting steps.
+    """
     depth_out = n if depth_out is None else depth_out
     if not 0 <= depth_out <= n:
         raise ValueError("cylinders of that depth are not resolved inside the volume")
-    logw, _ = _log_weights_given_tail(f, beta, n, shift_n(y, n))
-    p = _softmax(logw)
-    return CylinderMeasure(f.d, n, p).coarsen(depth_out)
+    if f.table is None:
+        logw, _ = _log_weights_given_tail(f, beta, n, shift_n(y, n))
+        return CylinderMeasure(f.d, n, _softmax(logw)).coarsen(depth_out)
+    eng = _Engine.of(f, beta)
+    check_table_size(f.d, eng.depth + depth_out)
+    block, _ = eng.run(eng.columns([]), n, split=depth_out)
+    masses = block[eng.row(y, n)]
+    return CylinderMeasure(f.d, depth_out, masses / masses.sum())
 
 
 def tail_measurability_check(
@@ -162,13 +305,21 @@ def constant_shift_check(
 
     Shifting the exponent by a constant moves every log-weight equally and
     the max-subtraction removes it again, so this measures pure
-    floating-point jitter.
+    floating-point jitter.  For a table-backed potential the shifted
+    kernel is the engine's for beta f - a_n / n.
     """
-    tail = shift_n(y, n)
-    logw, _ = _log_weights_given_tail(f, beta, n, tail)
-    gv = _test_values_given_tail(g, n, tail)
-    k1 = float(_softmax(logw) @ gv)
-    k2 = float(_softmax(logw - a_n) @ gv)
+    if n < 1:
+        raise ValueError("volume must contain at least one site")
+    if f.table is None:
+        tail = shift_n(y, n)
+        logw, _ = _log_weights_given_tail(f, beta, n, tail)
+        gv = _test_values_given_tail(g, n, tail)
+        k1 = float(_softmax(logw) @ gv)
+        k2 = float(_softmax(logw - a_n) @ gv)
+        return abs(k1 - k2)
+    eng = _Engine.of(f, beta, g.depth)
+    shifted = _Engine(f.d, eng.depth, eng.logits - a_n / n)
+    k1, k2 = (next(e.sweep([g], [y], [n]))[1][0, 0] for e in (eng, shifted))
     return abs(k1 - k2)
 
 
@@ -187,12 +338,25 @@ def finite_volume_dlr_check(
     """Tower property of the kernels: averaging the volume-n kernel over the
     volume-(n+r) one reproduces the volume-(n+r) average of g.
 
-    Both sides are computed by full enumeration; the inner kernel depends
-    on its boundary through coordinates n+1, ..., n+r of the outer word
-    plus sigma^{n+r} z, so it is tabulated once per d^r suffix.  Returns
-    |lhs - rhs|.
+    The inner kernel depends on its boundary through coordinates
+    n+1, ..., n+r of the outer word plus sigma^{n+r} z.  For a
+    table-backed potential one engine pass of n steps gives the inner
+    kernel at every such boundary at once; the volume-(n+r) weight of a
+    word w.u (|w| = n, |u| = r) is e^{beta S_n f(w.u.t)} e^{beta S_r f(u.t)},
+    t = sigma^{n+r} z, so the outer average is
+    L^r(K_n(g|.) L^n 1)(t) / (L^{n+r} 1)(t), r further steps of the same
+    engine.  Otherwise both sides are summed over the volume words.
+    Returns |lhs - rhs|.
     """
     d = f.d
+    if f.table is not None:
+        eng = _Engine.of(f, beta, g.depth)
+        block, _ = eng.run(eng.columns([g]), n)
+        inner = block[:, 0] / block[:, 1]
+        outer, _ = eng.run(np.column_stack([inner * block[:, 1], block]), r)
+        row = eng.row(z, n + r)
+        lhs, rhs = outer[row, :2] / outer[row, 2]
+        return float(abs(lhs - rhs))
     tail_z = shift_n(z, n + r)
     inner = np.empty(d ** r)
     for i, row in enumerate(word_table(r, d)):
@@ -223,6 +387,8 @@ def dlr_residual(
     covers that range the quadrature bound is zero (representative points
     are exact) and the residual measures mu itself.  Otherwise the bound
     accumulates variation estimates for the unresolved coordinates.
+    The d^(M-n) inner kernels come from one engine pass for a
+    table-backed potential.
     """
     d = f.d
     if mu.d != d or g.d != d:
@@ -230,13 +396,22 @@ def dlr_residual(
     M = mu.depth
     if M < n:
         raise ValueError(f"measure depth {M} does not resolve the volume {n}")
-    inner = np.empty(d ** (M - n))
-    kernel_err = 0.0
-    for i, row in enumerate(word_table(M - n, d)):
-        u = tuple(int(s) for s in row)
-        inner[i], b = _kernel_given_tail(f, beta, n, Point(u + tail.prefix, tail.cycle), g)
-        kernel_err = max(kernel_err, b)
-    suffix = np.arange(d ** M) % d ** (M - n)
+    L = M - n
+    if f.table is not None:
+        eng = _Engine.of(f, beta, g.depth)
+        block, _ = eng.run(eng.columns([g]), n)
+        # the inner kernel at boundary u.tail reads the first D symbols of u.tail
+        heads = (np.arange(d ** L) * d ** eng.depth + word_index(tail.coords(eng.depth), d)) // d ** L
+        inner = (block[:, 0] / block[:, 1])[heads]
+        kernel_err = _KERNEL_ROUNDING
+    else:
+        inner = np.empty(d ** L)
+        kernel_err = 0.0
+        for i, row in enumerate(word_table(L, d)):
+            u = tuple(int(s) for s in row)
+            inner[i], b = _kernel_given_tail(f, beta, n, Point(u + tail.prefix, tail.cycle), g)
+            kernel_err = max(kernel_err, b)
+    suffix = np.arange(d ** M) % d ** L
     lhs = float(mu.weights @ inner[suffix])
     if g.depth <= M:
         rhs = integrate(mu, g)
@@ -293,7 +468,8 @@ def tl_sequence(
 
     For each volume n <= n_max (starting at the deepest cylinder), each
     cylinder word and each boundary point, tabulates the kernel mass, the
-    eigenprobability reference, and their deviation.  Returns the rows and
+    eigenprobability reference, and their deviation; for a table-backed
+    potential one engine pass over n serves every row.  Returns the rows and
     the per-volume worst deviation over (cylinder, boundary) pairs -- the
     sequence whose decay witnesses convergence to the eigenprobability.
 
@@ -306,22 +482,27 @@ def tl_sequence(
     if reference is None:
         depth = max(qmax, f.truncation_depth() - 1, 1)
         reference = power_iterate(scale(f, beta), depth, tol=tol).nu
+    tests = [CylinderFunction.indicator(f.d, w) for w in cylinders]
+    refs = [reference.cylinder_mass(w) for w in cylinders]
+    names = ["".join(str(s) for s in w) for w in cylinders]
+    ids = [y.literal for y in boundaries]
+    volumes = range(qmax, n_max + 1)
+    if volumes and qmax < 1:
+        raise ValueError("volume must contain at least one site")
     rows: list[TLRow] = []
     worst: dict[int, float] = {}
-    for n in range(qmax, n_max + 1):
+    for n, values in _sweep(f, beta, tests, boundaries, volumes):
         dev = 0.0
-        for w in cylinders:
-            ref = reference.cylinder_mass(w)
-            ind = CylinderFunction.indicator(f.d, w)
-            for y in boundaries:
-                val = kernel(f, beta, n, y, ind)
+        for j, (name, ref) in enumerate(zip(names, refs)):
+            for b, boundary_id in enumerate(ids):
+                val = float(values[b, j])
                 delta = abs(val - ref)
                 dev = max(dev, delta)
                 rows.append(
                     TLRow(
                         n=n,
-                        cylinder="".join(str(s) for s in w),
-                        boundary_id=y.literal,
+                        cylinder=name,
+                        boundary_id=boundary_id,
                         K_n=val,
                         nu_ref=ref,
                         deviation=delta,
@@ -359,9 +540,10 @@ def D_estimate(
     if len(tails) < 2:
         raise ValueError("need at least two tails to compare")
     d = f.d
+    m = f.truncation_depth()
+    check_table_size(d, m + N - 1)  # the largest S_n table, before any work
     value = 0.0
     if f.table is not None:
-        m = f.truncation_depth()
         for n in range(1, N + 1):
             sn = birkhoff_table(f, n)
             stride = d ** (m - 1)
@@ -416,8 +598,7 @@ def sandwich_check(
     if n < len(C):
         raise ValueError("volume must resolve the cylinder")
     ind = CylinderFunction.indicator(f.d, C)
-    ky = kernel(f, beta, n, y, ind)
-    kz = kernel(f, beta, n, z, ind)
+    ky, kz = (float(k) for k in _kernels(f, beta, n, [ind], [y, z])[:, 0])
     if ky <= 0.0 or kz <= 0.0:
         raise ValueError("sandwich needs strictly positive kernel masses")
     spread = math.exp(2.0 * abs(beta) * D)

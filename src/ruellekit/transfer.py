@@ -43,12 +43,14 @@ class TransferOperator:
 
     weights[a, i] multiplies the value of the argument at the child word
     (a, w_1, ..., w_{m-1}) when producing the output at word w = index i.
+    The weights are exp(f - shift): the matrix is e^{-shift} L_f.
     """
 
     d: int
     depth: int
     weights: np.ndarray        # shape (d, d**depth), strictly positive
     truncation_bound: float    # certified bound on the dropped tail-dependence
+    shift: float = 0.0         # constant subtracted from f before exp
 
     @property
     def size(self) -> int:
@@ -88,16 +90,21 @@ class TransferOperator:
 
 
 def transfer_operator(
-    f: Potential, depth: int, tail: Point | None = None
+    f: Potential, depth: int, tail: Point | None = None, shifted: bool = False
 ) -> TransferOperator:
-    """Build the depth-m operator from the depth-(m+1) truncation of f."""
+    """Build the depth-m operator from the depth-(m+1) truncation of f.
+
+    With shifted=True the truncated table's maximum is subtracted before
+    exp, so that no weight overflows; the operator is then e^{-max} L_f.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     check_table_size(f.d, depth + 1)
     table, bound = truncate(f, depth + 1, tail)
+    shift = float(np.max(table.values)) if shifted else 0.0
     # extended word (a, w) has index a * d**m + index(w): reshape splits off a.
-    weights = np.exp(table.values.reshape(f.d, f.d ** depth))
-    return TransferOperator(f.d, depth, weights, bound)
+    weights = np.exp(table.values.reshape(f.d, f.d ** depth) - shift)
+    return TransferOperator(f.d, depth, weights, bound, shift)
 
 
 def apply(f: Potential, g: CylinderFunction, depth: int) -> CylinderFunction:
@@ -166,8 +173,14 @@ def power_iterate(
     projective metric, so the deterministic all-ones start converges for
     every potential; lambda is read off the generalized Rayleigh quotient
     <nu, L psi> / <nu, psi> which is exact at the fixed point.
+
+    The iteration runs on f - c, c the maximum of the truncated table, and
+    adds c back to log lambda: exact, since P(f - c) = P(f) - c, and no
+    weight overflows.  lam is inf when e^{log_lam} exceeds the float range.
     """
-    op = transfer_operator(f, depth, tail)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    op = transfer_operator(f, depth, tail, shifted=True)
     size = op.size
     psi = np.ones(size)
     nu = np.full(size, 1.0 / size)
@@ -189,11 +202,16 @@ def power_iterate(
     psi_fn = CylinderFunction(f.d, depth, psi)
     scale = integrate(nu_measure, psi_fn)
     psi_fn = psi_fn.map(lambda v: v / scale)
+    log_lam = math.log(lam) + op.shift
+    try:
+        lam_full = math.exp(log_lam)
+    except OverflowError:
+        lam_full = math.inf
     return RPFData(
         d=f.d,
         depth=depth,
-        lam=lam,
-        log_lam=math.log(lam),
+        lam=lam_full,
+        log_lam=log_lam,
         psi=psi_fn,
         nu=nu_measure,
         residual_fn=eigen_residual(op, lam, psi_fn.values),

@@ -8,10 +8,12 @@ output, and config parsing for each potential descriptor kind.
 import csv
 import json
 import math
+from collections import defaultdict
 
+import numpy as np
 import pytest
 
-from ruellekit import cli
+from ruellekit import cli, dlr
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -83,6 +85,21 @@ def test_kernel_uniform_potential(tmp_path):
     # f == 0 at volume 2: four words, the test indicator [0] picks up half
     assert report["results"]["partition"] == 4.0
     assert report["results"]["kernel_value"] == 0.5
+
+
+def test_zero_beta_is_a_value_not_a_missing_flag(tmp_path):
+    code, report = run(tmp_path, "kernel", "--config", markov_config(tmp_path), "--beta", "0")
+    assert code == 0
+    assert report["params"]["beta"] == 0
+    assert report["results"]["beta"] == 0
+    # beta = 0 weighs the four volume words equally: the uniform average
+    assert report["results"]["kernel_value"] == 0.5
+    assert report["results"]["partition"] == 4.0
+
+
+def test_zero_max_iter_is_refused(tmp_path, capsys):
+    assert cli.main(["rpf", "--max-iter", "0"]) == 1
+    assert "max_iter" in capsys.readouterr().err
 
 
 def test_change_of_measure_default_corpus(tmp_path):
@@ -195,6 +212,14 @@ def test_size_guard_exit_1(capsys):
     assert "size guard" in capsys.readouterr().err
 
 
+def test_size_guard_fires_before_any_table(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(dlr, "birkhoff_table", lambda *args: calls.append(args))
+    assert cli.main(["uniqueness", "--n", "16"]) == 1
+    assert "size guard" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_check_failure_exit_2(tmp_path):
     code, report = run(
         tmp_path, "rpf", "--config", markov_config(tmp_path), "--max-iter", "2"
@@ -239,3 +264,38 @@ def test_floats_rendered_at_17_digits(tmp_path):
     value = json.loads(text)["results"]["pressure"]
     assert format(value, ".17g") in text
     assert float(format(value, ".17g")) == value
+
+
+def test_tl_deep_volumes(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "potential": {
+                "kind": "table",
+                "params": {"d": 2, "depth": 3, "values": [0.3, -0.5, 0.9, 0.1, -0.7, 0.2, 0.5, -0.2]},
+            }
+        },
+    )
+    csv_path = tmp_path / "rows.csv"
+    code, report = run(tmp_path, "tl", "--config", cfg, "--n", "500", "--csv", str(csv_path))
+    assert code == 0
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == report["results"]["rows"] == 499 * 6 * 4
+    # the kernel masses of the cylinders of one length sum to 1
+    totals = defaultdict(list)
+    for row in rows:
+        totals[(row["n"], row["boundary_id"], len(row["cylinder"]))].append(float(row["K_n"]))
+    assert len(totals) == 499 * 4 * 2
+    assert all(abs(math.fsum(v) - 1.0) <= 1e-12 for v in totals.values())
+
+
+def test_dump_report_many_floats():
+    rng = np.random.default_rng(31)
+    values = [float(v) for v in rng.standard_normal(5000) * 10.0 ** rng.integers(-300, 300, 5000)]
+    text = cli.dump_report({"values": values, "nested": {"first": values[0], "count": 5000}})
+    for v in values:
+        assert format(v, ".17g") in text
+    parsed = json.loads(text)
+    assert parsed["values"] == values
+    assert parsed["nested"]["first"] == values[0]

@@ -21,34 +21,60 @@ from ruellekit.dlr import (
     tl_sequence,
 )
 from ruellekit.potentials import GenericContinuous, Hoelder, Potential, birkhoff, scale
-from ruellekit.shift import CylinderFunction, CylinderMeasure, Point, prepend, shift_n
-from ruellekit.transfer import apply, normalize, power_iterate
+from ruellekit.shift import CylinderFunction, CylinderMeasure, Point, prepend, shift_n, word_index
+from ruellekit.transfer import apply, normalize, power_iterate, transfer_operator
 
 MARKOV = Potential.from_table(2, 2, [math.log(2.0), 0.0, 0.0, 0.0], label="markov")
 
 
+def brute_weights(f, beta, n, y):
+    """exp(beta S_n f(w . sigma^n y)) for every volume word w, lexicographic."""
+    tail = shift_n(y, n)
+    return np.array([
+        math.exp(beta * birkhoff(f, prepend(tail, w), n).value)
+        for w in itertools.product(range(f.d), repeat=n)
+    ])
+
+
 def brute_kernel(f, beta, n, y, g):
     """Direct enumeration of the volume-n kernel from its definition."""
-    num = 0.0
-    den = 0.0
-    for w in itertools.product(range(f.d), repeat=n):
-        x = prepend(shift_n(y, n), w)
-        weight = math.exp(beta * birkhoff(f, x, n).value)
-        num += weight * g.value_at(x)
-        den += weight
-    return num / den
+    tail = shift_n(y, n)
+    weights = brute_weights(f, beta, n, y)
+    values = [g.value_at(prepend(tail, w)) for w in itertools.product(range(f.d), repeat=n)]
+    return float(weights @ values) / weights.sum()
 
 
 def brute_partition(f, beta, n, y):
-    return math.fsum(
-        math.exp(beta * birkhoff(f, prepend(shift_n(y, n), w), n).value)
-        for w in itertools.product(range(f.d), repeat=n)
-    )
+    return math.fsum(brute_weights(f, beta, n, y))
 
 
 def random_point(rng, d):
     return Point(tuple(rng.integers(0, d, int(rng.integers(0, 4)))),
                  tuple(rng.integers(0, d, int(rng.integers(1, 4)))))
+
+
+# Alphabet size, potential depth 1-4, volume up to 10 (6 on three symbols).
+ORACLE_CASES = [
+    (d, depth, n)
+    for d, volumes in ((2, (1, 3, 10)), (3, (1, 2, 6)))
+    for depth in (1, 2, 3, 4)
+    for n in volumes
+]
+
+
+def oracle_case(d, depth, n):
+    """A random potential, boundary (purely periodic or with a prefix),
+    inverse temperature, and test functions shallower and deeper than n."""
+    rng = np.random.default_rng([d, depth, n])
+    f = Potential.from_table(d, depth, rng.uniform(-1.0, 1.0, d**depth))
+    prefix = tuple(rng.integers(0, d, int(rng.integers(0, 4)))) if n % 2 else ()
+    y = Point(prefix, tuple(rng.integers(0, d, int(rng.integers(1, 4)))))
+    beta = float(rng.uniform(-1.0, 2.0))
+    tests = [
+        CylinderFunction(d, q, rng.uniform(-1.0, 1.0, d**q))
+        for q in (int(rng.integers(1, n + 1)), n + int(rng.integers(1, 3)))
+    ]
+    return f, y, beta, tests
 
 
 def test_partition_counts_when_potential_vanishes():
@@ -69,6 +95,12 @@ def test_partition_matches_enumeration():
         )
 
 
+@pytest.mark.parametrize("d,depth,n", ORACLE_CASES)
+def test_partition_matches_enumeration_oracle(d, depth, n):
+    f, y, beta, _ = oracle_case(d, depth, n)
+    assert partition(f, beta, n, y) == pytest.approx(brute_partition(f, beta, n, y), rel=1e-13)
+
+
 def test_kernel_matches_enumeration():
     rng = np.random.default_rng(22)
     for trial in range(10):
@@ -83,6 +115,58 @@ def test_kernel_matches_enumeration():
         assert kernel(f, beta, n, y, g) == pytest.approx(
             brute_kernel(f, beta, n, y, g), abs=1e-13
         )
+
+
+@pytest.mark.parametrize("d,depth,n", ORACLE_CASES)
+def test_kernel_matches_enumeration_oracle(d, depth, n):
+    f, y, beta, tests = oracle_case(d, depth, n)
+    for g in tests:
+        assert kernel(f, beta, n, y, g) == pytest.approx(brute_kernel(f, beta, n, y, g), abs=1e-13)
+    if n <= 6:
+        weights = brute_weights(f, beta, n, y)
+        km = kernel_measure(f, beta, n, y)
+        assert np.max(np.abs(km.weights - weights / weights.sum())) < 1e-13
+
+
+def test_kernel_at_volume_40_is_dense_matrix_ratio():
+    # K_n(g|y) = (M^n g / M^n 1)(sigma^n y) with the dense depth-3 transfer matrix
+    rng = np.random.default_rng(32)
+    f = Potential.from_table(3, 3, rng.uniform(-1.0, 1.0, 27))
+    g = CylinderFunction(3, 3, rng.uniform(-1.0, 1.0, 27))
+    mat = transfer_operator(f, 3).matrix()
+    n = 40
+    cols = np.linalg.matrix_power(mat, n) @ np.column_stack([g.values, np.ones(27)])
+    for y in (Point.from_literal("2101|12"), Point.from_literal("|0"), Point.from_literal("1|021")):
+        row = word_index(shift_n(y, n).coords(3), 3)
+        assert kernel(f, 1.0, n, y, g) == pytest.approx(cols[row, 0] / cols[row, 1], abs=1e-12)
+
+
+def test_callable_potential_matches_its_table():
+    # a callable has no table, so its kernels are summed over the volume words
+    rng = np.random.default_rng(33)
+    f = Potential.from_table(2, 2, rng.uniform(-1.0, 1.0, 4))
+    h = Potential.from_callable(2, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=2.0))
+    g = CylinderFunction(2, 3, rng.uniform(-1.0, 1.0, 8))
+    y, z = Point.from_literal("10|011"), Point.from_literal("|1")
+    for n in (1, 4):
+        assert kernel(h, 0.7, n, y, g) == pytest.approx(kernel(f, 0.7, n, y, g), abs=1e-13)
+        assert partition(h, 0.7, n, y) == pytest.approx(partition(f, 0.7, n, y), rel=1e-13)
+        assert np.allclose(kernel_measure(h, 0.7, n, y).weights,
+                           kernel_measure(f, 0.7, n, y).weights, rtol=0, atol=1e-13)
+        assert sandwich_check(h, 0.7, n, (1,), y, z, 0.5)[1] == pytest.approx(
+            sandwich_check(f, 0.7, n, (1,), y, z, 0.5)[1], rel=1e-12)
+        assert constant_shift_check(h, 0.7, n, y, g, 30.0) < 1e-12
+        assert finite_volume_dlr_check(h, 0.7, n, 2, z, g) < 1e-12
+        nu = power_iterate(f, 4, tol=1e-14).nu
+        res_h, _ = dlr_residual(h, 0.7, nu, n, g, z)
+        res_f, _ = dlr_residual(f, 0.7, nu, n, g, z)
+        assert res_h == pytest.approx(res_f, abs=1e-13)
+    rows_h, _ = tl_sequence(h, 1.0, [(0,), (1, 0)], [y, z], 5)
+    rows_f, _ = tl_sequence(f, 1.0, [(0,), (1, 0)], [y, z], 5)
+    assert [(r.n, r.cylinder, r.boundary_id) for r in rows_h] == [
+        (r.n, r.cylinder, r.boundary_id) for r in rows_f
+    ]
+    assert max(abs(a.K_n - b.K_n) for a, b in zip(rows_h, rows_f)) < 1e-13
 
 
 def test_kernel_is_transfer_ratio():

@@ -70,6 +70,23 @@ def test_pressure_shift_by_constant():
         assert pressure(shifted, 2) == pytest.approx(pressure(f, 2) + c, abs=1e-10)
 
 
+def test_large_table_values_do_not_overflow():
+    # exp(800) overflows; the iteration runs on f - max f and adds it back
+    values = np.array([800.0, 800.0, 799.0, 800.5])
+    rpf = power_iterate(Potential.from_table(2, 2, values), 2)
+    assert rpf.converged
+    assert math.isfinite(rpf.log_lam)
+    shifted = Potential.from_table(2, 2, values - 800.0)
+    expected = math.log(dense_spectral_radius(shifted, 2)) + 800.0
+    assert rpf.log_lam == pytest.approx(expected, abs=1e-12)
+    assert rpf.residual_fn < 1e-10 and rpf.residual_meas < 1e-10
+
+
+def test_power_iterate_needs_one_step():
+    with pytest.raises(ValueError):
+        power_iterate(MARKOV, 2, max_iter=0)
+
+
 def test_eigendata_normalisation_conventions():
     rpf = power_iterate(MARKOV, 3)
     assert rpf.nu.total_mass() == pytest.approx(1.0, abs=1e-12)
