@@ -22,10 +22,12 @@ words through the certified evaluator.
 
 The kernel reads y only through sigma^n y (the coordinates outside the
 volume); the engine reads exactly the first D of them, so boundary
-dependence is structural rather than numerical.  Weights are exponentials
-of beta f minus its maximum (a max-subtracted log-sum-exp on the word
-sums), so adding a constant to the exponent cancels in the normalised
-kernel.
+dependence is structural rather than numerical.  Each engine row carries
+its own log scale and every step subtracts, per output row, the largest
+exponent it combines (a log-sum-exp over the preimages), so no kernel
+underflows to 0 / 0 however large beta * osc(f) is, and adding a
+constant to the exponent cancels in the normalised kernel.  The word
+enumeration subtracts the maximum over the words of each boundary.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .potentials import (
     birkhoff,
     birkhoff_table,
     scale,
+    truncate,
     var_upper,
 )
 from .shift import (
@@ -61,6 +64,8 @@ from .transfer import DEFAULT_MAX_ITER, DEFAULT_TOL, normalize, power_iterate
 # Nominal rounding allowance of one computed kernel value.
 _KERNEL_ROUNDING = 1e-15
 
+_LN2 = math.log(2.0)
+
 
 # ---------------------------------------------------------------------------
 # The kernel engine: Ruelle-operator iterates on value tables
@@ -76,27 +81,29 @@ class _Engine:
     when D covers the test functions' depth and the potential's reach
     past the preimage symbol, depth(f) - 1.
 
-    The weights exp(beta f(a w) - top) on the d^(D+1) extended words
-    (a, w), top = max beta f, are at most 1, and each step divides the
-    block by a power of two near its maximum, which is exact: the true
-    iterate is  block * 2**exp2 * exp(n * top)  and no step overflows.
+    The exponents beta f(a w) on the d^(D+1) extended words (a, w) are
+    the depth-(D+1) truncation that `transfer.transfer_operator`
+    exponentiates.  Each row carries its own log scale, so a step takes
+    the exponentials of the exponents plus the children's scales minus
+    their maximum per output row: every row keeps a weight of exactly 1,
+    and no row underflows however far apart the values of beta f lie.
     """
 
-    def __init__(self, d: int, depth: int, logits: np.ndarray):
+    def __init__(self, d: int, depth: int, exponents: np.ndarray):
         self.d = d
         self.depth = depth
-        self.logits = logits
-        self.top = float(np.max(logits))
-        # weights[a, p, s] carries child row a * d**(D-1) + p into row p * d + s
-        self.weights = np.exp(logits - self.top).reshape(d, -1, d, 1)
+        self.exponents = exponents
+        # logits[p, s, a] carries child row a * d**(D-1) + p into row p * d + s
+        self.logits = np.reshape(exponents, (d, -1, d)).transpose(1, 2, 0).copy()
+        # between renormalisations a row grows at most d-fold per step
+        self.renorm_every = max(1, 256 // (d - 1).bit_length())
 
     @classmethod
     def of(cls, f: Potential, beta: float, q: int = 0) -> "_Engine":
         """The engine of a table-backed beta*f for test functions of depth <= q."""
         depth = max(q, f.truncation_depth() - 1, 1)
-        check_table_size(f.d, depth + 1)
-        values = f.table.values
-        return cls(f.d, depth, beta * np.repeat(values, f.d ** (depth + 1) // values.size))
+        table, _ = truncate(f, depth + 1)
+        return cls(f.d, depth, beta * table.values)
 
     def columns(self, tests: list[CylinderFunction]) -> np.ndarray:
         """The block [g_1, ..., g_k, 1] of depth-D value tables."""
@@ -104,8 +111,16 @@ class _Engine:
         cols = [np.repeat(g.values, size // g.values.size) for g in tests]
         return np.column_stack(cols + [np.ones(size)])
 
-    def iterates(self, block: np.ndarray, split: int = 0):
-        """Yield (n, block_n, exp2_n) for n = 1, 2, ...
+    def iterates(self, block: np.ndarray, split: int = 0, lift=None, exp2: int = 0):
+        """Yield (n, block_n, lift_n, exp2_n) for n = 1, 2, ...
+
+        The n-th iterate is  block_n * exp(lift_n)[:, None] * 2**exp2_n:
+        lift_n is the log scale of each row and exp2_n a common power of
+        two.  Each step moves the largest exponent of every output row
+        into its lift, so a row of block_n grows at most d-fold per step;
+        every `renorm_every` steps the rows are brought back to [1/2, 1)
+        by powers of two, which is exact.  (lift, exp2) gives the scale of
+        the starting block (default 1).
 
         The first `split` steps keep the preimage symbol apart instead of
         summing over it: column u becomes the d columns u.a.  Started from
@@ -113,24 +128,36 @@ class _Engine:
         L^j 1_[u] = e^{beta S_j f(u x)} for each word u of length j.
         """
         d = self.d
-        exp2 = 0
+        rows = block.shape[0]
+        lift = np.zeros(rows) if lift is None else lift
         for n in itertools.count(1):
-            terms = self.weights * block.reshape(d, -1, 1, block.shape[1])
+            expo = self.logits + lift.reshape(d, -1).T[:, None, :]
+            top = expo.max(axis=2, keepdims=True)
+            expo -= top
+            weights = np.exp(expo, out=expo)
+            children = block.reshape(d, -1, block.shape[1]).transpose(1, 0, 2)
             if n <= split:
-                block = np.moveaxis(terms, 0, -1).reshape(block.shape[0], -1)
+                block = (weights[:, :, None, :] * children.transpose(0, 2, 1)[:, None]).reshape(rows, -1)
             else:
-                block = terms.sum(axis=0).reshape(block.shape)
-            e = math.frexp(float(np.max(block)))[1]
-            block = np.ldexp(block, -e)
-            exp2 += e
-            yield n, block, exp2
+                block = np.matmul(weights, children).reshape(rows, -1)
+            # whole powers of two of row 0's scale go to exp2, so lifts stay small
+            common = round(float(top.flat[0]) / _LN2)
+            lift = top.ravel() - common * _LN2
+            exp2 += common
+            if n % self.renorm_every == 0:
+                e = np.frexp(block.max(axis=1))[1]
+                block = np.ldexp(block, -e[:, None])
+                lift += e * _LN2
+            yield n, block, lift, exp2
 
-    def run(self, block: np.ndarray, n: int, split: int = 0) -> tuple[np.ndarray, int]:
-        """The block after n steps, with its power-of-two exponent."""
-        exp2 = 0
-        for _, block, exp2 in itertools.islice(self.iterates(block, split), n):
+    def run(self, block: np.ndarray, n: int, split: int = 0, lift=None, exp2: int = 0):
+        """(block, lift, exp2) after n steps, in the scaling of `iterates`."""
+        lift = np.zeros(block.shape[0]) if lift is None else lift
+        for _, block, lift, exp2 in itertools.islice(
+            self.iterates(block, split, lift, exp2), n
+        ):
             pass
-        return block, exp2
+        return block, lift, exp2
 
     def row(self, y: Point, n: int) -> int:
         """The row a volume-n kernel at boundary y reads: y_{n+1} ... y_{n+D}."""
@@ -143,7 +170,7 @@ class _Engine:
         if not volumes:
             return
         wanted = set(volumes)
-        for n, block, _ in self.iterates(self.columns(tests)):
+        for n, block, _, _ in self.iterates(self.columns(tests)):
             if n in wanted:
                 rows = [self.row(y, n) for y in boundaries]
                 yield n, block[rows, :-1] / block[rows, -1:]
@@ -242,12 +269,12 @@ def partition(f: Potential, beta: float, n: int, y: Point) -> float:
         top = float(np.max(logw))
         return math.exp(top) * float(np.exp(logw - top).sum())
     eng = _Engine.of(f, beta)
-    block, exp2 = eng.run(eng.columns([]), n)
-    # Z = block * 2**exp2 * e^{n top}; fold e^{n top} into the power of two
-    # so that the result overflows only when Z itself does
-    ln2 = math.log(2.0)
-    k = round(n * eng.top / ln2)
-    mantissa = float(block[eng.row(y, n), 0]) * math.exp(n * eng.top - k * ln2)
+    block, lift, exp2 = eng.run(eng.columns([]), n)
+    # Z = block * e^lift * 2**exp2; fold the whole powers of two of e^lift
+    # into exp2 so that the result overflows only when Z itself does
+    row = eng.row(y, n)
+    k = round(float(lift[row]) / _LN2)
+    mantissa = float(block[row, 0]) * math.exp(float(lift[row]) - k * _LN2)
     try:
         return math.ldexp(mantissa, exp2 + k)
     except OverflowError:
@@ -270,7 +297,9 @@ def kernel_measure(
 
     For a table-backed potential the masses of all d^depth_out cylinders
     come from one pass: L^n 1_[u] = L^(n-k) (L^k 1_[u]) with k = depth_out,
-    the inner iterates built by k splitting steps.
+    the inner iterates built by k splitting steps.  That pass holds
+    d^(D + depth_out) values, D the engine depth, so the table-size guard
+    bounds D + depth_out (the enumeration of callables bounds n).
     """
     depth_out = n if depth_out is None else depth_out
     if not 0 <= depth_out <= n:
@@ -280,7 +309,7 @@ def kernel_measure(
         return CylinderMeasure(f.d, n, _softmax(logw)).coarsen(depth_out)
     eng = _Engine.of(f, beta)
     check_table_size(f.d, eng.depth + depth_out)
-    block, _ = eng.run(eng.columns([]), n, split=depth_out)
+    block, _, _ = eng.run(eng.columns([]), n, split=depth_out)
     masses = block[eng.row(y, n)]
     return CylinderMeasure(f.d, depth_out, masses / masses.sum())
 
@@ -318,7 +347,7 @@ def constant_shift_check(
         k2 = float(_softmax(logw - a_n) @ gv)
         return abs(k1 - k2)
     eng = _Engine.of(f, beta, g.depth)
-    shifted = _Engine(f.d, eng.depth, eng.logits - a_n / n)
+    shifted = _Engine(f.d, eng.depth, eng.exponents - a_n / n)
     k1, k2 = (next(e.sweep([g], [y], [n]))[1][0, 0] for e in (eng, shifted))
     return abs(k1 - k2)
 
@@ -339,24 +368,32 @@ def finite_volume_dlr_check(
     volume-(n+r) one reproduces the volume-(n+r) average of g.
 
     The inner kernel depends on its boundary through coordinates
-    n+1, ..., n+r of the outer word plus sigma^{n+r} z.  For a
-    table-backed potential one engine pass of n steps gives the inner
-    kernel at every such boundary at once; the volume-(n+r) weight of a
-    word w.u (|w| = n, |u| = r) is e^{beta S_n f(w.u.t)} e^{beta S_r f(u.t)},
-    t = sigma^{n+r} z, so the outer average is
-    L^r(K_n(g|.) L^n 1)(t) / (L^{n+r} 1)(t), r further steps of the same
-    engine.  Otherwise both sides are summed over the volume words.
+    n+1, ..., n+r of the outer word plus t = sigma^{n+r} z.  For a
+    table-backed potential the two sides take separate routes through the
+    engine.  The left side reads the inner kernels at the boundaries u.t
+    (|u| = r) from the rows of one n-step pass, and weighs them by the
+    volume-(n+r) marginal of coordinates n+1..n+r, which is
+    L^r(1_[u] L^n 1)(t) / (L^{n+r} 1)(t): r splitting steps continue the
+    pass's column L^n 1.  The right side is kernel(f, beta, n + r, z, g):
+    r further plain steps of the same pass.
+    Otherwise both sides are summed over the volume words.
     Returns |lhs - rhs|.
     """
     d = f.d
     if f.table is not None:
         eng = _Engine.of(f, beta, g.depth)
-        block, _ = eng.run(eng.columns([g]), n)
+        block, lift, _ = eng.run(eng.columns([g]), n)
         inner = block[:, 0] / block[:, 1]
-        outer, _ = eng.run(np.column_stack([inner * block[:, 1], block]), r)
+        check_table_size(d, eng.depth + r)
+        marginal, _, _ = eng.run(block[:, 1:], r, split=r, lift=lift)
+        t_head = word_index(z.coords(n + r + eng.depth)[n + r:], d)
+        p = marginal[t_head]
+        # the inner kernel at boundary u.t reads the first D symbols of u.t
+        heads = (np.arange(d ** r) * d ** eng.depth + t_head) // d ** r
+        lhs = float(p @ inner[heads]) / float(p.sum())
+        outer, _, _ = eng.run(block, r, lift=lift)
         row = eng.row(z, n + r)
-        lhs, rhs = outer[row, :2] / outer[row, 2]
-        return float(abs(lhs - rhs))
+        return abs(lhs - float(outer[row, 0] / outer[row, 1]))
     tail_z = shift_n(z, n + r)
     inner = np.empty(d ** r)
     for i, row in enumerate(word_table(r, d)):
@@ -399,7 +436,7 @@ def dlr_residual(
     L = M - n
     if f.table is not None:
         eng = _Engine.of(f, beta, g.depth)
-        block, _ = eng.run(eng.columns([g]), n)
+        block, _, _ = eng.run(eng.columns([g]), n)
         # the inner kernel at boundary u.tail reads the first D symbols of u.tail
         heads = (np.arange(d ** L) * d ** eng.depth + word_index(tail.coords(eng.depth), d)) // d ** L
         inner = (block[:, 0] / block[:, 1])[heads]

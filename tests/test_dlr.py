@@ -27,19 +27,25 @@ from ruellekit.transfer import apply, normalize, power_iterate, transfer_operato
 MARKOV = Potential.from_table(2, 2, [math.log(2.0), 0.0, 0.0, 0.0], label="markov")
 
 
-def brute_weights(f, beta, n, y):
-    """exp(beta S_n f(w . sigma^n y)) for every volume word w, lexicographic."""
+def brute_log_weights(f, beta, n, y):
+    """beta S_n f(w . sigma^n y) for every volume word w, lexicographic."""
     tail = shift_n(y, n)
     return np.array([
-        math.exp(beta * birkhoff(f, prepend(tail, w), n).value)
+        beta * birkhoff(f, prepend(tail, w), n).value
         for w in itertools.product(range(f.d), repeat=n)
     ])
+
+
+def brute_weights(f, beta, n, y):
+    """exp(beta S_n f(w . sigma^n y)) for every volume word w, lexicographic."""
+    return np.exp(brute_log_weights(f, beta, n, y))
 
 
 def brute_kernel(f, beta, n, y, g):
     """Direct enumeration of the volume-n kernel from its definition."""
     tail = shift_n(y, n)
-    weights = brute_weights(f, beta, n, y)
+    logw = brute_log_weights(f, beta, n, y)
+    weights = np.exp(logw - np.max(logw))
     values = [g.value_at(prepend(tail, w)) for w in itertools.product(range(f.d), repeat=n)]
     return float(weights @ values) / weights.sum()
 
@@ -141,6 +147,39 @@ def test_kernel_at_volume_40_is_dense_matrix_ratio():
         assert kernel(f, 1.0, n, y, g) == pytest.approx(cols[row, 0] / cols[row, 1], abs=1e-12)
 
 
+def test_kernel_survives_any_spread_of_beta_f():
+    # beta * osc(f) > 745: one common shift of the exponents would underflow
+    # every weight of some boundary and leave 0 / 0
+    f = Potential.from_table(2, 2, [0.0, -800.0, 0.0, -800.0])
+    g = CylinderFunction.indicator(2, (0,))
+    y = Point.from_literal("|1")
+    for beta in (1.0, 800.0):
+        assert kernel(f, beta, 1, y, g) == 0.5
+        assert finite_volume_dlr_check(f, beta, 1, 2, y, g) < 1e-12
+    rng = np.random.default_rng(34)
+    for d, depth, n in ((2, 2, 5), (2, 3, 7), (3, 2, 4), (3, 3, 3)):
+        # some extended words cost 800 more than the rest
+        values = rng.uniform(-1.0, 1.0, d**depth) - 800.0 * rng.integers(0, 2, d**depth)
+        values[0] = 0.0
+        f = Potential.from_table(d, depth, values)
+        g = CylinderFunction(d, 2, rng.uniform(-1.0, 1.0, d**2))
+        y, z = random_point(rng, d), random_point(rng, d)
+        for beta in (1.0, 1.5, -1.0):
+            # weights e^{beta S_n f} carry relative rounding ~ eps * |beta S_n f|
+            assert kernel(f, beta, n, y, g) == pytest.approx(brute_kernel(f, beta, n, y, g), abs=1e-11)
+            assert finite_volume_dlr_check(f, beta, n, 2, z, g) < 1e-11
+            km = kernel_measure(f, beta, n, y, depth_out=2)
+            for w in itertools.product(range(d), repeat=2):
+                ind = CylinderFunction.indicator(d, w)
+                assert km.cylinder_mass(w) == pytest.approx(brute_kernel(f, beta, n, y, ind), abs=1e-11)
+            logw = brute_log_weights(f, beta, n, y)
+            top = float(np.max(logw))
+            # f shifted per site so that log Z stays in range
+            h = Potential.from_table(d, depth, values - top / (beta * n))
+            assert math.log(partition(h, beta, n, y)) == pytest.approx(
+                math.log(np.exp(logw - top).sum()), abs=1e-11)
+
+
 def test_callable_potential_matches_its_table():
     # a callable has no table, so its kernels are summed over the volume words
     rng = np.random.default_rng(33)
@@ -229,6 +268,17 @@ def test_finite_volume_consistency_identity():
         g = CylinderFunction(2, q, rng.uniform(-1.0, 1.0, 2**q))
         z = random_point(rng, 2)
         assert finite_volume_dlr_check(f, 1.0, n, r, z, g) < 1e-12
+
+
+def test_finite_volume_consistency_reads_the_outer_boundary():
+    # depth(f) - 1 > r: the inner kernels read symbols of sigma^{n+r} z too
+    rng = np.random.default_rng(35)
+    for d, depth in ((2, 4), (3, 3)):
+        f = Potential.from_table(d, depth, rng.uniform(-1.0, 1.0, d**depth))
+        for n, r, q in ((2, 1, 1), (3, 1, 4), (1, 2, 3)):
+            g = CylinderFunction(d, q, rng.uniform(-1.0, 1.0, d**q))
+            z = random_point(rng, d)
+            assert finite_volume_dlr_check(f, 1.3, n, r, z, g) < 1e-12
 
 
 def test_dlr_residual_vanishes_for_eigenprobability():
