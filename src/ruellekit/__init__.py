@@ -31,20 +31,14 @@ from .potentials import (
     birkhoff,
     jop_series,
     make_hofbauer_walters,
-    make_locally_constant,
-    var_n,
     walters_estimate,
 )
 from .transfer import (
     RPFData,
-    apply,
     check_normalized,
-    dual_T_iterate,
-    dual_apply,
     iterate_to_fixed_point,
     normalize,
     power_iterate,
-    pressure,
     transfer_operator,
 )
 from .interactions import (
@@ -64,6 +58,7 @@ from .dlr import (
     finite_volume_dlr_check,
     kernel,
     kernel_measure,
+    log_partition,
     partition,
     sandwich_check,
     tail_measurability_check,

@@ -277,10 +277,10 @@ def _cmd_kernel(cfg, args):
     y = _point_from_literal(cfg.get("boundary", "|0"))
     word = parse_word(cfg.get("test_word", "0"))
     g = CylinderFunction.indicator(f.d, word)
-    z = dlr.partition(f, beta, n, y)
     value = dlr.kernel(f, beta, n, y, g)
     results = {
-        "partition": z,
+        "partition": dlr.partition(f, beta, n, y),
+        "log_partition": dlr.log_partition(f, beta, n, y),
         "kernel_value": value,
         "test_word": cfg.get("test_word", "0"),
         "boundary": y.literal,

@@ -257,26 +257,29 @@ def _kernels(f: Potential, beta: float, n: int, tests, boundaries) -> np.ndarray
 # Public kernel interface
 # ---------------------------------------------------------------------------
 
-def partition(f: Potential, beta: float, n: int, y: Point) -> float:
-    """Z_n(y) = sum_w exp(beta S_n f(w . sigma^n y)) = (L^n 1)(sigma^n y).
-
-    Returns inf when Z_n(y) exceeds the float range.
-    """
+def log_partition(f: Potential, beta: float, n: int, y: Point) -> float:
+    """log Z_n(y), finite however far Z_n(y) lies outside the float range."""
     if n < 1:
         raise ValueError("volume must contain at least one site")
     if f.table is None:
         logw, _ = _log_weights_given_tail(f, beta, n, shift_n(y, n))
         top = float(np.max(logw))
-        return math.exp(top) * float(np.exp(logw - top).sum())
+        return top + math.log(float(np.exp(logw - top).sum()))
     eng = _Engine.of(f, beta)
     block, lift, exp2 = eng.run(eng.columns([]), n)
-    # Z = block * e^lift * 2**exp2; fold the whole powers of two of e^lift
-    # into exp2 so that the result overflows only when Z itself does
+    # Z = block * e^lift * 2**exp2 in the engine's row scaling
     row = eng.row(y, n)
-    k = round(float(lift[row]) / _LN2)
-    mantissa = float(block[row, 0]) * math.exp(float(lift[row]) - k * _LN2)
+    return math.log(float(block[row, 0])) + float(lift[row]) + exp2 * _LN2
+
+
+def partition(f: Potential, beta: float, n: int, y: Point) -> float:
+    """Z_n(y) = sum_w exp(beta S_n f(w . sigma^n y)) = (L^n 1)(sigma^n y).
+
+    The exponential of log_partition: inf when Z_n(y) exceeds the float
+    range, 0 when it falls below.
+    """
     try:
-        return math.ldexp(mantissa, exp2 + k)
+        return math.exp(log_partition(f, beta, n, y))
     except OverflowError:
         return math.inf
 
@@ -569,19 +572,21 @@ def D_estimate(
     value = max over n <= N, over length-n words w, over pairs t, t' from
     the tail set, of |S_n f(w.t) - S_n f(w.t')|.  bound is the metadata
     majorant sum_{i>=1} var_i(f) (finite for locally-constant and Hoelder
-    regularity, inf otherwise).  For a depth-m potential the estimate
-    stabilises once N >= m - 1: longer words push every tail disagreement
-    out of what any Birkhoff term reads.
+    regularity, inf otherwise).  For a depth-m table only the last m - 1
+    terms of S_n f(w.t) read t, and they read only the last m - 1 symbols
+    of w, so every n >= m - 1 gives the same maximum: the table branch
+    stops at n = min(N, m - 1).
     """
     tails = default_tails(f.d) if tails is None else tails
     if len(tails) < 2:
         raise ValueError("need at least two tails to compare")
     d = f.d
     m = f.truncation_depth()
-    check_table_size(d, m + N - 1)  # the largest S_n table, before any work
+    n_max = min(N, m - 1) if f.table is not None else N
+    check_table_size(d, m + n_max - 1)  # the largest S_n table, before any work
     value = 0.0
     if f.table is not None:
-        for n in range(1, N + 1):
+        for n in range(1, n_max + 1):
             sn = birkhoff_table(f, n)
             stride = d ** (m - 1)
             base = np.arange(d ** n) * stride

@@ -127,15 +127,6 @@ class Potential:
         return max(1, m) if m is not None else 1
 
 
-def evaluate(f: Potential, x: Point) -> tuple[float, float]:
-    return f.evaluate(x)
-
-
-def make_locally_constant(d: int, depth: int, values, label: str = "") -> Potential:
-    """Potential reading only the first `depth` coordinates, from its table."""
-    return Potential.from_table(d, depth, values, label)
-
-
 def scale(f: Potential, c: float) -> Potential:
     """The potential c*f, with error bounds and regularity metadata rescaled."""
     if f.table is not None:
@@ -247,11 +238,6 @@ def var_upper(f: Potential, n: int) -> float:
         f"no variation metadata for {type(reg).__name__}; brute-force "
         "enumeration over finitely many tails would not be an upper bound"
     )
-
-
-def var_n(f: Potential, n: int) -> float:
-    """Alias for :func:`var_upper` (the returned value is always an upper bound)."""
-    return var_upper(f, n)
 
 
 def walters_estimate(f: Potential, p: int, n_sup: int) -> float:

@@ -232,6 +232,8 @@ def metric_distance(x: Point, y: Point) -> float:
 
 def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("table entries must be finite (no NaN or inf)")
     arr.setflags(write=False)
     return arr
 

@@ -8,19 +8,24 @@ exp(f(a w_1 ... w_m tail...)), where the potential is truncated at depth
 m+1 with a fixed reference tail (all-zero by default).  The truncation is
 exact for locally-constant potentials of depth <= m+1.
 
-power_iterate computes the leading eigenvalue lambda, the positive
+TransferOperator is the one operator object: apply and dual_apply are
+L_f and its adjoint on depth-m tables, each one gather over the preimage
+index of the operator.  power_iterate is the one route to the leading
+eigenvalue lambda (log lambda is the finite-depth pressure), the positive
 eigenfunction psi, and the eigenprobability nu of the adjoint, with the
 normalisations nu(whole space) = 1 and integral of psi against nu = 1.
 The iteration starts from the constant function / uniform measure
-(deterministic), renormalises every step, and stops when both sup-norm
-residuals fall under tol.
+(deterministic) and applies L and its adjoint once each per step: the
+products L psi and L* nu give the residuals of the current (psi, nu) and,
+renormalised, the next iterate.  It stops when both relative residuals
+fall under tol, and returns the vectors whose residuals it reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +35,6 @@ from .shift import (
     CylinderMeasure,
     Point,
     check_table_size,
-    integrate,
 )
 
 DEFAULT_TOL = 1e-10
@@ -56,25 +60,21 @@ class TransferOperator:
     def size(self) -> int:
         return self.d ** self.depth
 
+    @cached_property
+    def preimages(self) -> np.ndarray:
+        """preimages[a, i]: index of the child word (a, w_1, ..., w_{m-1}) of word i."""
+        d = self.d
+        return np.arange(d)[:, None] * d ** (self.depth - 1) + np.arange(self.size) // d
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         """One application of L_f to a depth-m value table."""
-        d, m = self.d, self.depth
-        child_base = d ** (m - 1)
-        parent = np.arange(self.size) // d
-        out = np.zeros(self.size)
-        for a in range(d):
-            out += self.weights[a] * values[a * child_base + parent]
-        return out
+        return (self.weights * values[self.preimages]).sum(axis=0)
 
     def dual_apply(self, weights: np.ndarray) -> np.ndarray:
         """One application of the adjoint to a depth-m weight table."""
-        d, m = self.d, self.depth
-        child_base = d ** (m - 1)
-        parent = np.arange(self.size) // d
-        out = np.zeros(self.size)
-        for a in range(d):
-            np.add.at(out, a * child_base + parent, self.weights[a] * weights)
-        return out
+        return np.bincount(
+            self.preimages.ravel(), (self.weights * weights).ravel(), minlength=self.size
+        )
 
     def matrix(self) -> np.ndarray:
         """Dense d**m x d**m matrix (small depths only)."""
@@ -105,38 +105,6 @@ def transfer_operator(
     # extended word (a, w) has index a * d**m + index(w): reshape splits off a.
     weights = np.exp(table.values.reshape(f.d, f.d ** depth) - shift)
     return TransferOperator(f.d, depth, weights, bound, shift)
-
-
-def apply(f: Potential, g: CylinderFunction, depth: int) -> CylinderFunction:
-    """One application of L_f to g, returned at the given depth."""
-    if g.depth > depth:
-        raise ValueError(f"argument depth {g.depth} exceeds operator depth {depth}")
-    op = transfer_operator(f, depth)
-    return CylinderFunction(f.d, depth, op.apply(g.refine(depth).values))
-
-
-def dual_apply(f: Potential, mu: CylinderMeasure, depth: int) -> CylinderMeasure:
-    """One application of the adjoint to mu (unnormalised mass vector)."""
-    if mu.depth != depth:
-        raise ValueError(f"measure depth {mu.depth} does not match {depth}")
-    op = transfer_operator(f, depth)
-    return CylinderMeasure(f.d, depth, op.dual_apply(mu.weights))
-
-
-def eigen_residual(op: TransferOperator, lam: float, values: np.ndarray) -> float:
-    """Relative eigen-residual  ||L psi - lambda psi||_inf / (lambda ||psi||_inf)."""
-    return float(
-        np.max(np.abs(op.apply(values) - lam * values))
-        / (lam * np.max(np.abs(values)))
-    )
-
-
-def dual_eigen_residual(op: TransferOperator, lam: float, weights: np.ndarray) -> float:
-    """Relative adjoint residual in total variation."""
-    return float(
-        np.sum(np.abs(op.dual_apply(weights) - lam * weights))
-        / (lam * np.sum(np.abs(weights)))
-    )
 
 
 @dataclass(frozen=True)
@@ -177,31 +145,32 @@ def power_iterate(
     The iteration runs on f - c, c the maximum of the truncated table, and
     adds c back to log lambda: exact, since P(f - c) = P(f) - c, and no
     weight overflows.  lam is inf when e^{log_lam} exceeds the float range.
+    A table spread so wide that weights underflow to 0 can drive the
+    iterates to 0 / 0; that raises ValueError.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     op = transfer_operator(f, depth, tail, shifted=True)
-    size = op.size
-    psi = np.ones(size)
-    nu = np.full(size, 1.0 / size)
-    lam = 1.0
-    iterations = 0
-    converged = False
+    psi = np.ones(op.size)
+    nu = np.full(op.size, 1.0 / op.size)
     for iterations in range(1, max_iter + 1):
-        psi_new = op.apply(psi)
-        nu_new = op.dual_apply(nu)
-        lam = float(np.dot(nu, psi_new) / np.dot(nu, psi))
-        psi = psi_new / np.max(psi_new)
-        nu = nu_new / np.sum(nu_new)
-        res_psi = eigen_residual(op, lam, psi)
-        res_nu = dual_eigen_residual(op, lam, nu)
-        if max(res_psi, res_nu) < tol:
-            converged = True
+        # L psi and L* nu give the residuals of (psi, nu) and the next iterate
+        l_psi = op.apply(psi)
+        l_nu = op.dual_apply(nu)
+        lam = float(np.dot(nu, l_psi) / np.dot(nu, psi))
+        if not math.isfinite(lam):
+            # weights are in (0, 1] unless exp(f - max f) underflowed to 0
+            raise ValueError(
+                "power iteration broke down: weights exp(f - max f) underflow, "
+                "the spread of the table is too wide for double precision"
+            )
+        res_psi = float(np.max(np.abs(l_psi - lam * psi)) / (lam * np.max(psi)))
+        res_nu = float(np.sum(np.abs(l_nu - lam * nu)) / (lam * np.sum(nu)))
+        converged = max(res_psi, res_nu) < tol
+        if converged or iterations == max_iter:
             break
-    nu_measure = CylinderMeasure(f.d, depth, nu)
-    psi_fn = CylinderFunction(f.d, depth, psi)
-    scale = integrate(nu_measure, psi_fn)
-    psi_fn = psi_fn.map(lambda v: v / scale)
+        psi = l_psi / np.max(l_psi)
+        nu = l_nu / np.sum(l_nu)
     log_lam = math.log(lam) + op.shift
     try:
         lam_full = math.exp(log_lam)
@@ -212,23 +181,13 @@ def power_iterate(
         depth=depth,
         lam=lam_full,
         log_lam=log_lam,
-        psi=psi_fn,
-        nu=nu_measure,
-        residual_fn=eigen_residual(op, lam, psi_fn.values),
+        psi=CylinderFunction(f.d, depth, psi / np.dot(nu, psi)),
+        nu=CylinderMeasure(f.d, depth, nu),
+        residual_fn=res_psi,
         residual_meas=res_nu,
         iterations=iterations,
         converged=converged,
     )
-
-
-def pressure(
-    f: Potential,
-    depth: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
-    """log lambda at the given depth."""
-    return power_iterate(f, depth, tol, max_iter).log_lam
 
 
 def normalize(f: Potential, rpf: RPFData, tail: Point | None = None) -> Potential:
@@ -271,27 +230,8 @@ def iterate_to_fixed_point(
     oscillation of the returns at increasing n to watch the collapse.
     """
     op = transfer_operator(fbar, depth)
-    values = g.refine(depth).values.copy()
+    values = g.refine(depth).values
     for _ in range(n):
         values = op.apply(values)
     return CylinderFunction(fbar.d, depth, values)
 
-
-def dual_T_iterate(
-    f: Potential, mu0: CylinderMeasure, depth: int, steps: int
-) -> tuple[CylinderMeasure, float]:
-    """Iterate mu -> (adjoint L_f mu) / total mass, from mu0.
-
-    Returns the final measure and the mass picked up in the last step,
-    which estimates lambda once the iteration has settled.
-    """
-    if mu0.d != f.d or mu0.depth != depth:
-        raise ValueError("starting measure must live on the iteration depth")
-    op = transfer_operator(f, depth)
-    mu = mu0.normalized().weights
-    lam = 1.0
-    for _ in range(steps):
-        nxt = op.dual_apply(mu)
-        lam = float(nxt.sum())
-        mu = nxt / lam
-    return CylinderMeasure(f.d, depth, mu), lam

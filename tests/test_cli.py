@@ -206,18 +206,47 @@ def test_unknown_potential_kind_exit_1(tmp_path, capsys):
     assert "unknown potential kind" in capsys.readouterr().err
 
 
-def test_size_guard_exit_1(capsys):
-    # doubling the window pushes the stabilisation table past the guard
-    assert cli.main(["uniqueness", "--n", "16"]) == 1
+def ising_config(tmp_path):
+    return write_config(tmp_path, {"potential": {"kind": "ising_lr", "params": {}}})
+
+
+def test_size_guard_exit_1(tmp_path, capsys):
+    # doubling the window asks the callable for 2^32 volume words
+    assert cli.main(["uniqueness", "--config", ising_config(tmp_path), "--n", "16"]) == 1
     assert "size guard" in capsys.readouterr().err
 
 
-def test_size_guard_fires_before_any_table(monkeypatch, capsys):
+def test_size_guard_fires_before_any_table(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(dlr, "birkhoff_table", lambda *args: calls.append(args))
-    assert cli.main(["uniqueness", "--n", "16"]) == 1
+    monkeypatch.setattr(dlr, "birkhoff", lambda *args: calls.append(args))
+    assert cli.main(["uniqueness", "--config", ising_config(tmp_path), "--n", "16"]) == 1
     assert "size guard" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_table_is_refused(tmp_path, capsys, bad):
+    cfg = write_config(
+        tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 1, "values": [0.0, bad]}}}
+    )
+    assert cli.main(["pressure", "--config", cfg]) == 1
+    assert "invalid config" in capsys.readouterr().err
+
+
+def test_kernel_reports_log_partition_outside_the_float_range(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "potential": {"kind": "table", "params": {"d": 2, "depth": 2, "values": [0.0, -800.0, 0.0, -800.0]}},
+            "boundary": "|1",
+        },
+    )
+    code, report = run(tmp_path, "kernel", "--config", cfg, "--beta", "800")
+    assert code == 0
+    # two volume words weigh e^-640000, two e^-1280000
+    assert report["results"]["partition"] == 0.0
+    assert report["results"]["log_partition"] == pytest.approx(-640000.0 + math.log(2.0), rel=1e-13)
+    assert report["results"]["kernel_value"] == 0.5
 
 
 def test_check_failure_exit_2(tmp_path):

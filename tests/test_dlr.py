@@ -15,6 +15,7 @@ from ruellekit.dlr import (
     finite_volume_dlr_check,
     kernel,
     kernel_measure,
+    log_partition,
     partition,
     sandwich_check,
     tail_measurability_check,
@@ -22,7 +23,7 @@ from ruellekit.dlr import (
 )
 from ruellekit.potentials import GenericContinuous, Hoelder, Potential, birkhoff, scale
 from ruellekit.shift import CylinderFunction, CylinderMeasure, Point, prepend, shift_n, word_index
-from ruellekit.transfer import apply, normalize, power_iterate, transfer_operator
+from ruellekit.transfer import normalize, power_iterate, transfer_operator
 
 MARKOV = Potential.from_table(2, 2, [math.log(2.0), 0.0, 0.0, 0.0], label="markov")
 
@@ -52,6 +53,12 @@ def brute_kernel(f, beta, n, y, g):
 
 def brute_partition(f, beta, n, y):
     return math.fsum(brute_weights(f, beta, n, y))
+
+
+def brute_log_partition(f, beta, n, y):
+    logw = brute_log_weights(f, beta, n, y)
+    top = float(np.max(logw))
+    return top + math.log(np.exp(logw - top).sum())
 
 
 def random_point(rng, d):
@@ -105,6 +112,23 @@ def test_partition_matches_enumeration():
 def test_partition_matches_enumeration_oracle(d, depth, n):
     f, y, beta, _ = oracle_case(d, depth, n)
     assert partition(f, beta, n, y) == pytest.approx(brute_partition(f, beta, n, y), rel=1e-13)
+    assert log_partition(f, beta, n, y) == pytest.approx(brute_log_partition(f, beta, n, y), abs=1e-12)
+
+
+def test_log_partition_outside_the_float_range():
+    # at n = 2, Z = 2 e^-640000 (1 + e^-640000): partition underflows to 0, its log does not
+    f = Potential.from_table(2, 2, [0.0, -800.0, 0.0, -800.0])
+    h = Potential.from_callable(2, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=1600.0))
+    y = Point.from_literal("|1")
+    assert brute_log_partition(f, 800.0, 2, y) == pytest.approx(-640000.0 + math.log(2.0), rel=1e-15)
+    for n in (1, 2, 5):
+        for p in (f, h):
+            assert log_partition(p, 800.0, n, y) == pytest.approx(
+                brute_log_partition(f, 800.0, n, y), rel=1e-13)
+            assert partition(p, 800.0, n, y) == 0.0
+            assert log_partition(p, -800.0, n, y) == pytest.approx(
+                brute_log_partition(f, -800.0, n, y), rel=1e-13)
+            assert partition(p, -800.0, n, y) == math.inf
 
 
 def test_kernel_matches_enumeration():
@@ -213,15 +237,15 @@ def test_kernel_is_transfer_ratio():
     depth = 8
     rng = np.random.default_rng(23)
     g = CylinderFunction(2, 3, rng.uniform(-1.0, 1.0, 8))
-    one = CylinderFunction.constant(2, 1.0, depth)
+    op = transfer_operator(MARKOV, depth)
     y = Point.from_literal("1101|01")
-    num = g.refine(depth)
-    den = one
+    num = g.refine(depth).values
+    den = np.ones(op.size)
     for n in (1, 2, 3):
-        num = apply(MARKOV, num, depth)
-        den = apply(MARKOV, den, depth)
-        tail = shift_n(y, n)
-        ratio = num.value_at(tail) / den.value_at(tail)
+        num = op.apply(num)
+        den = op.apply(den)
+        row = word_index(shift_n(y, n).coords(depth), 2)
+        ratio = num[row] / den[row]
         assert kernel(MARKOV, 1.0, n, y, g) == pytest.approx(ratio, rel=1e-12)
 
 
@@ -339,6 +363,20 @@ def test_D_estimate_stabilizes_and_bounds():
     rough = Potential.from_callable(2, lambda x: (0.0, 0.0), GenericContinuous())
     _, binf = D_estimate(rough, 3)
     assert math.isinf(binf)
+
+
+@pytest.mark.parametrize("d,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+def test_D_estimate_matches_enumeration_oracle(d, m):
+    # the table branch stops at n = m - 1; the oracle runs every n <= m + 1
+    rng = np.random.default_rng([d, m, 5])
+    f = Potential.from_table(d, m, rng.uniform(-1.0, 1.0, d**m))
+    tails = default_tails(d)
+    brute = 0.0
+    for N in range(1, m + 2):
+        for w in itertools.product(range(d), repeat=N):
+            vals = [birkhoff(f, prepend(t, w), N).value for t in tails]
+            brute = max(brute, max(vals) - min(vals))
+        assert D_estimate(f, N)[0] == pytest.approx(brute, abs=1e-13)
 
 
 def test_sandwich_certificate():

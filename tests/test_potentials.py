@@ -13,10 +13,8 @@ from ruellekit.potentials import (
     birkhoff_table,
     jop_series,
     make_hofbauer_walters,
-    make_locally_constant,
     scale,
     truncate,
-    var_n,
     var_upper,
     walters_estimate,
 )
@@ -52,7 +50,6 @@ def test_table_variation_exact():
         assert var_upper(f, n) == pytest.approx(brute_var(f, n), abs=1e-14)
     assert var_upper(f, 3) == 0.0
     assert var_upper(f, 7) == 0.0
-    assert var_n(f, 2) == var_upper(f, 2)
 
 
 def test_hoelder_variation_majorant():
@@ -173,8 +170,8 @@ def test_hofbauer_walters_metadata():
     assert var_upper(g, 3) == pytest.approx(1.0 / 9)
 
 
-def test_make_locally_constant_matches_from_table():
-    f = make_locally_constant(3, 1, [0.0, 1.0, 2.0])
+def test_from_table_reads_the_leading_word():
+    f = Potential.from_table(3, 1, [0.0, 1.0, 2.0])
     assert f.evaluate(Point.from_literal("2|0"))[0] == 2.0
     with pytest.raises(ValueError):
-        make_locally_constant(2, 2, [1.0, 2.0, 3.0])
+        Potential.from_table(2, 2, [1.0, 2.0, 3.0])

@@ -72,6 +72,14 @@ def test_size_guard():
         CylinderFunction.constant(2, 0.0, depth=23)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tables_refuse_non_finite_entries(bad):
+    with pytest.raises(ValueError):
+        CylinderFunction(2, 1, [0.0, bad])
+    with pytest.raises(ValueError):
+        CylinderMeasure(2, 1, [bad, 0.5])
+
+
 # ---------------------------------------------------------------------------
 # Points
 # ---------------------------------------------------------------------------

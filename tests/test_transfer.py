@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 
 from ruellekit.potentials import Potential, scale
-from ruellekit.shift import CylinderFunction, CylinderMeasure, Point, integrate
+from ruellekit.shift import CylinderFunction, integrate
 from ruellekit.transfer import (
-    apply,
+    TransferOperator,
     check_normalized,
-    dual_T_iterate,
-    dual_apply,
     iterate_to_fixed_point,
     normalize,
     power_iterate,
-    pressure,
     transfer_operator,
 )
 
@@ -30,14 +27,14 @@ def dense_spectral_radius(f, depth):
 
 def test_apply_counts_preimages():
     zero = Potential.constant(2, 0.0)
-    out = apply(zero, CylinderFunction.constant(2, 1.0, depth=1), depth=1)
-    assert list(out.values) == [2.0, 2.0]
+    out = transfer_operator(zero, 1).apply(np.ones(2))
+    assert list(out) == [2.0, 2.0]
 
 
 def test_apply_markov_unit():
     # summing e^{f(ax)} over a in {0,1}: 3 when x starts with 0, else 2
-    out = apply(MARKOV, CylinderFunction.constant(2, 1.0, depth=1), depth=1)
-    assert out.values == pytest.approx([3.0, 2.0])
+    out = transfer_operator(MARKOV, 1).apply(np.ones(2))
+    assert out == pytest.approx([3.0, 2.0])
 
 
 def test_markov_eigenvalue_is_golden():
@@ -67,7 +64,9 @@ def test_pressure_shift_by_constant():
     f = MARKOV
     for c in (-2.0, 0.5, 3.0):
         shifted = Potential.from_table(2, 2, f.table.values + c)
-        assert pressure(shifted, 2) == pytest.approx(pressure(f, 2) + c, abs=1e-10)
+        assert power_iterate(shifted, 2).log_lam == pytest.approx(
+            power_iterate(f, 2).log_lam + c, abs=1e-10
+        )
 
 
 def test_large_table_values_do_not_overflow():
@@ -80,6 +79,13 @@ def test_large_table_values_do_not_overflow():
     expected = math.log(dense_spectral_radius(shifted, 2)) + 800.0
     assert rpf.log_lam == pytest.approx(expected, abs=1e-12)
     assert rpf.residual_fn < 1e-10 and rpf.residual_meas < 1e-10
+
+
+def test_underflowing_weights_are_refused():
+    # exp(f - max f) underflows to 0 for half of the words, and the iterates to 0 / 0
+    values = [-1999.42, -0.81, -1999.84, -0.61, -1999.38, -2000.02, 0.98, -2000.63]
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="underflow"):
+        power_iterate(Potential.from_table(2, 3, values), 3)
 
 
 def test_power_iterate_needs_one_step():
@@ -104,9 +110,8 @@ def test_normalize_and_check():
 
 def test_normalized_apply_fixes_one():
     fbar = normalize(MARKOV, power_iterate(MARKOV, 2, tol=1e-13))
-    one = CylinderFunction.constant(2, 1.0, depth=3)
-    out = apply(fbar, one, depth=3)
-    assert np.max(np.abs(out.values - 1.0)) < 1e-12
+    out = transfer_operator(fbar, 3).apply(np.ones(8))
+    assert np.max(np.abs(out - 1.0)) < 1e-12
 
 
 def test_conjugation_identity():
@@ -116,48 +121,38 @@ def test_conjugation_identity():
     rpf = power_iterate(MARKOV, depth)
     fbar = normalize(MARKOV, rpf)
     rng = np.random.default_rng(5)
-    g = CylinderFunction(2, depth, rng.uniform(-1.0, 1.0, 2**depth))
-    psi = rpf.psi
+    op_bar, op = transfer_operator(fbar, depth), transfer_operator(MARKOV, depth)
+    g = rng.uniform(-1.0, 1.0, 2**depth)
+    psi = rpf.psi.values
     lhs = g
     rhs_inner = g * psi
     for n in range(1, 5):
-        lhs = apply(fbar, lhs, depth)
-        rhs_inner = apply(MARKOV, rhs_inner, depth)
-        rhs = rhs_inner.zip_with(psi, lambda a, b: a / b).map(lambda v: v / rpf.lam**n)
-        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-9
+        lhs = op_bar.apply(lhs)
+        rhs_inner = op.apply(rhs_inner)
+        rhs = rhs_inner / psi / rpf.lam**n
+        assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
 def test_duality_pairing():
     rng = np.random.default_rng(9)
     depth = 3
     f = Potential.from_table(2, 2, rng.uniform(-1.0, 1.0, 4))
-    g = CylinderFunction(2, depth, rng.uniform(-1.0, 1.0, 2**depth))
-    mu = CylinderMeasure(2, depth, rng.uniform(0.1, 1.0, 2**depth))
-    lhs = integrate(mu, apply(f, g, depth))
-    rhs = integrate(dual_apply(f, mu, depth), g)
+    g = rng.uniform(-1.0, 1.0, 2**depth)
+    mu = rng.uniform(0.1, 1.0, 2**depth)
+    op = transfer_operator(f, depth)
+    lhs = np.dot(mu, op.apply(g))
+    rhs = np.dot(op.dual_apply(mu), g)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_iterate_to_fixed_point_reaches_the_mean():
     rpf = power_iterate(MARKOV, 6)
     fbar = normalize(MARKOV, rpf)
-    mu = dual_T_iterate(fbar, CylinderMeasure.uniform(2, 6), 6, steps=300)[0]
+    mu = power_iterate(fbar, 6).nu
     g = CylinderFunction.indicator(2, (0,)).refine(6)
     mean = integrate(mu, g)
     out = iterate_to_fixed_point(fbar, g, 6, n=200)
     assert np.max(np.abs(out.values - mean)) < 1e-10
-
-
-def test_dual_T_iterate_agrees_with_power_iterate():
-    rpf = power_iterate(MARKOV, 4)
-    mu, lam = dual_T_iterate(MARKOV, CylinderMeasure.uniform(2, 4), 4, steps=400)
-    assert lam == pytest.approx(rpf.lam, rel=1e-12)
-    assert np.max(np.abs(mu.weights - rpf.nu.weights)) < 1e-10
-
-
-def test_dual_T_iterate_depth_mismatch():
-    with pytest.raises(ValueError):
-        dual_T_iterate(MARKOV, CylinderMeasure.uniform(2, 3), 4, steps=5)
 
 
 def test_power_iterate_reports_nonconvergence():
@@ -167,5 +162,36 @@ def test_power_iterate_reports_nonconvergence():
 
 def test_scaled_potential_interpolates():
     # beta = 0 gives log d, beta = 1 gives the Markov pressure
-    assert pressure(scale(MARKOV, 0.0), 2) == pytest.approx(math.log(2.0))
-    assert pressure(scale(MARKOV, 1.0), 2) == pytest.approx(math.log(GOLDEN_LAMBDA))
+    assert power_iterate(scale(MARKOV, 0.0), 2).log_lam == pytest.approx(math.log(2.0))
+    assert power_iterate(scale(MARKOV, 1.0), 2).log_lam == pytest.approx(math.log(GOLDEN_LAMBDA))
+
+
+@pytest.mark.parametrize("max_iter", [2, 10_000])
+def test_power_iterate_applies_each_operator_once_per_step(monkeypatch, max_iter):
+    calls = {"apply": 0, "dual_apply": 0}
+    for name in calls:
+        method = getattr(TransferOperator, name)
+
+        def counted(self, values, name=name, method=method):
+            calls[name] += 1
+            return method(self, values)
+
+        monkeypatch.setattr(TransferOperator, name, counted)
+    rpf = power_iterate(Potential.from_table(2, 2, [0.3, -0.2, 0.9, 0.1]), 4, max_iter=max_iter)
+    assert rpf.converged == (max_iter > 2)
+    assert 0 < calls["apply"] <= rpf.iterations
+    assert 0 < calls["dual_apply"] <= rpf.iterations
+
+
+@pytest.mark.parametrize("max_iter", [2, 10_000])
+def test_reported_residuals_are_those_of_the_returned_vectors(max_iter):
+    rng = np.random.default_rng(17)
+    f = Potential.from_table(3, 2, rng.uniform(-1.0, 1.0, 9))
+    rpf = power_iterate(f, 3, max_iter=max_iter)
+    assert rpf.converged == (max_iter > 2)
+    mat = transfer_operator(f, 3).matrix()
+    psi, nu, lam = rpf.psi.values, rpf.nu.weights, rpf.lam
+    res_fn = np.max(np.abs(mat @ psi - lam * psi)) / (lam * np.max(np.abs(psi)))
+    res_meas = np.sum(np.abs(mat.T @ nu - lam * nu)) / (lam * np.sum(np.abs(nu)))
+    assert rpf.residual_fn == pytest.approx(res_fn, abs=1e-12)
+    assert rpf.residual_meas == pytest.approx(res_meas, abs=1e-12)
