@@ -4,7 +4,8 @@ Every subcommand writes a JSON report (schema "ruelle-kit/1") to --out or
 stdout, with numbers rendered at 17 significant digits so identical
 config + seed reproduces identical bytes (modulo the generated_at
 field).  Exit status: 0 on success, 2 when a computed residual lands
-beyond its tolerance, 1 on usage/config errors.
+beyond its tolerance, 1 on usage/config errors and on a numerical
+breakdown of a valid config (no report is written then).
 
 Config files are JSON objects; recognized keys:
 
@@ -278,9 +279,10 @@ def _cmd_kernel(cfg, args):
     word = parse_word(cfg.get("test_word", "0"))
     g = CylinderFunction.indicator(f.d, word)
     value = dlr.kernel(f, beta, n, y, g)
+    log_z = dlr.log_partition(f, beta, n, y)
     results = {
-        "partition": dlr.partition(f, beta, n, y),
-        "log_partition": dlr.log_partition(f, beta, n, y),
+        "partition": transfer.exp_or_inf(log_z),
+        "log_partition": log_z,
         "kernel_value": value,
         "test_word": cfg.get("test_word", "0"),
         "boundary": y.literal,
@@ -539,6 +541,9 @@ def run(argv=None) -> int:
         return 1
     except TableSizeError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
+        return 1
+    except transfer.NumericalBreakdown as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)

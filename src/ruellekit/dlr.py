@@ -17,8 +17,9 @@ by one engine: n operator steps on value tables of depth
 D = max(depth(g), depth(f) - 1, 1), each step exact, one pass serving
 every boundary (and every volume up to n) at once.  The cost grows
 linearly in n, and volumes are not bounded by the table-size guard.
-Potentials without a table (callables) are still summed over the d^n
-words through the certified evaluator.
+Potentials without a table (callables) are summed over the d^n volume
+words, weighted by potentials.tail_birkhoff: sum_{j <= n} d^j
+evaluations of f.
 
 The kernel reads y only through sigma^n y (the coordinates outside the
 volume); the engine reads exactly the first D of them, so boundary
@@ -43,10 +44,9 @@ from .potentials import (
     LocallyConstant,
     Potential,
     VariationUnavailable,
-    birkhoff,
-    birkhoff_table,
     scale,
-    truncate,
+    tabulate,
+    tail_birkhoff,
     var_upper,
 )
 from .shift import (
@@ -55,11 +55,13 @@ from .shift import (
     Point,
     check_table_size,
     integrate,
+    prepend,
     shift_n,
     word_index,
     word_table,
+    word_tail_index,
 )
-from .transfer import DEFAULT_MAX_ITER, DEFAULT_TOL, normalize, power_iterate
+from .transfer import DEFAULT_MAX_ITER, DEFAULT_TOL, exp_or_inf, normalize, power_iterate
 
 # Nominal rounding allowance of one computed kernel value.
 _KERNEL_ROUNDING = 1e-15
@@ -82,7 +84,7 @@ class _Engine:
     past the preimage symbol, depth(f) - 1.
 
     The exponents beta f(a w) on the d^(D+1) extended words (a, w) are
-    the depth-(D+1) truncation that `transfer.transfer_operator`
+    the depth-(D+1) table that `transfer.transfer_operator`
     exponentiates.  Each row carries its own log scale, so a step takes
     the exponentials of the exponents plus the children's scales minus
     their maximum per output row: every row keeps a weight of exactly 1,
@@ -102,8 +104,8 @@ class _Engine:
     def of(cls, f: Potential, beta: float, q: int = 0) -> "_Engine":
         """The engine of a table-backed beta*f for test functions of depth <= q."""
         depth = max(q, f.truncation_depth() - 1, 1)
-        table, _ = truncate(f, depth + 1)
-        return cls(f.d, depth, beta * table.values)
+        values, _ = tabulate(f, depth + 1, Point.constant(0))  # exact: depth + 1 >= depth(f)
+        return cls(f.d, depth, beta * values)
 
     def columns(self, tests: list[CylinderFunction]) -> np.ndarray:
         """The block [g_1, ..., g_k, 1] of depth-D value tables."""
@@ -185,21 +187,12 @@ class _Engine:
 def _log_weights_given_tail(
     f: Potential, beta: float, n: int, tail: Point
 ) -> tuple[np.ndarray, float]:
-    """log-weights beta * S_n f(w . tail) over all d^n words w, with bound.
-
-    Walks the words through the certified evaluator: the kernel path for
-    potentials without a table.
-    """
-    d = f.d
-    check_table_size(d, n)
-    logw = np.empty(d ** n)
-    err = 0.0
-    for i, row in enumerate(word_table(n, d)):
-        w = tuple(int(s) for s in row)
-        s = birkhoff(f, Point(w + tail.prefix, tail.cycle), n)
-        logw[i] = beta * s.value
-        err = max(err, abs(beta) * s.error_bound)
-    return logw, err
+    """log-weights beta * S_n f(w . tail) over all d^n words w, with bound:
+    the kernel path for potentials without a table."""
+    sums, err = np.zeros(1), 0.0
+    for sums, err in tail_birkhoff(f, n, tail):
+        pass
+    return beta * sums, abs(beta) * err
 
 
 def _softmax(logw: np.ndarray) -> np.ndarray:
@@ -207,24 +200,12 @@ def _softmax(logw: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum()
 
 
-def _test_values_given_tail(
-    g: CylinderFunction, n: int, tail: Point
-) -> np.ndarray:
-    """g(w . tail) over all d^n words w (g of any depth)."""
-    d, q = g.d, g.depth
-    if q <= n:
-        return np.repeat(g.values, d ** (n - q))
-    ext = word_index(tail.coords(q - n), d)
-    idx = np.arange(d ** n) * d ** (q - n) + ext
-    return g.values[idx]
-
-
 def _kernel_given_tail(
     f: Potential, beta: float, n: int, tail: Point, g: CylinderFunction
 ) -> tuple[float, float]:
     logw, werr = _log_weights_given_tail(f, beta, n, tail)
     p = _softmax(logw)
-    gv = _test_values_given_tail(g, n, tail)
+    gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
     value = float(p @ gv)
     # each weight carries relative error at most e^{2 werr} - 1
     bound = math.expm1(2.0 * werr) * float(np.max(np.abs(gv))) + _KERNEL_ROUNDING
@@ -278,10 +259,7 @@ def partition(f: Potential, beta: float, n: int, y: Point) -> float:
     The exponential of log_partition: inf when Z_n(y) exceeds the float
     range, 0 when it falls below.
     """
-    try:
-        return math.exp(log_partition(f, beta, n, y))
-    except OverflowError:
-        return math.inf
+    return exp_or_inf(log_partition(f, beta, n, y))
 
 
 def kernel(
@@ -345,7 +323,7 @@ def constant_shift_check(
     if f.table is None:
         tail = shift_n(y, n)
         logw, _ = _log_weights_given_tail(f, beta, n, tail)
-        gv = _test_values_given_tail(g, n, tail)
+        gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
         k1 = float(_softmax(logw) @ gv)
         k2 = float(_softmax(logw - a_n) @ gv)
         return abs(k1 - k2)
@@ -383,25 +361,20 @@ def finite_volume_dlr_check(
     Returns |lhs - rhs|.
     """
     d = f.d
+    tail_z = shift_n(z, n + r)
     if f.table is not None:
         eng = _Engine.of(f, beta, g.depth)
         block, lift, _ = eng.run(eng.columns([g]), n)
         inner = block[:, 0] / block[:, 1]
         check_table_size(d, eng.depth + r)
         marginal, _, _ = eng.run(block[:, 1:], r, split=r, lift=lift)
-        t_head = word_index(z.coords(n + r + eng.depth)[n + r:], d)
-        p = marginal[t_head]
-        # the inner kernel at boundary u.t reads the first D symbols of u.t
-        heads = (np.arange(d ** r) * d ** eng.depth + t_head) // d ** r
-        lhs = float(p @ inner[heads]) / float(p.sum())
-        outer, _, _ = eng.run(block, r, lift=lift)
         row = eng.row(z, n + r)
+        p = marginal[row]
+        # the inner kernel at boundary u.t reads the first D symbols of u.t
+        lhs = float(p @ inner[word_tail_index(d, r, eng.depth, tail_z)]) / float(p.sum())
+        outer, _, _ = eng.run(block, r, lift=lift)
         return abs(lhs - float(outer[row, 0] / outer[row, 1]))
-    tail_z = shift_n(z, n + r)
-    inner = np.empty(d ** r)
-    for i, row in enumerate(word_table(r, d)):
-        u = tuple(int(s) for s in row)
-        inner[i] = _kernel_given_tail(f, beta, n, Point(u + tail_z.prefix, tail_z.cycle), g)[0]
+    inner = np.array([_kernel_given_tail(f, beta, n, prepend(tail_z, u), g)[0] for u in word_table(r, d)])
     logw, _ = _log_weights_given_tail(f, beta, n + r, tail_z)
     p = _softmax(logw)
     suffix = np.arange(d ** (n + r)) % d ** r
@@ -441,22 +414,19 @@ def dlr_residual(
         eng = _Engine.of(f, beta, g.depth)
         block, _, _ = eng.run(eng.columns([g]), n)
         # the inner kernel at boundary u.tail reads the first D symbols of u.tail
-        heads = (np.arange(d ** L) * d ** eng.depth + word_index(tail.coords(eng.depth), d)) // d ** L
-        inner = (block[:, 0] / block[:, 1])[heads]
+        inner = (block[:, 0] / block[:, 1])[word_tail_index(d, L, eng.depth, tail)]
         kernel_err = _KERNEL_ROUNDING
     else:
-        inner = np.empty(d ** L)
-        kernel_err = 0.0
-        for i, row in enumerate(word_table(L, d)):
-            u = tuple(int(s) for s in row)
-            inner[i], b = _kernel_given_tail(f, beta, n, Point(u + tail.prefix, tail.cycle), g)
-            kernel_err = max(kernel_err, b)
+        inner, errs = np.array(
+            [_kernel_given_tail(f, beta, n, prepend(tail, u), g) for u in word_table(L, d)]
+        ).T
+        kernel_err = float(np.max(errs))
     suffix = np.arange(d ** M) % d ** L
     lhs = float(mu.weights @ inner[suffix])
     if g.depth <= M:
         rhs = integrate(mu, g)
     else:
-        rhs = float(mu.weights @ _test_values_given_tail(g, M, tail))
+        rhs = float(mu.weights @ g.values[word_tail_index(d, M, g.depth, tail)])
     quad = kernel_err * mu.total_mass() + _representative_point_bound(f, beta, M, n, g)
     return abs(lhs - rhs), quad
 
@@ -572,39 +542,20 @@ def D_estimate(
     value = max over n <= N, over length-n words w, over pairs t, t' from
     the tail set, of |S_n f(w.t) - S_n f(w.t')|.  bound is the metadata
     majorant sum_{i>=1} var_i(f) (finite for locally-constant and Hoelder
-    regularity, inf otherwise).  For a depth-m table only the last m - 1
-    terms of S_n f(w.t) read t, and they read only the last m - 1 symbols
-    of w, so every n >= m - 1 gives the same maximum: the table branch
-    stops at n = min(N, m - 1).
+    regularity, inf otherwise).  tail_birkhoff gives S_n f(w.t) for every
+    w.  For a depth-m table only the last m - 1 terms of S_n f(w.t) read
+    t, and they read only the last m - 1 symbols of w, so every n >= m - 1
+    gives the same maximum: tables stop at n = min(N, m - 1).
     """
     tails = default_tails(f.d) if tails is None else tails
     if len(tails) < 2:
         raise ValueError("need at least two tails to compare")
-    d = f.d
-    m = f.truncation_depth()
-    n_max = min(N, m - 1) if f.table is not None else N
-    check_table_size(d, m + n_max - 1)  # the largest S_n table, before any work
+    n_max = min(N, f.truncation_depth() - 1) if f.table is not None else N
     value = 0.0
-    if f.table is not None:
-        for n in range(1, n_max + 1):
-            sn = birkhoff_table(f, n)
-            stride = d ** (m - 1)
-            base = np.arange(d ** n) * stride
-            cols = [
-                sn.values[base + (word_index(t.coords(m - 1), d) if m > 1 else 0)]
-                for t in tails
-            ]
-            stack = np.stack(cols)
-            value = max(value, float(np.max(stack.max(axis=0) - stack.min(axis=0))))
-    else:
-        for n in range(1, N + 1):
-            for row in word_table(n, d):
-                w = tuple(int(s) for s in row)
-                vals = [
-                    birkhoff(f, Point(w + t.prefix, t.cycle), n).value
-                    for t in tails
-                ]
-                value = max(value, max(vals) - min(vals))
+    # each tail's pass checks d**n_max against the size guard before any work
+    for sums in zip(*(tail_birkhoff(f, n_max, t) for t in tails)):
+        stack = np.stack([s for s, _ in sums])
+        value = max(value, float(np.max(stack.max(axis=0) - stack.min(axis=0))))
     return value, _variation_sum_bound(f)
 
 

@@ -18,6 +18,9 @@ with a fixed base configuration y,
 so that summing the supports containing site 1 rebuilds f(x) - f(y), and
 the Hamiltonian of the volume {1..n} (all stored supports meeting it)
 telescopes to  S_n f(x) - n f(y).
+Each term costs one tabulation of f (potentials.tabulate) on its block
+words followed by the tail of y; the (k, n + 1) term reuses the (k, n)
+tabulation as its second argument.
 
 The reported norm groups supports by their *leading* site:
 value = sup_s sum over stored A with min A = s of sup|Phi_A|.  Every
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -39,15 +41,10 @@ from .potentials import (
     Hoelder,
     LocallyConstant,
     Potential,
+    tabulate,
     var_upper,
 )
-from .shift import (
-    Point,
-    check_table_size,
-    shift_n,
-    word_index,
-    word_table,
-)
+from .shift import Point, shift_n, word_index
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +148,6 @@ class Interaction:
 # Potential -> interaction
 # ---------------------------------------------------------------------------
 
-def _argument_point(block: Sequence[int], y: Point, offset: int) -> Point:
-    """The sequence (block..., y_{offset+1}, y_{offset+2}, ...)."""
-    tail = shift_n(y, offset)
-    return Point(tuple(block) + tail.prefix, tail.cycle)
-
-
 def from_potential(
     f: Potential, y: Point, k_max: int, n_max: int
 ) -> Interaction:
@@ -167,35 +158,28 @@ def from_potential(
     potential that is every n >= 1 term with k + n >= m, so the result is
     finite as soon as the cutoffs cover the depth).  The tables are exact
     up to f's own evaluation bound.
+    The second argument of the (k, n >= 1) term is the (k, n - 1)
+    tabulation read at idx // d (the block without its last site).
     """
     depth = f.depth()  # None when not locally constant
-    f_y, err_y = f.evaluate(y)
+    (f_y,), err_y = tabulate(f, 0, y)  # the empty word followed by y
     terms: list[InteractionTerm] = []
     for k in range(1, k_max + 1):
         for n in range(0, n_max + 1):
-            sup = Progression(k, n)
-            block_len = sup.size
             if depth is not None and n >= 1 and k + n >= depth:
-                continue  # both telescoped arguments agree on everything f reads
-            t = block_len if depth is None else min(block_len, max(depth, 1))
-            check_table_size(f.d, t)
-            words = word_table(t, f.d)
-            vals = np.empty(len(words))
-            err = err_y if n == 0 else 0.0
-            for i, row in enumerate(words):
-                u = tuple(int(s) for s in row)
-                v1, e1 = f.evaluate(_argument_point(u, y, 2 * k + n))
-                if n == 0:
-                    v2, e2 = f_y, err_y
-                else:
-                    v2, e2 = f.evaluate(_argument_point(u[:-1], y, 2 * k + n - 1))
-                vals[i] = v1 - v2
-                err = max(err, e1 + e2)
+                break  # both telescoped arguments agree on everything f reads
+            t = k + n + 1 if depth is None else min(k + n + 1, max(depth, 1))
+            values, err = tabulate(f, t, shift_n(y, 2 * k + n))
+            if n == 0:
+                vals, bound = values - f_y, err + err_y
+            else:
+                vals, bound = values - np.repeat(prev, f.d), err + prev_err
+            prev, prev_err = values, err
             if np.all(vals == 0.0):
                 continue
             terms.append(
                 InteractionTerm(
-                    sup, f.d, t, vals, float(np.max(np.abs(vals))) + err
+                    Progression(k, n), f.d, t, vals, float(np.max(np.abs(vals))) + bound
                 )
             )
     return Interaction(

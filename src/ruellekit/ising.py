@@ -156,10 +156,15 @@ def g_one_sided(params: IsingParams, x: Point) -> tuple[float, float]:
     x is the library's 1-indexed one-sided point; its coordinate i+1
     carries the chain coordinate i.
     """
+    return _g_given_zeta(params, x, zeta(params.alpha, params.cutoff))
+
+
+def _g_given_zeta(params: IsingParams, x: Point, zeta_cut) -> tuple[float, float]:
+    """g_one_sided with zeta(alpha, cutoff) given as (value, bound)."""
     a, J = params.alpha, params.cutoff
     s0 = _spin(x.coord(1))
     series = math.fsum(-s0 * _spin(x.coord(j + 1)) * j ** (-a) for j in range(1, J + 1))
-    zv, ze = zeta(a, J)
+    zv, ze = zeta_cut
     return series - zv, _tail_bracket(a, J)[1] + ze
 
 
@@ -179,8 +184,10 @@ def g_potential(params: IsingParams) -> Potential:
             return 2.0 * (1.0 + _tail_bracket(a, 1)[1])
         return 2.0 * ((n - 1) ** (-a) + _tail_bracket(a, n - 1)[1])
 
+    zeta_cut = zeta(a, params.cutoff)  # the same for every point
+
     def fn(x: Point) -> tuple[float, float]:
-        return g_one_sided(params, x)
+        return _g_given_zeta(params, x, zeta_cut)
 
     return Potential.from_callable(
         2, fn, SummableVariation(var_bound), label=f"ising-lr-g(alpha={a})"

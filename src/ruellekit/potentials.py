@@ -5,6 +5,11 @@ declaration of how fast it forgets remote coordinates.  Every evaluation
 returns a pair (value, error_bound): the bound is a certified absolute
 error (0.0 when the value is exact, as for finite-depth tables).
 
+tabulate(f, length, tail), the values f(u . tail) over all words u of a
+length, is the one path by which the package reads f on many words:
+truncate, tail_birkhoff, interactions and the kernels of callables use
+it.  birkhoff, the sum along one point, is the reference for tests.
+
 Regularity metadata drives the variation estimates:
 
 * LocallyConstant(m): depends on the first m coordinates only, so
@@ -30,8 +35,10 @@ from .shift import (
     CylinderFunction,
     Point,
     check_table_size,
+    prepend,
     shift,
     word_table,
+    word_tail_index,
 )
 
 
@@ -148,6 +155,21 @@ def scale(f: Potential, c: float) -> Potential:
     return Potential(f.d, reg, fn, None, f"{c}*{f.label}")
 
 
+def tabulate(f: Potential, length: int, tail: Point) -> tuple[np.ndarray, float]:
+    """f(u . tail) for each of the d**length words u, in word_index order,
+    and the largest evaluation bound.  A table potential is read by index
+    arithmetic, any other by one certified evaluation per word."""
+    size = check_table_size(f.d, length)
+    if f.table is not None:
+        return f.table.values[word_tail_index(f.d, length, f.table.depth, tail)], 0.0
+    values = np.empty(size)
+    err = 0.0
+    for i, row in enumerate(word_table(length, f.d)):
+        values[i], e = f.evaluate(prepend(tail, row))
+        err = max(err, e)
+    return values, err
+
+
 def truncate(f: Potential, depth: int, tail: Point | None = None) -> tuple[CylinderFunction, float]:
     """Depth-`depth` table of f with remote coordinates frozen to `tail`.
 
@@ -156,18 +178,27 @@ def truncate(f: Potential, depth: int, tail: Point | None = None) -> tuple[Cylin
     sampled words by an arbitrary tail.  For locally-constant f of depth
     <= `depth` the bound is 0 and the table is exact.
     """
-    if tail is None:
-        tail = Point.constant(0)
-    size = check_table_size(f.d, depth)
-    if f.table is not None and f.table.depth <= depth:
-        return f.table.refine(depth), 0.0
-    values = np.empty(size)
-    err = 0.0
-    for i, row in enumerate(word_table(depth, f.d)):
-        v, e = f.evaluate(Point(tuple(int(s) for s in row) + tail.prefix, tail.cycle))
-        values[i] = v
-        err = max(err, e)
+    values, err = tabulate(f, depth, Point.constant(0) if tail is None else tail)
     return CylinderFunction(f.d, depth, values), err + var_upper(f, depth)
+
+
+def tail_birkhoff(f: Potential, n: int, tail: Point):
+    """Yield (S_j f(w . tail) for every length-j word w, bound) for j = 1..n.
+
+    S_j f(w . tail) = f(w . tail) + S_{j-1} f(w_2..w_j . tail), and w_2..w_j
+    is w mod d**(j-1): the column of w when the words are laid out in d
+    rows of d**(j-1), one row per first symbol.  The bound adds evaluation
+    bounds and the rounding of j - 1 additions.  The guard on d**n comes
+    before any evaluation.
+    """
+    check_table_size(f.d, n)
+    sums, err, mag = np.zeros(1), 0.0, 0.0
+    for j in range(1, n + 1):
+        values, e = tabulate(f, j, tail)
+        sums = (values.reshape(f.d, -1) + sums).ravel()
+        err += e
+        mag += float(np.max(np.abs(values)))
+        yield sums, err + (j - 1) * math.ulp(1.0) * mag
 
 
 @dataclass(frozen=True)

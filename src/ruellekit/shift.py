@@ -9,7 +9,7 @@ finite prefix followed by a repeating cycle.  All cylinder-level data (test
 functions and measures of finite depth) are dense tables over the d**m words
 of length m, in lexicographic order with the *first* coordinate most
 significant, so that word (w_1, ..., w_m) sits at index
-sum(w_k * d**(m-k)).
+sum(w_k * d**(m-k)); word_tail_index locates a word followed by a point.
 
 Everything here is immutable; tables are numpy arrays with the writeable
 flag cleared.
@@ -79,6 +79,14 @@ def word_table(length: int, d: int) -> np.ndarray:
         return np.zeros((1, 0), dtype=np.int64)
     powers = d ** np.arange(length - 1, -1, -1, dtype=np.int64)
     return (np.arange(size, dtype=np.int64)[:, None] // powers) % d
+
+
+def word_tail_index(d: int, length: int, depth: int, tail: Point) -> np.ndarray:
+    """Index into a depth-`depth` table of u . tail for every word u of the
+    given length, in word_index order: the leading `depth` symbols of the
+    word u . (tail_1, ..., tail_depth)."""
+    head = word_index(tail.coords(depth), d)
+    return (np.arange(d ** length, dtype=np.int64) * d ** depth + head) // d ** length
 
 
 def parse_word(text: str) -> tuple[int, ...]:
@@ -190,9 +198,12 @@ def shift(x: Point) -> Point:
 
 
 def shift_n(x: Point, n: int) -> Point:
-    for _ in range(n):
-        x = shift(x)
-    return x
+    """Drop the first n coordinates."""
+    k = len(x.prefix)
+    if n <= k:
+        return Point(x.prefix[n:], x.cycle)
+    r = (n - k) % len(x.cycle)
+    return Point((), x.cycle[r:] + x.cycle[:r])
 
 
 def prepend(x: Point, word: Sequence[int]) -> Point:

@@ -41,6 +41,18 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
 
+class NumericalBreakdown(ValueError):
+    """Raised when a computation on valid input leaves the float range."""
+
+
+def exp_or_inf(x: float) -> float:
+    """e^x, inf when it exceeds the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class TransferOperator:
     """Depth-m matrix form of L_f (weights laid out per preimage symbol).
@@ -146,7 +158,7 @@ def power_iterate(
     adds c back to log lambda: exact, since P(f - c) = P(f) - c, and no
     weight overflows.  lam is inf when e^{log_lam} exceeds the float range.
     A table spread so wide that weights underflow to 0 can drive the
-    iterates to 0 / 0; that raises ValueError.
+    iterates to 0 / 0; that raises NumericalBreakdown.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -160,7 +172,7 @@ def power_iterate(
         lam = float(np.dot(nu, l_psi) / np.dot(nu, psi))
         if not math.isfinite(lam):
             # weights are in (0, 1] unless exp(f - max f) underflowed to 0
-            raise ValueError(
+            raise NumericalBreakdown(
                 "power iteration broke down: weights exp(f - max f) underflow, "
                 "the spread of the table is too wide for double precision"
             )
@@ -172,14 +184,10 @@ def power_iterate(
         psi = l_psi / np.max(l_psi)
         nu = l_nu / np.sum(l_nu)
     log_lam = math.log(lam) + op.shift
-    try:
-        lam_full = math.exp(log_lam)
-    except OverflowError:
-        lam_full = math.inf
     return RPFData(
         d=f.d,
         depth=depth,
-        lam=lam_full,
+        lam=exp_or_inf(log_lam),
         log_lam=log_lam,
         psi=CylinderFunction(f.d, depth, psi / np.dot(nu, psi)),
         nu=CylinderMeasure(f.d, depth, nu),

@@ -13,7 +13,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from ruellekit import cli, dlr
+from ruellekit import cli, dlr, potentials
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -218,7 +218,7 @@ def test_size_guard_exit_1(tmp_path, capsys):
 
 def test_size_guard_fires_before_any_table(tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(dlr, "birkhoff", lambda *args: calls.append(args))
+    monkeypatch.setattr(potentials, "tabulate", lambda *args: calls.append(args))
     assert cli.main(["uniqueness", "--config", ising_config(tmp_path), "--n", "16"]) == 1
     assert "size guard" in capsys.readouterr().err
     assert calls == []
@@ -247,6 +247,39 @@ def test_kernel_reports_log_partition_outside_the_float_range(tmp_path):
     assert report["results"]["partition"] == 0.0
     assert report["results"]["log_partition"] == pytest.approx(-640000.0 + math.log(2.0), rel=1e-13)
     assert report["results"]["kernel_value"] == 0.5
+
+
+def test_numerical_breakdown_is_not_a_config_error(tmp_path, capsys):
+    # a valid table whose weights exp(f - max f) underflow: no report, exit 1
+    cfg = write_config(
+        tmp_path,
+        {"potential": {"kind": "table", "params": {"d": 2, "depth": 3, "values": [
+            -1999.42, -0.81, -1999.84, -0.61, -1999.38, -2000.02, 0.98, -2000.63]}}},
+    )
+    with np.errstate(all="ignore"):
+        code, report = run(tmp_path, "pressure", "--config", cfg)
+    assert code == 1
+    assert report is None
+    err = capsys.readouterr().err
+    assert "numerical breakdown" in err
+    assert "invalid config" not in err
+
+
+@pytest.mark.parametrize("config", ["table", "ising_lr"])
+def test_kernel_report_computes_log_partition_once(tmp_path, monkeypatch, config):
+    calls = []
+    log_partition = dlr.log_partition
+
+    def counted(*args):
+        calls.append(args)
+        return log_partition(*args)
+
+    monkeypatch.setattr(dlr, "log_partition", counted)
+    path = markov_config(tmp_path) if config == "table" else ising_config(tmp_path)
+    code, report = run(tmp_path, "kernel", "--config", path, "--n", "4")
+    assert code == 0
+    assert len(calls) == 1
+    assert report["results"]["partition"] == pytest.approx(math.exp(report["results"]["log_partition"]), rel=1e-15)
 
 
 def test_check_failure_exit_2(tmp_path):

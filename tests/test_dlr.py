@@ -379,6 +379,38 @@ def test_D_estimate_matches_enumeration_oracle(d, m):
         assert D_estimate(f, N)[0] == pytest.approx(brute, abs=1e-13)
 
 
+@pytest.mark.parametrize("d,m", [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_D_estimate_of_callable_twin_matches_table(d, m):
+    # the callable runs every n <= N, the table stops at n = m - 1
+    rng = np.random.default_rng([d, m, 6])
+    f = Potential.from_table(d, m, rng.uniform(-1.0, 1.0, d**m))
+    h = Potential.from_callable(d, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=2.0))
+    tails = default_tails(d) + [Point.from_literal("1|0"), Point.from_literal("01|10")]
+    for N in range(1, m + 2):
+        for ts in (None, tails):
+            assert D_estimate(h, N, ts)[0] == pytest.approx(D_estimate(f, N, ts)[0], rel=1e-13, abs=1e-13)
+
+
+def test_callable_kernel_evaluates_each_tail_word_once():
+    # Birkhoff sums along the tail: sum_{j <= n} d^j evaluations (enumeration: n d^n)
+    f = Potential.from_table(2, 3, np.random.default_rng(36).uniform(-1.0, 1.0, 8))
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return f.table.value_at(x), 0.0
+
+    h = Potential.from_callable(2, fn, Hoelder(gamma=1.0, constant=2.0))
+    g = CylinderFunction.indicator(2, (1, 0))
+    y = Point.from_literal("0|110")
+    n = 8
+    assert kernel(h, 0.9, n, y, g) == pytest.approx(kernel(f, 0.9, n, y, g), abs=1e-13)
+    assert len(calls) <= sum(2**j for j in range(1, n + 1))
+    calls.clear()
+    assert log_partition(h, 0.9, n, y) == pytest.approx(log_partition(f, 0.9, n, y), rel=1e-13)
+    assert len(calls) <= sum(2**j for j in range(1, n + 1))
+
+
 def test_sandwich_certificate():
     D, _ = D_estimate(MARKOV, 6)
     tails = default_tails(2)

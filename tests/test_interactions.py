@@ -92,6 +92,35 @@ def test_hoelder_terms_decay_geometrically():
         assert term.sup_bound <= cap + 1e-9
 
 
+@pytest.mark.parametrize("d,depth,y", [(2, 3, "|0"), (2, 4, "01|10"), (3, 2, "2|01")])
+def test_from_potential_of_callable_twin_matches_table(d, depth, y):
+    rng = np.random.default_rng([d, depth])
+    f = Potential.from_table(d, depth, rng.uniform(-1.0, 1.0, d**depth))
+    h = Potential.from_callable(d, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=2.0))
+    y = Point.from_literal(y)
+    phi_f = from_potential(f, y, k_max=depth + 2, n_max=depth + 1)
+    phi_h = from_potential(h, y, k_max=depth + 2, n_max=depth + 1)
+    assert [t.support for t in phi_h.terms] == [t.support for t in phi_f.terms]
+    for a, b in zip(phi_f.terms, phi_h.terms):
+        # the callable's tables read the whole block, the table's only its depth
+        assert np.array_equal(np.repeat(a.values, d ** (b.local_depth - a.local_depth)), b.values)
+        assert a.sup_bound == b.sup_bound
+
+
+def test_from_potential_evaluates_f_once_per_word():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return math.fsum(x.coord(i) * 2.0 ** (-0.5 * i) for i in range(1, 20)), 1e-13
+
+    f = Potential.from_callable(2, fn, Hoelder(gamma=0.5, constant=4.0))
+    phi = from_potential(f, Point.from_literal("1|0"), k_max=3, n_max=3)
+    assert len(phi.terms) == 3 * 4  # no term vanishes, so each tabulation is stored
+    # one evaluation per word of each term, plus f(y)
+    assert len(calls) == 1 + sum(2**t.local_depth for t in phi.terms)
+
+
 def test_nn_norm_is_exactly_one():
     norm = interaction_norm(ising_nn())
     assert norm.value == 1.0

@@ -94,6 +94,15 @@ def test_g_potential_feeds_the_transfer_machinery():
     assert gp.regularity.var_bound(4) >= 2 * 3.0**-3.0
 
 
+def test_g_potential_equals_g_one_sided_exactly():
+    # g_potential computes zeta once; every value and bound stays bitwise the same
+    for params in (P3, IsingParams(alpha=2.5, cutoff=37)):
+        gp = g_potential(params)
+        for text in ("|1", "|0", "1|0", "0110|01", "10|110"):
+            x = Point.from_literal(text)
+            assert gp.evaluate(x) == g_one_sided(params, x)
+
+
 def test_transfer_h_vanishes_on_constant_configuration():
     value, bound = transfer_h(P3, TwoSidedPoint.constant(1), 100)
     assert value == 0.0

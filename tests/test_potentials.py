@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,11 +15,13 @@ from ruellekit.potentials import (
     jop_series,
     make_hofbauer_walters,
     scale,
+    tabulate,
+    tail_birkhoff,
     truncate,
     var_upper,
     walters_estimate,
 )
-from ruellekit.shift import Point
+from ruellekit.shift import Point, TableSizeError, prepend
 
 MARKOV = Potential.from_table(
     2, 2, [math.log(2.0), 0.0, 0.0, 0.0], label="markov"
@@ -95,6 +98,52 @@ def test_truncate_exact_for_tables():
     g = Potential.from_callable(2, fn, Hoelder(gamma=1.0, constant=1.0))
     _, bound = truncate(g, 3)
     assert bound == pytest.approx(2.0**-3 + 1e-9)
+
+
+TAILS = ("|0", "|1", "|01", "2|10", "0110|2", "21|0")
+
+
+def tail_twins(d, depth, seed, err=0.0):
+    """A random depth-`depth` table potential, its callable twin (evaluation
+    bound `err`), and boundary tails, purely periodic and with a prefix."""
+    rng = np.random.default_rng([d, depth, seed])
+    f = Potential.from_table(d, depth, rng.uniform(-1.0, 1.0, d**depth))
+    h = Potential.from_callable(d, lambda x: (f.table.value_at(x), err), Hoelder(gamma=1.0, constant=2.0))
+    tails = [Point.from_literal(t) for t in TAILS if max(map(int, t.replace("|", ""))) < d]
+    return f, h, tails
+
+
+@pytest.mark.parametrize("d,depth", [(2, 1), (2, 3), (3, 2)])
+def test_tabulate_matches_point_oracle(d, depth):
+    # lengths below, at and above the table depth
+    f, h, tails = tail_twins(d, depth, 1, err=1e-9)
+    for tail in tails:
+        for length in range(0, depth + 3):
+            words = list(itertools.product(range(d), repeat=length))
+            oracle = [f.evaluate(prepend(tail, u))[0] for u in words]
+            values, err = tabulate(f, length, tail)
+            assert list(values) == oracle and err == 0.0
+            values, err = tabulate(h, length, tail)
+            assert list(values) == oracle and err == 1e-9
+
+
+@pytest.mark.parametrize("d,depth", [(2, 1), (2, 3), (3, 2)])
+def test_tail_birkhoff_matches_point_oracle(d, depth):
+    f, h, tails = tail_twins(d, depth, 2, err=1e-9)
+    n = depth + 2
+    for tail in tails:
+        for p, e in ((f, 0.0), (h, 1e-9)):
+            for j, (sums, err) in enumerate(tail_birkhoff(p, n, tail), start=1):
+                words = list(itertools.product(range(d), repeat=j))
+                assert sums.shape == (len(words),)
+                oracle = [birkhoff(f, prepend(tail, u), j).value for u in words]
+                assert np.max(np.abs(sums - oracle)) <= 1e-13
+                # j evaluation bounds plus the rounding of j - 1 additions
+                assert j * e <= err <= j * e + 1e-13
+                assert np.max(np.abs(sums - oracle)) <= err + 1e-15
+            assert j == n
+    with pytest.raises(TableSizeError):
+        next(tail_birkhoff(h, 23, tails[0]))
 
 
 def test_scale_rescales_tables_and_metadata():
