@@ -61,7 +61,6 @@ from .dlr import (
     log_partition,
     partition,
     sandwich_check,
-    tail_measurability_check,
     tl_sequence,
 )
 from .ising import (

@@ -168,9 +168,13 @@ def _potential_from(cfg: dict, args) -> potentials.Potential:
                 label=params.get("label", "config-table"),
             )
         if kind == "ising_lr":
+            if "beta" in params:
+                # kernels scale by --beta; a second factor in g would apply it twice
+                raise UsageError(
+                    "invalid config: ising_lr takes no 'beta'; kernel commands scale by --beta"
+                )
             ip = ising.IsingParams(
                 alpha=float(params.get("alpha", _opt(args.alpha, 3.0))),
-                beta=float(params.get("beta", _opt(args.beta, 1.0))),
                 cutoff=int(params.get("cutoff", _opt(args.cutoff, 200))),
             )
             return ising.g_potential(ip)
@@ -438,10 +442,10 @@ def _cmd_uniqueness(cfg, args):
 
 
 def _cmd_ising(cfg, args):
+    if args.beta is not None:
+        raise UsageError("ising takes no --beta: its series are those of the energy at beta = 1")
     alpha = _opt(args.alpha, 3.0)
-    params = ising.IsingParams(
-        alpha=alpha, beta=_opt(args.beta, 1.0), cutoff=_opt(args.cutoff, 200)
-    )
+    params = ising.IsingParams(alpha=alpha, cutoff=_opt(args.cutoff, 200))
     terms = _opt(args.n, 100)
     rng = np.random.default_rng(args.seed)
     zv, ze = ising.zeta(alpha, params.cutoff)

@@ -295,19 +295,6 @@ def kernel_measure(
     return CylinderMeasure(f.d, depth_out, masses / masses.sum())
 
 
-def tail_measurability_check(
-    f: Potential, beta: float, n: int, y1: Point, y2: Point, g: CylinderFunction
-) -> float:
-    """|kernel(g|y1) - kernel(g|y2)| for boundaries agreeing beyond the volume.
-
-    Raises if sigma^n y1 != sigma^n y2; the returned difference is exactly
-    zero because both kernels are computed from the same tail image.
-    """
-    if shift_n(y1, n) != shift_n(y2, n):
-        raise ValueError("boundaries disagree outside the volume")
-    return abs(kernel(f, beta, n, y1, g) - kernel(f, beta, n, y2, g))
-
-
 def constant_shift_check(
     f: Potential, beta: float, n: int, y: Point, g: CylinderFunction, a_n: float
 ) -> float:

@@ -24,6 +24,16 @@ Index translation: the library's one-sided Point is 1-indexed, so the
 chain coordinate x_i (i >= 0) is right.coord(i + 1) and x_{-i} (i >= 1)
 is left.coord(i).
 
+The series are summed on spin arrays.  Each evaluation reads the
+coordinates it needs once, through Point.coords, as one array of spins
+(a spin window); symbols outside {0, 1} are refused once per window.
+Every series term is a coefficient in {-2, -1, 0, 1, 2} times a power
+j^(-alpha), so every term is exact, and math.fsum, being correctly
+rounded, gives the same bits whatever the order of the terms.  The powers
+come from Python's float pow, computed once per evaluation (once per
+potential for g): numpy's power differs from it in the last bit for a
+few j, which would change the values.
+
 Every series value carries a certified error bound built from
 integral-enclosure tails; the per-residue tails along a periodic side
 make the inner sums exact up to brackets of width ~ cutoff^(-alpha).
@@ -34,6 +44,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .potentials import Potential, SummableVariation
 from .shift import Point, prepend, shift
@@ -46,14 +58,11 @@ from .shift import Point, prepend, shift
 @dataclass(frozen=True)
 class IsingParams:
     alpha: float
-    beta: float = 1.0
     cutoff: int = 200
 
     def __post_init__(self):
         if self.alpha <= 1:
             raise ValueError("alpha must be > 1 for a summable coupling")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
 
@@ -70,6 +79,11 @@ def _residue_tail(alpha: float, start: int, step: int) -> tuple[float, float]:
     base = start ** (1.0 - alpha) / (step * (alpha - 1.0))
     half = 0.5 * start ** (-alpha)
     return base + half, half
+
+
+def _powers(alpha: float, count: int) -> np.ndarray:
+    """j^(-alpha) for j = 1..count, from Python's float pow."""
+    return np.array([j ** (-alpha) for j in range(1, count + 1)])
 
 
 def zeta(alpha: float, cutoff: int = 100_000) -> tuple[float, float]:
@@ -89,13 +103,15 @@ def zeta(alpha: float, cutoff: int = 100_000) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Two-sided points
+# Two-sided points and spin windows
 # ---------------------------------------------------------------------------
 
-def _spin(symbol: int) -> int:
-    if symbol not in (0, 1):
-        raise ValueError(f"symbol {symbol} is not a valid two-letter spin label")
-    return 2 * symbol - 1
+def _spins(symbols: tuple[int, ...]) -> np.ndarray:
+    """Spins 2x - 1 of a row of symbols; refuses symbols outside {0, 1}."""
+    top = max(symbols, default=0)  # Points hold no negative symbols
+    if top > 1:
+        raise ValueError(f"symbol {top} is not a valid two-letter spin label")
+    return 2 * np.array(symbols, dtype=np.int64) - 1
 
 
 @dataclass(frozen=True)
@@ -125,7 +141,7 @@ class TwoSidedPoint:
         return self.left.coord(-i)
 
     def spin(self, i: int) -> int:
-        return _spin(self.coord(i))
+        return int(_spins((self.coord(i),))[0])
 
     def shift(self) -> "TwoSidedPoint":
         """Move the origin one step right: coordinate i of the result is i+1."""
@@ -136,6 +152,11 @@ class TwoSidedPoint:
         return f"{self.left.literal}~{self.right.literal}"
 
 
+def _spin_window(x: TwoSidedPoint, lo: int, hi: int) -> np.ndarray:
+    """Spins at chain indices lo..hi (lo < 0 <= hi + 1); entry k is index lo + k."""
+    return _spins(x.left.coords(-lo)[::-1] + x.right.coords(hi + 1))
+
+
 # ---------------------------------------------------------------------------
 # The two-sided energy and its one-sided companion
 # ---------------------------------------------------------------------------
@@ -143,11 +164,10 @@ class TwoSidedPoint:
 def f_two_sided(params: IsingParams, x: TwoSidedPoint) -> tuple[float, float]:
     """- sum_{0 < |n| <= cutoff} s_0 s_n / |n|^alpha, with tail bound."""
     a, J = params.alpha, params.cutoff
-    s0 = x.spin(0)
-    total = math.fsum(
-        -s0 * (x.spin(n) + x.spin(-n)) * n ** (-a) for n in range(1, J + 1)
-    )
-    return total, 2.0 * _tail_bracket(a, J)[1]
+    right = _spins(x.right.coords(J + 1))  # chain indices 0..J
+    left = _spins(x.left.coords(J))  # chain indices -1..-J
+    terms = -right[0] * (right[1:] + left) * _powers(a, J)
+    return math.fsum(terms.tolist()), 2.0 * _tail_bracket(a, J)[1]
 
 
 def g_one_sided(params: IsingParams, x: Point) -> tuple[float, float]:
@@ -156,14 +176,18 @@ def g_one_sided(params: IsingParams, x: Point) -> tuple[float, float]:
     x is the library's 1-indexed one-sided point; its coordinate i+1
     carries the chain coordinate i.
     """
-    return _g_given_zeta(params, x, zeta(params.alpha, params.cutoff))
-
-
-def _g_given_zeta(params: IsingParams, x: Point, zeta_cut) -> tuple[float, float]:
-    """g_one_sided with zeta(alpha, cutoff) given as (value, bound)."""
     a, J = params.alpha, params.cutoff
-    s0 = _spin(x.coord(1))
-    series = math.fsum(-s0 * _spin(x.coord(j + 1)) * j ** (-a) for j in range(1, J + 1))
+    return _g_given_zeta(params, x, _powers(a, J), zeta(a, J))
+
+
+def _g_given_zeta(
+    params: IsingParams, x: Point, powers: np.ndarray, zeta_cut
+) -> tuple[float, float]:
+    """g_one_sided with the powers j^(-alpha), j = 1..cutoff, and
+    zeta(alpha, cutoff) as (value, bound) given."""
+    a, J = params.alpha, params.cutoff
+    s = _spins(x.coords(J + 1))  # chain indices 0..J
+    series = math.fsum((-s[0] * s[1:] * powers).tolist())
     zv, ze = zeta_cut
     return series - zv, _tail_bracket(a, J)[1] + ze
 
@@ -184,10 +208,11 @@ def g_potential(params: IsingParams) -> Potential:
             return 2.0 * (1.0 + _tail_bracket(a, 1)[1])
         return 2.0 * ((n - 1) ** (-a) + _tail_bracket(a, n - 1)[1])
 
-    zeta_cut = zeta(a, params.cutoff)  # the same for every point
+    powers = _powers(a, params.cutoff)  # the same for every point
+    zeta_cut = zeta(a, params.cutoff)
 
     def fn(x: Point) -> tuple[float, float]:
-        return _g_given_zeta(params, x, zeta_cut)
+        return _g_given_zeta(params, x, powers, zeta_cut)
 
     return Potential.from_callable(
         2, fn, SummableVariation(var_bound), label=f"ising-lr-g(alpha={a})"
@@ -198,38 +223,44 @@ def g_potential(params: IsingParams) -> Potential:
 # The transfer function h
 # ---------------------------------------------------------------------------
 
-def _inner_sum(params: IsingParams, x: TwoSidedPoint, j: int) -> tuple[float, float]:
-    """Certified  sum_{n >= 1} (s_{j-n} - s_j) / n^alpha.
+def _transfer_terms(
+    params: IsingParams, x: TwoSidedPoint, count: int
+) -> list[tuple[float, float]]:
+    """(term_j, certified error) for j = 0..count-1, from one spin window.
 
-    The first max(cutoff, alignment) terms are summed exactly; beyond
-    them the walk sits inside the left cycle, so the remainder splits
-    into per-residue arithmetic-progression tails, each enclosed by the
-    integral bracket.
+    term_j = -s_j * sum_{n >= 1} (s_{j-n} - s_j) / n^alpha.  The first
+    n_exact = max(cutoff, j + alignment) terms of the inner sum are summed
+    exactly; beyond them the walk sits inside the left cycle, so the
+    remainder splits into per-residue arithmetic-progression tails, each
+    enclosed by the integral bracket.  The error is that of the brackets.
     """
-    a = params.alpha
-    sj = x.spin(j)
+    a, J = params.alpha, params.cutoff
     P = len(x.left.prefix)
     L = len(x.left.cycle)
-    n_exact = max(params.cutoff, j + P + L)
-    head = math.fsum(
-        (x.spin(j - n) - sj) * n ** (-a) for n in range(1, n_exact + 1)
-    )
-    tail_mid = 0.0
-    tail_err = 0.0
-    for r in range(L):
-        n_first = n_exact + 1 + r
-        coeff = x.spin(j - n_first) - sj
-        if coeff == 0:
-            continue
-        mid, half = _residue_tail(a, n_first, L)
-        tail_mid += coeff * mid
-        tail_err += abs(coeff) * half
-    return head + tail_mid, tail_err
-
-
-def _term(params: IsingParams, x: TwoSidedPoint, j: int) -> tuple[float, float]:
-    inner, err = _inner_sum(params, x, j)
-    return -x.spin(j) * inner, err
+    # j = 0 reads deepest: its exact head and then one index per residue
+    lo = -(max(J, P + L) + L)
+    w = _spin_window(x, lo, count - 1)
+    powers = _powers(a, max(J, count - 1 + P + L))
+    out = []
+    for j in range(count):
+        c = j - lo  # window entry of chain index j
+        sj = int(w[c])
+        n_exact = max(J, j + P + L)
+        # s_{j-n} - s_j for n = 1..n_exact
+        coeffs = w[c - n_exact : c][::-1] - sj
+        head = math.fsum((coeffs * powers[:n_exact]).tolist())
+        tail_mid = 0.0
+        tail_err = 0.0
+        for r in range(L):
+            n_first = n_exact + 1 + r
+            coeff = int(w[c - n_first]) - sj
+            if coeff == 0:
+                continue
+            mid, half = _residue_tail(a, n_first, L)
+            tail_mid += coeff * mid
+            tail_err += abs(coeff) * half
+        out.append((-sj * (head + tail_mid), tail_err))
+    return out
 
 
 def _forward_constant_from(x: TwoSidedPoint) -> int | None:
@@ -251,18 +282,23 @@ def transfer_h(
     forward tail is not eventually constant get error_bound = inf -- the
     series has no reason to converge there.
     """
+    return _h_from_terms(params, x, terms, _transfer_terms(params, x, terms + 1))
+
+
+def _h_from_terms(
+    params: IsingParams, x: TwoSidedPoint, terms: int, term_list
+) -> tuple[float, float]:
+    """transfer_h from (term_j, error) for j = 0..terms (the list may run on)."""
     if params.alpha <= 2:
         raise ValueError(
             "the transfer series needs alpha > 2; its terms are not summable below that"
         )
     a = params.alpha
-    vals = []
+    head = term_list[: terms + 1]
+    value = math.fsum(v for v, _ in head)
     inner_err = 0.0
-    for j in range(terms + 1):
-        v, e = _term(params, x, j)
-        vals.append(v)
+    for _, e in head:
         inner_err += e
-    value = math.fsum(vals)
     start = _forward_constant_from(x)
     if start is None:
         return value, math.inf
@@ -285,21 +321,25 @@ def coboundary_check(
     term_0(x) - term_{M+1}(x) -- so it charges the series truncations of
     f and g, the certified size of term_{M+1}, and the inner-sum
     brackets, rather than the (much larger) one-sided tail bounds of the
-    two h values.
+    two h values.  Each inner sum is computed once: j <= terms + 1 at x,
+    j <= terms at shift x.
     """
     fv, fe = f_two_sided(params, x)
     gv, ge = g_one_sided(params, x.right)
-    hv, _ = transfer_h(params, x, terms)
-    hsv, hs_err = transfer_h(params, x.shift(), terms)
+    sx = x.shift()
+    tx = _transfer_terms(params, x, terms + 2)
+    ts = _transfer_terms(params, sx, terms + 1)
+    hv, _ = _h_from_terms(params, x, terms, tx)
+    hsv, hs_err = _h_from_terms(params, sx, terms, ts)
     residual = abs(fv - gv - hv + hsv)
     if math.isinf(hs_err):
         return residual, math.inf
-    last, last_err = _term(params, x, terms + 1)
+    last, last_err = tx[terms + 1]
     inner_err = 0.0
     for j in range(terms + 2):
-        inner_err += _inner_sum(params, x, j)[1]
+        inner_err += tx[j][1]
         if j >= 1:
-            inner_err += _inner_sum(params, x.shift(), j - 1)[1]
+            inner_err += ts[j - 1][1]
     bound = fe + ge + abs(last) + last_err + inner_err + 1e-12
     return residual, bound
 

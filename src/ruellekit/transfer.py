@@ -169,13 +169,14 @@ def power_iterate(
         # L psi and L* nu give the residuals of (psi, nu) and the next iterate
         l_psi = op.apply(psi)
         l_nu = op.dual_apply(nu)
-        lam = float(np.dot(nu, l_psi) / np.dot(nu, psi))
-        if not math.isfinite(lam):
+        num, den = np.dot(nu, l_psi), np.dot(nu, psi)
+        if not (den > 0.0 and math.isfinite(num)):
             # weights are in (0, 1] unless exp(f - max f) underflowed to 0
             raise NumericalBreakdown(
                 "power iteration broke down: weights exp(f - max f) underflow, "
                 "the spread of the table is too wide for double precision"
             )
+        lam = float(num / den)
         res_psi = float(np.max(np.abs(l_psi - lam * psi)) / (lam * np.max(psi)))
         res_nu = float(np.sum(np.abs(l_nu - lam * nu)) / (lam * np.sum(nu)))
         converged = max(res_psi, res_nu) < tol

@@ -8,6 +8,7 @@ output, and config parsing for each potential descriptor kind.
 import csv
 import json
 import math
+import warnings
 from collections import defaultdict
 
 import numpy as np
@@ -250,19 +251,38 @@ def test_kernel_reports_log_partition_outside_the_float_range(tmp_path):
 
 
 def test_numerical_breakdown_is_not_a_config_error(tmp_path, capsys):
-    # a valid table whose weights exp(f - max f) underflow: no report, exit 1
+    # a valid table whose weights exp(f - max f) underflow: no report, exit 1,
+    # and the breakdown is caught before lambda is divided out, so numpy warns of nothing
     cfg = write_config(
         tmp_path,
         {"potential": {"kind": "table", "params": {"d": 2, "depth": 3, "values": [
             -1999.42, -0.81, -1999.84, -0.61, -1999.38, -2000.02, 0.98, -2000.63]}}},
     )
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, report = run(tmp_path, "pressure", "--config", cfg)
     assert code == 1
     assert report is None
-    err = capsys.readouterr().err
-    assert "numerical breakdown" in err
-    assert "invalid config" not in err
+    assert capsys.readouterr().err == (
+        "numerical breakdown: power iteration broke down: weights exp(f - max f) "
+        "underflow, the spread of the table is too wide for double precision\n"
+    )
+
+
+def test_ising_lr_config_refuses_beta(tmp_path, capsys):
+    # kernels scale g by --beta; a beta inside g would be applied twice
+    cfg = write_config(tmp_path, {"potential": {"kind": "ising_lr", "params": {"beta": 7}}})
+    code, report = run(tmp_path, "pressure", "--config", cfg, "--depth", "6", "--cutoff", "50")
+    assert code == 1
+    assert report is None
+    assert "invalid config" in capsys.readouterr().err
+
+
+def test_ising_refuses_beta_flag(tmp_path, capsys):
+    code, report = run(tmp_path, "ising", "--beta", "2")
+    assert code == 1
+    assert report is None
+    assert "usage error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", ["table", "ising_lr"])

@@ -18,7 +18,6 @@ from ruellekit.dlr import (
     log_partition,
     partition,
     sandwich_check,
-    tail_measurability_check,
     tl_sequence,
 )
 from ruellekit.potentials import GenericContinuous, Hoelder, Potential, birkhoff, scale
@@ -260,15 +259,6 @@ def test_kernel_measure_coarsens_to_kernel_of_indicators():
         assert km.cylinder_mass(w) == pytest.approx(
             kernel(f, 1.0, 3, y, ind), abs=1e-13
         )
-
-
-def test_tail_measurability():
-    g = CylinderFunction.indicator(2, (0, 1))
-    y1 = Point.from_literal("10|01")
-    y2 = Point.from_literal("01|01")  # same sigma^2 image
-    assert tail_measurability_check(MARKOV, 1.0, 2, y1, y2, g) == 0.0
-    with pytest.raises(ValueError):
-        tail_measurability_check(MARKOV, 1.0, 2, y1, Point.constant(0), g)
 
 
 def test_constant_shift_invariance():

@@ -1,10 +1,13 @@
 """Long-range chain: certified series against independent oracles."""
 
+import functools
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
+from ruellekit import ising
 from ruellekit.ising import (
     IsingParams,
     TwoSidedPoint,
@@ -17,8 +20,8 @@ from ruellekit.ising import (
     transfer_h,
     zeta,
 )
-from ruellekit.potentials import walters_estimate
-from ruellekit.shift import Point
+from ruellekit.potentials import tabulate, walters_estimate
+from ruellekit.shift import Point, index_word, prepend
 from ruellekit.transfer import power_iterate
 
 P3 = IsingParams(alpha=3.0)
@@ -198,3 +201,201 @@ def test_f_two_sided_small_case():
     manual = 2.0 * sum(j**-3.0 for j in range(1, 201))
     assert value == pytest.approx(manual, abs=1e-14)
     assert err == pytest.approx(2.0 * 200.0**-2.0 / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle: the per-coordinate loops that the spin-array code replaced.
+# Every series term is exact and math.fsum is correctly rounded, so the
+# array code must reproduce these values bit for bit.
+# ---------------------------------------------------------------------------
+
+def scalar_spin(symbol):
+    if symbol not in (0, 1):
+        raise ValueError(f"symbol {symbol} is not a valid two-letter spin label")
+    return 2 * symbol - 1
+
+
+def scalar_g(params, x, zeta_cut):
+    a, J = params.alpha, params.cutoff
+    s0 = scalar_spin(x.coord(1))
+    series = math.fsum(-s0 * scalar_spin(x.coord(j + 1)) * j ** (-a) for j in range(1, J + 1))
+    zv, ze = zeta_cut
+    return series - zv, ising._tail_bracket(a, J)[1] + ze
+
+
+def scalar_f(params, x):
+    a, J = params.alpha, params.cutoff
+    s0 = scalar_spin(x.coord(0))
+    total = math.fsum(
+        -s0 * (scalar_spin(x.coord(n)) + scalar_spin(x.coord(-n))) * n ** (-a)
+        for n in range(1, J + 1)
+    )
+    return total, 2.0 * ising._tail_bracket(a, J)[1]
+
+
+def scalar_inner_sum(params, x, j):
+    a = params.alpha
+    sj = scalar_spin(x.coord(j))
+    P = len(x.left.prefix)
+    L = len(x.left.cycle)
+    n_exact = max(params.cutoff, j + P + L)
+    head = math.fsum(
+        (scalar_spin(x.coord(j - n)) - sj) * n ** (-a) for n in range(1, n_exact + 1)
+    )
+    tail_mid = 0.0
+    tail_err = 0.0
+    for r in range(L):
+        n_first = n_exact + 1 + r
+        coeff = scalar_spin(x.coord(j - n_first)) - sj
+        if coeff == 0:
+            continue
+        mid, half = ising._residue_tail(a, n_first, L)
+        tail_mid += coeff * mid
+        tail_err += abs(coeff) * half
+    return head + tail_mid, tail_err
+
+
+def scalar_transfer_h(params, x, terms, inner):
+    a = params.alpha
+    vals = []
+    inner_err = 0.0
+    for j in range(terms + 1):
+        v, e = inner(x, j)
+        vals.append(-scalar_spin(x.coord(j)) * v)
+        inner_err += e
+    value = math.fsum(vals)
+    start = ising._forward_constant_from(x)
+    if start is None:
+        return value, math.inf
+    B = start - 1
+    assert terms >= B + 2
+    tail = 2.0 / (a - 1.0) * (terms - B - 1) ** (2.0 - a) / (a - 2.0)
+    return value, inner_err + tail
+
+
+def scalar_coboundary_check(params, x, terms, inner):
+    fv, fe = scalar_f(params, x)
+    gv, ge = scalar_g(params, x.right, zeta(params.alpha, params.cutoff))
+    hv, _ = scalar_transfer_h(params, x, terms, inner)
+    hsv, hs_err = scalar_transfer_h(params, x.shift(), terms, inner)
+    residual = abs(fv - gv - hv + hsv)
+    if math.isinf(hs_err):
+        return residual, math.inf
+    v, last_err = inner(x, terms + 1)
+    last = -scalar_spin(x.coord(terms + 1)) * v
+    inner_err = 0.0
+    for j in range(terms + 2):
+        inner_err += inner(x, j)[1]
+        if j >= 1:
+            inner_err += inner(x.shift(), j - 1)[1]
+    bound = fe + ge + abs(last) + last_err + inner_err + 1e-12
+    return residual, bound
+
+
+def criterion_09_points():
+    rng = np.random.default_rng(42)
+    points = []
+    for _ in range(20):
+        k = int(rng.integers(0, 7))
+        flips = {
+            int(p) if s else -int(p)
+            for p, s in zip(rng.integers(1, 13, size=k), rng.integers(0, 2, size=k))
+        }
+        points.append(TwoSidedPoint(
+            Point(tuple(0 if -i in flips else 1 for i in range(1, 13)), (1,)),
+            Point(tuple(0 if i in flips else 1 for i in range(13)), (1,)),
+        ))
+    return points
+
+
+def cli_points(seed):
+    # the five points of `ruellekit ising --seed SEED`
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(5):
+        spots = rng.integers(1, 13, size=3)
+        signs = rng.integers(0, 2, size=3)
+        flips = {int(p) if s else -int(p) for p, s in zip(spots, signs)}
+        right = tuple(0 if i in flips else 1 for i in range(13))
+        left = tuple(0 if -i in flips else 1 for i in range(1, 13))
+        points.append(TwoSidedPoint(Point(left, (1,)), Point(right, (1,))))
+    return points
+
+
+ORACLE_PARAMS = [
+    IsingParams(alpha=alpha, cutoff=cutoff)
+    for alpha in (2.05, 2.5, 3.0, 3.77)
+    for cutoff in (200, 400)
+]
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS, ids=lambda p: f"{p.alpha}-{p.cutoff}")
+def test_g_equals_scalar_oracle_on_every_depth_7_word(params):
+    gp = g_potential(params)
+    zeta_cut = zeta(params.alpha, params.cutoff)
+    for tail in ("|0", "|1", "|10"):
+        y = Point.from_literal(tail)
+        values, err = tabulate(gp, 7, y)
+        oracle = [scalar_g(params, prepend(y, index_word(i, 7, 2)), zeta_cut) for i in range(2**7)]
+        assert values.tolist() == [v for v, _ in oracle]
+        assert err == max(e for _, e in oracle)
+    for text in ("|1", "0|1", "0110|01", "10|110"):
+        x = Point.from_literal(text)
+        assert g_one_sided(params, x) == scalar_g(params, x, zeta_cut)
+
+
+# 20 terms clear every prefix of these points; cutoff 8 puts j + alignment past
+# the cutoff, where the exact head of an inner sum grows with j
+@pytest.mark.parametrize(
+    "params",
+    ORACLE_PARAMS + [IsingParams(alpha=3.1, cutoff=8)],
+    ids=lambda p: f"{p.alpha}-{p.cutoff}",
+)
+def test_chain_series_equal_scalar_oracle(params):
+    terms = 20
+    # the inner sums are pure, so the oracle caches them to stay affordable
+    inner = functools.cache(lambda y, j: scalar_inner_sum(params, y, j))
+    for x in criterion_09_points() + cli_points(0):
+        assert f_two_sided(params, x) == scalar_f(params, x)
+        assert transfer_h(params, x, terms) == scalar_transfer_h(params, x, terms, inner)
+        assert coboundary_check(params, x, terms) == scalar_coboundary_check(params, x, terms, inner)
+
+
+def test_coboundary_check_computes_each_inner_sum_once(monkeypatch):
+    windows, inner_sums = [], []
+    spin_window, transfer_terms = ising._spin_window, ising._transfer_terms
+
+    def counted_window(*args):
+        windows.append(args)
+        return spin_window(*args)
+
+    def counted_terms(*args):
+        out = transfer_terms(*args)
+        inner_sums.extend(out)
+        return out
+
+    monkeypatch.setattr(ising, "_spin_window", counted_window)
+    monkeypatch.setattr(ising, "_transfer_terms", counted_terms)
+    x = TwoSidedPoint.from_literals("110|01", "0110|1")
+    for terms in (10, 40):
+        windows.clear()
+        inner_sums.clear()
+        coboundary_check(P3, x, terms)
+        assert len(windows) == 2
+        assert len(inner_sums) == 2 * terms + 3
+
+
+@pytest.mark.parametrize("left,right", [("|1", "01|2"), ("|1", "0|12"), ("2|1", "0|1"), ("|21", "0|1")])
+def test_symbols_outside_the_spin_alphabet_are_refused(left, right):
+    x = TwoSidedPoint.from_literals(left, right)
+    with pytest.raises(ValueError):
+        f_two_sided(P3, x)
+    with pytest.raises(ValueError):
+        coboundary_check(P3, x, 20)
+    with pytest.raises(ValueError):
+        transfer_h(P3, x, 20)
+    if "2" in right:
+        with pytest.raises(ValueError):
+            g_one_sided(P3, x.right)
+        with pytest.raises(ValueError):
+            g_potential(P3).evaluate(x.right)
