@@ -169,9 +169,9 @@ def _potential_from(cfg: dict, args) -> potentials.Potential:
             )
         if kind == "ising_lr":
             if "beta" in params:
-                # kernels scale by --beta; a second factor in g would apply it twice
+                # --beta scales g; a second factor in g would apply it twice
                 raise UsageError(
-                    "invalid config: ising_lr takes no 'beta'; kernel commands scale by --beta"
+                    "invalid config: ising_lr takes no 'beta'; --beta scales the potential"
                 )
             ip = ising.IsingParams(
                 alpha=float(params.get("alpha", _opt(args.alpha, 3.0))),
@@ -227,6 +227,8 @@ def _random_word(rng: np.random.Generator, d: int, max_len: int) -> tuple[int, .
 
 def _rpf_data(cfg, args):
     f = _potential_from(cfg, args)
+    if args.beta is not None:
+        f = potentials.scale(f, args.beta)
     depth = _opt(args.depth, max(f.depth() or 1, 1))
     tol = _opt(args.tol, transfer.DEFAULT_TOL)
     max_iter = _opt(args.max_iter, transfer.DEFAULT_MAX_ITER)

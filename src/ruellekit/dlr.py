@@ -23,19 +23,19 @@ evaluations of f.
 
 The kernel reads y only through sigma^n y (the coordinates outside the
 volume); the engine reads exactly the first D of them, so boundary
-dependence is structural rather than numerical.  Each engine row carries
-its own log scale and every step subtracts, per output row, the largest
-exponent it combines (a log-sum-exp over the preimages), so no kernel
-underflows to 0 / 0 however large beta * osc(f) is, and adding a
-constant to the exponent cancels in the normalised kernel.  The word
-enumeration subtracts the maximum over the words of each boundary.
+dependence is structural rather than numerical.  Its steps apply
+transfer.TransferOperator in a gauge of per-row log scales, renewed and
+exponentiated once per epoch, so no kernel underflows to 0 / 0 however
+large beta * osc(f) is, and adding a constant to the exponent cancels in
+the normalised kernel.  The word enumeration subtracts the maximum over
+the words of each boundary.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .potentials import (
     Potential,
     VariationUnavailable,
     scale,
-    tabulate,
     tail_birkhoff,
     var_upper,
 )
@@ -61,12 +60,15 @@ from .shift import (
     word_table,
     word_tail_index,
 )
-from .transfer import DEFAULT_MAX_ITER, DEFAULT_TOL, exp_or_inf, normalize, power_iterate
+from .transfer import (
+    DEFAULT_MAX_ITER, DEFAULT_TOL, exp_or_inf, normalize, power_iterate, transfer_operator
+)
 
 # Nominal rounding allowance of one computed kernel value.
 _KERNEL_ROUNDING = 1e-15
 
 _LN2 = math.log(2.0)
+_EPOCH_RANGE = 512 * _LN2  # how far a row may grow or shrink within an epoch
 
 
 # ---------------------------------------------------------------------------
@@ -76,88 +78,74 @@ _LN2 = math.log(2.0)
 class _Engine:
     """Iterates of the Ruelle operator L of beta*f on blocks of columns.
 
-    A block has one row per depth-D word and one column per function of
-    the first D coordinates.  A step maps every column h to L h, so after
-    n steps the row of the word (y_{n+1}, ..., y_{n+D}) holds
-    (L^n h)(sigma^n y) for every boundary y at once.  Steps are exact
-    when D covers the test functions' depth and the potential's reach
-    past the preimage symbol, depth(f) - 1.
-
-    The exponents beta f(a w) on the d^(D+1) extended words (a, w) are
-    the depth-(D+1) table that `transfer.transfer_operator`
-    exponentiates.  Each row carries its own log scale, so a step takes
-    the exponentials of the exponents plus the children's scales minus
-    their maximum per output row: every row keeps a weight of exactly 1,
-    and no row underflows however far apart the values of beta f lie.
+    A block stacks one depth-D value table per function of the first D
+    coordinates (its columns; its rows are the table entries).  A step
+    maps every column h to L h, so after n steps the row of the word
+    (y_{n+1}, ..., y_{n+D}) holds (L^n h)(sigma^n y) for every boundary y
+    at once.  Steps are exact when D covers the test functions' depth and
+    the potential's reach past the preimage symbol, depth(f) - 1.  Each
+    step is one application of `op`, the depth-D transfer operator of
+    beta*f, in a gauge of the rows' log scales.
     """
 
-    def __init__(self, d: int, depth: int, exponents: np.ndarray):
-        self.d = d
-        self.depth = depth
-        self.exponents = exponents
-        # logits[p, s, a] carries child row a * d**(D-1) + p into row p * d + s
-        self.logits = np.reshape(exponents, (d, -1, d)).transpose(1, 2, 0).copy()
-        # between renormalisations a row grows at most d-fold per step
-        self.renorm_every = max(1, 256 // (d - 1).bit_length())
+    def __init__(self, op):
+        self.op, self.d, self.depth = op, op.d, op.depth
 
     @classmethod
     def of(cls, f: Potential, beta: float, q: int = 0) -> "_Engine":
         """The engine of a table-backed beta*f for test functions of depth <= q."""
         depth = max(q, f.truncation_depth() - 1, 1)
-        values, _ = tabulate(f, depth + 1, Point.constant(0))  # exact: depth + 1 >= depth(f)
-        return cls(f.d, depth, beta * values)
+        op = transfer_operator(f, depth)  # exact: depth + 1 >= depth(f)
+        # the operator of beta*f, without building the potential beta*f
+        return cls(replace(op, log_weights=beta * op.log_weights))
 
     def columns(self, tests: list[CylinderFunction]) -> np.ndarray:
         """The block [g_1, ..., g_k, 1] of depth-D value tables."""
-        size = self.d ** self.depth
-        cols = [np.repeat(g.values, size // g.values.size) for g in tests]
-        return np.column_stack(cols + [np.ones(size)])
+        size = self.op.size
+        return np.stack([np.repeat(g.values, size // g.values.size) for g in tests] + [np.ones(size)])
 
     def iterates(self, block: np.ndarray, split: int = 0, lift=None, exp2: int = 0):
         """Yield (n, block_n, lift_n, exp2_n) for n = 1, 2, ...
 
-        The n-th iterate is  block_n * exp(lift_n)[:, None] * 2**exp2_n:
-        lift_n is the log scale of each row and exp2_n a common power of
-        two.  Each step moves the largest exponent of every output row
-        into its lift, so a row of block_n grows at most d-fold per step;
-        every `renorm_every` steps the rows are brought back to [1/2, 1)
-        by powers of two, which is exact.  (lift, exp2) gives the scale of
-        the starting block (default 1).
+        The n-th iterate is  block_n * exp(lift_n) * 2**exp2_n: lift_n is
+        the log scale of each row and exp2_n a common power of two.  An
+        epoch moves the row maxima into the lifts as exact powers of two
+        and exponentiates the weights once, in the gauge of the lifts less
+        the largest log-weight c, then steps while rows, growing at most
+        d-fold and shrinking at most by e^(least row maximum - c) per step,
+        stay within 2**512; past that, each row's own largest log-weight
+        goes to its lift, one step at a time.  (lift, exp2) gives the scale
+        of the starting block (default 1).
 
         The first `split` steps keep the preimage symbol apart instead of
         summing over it: column u becomes the d columns u.a.  Started from
         the constant 1, column u after j <= split steps holds
         L^j 1_[u] = e^{beta S_j f(u x)} for each word u of length j.
         """
-        d = self.d
-        rows = block.shape[0]
-        lift = np.zeros(rows) if lift is None else lift
-        for n in itertools.count(1):
-            expo = self.logits + lift.reshape(d, -1).T[:, None, :]
-            top = expo.max(axis=2, keepdims=True)
-            expo -= top
-            weights = np.exp(expo, out=expo)
-            children = block.reshape(d, -1, block.shape[1]).transpose(1, 0, 2)
-            if n <= split:
-                block = (weights[:, :, None, :] * children.transpose(0, 2, 1)[:, None]).reshape(rows, -1)
-            else:
-                block = np.matmul(weights, children).reshape(rows, -1)
-            # whole powers of two of row 0's scale go to exp2, so lifts stay small
-            common = round(float(top.flat[0]) / _LN2)
-            lift = top.ravel() - common * _LN2
-            exp2 += common
-            if n % self.renorm_every == 0:
-                e = np.frexp(block.max(axis=1))[1]
-                block = np.ldexp(block, -e[:, None])
-                lift += e * _LN2
-            yield n, block, lift, exp2
+        op, n = self.op, 0
+        lift = np.zeros(op.size) if lift is None else lift
+        while True:
+            e = np.frexp(block.max(axis=0))[1]
+            block = np.ldexp(block, -e)
+            lift = lift + e * _LN2
+            # whole powers of two of the largest lift go to exp2, so lifts stay small
+            common = round(float(lift.max()) / _LN2)
+            lift, exp2 = lift - common * _LN2, exp2 + common
+            epoch = op.gauged(lift)
+            row_top = epoch.log_weights.max(axis=0)
+            top = float(row_top.max())
+            steps = int(_EPOCH_RANGE // max(math.log(self.d), top - float(row_top.min())))
+            growth = top if steps else row_top
+            epoch = epoch.gauged(growth=growth)
+            for k in range(1, max(steps, 1) + 1):
+                n += 1
+                block = epoch.terms(block).reshape(-1, op.size) if n <= split else epoch.apply(block)
+                yield n, block, lift + k * growth, exp2
+            lift = lift + k * growth
 
     def run(self, block: np.ndarray, n: int, split: int = 0, lift=None, exp2: int = 0):
         """(block, lift, exp2) after n steps, in the scaling of `iterates`."""
-        lift = np.zeros(block.shape[0]) if lift is None else lift
-        for _, block, lift, exp2 in itertools.islice(
-            self.iterates(block, split, lift, exp2), n
-        ):
+        for _, block, lift, exp2 in itertools.islice(self.iterates(block, split, lift, exp2), n):
             pass
         return block, lift, exp2
 
@@ -168,16 +156,11 @@ class _Engine:
     def sweep(self, tests, boundaries, volumes):
         """Yield (n, K) for each n of the increasing `volumes` (all >= 1):
         K[b, j] is the volume-n kernel of tests[j] at boundaries[b]."""
-        volumes = list(volumes)
-        if not volumes:
-            return
-        wanted = set(volumes)
-        for n, block, _, _ in self.iterates(self.columns(tests)):
-            if n in wanted:
+        last = max(volumes, default=0)
+        for n, block, _, _ in itertools.islice(self.iterates(self.columns(tests)), last):
+            if n in volumes:
                 rows = [self.row(y, n) for y in boundaries]
-                yield n, block[rows, :-1] / block[rows, -1:]
-            if n == volumes[-1]:
-                return
+                yield n, (block[:-1, rows] / block[-1, rows]).T
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +204,12 @@ def _sweep(f: Potential, beta: float, tests, boundaries, volumes):
         )
         return
     for n in volumes:
-        yield n, np.array(
-            [[_kernel_given_tail(f, beta, n, shift_n(y, n), g)[0] for g in tests]
-             for y in boundaries]
-        )
+        K = np.empty((len(boundaries), len(tests)))
+        for b, y in enumerate(boundaries):
+            tail = shift_n(y, n)
+            p = _softmax(_log_weights_given_tail(f, beta, n, tail)[0])  # serves every test
+            K[b] = [float(p @ g.values[word_tail_index(g.d, n, g.depth, tail)]) for g in tests]
+        yield n, K
 
 
 def _kernels(f: Potential, beta: float, n: int, tests, boundaries) -> np.ndarray:
@@ -250,7 +235,7 @@ def log_partition(f: Potential, beta: float, n: int, y: Point) -> float:
     block, lift, exp2 = eng.run(eng.columns([]), n)
     # Z = block * e^lift * 2**exp2 in the engine's row scaling
     row = eng.row(y, n)
-    return math.log(float(block[row, 0])) + float(lift[row]) + exp2 * _LN2
+    return math.log(float(block[0, row])) + float(lift[row]) + exp2 * _LN2
 
 
 def partition(f: Potential, beta: float, n: int, y: Point) -> float:
@@ -291,7 +276,7 @@ def kernel_measure(
     eng = _Engine.of(f, beta)
     check_table_size(f.d, eng.depth + depth_out)
     block, _, _ = eng.run(eng.columns([]), n, split=depth_out)
-    masses = block[eng.row(y, n)]
+    masses = block[:, eng.row(y, n)]
     return CylinderMeasure(f.d, depth_out, masses / masses.sum())
 
 
@@ -315,7 +300,7 @@ def constant_shift_check(
         k2 = float(_softmax(logw - a_n) @ gv)
         return abs(k1 - k2)
     eng = _Engine.of(f, beta, g.depth)
-    shifted = _Engine(f.d, eng.depth, eng.exponents - a_n / n)
+    shifted = _Engine(eng.op.gauged(growth=a_n / n))
     k1, k2 = (next(e.sweep([g], [y], [n]))[1][0, 0] for e in (eng, shifted))
     return abs(k1 - k2)
 
@@ -352,15 +337,15 @@ def finite_volume_dlr_check(
     if f.table is not None:
         eng = _Engine.of(f, beta, g.depth)
         block, lift, _ = eng.run(eng.columns([g]), n)
-        inner = block[:, 0] / block[:, 1]
+        inner = block[0] / block[1]
         check_table_size(d, eng.depth + r)
-        marginal, _, _ = eng.run(block[:, 1:], r, split=r, lift=lift)
+        marginal, _, _ = eng.run(block[1:], r, split=r, lift=lift)
         row = eng.row(z, n + r)
-        p = marginal[row]
+        p = marginal[:, row]
         # the inner kernel at boundary u.t reads the first D symbols of u.t
         lhs = float(p @ inner[word_tail_index(d, r, eng.depth, tail_z)]) / float(p.sum())
         outer, _, _ = eng.run(block, r, lift=lift)
-        return abs(lhs - float(outer[row, 0] / outer[row, 1]))
+        return abs(lhs - float(outer[0, row] / outer[1, row]))
     inner = np.array([_kernel_given_tail(f, beta, n, prepend(tail_z, u), g)[0] for u in word_table(r, d)])
     logw, _ = _log_weights_given_tail(f, beta, n + r, tail_z)
     p = _softmax(logw)
@@ -401,7 +386,7 @@ def dlr_residual(
         eng = _Engine.of(f, beta, g.depth)
         block, _, _ = eng.run(eng.columns([g]), n)
         # the inner kernel at boundary u.tail reads the first D symbols of u.tail
-        inner = (block[:, 0] / block[:, 1])[word_tail_index(d, L, eng.depth, tail)]
+        inner = (block[0] / block[1])[word_tail_index(d, L, eng.depth, tail)]
         kernel_err = _KERNEL_ROUNDING
     else:
         inner, errs = np.array(

@@ -8,9 +8,10 @@ exp(f(a w_1 ... w_m tail...)), where the potential is truncated at depth
 m+1 with a fixed reference tail (all-zero by default).  The truncation is
 exact for locally-constant potentials of depth <= m+1.
 
-TransferOperator is the one operator object: apply and dual_apply are
-L_f and its adjoint on depth-m tables, each one gather over the preimage
-index of the operator.  power_iterate is the one route to the leading
+TransferOperator is the one code applying L_f and its adjoint, for power
+iteration and dlr's kernels alike, each one gather over its preimage
+index, in a gauge (h, c) of row log scales: the matrix D_{h+c}^{-1} L_f D_h.
+power_iterate is the one route to the leading
 eigenvalue lambda (log lambda is the finite-depth pressure), the positive
 eigenfunction psi, and the eigenprobability nu of the adjoint, with the
 normalisations nu(whole space) = 1 and integral of psi against nu = 1.
@@ -59,28 +60,36 @@ class TransferOperator:
 
     weights[a, i] multiplies the value of the argument at the child word
     (a, w_1, ..., w_{m-1}) when producing the output at word w = index i.
-    The weights are exp(f - shift): the matrix is e^{-shift} L_f.
+    Their logs are f(a w), plus h[preimages[a, i]] - h[i] - c in a gauge.
     """
 
     d: int
     depth: int
-    weights: np.ndarray        # shape (d, d**depth), strictly positive
+    log_weights: np.ndarray    # shape (d, d**depth)
+    preimages: np.ndarray      # [a, i]: index of the child word (a, w_1, ..., w_{m-1}) of word i
     truncation_bound: float    # certified bound on the dropped tail-dependence
-    shift: float = 0.0         # constant subtracted from f before exp
 
     @property
     def size(self) -> int:
         return self.d ** self.depth
 
     @cached_property
-    def preimages(self) -> np.ndarray:
-        """preimages[a, i]: index of the child word (a, w_1, ..., w_{m-1}) of word i."""
-        d = self.d
-        return np.arange(d)[:, None] * d ** (self.depth - 1) + np.arange(self.size) // d
+    def weights(self) -> np.ndarray:
+        return np.exp(self.log_weights)
+
+    def gauged(self, scale=None, growth=0.0) -> "TransferOperator":
+        """D_{scale+growth}^{-1} L D_scale: from tables with row log scales
+        `scale` (default 0) to tables with row log scales scale + growth."""
+        logs = self.log_weights if scale is None else self.log_weights + scale[self.preimages] - scale
+        return TransferOperator(self.d, self.depth, logs - growth, self.preimages, self.truncation_bound)
+
+    def terms(self, values: np.ndarray) -> np.ndarray:
+        """The summands of L per preimage symbol, shape (..., d, d**m)."""
+        return self.weights * values.take(self.preimages, axis=-1)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """One application of L_f to a depth-m value table."""
-        return (self.weights * values[self.preimages]).sum(axis=0)
+        """One application of L_f to a depth-m value table (or a stack of them)."""
+        return self.terms(values).sum(axis=-2)
 
     def dual_apply(self, weights: np.ndarray) -> np.ndarray:
         """One application of the adjoint to a depth-m weight table."""
@@ -92,31 +101,23 @@ class TransferOperator:
         """Dense d**m x d**m matrix (small depths only)."""
         if self.size ** 2 > 2 ** 22:
             raise ValueError("dense matrix would exceed the size guard")
-        d, m = self.d, self.depth
-        child_base = d ** (m - 1)
         mat = np.zeros((self.size, self.size))
-        parent = np.arange(self.size) // d
-        for a in range(d):
-            mat[np.arange(self.size), a * child_base + parent] += self.weights[a]
+        rows = np.arange(self.size)
+        for a in range(self.d):
+            mat[rows, self.preimages[a]] += self.weights[a]
         return mat
 
 
-def transfer_operator(
-    f: Potential, depth: int, tail: Point | None = None, shifted: bool = False
-) -> TransferOperator:
-    """Build the depth-m operator from the depth-(m+1) truncation of f.
-
-    With shifted=True the truncated table's maximum is subtracted before
-    exp, so that no weight overflows; the operator is then e^{-max} L_f.
-    """
+def transfer_operator(f: Potential, depth: int, tail: Point | None = None) -> TransferOperator:
+    """Build the depth-m operator L_f from the depth-(m+1) truncation of f."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     check_table_size(f.d, depth + 1)
     table, bound = truncate(f, depth + 1, tail)
-    shift = float(np.max(table.values)) if shifted else 0.0
+    d = f.d
+    preimages = np.arange(d)[:, None] * d ** (depth - 1) + np.arange(d ** depth) // d
     # extended word (a, w) has index a * d**m + index(w): reshape splits off a.
-    weights = np.exp(table.values.reshape(f.d, f.d ** depth) - shift)
-    return TransferOperator(f.d, depth, weights, bound, shift)
+    return TransferOperator(d, depth, table.values.reshape(d, d ** depth), preimages, bound)
 
 
 @dataclass(frozen=True)
@@ -154,15 +155,17 @@ def power_iterate(
     every potential; lambda is read off the generalized Rayleigh quotient
     <nu, L psi> / <nu, psi> which is exact at the fixed point.
 
-    The iteration runs on f - c, c the maximum of the truncated table, and
-    adds c back to log lambda: exact, since P(f - c) = P(f) - c, and no
-    weight overflows.  lam is inf when e^{log_lam} exceeds the float range.
+    The iteration runs on e^{-c} L_f, c the maximum of the truncated
+    table, and adds c back to log lambda: exact, and no weight overflows.
+    lam is inf when e^{log_lam} exceeds the float range.
     A table spread so wide that weights underflow to 0 can drive the
     iterates to 0 / 0; that raises NumericalBreakdown.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    op = transfer_operator(f, depth, tail, shifted=True)
+    op = transfer_operator(f, depth, tail)
+    top = float(np.max(op.log_weights))
+    op = op.gauged(growth=top)  # e^{-top} L: no weight exceeds 1
     psi = np.ones(op.size)
     nu = np.full(op.size, 1.0 / op.size)
     for iterations in range(1, max_iter + 1):
@@ -184,7 +187,7 @@ def power_iterate(
             break
         psi = l_psi / np.max(l_psi)
         nu = l_nu / np.sum(l_nu)
-    log_lam = math.log(lam) + op.shift
+    log_lam = math.log(lam) + top
     return RPFData(
         d=f.d,
         depth=depth,
@@ -212,14 +215,11 @@ def normalize(f: Potential, rpf: RPFData, tail: Point | None = None) -> Potentia
         raise ValueError("alphabet mismatch between potential and eigendata")
     if np.min(rpf.psi.values) <= 0.0:
         raise ValueError("eigenfunction must be strictly positive")
-    depth = rpf.depth
-    table, _ = truncate(f, depth + 1, tail)
-    dm = f.d ** depth
-    idx = np.arange(f.d ** (depth + 1))
-    log_psi = np.log(rpf.psi.values)
-    vals = table.values + log_psi[idx // f.d] - log_psi[idx % dm] - rpf.log_lam
+    # its log-weights are those of L_f in the gauge (log psi, log lambda)
+    op = transfer_operator(f, rpf.depth, tail).gauged(np.log(rpf.psi.values), rpf.log_lam)
     return Potential.from_table(
-        f.d, depth + 1, vals, label=(f.label + "~normalised") if f.label else "normalised"
+        f.d, rpf.depth + 1, op.log_weights.ravel(),
+        label=(f.label + "~normalised") if f.label else "normalised",
     )
 
 

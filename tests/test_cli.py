@@ -14,7 +14,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from ruellekit import cli, dlr, potentials
+from ruellekit import cli, dlr, potentials, transfer
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -64,6 +64,19 @@ def test_pressure_markov(tmp_path):
     code, report = run(tmp_path, "pressure", "--config", markov_config(tmp_path))
     assert code == 0
     assert report["results"]["pressure"] == pytest.approx(math.log(GOLDEN), rel=1e-10)
+
+
+def test_eigen_subcommands_honour_beta(tmp_path):
+    # --beta scales the potential, as for the kernel commands
+    f = potentials.scale(potentials.Potential.from_table(2, 2, [math.log(2.0), 0.0, 0.0, 0.0]), 2.0)
+    rpf = transfer.power_iterate(f, 2)
+    code, report = run(tmp_path, "pressure", "--config", markov_config(tmp_path), "--beta", "2")
+    assert code == 0
+    assert report["params"]["beta"] == 2
+    assert report["results"]["pressure"] == rpf.log_lam
+    code, report = run(tmp_path, "normalize", "--config", markov_config(tmp_path), "--beta", "2")
+    assert code == 0
+    assert report["results"]["values"] == list(transfer.normalize(f, rpf).table.values)
 
 
 def test_normalize_markov(tmp_path):

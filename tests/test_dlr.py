@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from ruellekit.dlr import (
 )
 from ruellekit.potentials import GenericContinuous, Hoelder, Potential, birkhoff, scale
 from ruellekit.shift import CylinderFunction, CylinderMeasure, Point, prepend, shift_n, word_index
-from ruellekit.transfer import normalize, power_iterate, transfer_operator
+from ruellekit.transfer import TransferOperator, normalize, power_iterate, transfer_operator
 
 MARKOV = Potential.from_table(2, 2, [math.log(2.0), 0.0, 0.0, 0.0], label="markov")
 
@@ -201,6 +202,30 @@ def test_kernel_survives_any_spread_of_beta_f():
             h = Potential.from_table(d, depth, values - top / (beta * n))
             assert math.log(partition(h, beta, n, y)) == pytest.approx(
                 math.log(np.exp(logw - top).sum()), abs=1e-11)
+
+
+def test_kernel_engine_exponentiates_once_per_epoch(monkeypatch):
+    # a small spread of beta f lets an epoch run hundreds of steps on one
+    # exponentiation of the weight table; the wide spreads of the test
+    # above exercise one-step epochs
+    exponentiations = []
+    weights = TransferOperator.weights.func
+
+    def counted(self):
+        exponentiations.append(self.log_weights.shape)
+        return weights(self)
+
+    counted_weights = cached_property(counted)
+    counted_weights.__set_name__(TransferOperator, "weights")
+    monkeypatch.setattr(TransferOperator, "weights", counted_weights)
+    f = Potential.from_table(2, 3, np.random.default_rng(38).uniform(-1.0, 1.0, 8))
+    reference = power_iterate(f, 3).nu
+    exponentiations.clear()
+    boundaries = [Point.from_literal("|0"), Point.from_literal("01|1")]
+    rows, worst = tl_sequence(f, 1.0, [(0,), (1, 1, 0)], boundaries, 500, reference)
+    assert len(rows) == 4 * 498
+    assert 1 <= len(exponentiations) <= 5
+    assert worst[500] < 1e-10
 
 
 def test_callable_potential_matches_its_table():
@@ -399,6 +424,18 @@ def test_callable_kernel_evaluates_each_tail_word_once():
     calls.clear()
     assert log_partition(h, 0.9, n, y) == pytest.approx(log_partition(f, 0.9, n, y), rel=1e-13)
     assert len(calls) <= sum(2**j for j in range(1, n + 1))
+    # one weight pass per boundary and volume serves every cylinder:
+    # 4 boundaries x sum_{n=2}^{8} (2^{n+1} - 2) = 4,008 evaluations
+    f = Potential.from_table(2, 2, np.random.default_rng(37).uniform(-1.0, 1.0, 4))
+    h = Potential.from_callable(2, fn, Hoelder(gamma=1.0, constant=2.0))  # fn reads this f
+    cylinders = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+    boundaries = [Point.from_literal(t) for t in ("|0", "|1", "0|110", "1|01")]
+    reference = power_iterate(f, 2).nu
+    calls.clear()
+    rows_h, _ = tl_sequence(h, 0.9, cylinders, boundaries, 8, reference)
+    assert len(calls) <= 4_008
+    rows_f, _ = tl_sequence(f, 0.9, cylinders, boundaries, 8, reference)
+    assert max(abs(a.K_n - b.K_n) for a, b in zip(rows_h, rows_f)) < 1e-13
 
 
 def test_sandwich_certificate():
