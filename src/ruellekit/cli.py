@@ -357,7 +357,14 @@ def _cmd_dlr_check(cfg, args):
     return results, worst < tol, None
 
 
+def _refuse_beta(args, reason: str) -> None:
+    """Subcommands that do not scale the potential refuse --beta."""
+    if args.beta is not None:
+        raise UsageError(f"{args.command} takes no --beta: {reason}")
+
+
 def _cmd_interaction(cfg, args):
+    _refuse_beta(args, "it reads the interaction of the potential as given")
     if cfg.get("potential") is not None:
         f = _potential_from(cfg, args)
         depth = f.depth()
@@ -393,6 +400,7 @@ def _cmd_interaction(cfg, args):
 
 
 def _cmd_walters(cfg, args):
+    _refuse_beta(args, "its estimates are those of the potential as given")
     f = _potential_from(cfg, args)
     n_sup = _opt(args.n, 16)
     estimates = [
@@ -444,8 +452,7 @@ def _cmd_uniqueness(cfg, args):
 
 
 def _cmd_ising(cfg, args):
-    if args.beta is not None:
-        raise UsageError("ising takes no --beta: its series are those of the energy at beta = 1")
+    _refuse_beta(args, "its series are those of the energy at beta = 1")
     alpha = _opt(args.alpha, 3.0)
     params = ising.IsingParams(alpha=alpha, cutoff=_opt(args.cutoff, 200))
     terms = _opt(args.n, 100)
@@ -485,6 +492,7 @@ def _cmd_ising(cfg, args):
 
 
 def _cmd_change_of_measure(cfg, args):
+    _refuse_beta(args, "it checks the potential as given")
     depth = _opt(args.depth, 3)
     tol = _opt(args.tol, 1e-9)
     if cfg.get("potential") is not None:

@@ -32,7 +32,10 @@ j^(-alpha), so every term is exact, and math.fsum, being correctly
 rounded, gives the same bits whatever the order of the terms.  The powers
 come from Python's float pow, computed once per evaluation (once per
 potential for g): numpy's power differs from it in the last bit for a
-few j, which would change the values.
+few j, which would change the values.  g_potential's word evaluator
+sums g over all words of a length from one spin matrix: each word's
+exact terms and the tail's exact partials go into one math.fsum per
+word, which rounds the same exact sum, so it keeps those bits.
 
 Every series value carries a certified error bound built from
 integral-enclosure tails; the per-residue tails along a periodic side
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import Potential, SummableVariation
-from .shift import Point, prepend, shift
+from .shift import Point, prepend, shift, word_table
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +87,25 @@ def _residue_tail(alpha: float, start: int, step: int) -> tuple[float, float]:
 def _powers(alpha: float, count: int) -> np.ndarray:
     """j^(-alpha) for j = 1..count, from Python's float pow."""
     return np.array([j ** (-alpha) for j in range(1, count + 1)])
+
+
+def _partials(terms) -> list[float]:
+    """Shewchuk's partials of a float sum: non-overlapping floats whose exact
+    sum is the exact sum of `terms` (the expansion math.fsum keeps)."""
+    partials: list[float] = []
+    for x in terms:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+    return partials
 
 
 def zeta(alpha: float, cutoff: int = 100_000) -> tuple[float, float]:
@@ -208,14 +230,39 @@ def g_potential(params: IsingParams) -> Potential:
             return 2.0 * (1.0 + _tail_bracket(a, 1)[1])
         return 2.0 * ((n - 1) ** (-a) + _tail_bracket(a, n - 1)[1])
 
-    powers = _powers(a, params.cutoff)  # the same for every point
-    zeta_cut = zeta(a, params.cutoff)
+    J = params.cutoff
+    powers = _powers(a, J)  # the same for every point
+    zeta_cut = zeta(a, J)
+    bound = _tail_bracket(a, J)[1] + zeta_cut[1]
 
     def fn(x: Point) -> tuple[float, float]:
         return _g_given_zeta(params, x, powers, zeta_cut)
 
+    def batch(length: int, tail: Point) -> tuple[np.ndarray, float]:
+        """g(u . tail) for every word u, from one spin matrix of the words.
+
+        The word holds chain indices 0..m-1, the tail the rest.  The tail
+        sum T = sum_{j >= max(m, 1)} s_j j^(-alpha) is the same for every
+        word; its exact partials, times -s_0, join each row's exact head
+        terms -s_0 s_j j^(-alpha), j < m, in one math.fsum per row.  That is
+        the correctly rounded value of the same exact sum that fn rounds,
+        so every value is fn's to the bit.
+        """
+        m = min(length, J + 1)
+        t = _spins(tail.coords(J + 1 - m))  # chain indices m..J
+        start = max(m, 1)
+        tail_partials = np.array(_partials((t[start - m:] * powers[start - 1:]).tolist()))
+        if m == 0:
+            s0, head = t[:1], np.zeros((1, 0))
+        else:
+            s = 2 * word_table(length, 2)[:, :m] - 1
+            s0, head = s[:, 0], -s[:, :1] * s[:, 1:] * powers[: m - 1]
+        terms = np.hstack([head, -s0[:, None] * tail_partials]).tolist()
+        series = np.fromiter(map(math.fsum, terms), float, len(terms))
+        return series - zeta_cut[0], bound
+
     return Potential.from_callable(
-        2, fn, SummableVariation(var_bound), label=f"ising-lr-g(alpha={a})"
+        2, fn, SummableVariation(var_bound), label=f"ising-lr-g(alpha={a})", batch=batch
     )
 
 

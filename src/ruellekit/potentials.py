@@ -6,9 +6,16 @@ returns a pair (value, error_bound): the bound is a certified absolute
 error (0.0 when the value is exact, as for finite-depth tables).
 
 tabulate(f, length, tail), the values f(u . tail) over all words u of a
-length, is the one path by which the package reads f on many words:
-truncate, tail_birkhoff, interactions and the kernels of callables use
-it.  birkhoff, the sum along one point, is the reference for tests.
+length, is the one path by which the package reads f on many words: the
+transfer operator, truncate, tail_birkhoff, interactions and the kernels
+of callables use it.  It checks the table size, then calls the
+potential's word evaluator, f.words(length, tail).  A table potential
+reads its words by index arithmetic; a potential that supplies a batch
+evaluator (the Ising g, the run-length family below, and c*f of either)
+computes all words at once without building a Point per word.  Any other
+callable is evaluated once per word: that loop is the definition of
+f.words, and every batch evaluator must equal it bit for bit.  birkhoff,
+the sum along one point, is the reference for tests.
 
 Regularity metadata drives the variation estimates:
 
@@ -89,7 +96,9 @@ class Potential:
 
     `table` is set for locally-constant potentials and is the exact value
     table at `regularity.depth`; the fast vectorised paths in the transfer
-    and kernel modules key off it.
+    and kernel modules key off it.  `batch`, when set, is a word
+    evaluator: batch(length, tail) returns what words(length, tail) would,
+    without evaluating fn once per word.
     """
 
     d: int
@@ -97,6 +106,9 @@ class Potential:
     fn: Callable[[Point], tuple[float, float]] = field(repr=False)
     table: CylinderFunction | None = field(default=None, repr=False)
     label: str = ""
+    batch: Callable[[int, Point], tuple[np.ndarray, float]] | None = field(
+        default=None, repr=False
+    )
 
     # -- constructors -------------------------------------------------------
 
@@ -107,21 +119,39 @@ class Potential:
         def fn(x: Point) -> tuple[float, float]:
             return tab.value_at(x), 0.0
 
-        return cls(d, LocallyConstant(depth), fn, tab, label)
+        def batch(length: int, tail: Point) -> tuple[np.ndarray, float]:
+            return tab.values[word_tail_index(d, length, depth, tail)], 0.0
+
+        return cls(d, LocallyConstant(depth), fn, tab, label, batch)
 
     @classmethod
     def constant(cls, d: int, c: float, label: str = "") -> "Potential":
         return cls.from_table(d, 0, [float(c)], label or f"constant({c})")
 
     @classmethod
-    def from_callable(cls, d: int, fn, regularity, label: str = "") -> "Potential":
-        return cls(d, regularity, fn, None, label)
+    def from_callable(
+        cls, d: int, fn, regularity, label: str = "", batch=None
+    ) -> "Potential":
+        return cls(d, regularity, fn, None, label, batch)
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x: Point) -> tuple[float, float]:
         """Return (value, certified absolute error bound) at x."""
         return self.fn(x)
+
+    def words(self, length: int, tail: Point) -> tuple[np.ndarray, float]:
+        """f(u . tail) for each of the d**length words u, in word_index
+        order, and the largest evaluation bound.  The batch evaluator when
+        there is one, else one certified evaluation per word."""
+        if self.batch is not None:
+            return self.batch(length, tail)
+        values = np.empty(self.d ** length)
+        err = 0.0
+        for i, row in enumerate(word_table(length, self.d)):
+            values[i], e = self.evaluate(prepend(tail, row))
+            err = max(err, e)
+        return values, err
 
     def depth(self) -> int | None:
         if isinstance(self.regularity, LocallyConstant):
@@ -146,28 +176,24 @@ def scale(f: Potential, c: float) -> Potential:
         v, e = base(x)
         return c * v, abs(c) * e
 
+    def batch(length: int, tail: Point) -> tuple[np.ndarray, float]:
+        values, err = f.words(length, tail)
+        return c * values, abs(c) * err
+
     reg = f.regularity
     if isinstance(reg, Hoelder):
         reg = Hoelder(reg.gamma, abs(c) * reg.constant)
     elif isinstance(reg, SummableVariation):
         bound = reg.var_bound
         reg = SummableVariation(lambda n: abs(c) * bound(n))
-    return Potential(f.d, reg, fn, None, f"{c}*{f.label}")
+    return Potential(f.d, reg, fn, None, f"{c}*{f.label}", batch)
 
 
 def tabulate(f: Potential, length: int, tail: Point) -> tuple[np.ndarray, float]:
     """f(u . tail) for each of the d**length words u, in word_index order,
-    and the largest evaluation bound.  A table potential is read by index
-    arithmetic, any other by one certified evaluation per word."""
-    size = check_table_size(f.d, length)
-    if f.table is not None:
-        return f.table.values[word_tail_index(f.d, length, f.table.depth, tail)], 0.0
-    values = np.empty(size)
-    err = 0.0
-    for i, row in enumerate(word_table(length, f.d)):
-        values[i], e = f.evaluate(prepend(tail, row))
-        err = max(err, e)
-    return values, err
+    and the largest evaluation bound: f.words, after the table-size guard."""
+    check_table_size(f.d, length)
+    return f.words(length, tail)
 
 
 def truncate(f: Potential, depth: int, tail: Point | None = None) -> tuple[CylinderFunction, float]:
@@ -361,19 +387,44 @@ def make_hofbauer_walters(
     their leading run (equal values) or both run past n.
     """
 
-    def fn(x: Point) -> tuple[float, float]:
-        s = x.coord(1)
+    def run(x: Point, s: int) -> int | None:
+        """The number of leading symbols s of x; None when x is constant s."""
         if x == Point.constant(s):
-            return (a if s == 0 else c), 0.0
-        k = 1
+            return None
+        k = 0
         while x.coord(k + 1) == s:
             k += 1
+        return k
+
+    def value(s: int, k: int | None) -> float:
+        """The value on a leading run of k >= 1 symbols s (None: endless)."""
         if s == 0:
-            return (a if k == 1 else float(a_seq(k))), 0.0
-        return (b if k == 1 else float(c_seq(k))), 0.0
+            return a if k is None or k == 1 else float(a_seq(k))
+        return c if k is None else b if k == 1 else float(c_seq(k))
+
+    def fn(x: Point) -> tuple[float, float]:
+        s = x.coord(1)
+        return value(s, run(x, s)), 0.0
+
+    def batch(length: int, tail: Point) -> tuple[np.ndarray, float]:
+        """Leading runs read from the word table, one value per run length."""
+        if length == 0:
+            return np.array([fn(tail)[0]]), 0.0
+        words = word_table(length, 2)
+        differs = words != words[:, :1]
+        runs = np.where(differs.any(axis=1), differs.argmax(axis=1), length)
+        # lut[s, k]: the value on a run of k < length symbols s ended inside
+        # the word; lut[s, length] is the all-s word's, whose run goes on
+        # into the tail
+        lut = np.zeros((2, length + 1))
+        for s in (0, 1):
+            lut[s, 1:length] = [value(s, k) for k in range(1, length)]
+            t = run(tail, s)
+            lut[s, length] = value(s, None if t is None else length + t)
+        return lut[words[:, 0], runs], 0.0
 
     if var_decay is not None:
         reg = SummableVariation(var_decay)
     else:
         reg = GenericContinuous()
-    return Potential.from_callable(2, fn, reg, label)
+    return Potential.from_callable(2, fn, reg, label, batch)

@@ -30,13 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .potentials import Potential, truncate
-from .shift import (
-    CylinderFunction,
-    CylinderMeasure,
-    Point,
-    check_table_size,
-)
+from .potentials import Potential, tabulate, var_upper
+from .shift import CylinderFunction, CylinderMeasure, Point
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -112,12 +107,15 @@ def transfer_operator(f: Potential, depth: int, tail: Point | None = None) -> Tr
     """Build the depth-m operator L_f from the depth-(m+1) truncation of f."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    check_table_size(f.d, depth + 1)
-    table, bound = truncate(f, depth + 1, tail)
+    values, err = tabulate(f, depth + 1, Point.constant(0) if tail is None else tail)
+    # a table was checked when it was built; a callable's values are checked here
+    if f.table is None and not np.all(np.isfinite(values)):
+        raise ValueError("potential values must be finite (no NaN or inf)")
+    bound = err + var_upper(f, depth + 1)
     d = f.d
     preimages = np.arange(d)[:, None] * d ** (depth - 1) + np.arange(d ** depth) // d
     # extended word (a, w) has index a * d**m + index(w): reshape splits off a.
-    return TransferOperator(d, depth, table.values.reshape(d, d ** depth), preimages, bound)
+    return TransferOperator(d, depth, values.reshape(d, d ** depth), preimages, bound)
 
 
 @dataclass(frozen=True)

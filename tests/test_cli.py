@@ -298,6 +298,14 @@ def test_ising_refuses_beta_flag(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["walters", "change-of-measure", "interaction"])
+def test_subcommands_without_beta_refuse_the_flag(tmp_path, capsys, command):
+    code, report = run(tmp_path, command, "--config", markov_config(tmp_path), "--beta", "7")
+    assert code == 1
+    assert report is None
+    assert f"usage error: {command} takes no --beta" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", ["table", "ising_lr"])
 def test_kernel_report_computes_log_partition_once(tmp_path, monkeypatch, config):
     calls = []

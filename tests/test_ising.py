@@ -1,5 +1,6 @@
 """Long-range chain: certified series against independent oracles."""
 
+import dataclasses
 import functools
 import math
 
@@ -329,16 +330,31 @@ ORACLE_PARAMS = [
 ]
 
 
-@pytest.mark.parametrize("params", ORACLE_PARAMS, ids=lambda p: f"{p.alpha}-{p.cutoff}")
+# cutoffs 2 and 5 stop inside the depth-7 words, so the tail adds nothing
+@pytest.mark.parametrize(
+    "params",
+    ORACLE_PARAMS + [IsingParams(alpha=3.0, cutoff=2), IsingParams(alpha=2.2, cutoff=5)],
+    ids=lambda p: f"{p.alpha}-{p.cutoff}",
+)
 def test_g_equals_scalar_oracle_on_every_depth_7_word(params):
     gp = g_potential(params)
     zeta_cut = zeta(params.alpha, params.cutoff)
-    for tail in ("|0", "|1", "|10"):
+    # the word evaluator makes no per-point evaluation: count calls of fn
+    calls = []
+    counted = dataclasses.replace(gp, fn=lambda x: calls.append(x) or gp.fn(x))
+    for tail in ("|0", "|1", "|10", "0110|01", "1101001|0"):
         y = Point.from_literal(tail)
-        values, err = tabulate(gp, 7, y)
+        values, err = tabulate(counted, 7, y)
         oracle = [scalar_g(params, prepend(y, index_word(i, 7, 2)), zeta_cut) for i in range(2**7)]
         assert values.tolist() == [v for v, _ in oracle]
         assert err == max(e for _, e in oracle)
+        for length in (0, 1, 3):
+            values, err = tabulate(counted, length, y)
+            words, oracle_err = dataclasses.replace(gp, batch=None).words(length, y)
+            assert values.tolist() == words.tolist() and err == oracle_err
+    assert calls == []
+    with pytest.raises(ValueError):
+        tabulate(gp, 1, Point.from_literal("0|2"))
     for text in ("|1", "0|1", "0110|01", "10|110"):
         x = Point.from_literal(text)
         assert g_one_sided(params, x) == scalar_g(params, x, zeta_cut)

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from ruellekit.ising import IsingParams, g_potential
 from ruellekit.potentials import (
     GenericContinuous,
     Hoelder,
@@ -207,6 +209,60 @@ def test_hofbauer_walters_classification():
     assert f.evaluate(Point.from_literal("110|0"))[0] == pytest.approx(-0.25)
     assert f.evaluate(Point.constant(1))[0] == -0.75
     assert f.d == 2
+
+
+def test_hofbauer_word_evaluator_equals_per_word_path():
+    calls = []
+
+    def a_seq(k):
+        calls.append(("a", k))
+        return 1.0 / k + 0.1
+
+    def c_seq(k):
+        calls.append(("c", k))
+        return -(0.5**k) + 0.3
+
+    f = make_hofbauer_walters(a_seq, c_seq, a=0.1, b=5.0, c=0.3)
+    oracle = dataclasses.replace(f, batch=None)
+    # constant tails of either symbol, and tails with prefixes
+    for tail in ("|0", "|1", "0|1", "1|0", "000|1", "11|01", "01|10", "|01"):
+        y = Point.from_literal(tail)
+        for length in range(0, 7):
+            expected = oracle.words(length, y)
+            calls.clear()
+            values, err = tabulate(f, length, y)
+            assert values.tolist() == expected[0].tolist() and err == expected[1] == 0.0
+            assert len(calls) == len(set(calls))  # once per distinct run length
+    # an all-s word on the constant-s tail is the constant point: a and c
+    for length in (1, 4):
+        values, _ = tabulate(f, length, Point.constant(0))
+        assert values[0] == 0.1
+        values, _ = tabulate(f, length, Point.constant(1))
+        assert values[-1] == 0.3
+    # ... and on the other constant tail its run ends with the word
+    assert tabulate(f, 4, Point.constant(1))[0][0] == a_seq(4)
+    assert tabulate(f, 4, Point.constant(0))[0][-1] == c_seq(4)
+
+
+def test_scale_keeps_the_word_evaluator():
+    f = make_hofbauer_walters(lambda k: 1.0 / k, lambda k: 0.3 - 1.0 / k, 0.0, 0.7, 0.3)
+    h = Potential.from_callable(2, lambda x: (math.sin(x.coord(1) + 2 * x.coord(2)), 1e-9), GenericContinuous())
+    g = g_potential(IsingParams(alpha=3.0, cutoff=40))
+    y = Point.from_literal("01|10")
+    calls = []
+    for p in (f, h, g):
+        words, err = dataclasses.replace(p, batch=None).words(5, y)
+        counted = dataclasses.replace(p, fn=lambda x, fn=p.fn: calls.append(x) or fn(x))
+        for c in (-2.5, 0.3, 1.0 / 3.0):
+            calls.clear()
+            values, bound = tabulate(scale(counted, c), 5, y)
+            assert values.tolist() == (c * words).tolist()
+            assert bound == abs(c) * err
+            # c*f evaluates per point only when f does
+            assert (calls == []) == (p.batch is not None)
+            # and its per-word path agrees to the bit
+            per_word = dataclasses.replace(scale(p, c), batch=None).words(5, y)
+            assert per_word[0].tolist() == values.tolist() and per_word[1] == bound
 
 
 def test_hofbauer_walters_metadata():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ruellekit.potentials import Potential, scale
+from ruellekit.potentials import Hoelder, Potential, scale
 from ruellekit.shift import CylinderFunction, integrate
 from ruellekit.transfer import (
     TransferOperator,
@@ -86,6 +86,15 @@ def test_underflowing_weights_are_refused():
     values = [-1999.42, -0.81, -1999.84, -0.61, -1999.38, -2000.02, 0.98, -2000.63]
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="underflow"):
         power_iterate(Potential.from_table(2, 3, values), 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_callable_values_are_refused(bad):
+    f = Potential.from_callable(2, lambda x: (bad if x.coord(2) else 0.0, 0.0), Hoelder(1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        transfer_operator(f, 2)
+    with pytest.raises(ValueError, match="finite"):
+        power_iterate(f, 3)
 
 
 def test_power_iterate_needs_one_step():
