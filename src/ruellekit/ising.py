@@ -33,9 +33,10 @@ rounded, gives the same bits whatever the order of the terms.  The powers
 come from Python's float pow, computed once per evaluation (once per
 potential for g): numpy's power differs from it in the last bit for a
 few j, which would change the values.  g_potential's word evaluator
-sums g over all words of a length from one spin matrix: each word's
-exact terms and the tail's exact partials go into one math.fsum per
-word, which rounds the same exact sum, so it keeps those bits.
+sums g over all words of a length from spin matrices of blocks of words:
+each word's exact terms and the tail's exact partials go into one
+math.fsum per word, which rounds the same exact sum, so it keeps those
+bits.
 
 Every series value carries a certified error bound built from
 integral-enclosure tails; the per-residue tails along a periodic side
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import Potential, SummableVariation
-from .shift import Point, prepend, shift, word_table
+from .shift import Point, prepend, shift
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,9 @@ def _residue_tail(alpha: float, start: int, step: int) -> tuple[float, float]:
 def _powers(alpha: float, count: int) -> np.ndarray:
     """j^(-alpha) for j = 1..count, from Python's float pow."""
     return np.array([j ** (-alpha) for j in range(1, count + 1)])
+
+
+_WORD_BLOCK = 1 << 12  # rows of g_potential's word evaluator per spin matrix
 
 
 def _partials(terms) -> list[float]:
@@ -198,20 +202,24 @@ def g_one_sided(params: IsingParams, x: Point) -> tuple[float, float]:
     x is the library's 1-indexed one-sided point; its coordinate i+1
     carries the chain coordinate i.
     """
+    return _g_given_zeta(params, x, *_g_constants(params))
+
+
+def _g_constants(params: IsingParams) -> tuple[np.ndarray, float, float]:
+    """What g_one_sided shares between points: the powers j^(-alpha),
+    j = 1..cutoff, the value of zeta(alpha, cutoff) and the certified bound."""
     a, J = params.alpha, params.cutoff
-    return _g_given_zeta(params, x, _powers(a, J), zeta(a, J))
+    zv, ze = zeta(a, J)
+    return _powers(a, J), zv, _tail_bracket(a, J)[1] + ze
 
 
 def _g_given_zeta(
-    params: IsingParams, x: Point, powers: np.ndarray, zeta_cut
+    params: IsingParams, x: Point, powers: np.ndarray, zv: float, bound: float
 ) -> tuple[float, float]:
-    """g_one_sided with the powers j^(-alpha), j = 1..cutoff, and
-    zeta(alpha, cutoff) as (value, bound) given."""
-    a, J = params.alpha, params.cutoff
-    s = _spins(x.coords(J + 1))  # chain indices 0..J
+    """g_one_sided with _g_constants(params) given."""
+    s = _spins(x.coords(params.cutoff + 1))  # chain indices 0..J
     series = math.fsum((-s[0] * s[1:] * powers).tolist())
-    zv, ze = zeta_cut
-    return series - zv, _tail_bracket(a, J)[1] + ze
+    return series - zv, bound
 
 
 def g_potential(params: IsingParams) -> Potential:
@@ -231,35 +239,37 @@ def g_potential(params: IsingParams) -> Potential:
         return 2.0 * ((n - 1) ** (-a) + _tail_bracket(a, n - 1)[1])
 
     J = params.cutoff
-    powers = _powers(a, J)  # the same for every point
-    zeta_cut = zeta(a, J)
-    bound = _tail_bracket(a, J)[1] + zeta_cut[1]
+    powers, zv, bound = _g_constants(params)  # the same for every point
 
     def fn(x: Point) -> tuple[float, float]:
-        return _g_given_zeta(params, x, powers, zeta_cut)
+        return _g_given_zeta(params, x, powers, zv, bound)
 
     def batch(length: int, tail: Point) -> tuple[np.ndarray, float]:
-        """g(u . tail) for every word u, from one spin matrix of the words.
+        """g(u . tail) for every word u, from spin matrices of the words.
 
         The word holds chain indices 0..m-1, the tail the rest.  The tail
-        sum T = sum_{j >= max(m, 1)} s_j j^(-alpha) is the same for every
-        word; its exact partials, times -s_0, join each row's exact head
-        terms -s_0 s_j j^(-alpha), j < m, in one math.fsum per row.  That is
+        sum T = sum_{j >= m} s_j j^(-alpha) is the same for every word; its
+        exact partials, times -s_0, join each row's exact head terms
+        -s_0 s_j j^(-alpha), 0 < j < m, in one math.fsum per row.  That is
         the correctly rounded value of the same exact sum that fn rounds,
-        so every value is fn's to the bit.
+        so every value is fn's to the bit.  The words go in blocks of
+        _WORD_BLOCK rows, so memory does not grow with their number.
         """
+        if length == 0:  # the tail is the whole point
+            return np.array([fn(tail)[0]]), bound
         m = min(length, J + 1)
         t = _spins(tail.coords(J + 1 - m))  # chain indices m..J
-        start = max(m, 1)
-        tail_partials = np.array(_partials((t[start - m:] * powers[start - 1:]).tolist()))
-        if m == 0:
-            s0, head = t[:1], np.zeros((1, 0))
-        else:
-            s = 2 * word_table(length, 2)[:, :m] - 1
-            s0, head = s[:, 0], -s[:, :1] * s[:, 1:] * powers[: m - 1]
-        terms = np.hstack([head, -s0[:, None] * tail_partials]).tolist()
-        series = np.fromiter(map(math.fsum, terms), float, len(terms))
-        return series - zeta_cut[0], bound
+        tail_partials = np.array(_partials((t * powers[m - 1:]).tolist()))
+        # column k of word i is its bit length-1-k: chain index k
+        bits = np.arange(length - 1, length - 1 - m, -1)
+        values = np.empty(2**length)
+        for lo in range(0, len(values), _WORD_BLOCK):
+            index = np.arange(lo, min(lo + _WORD_BLOCK, len(values)))
+            s = 2 * ((index[:, None] >> bits) & 1) - 1
+            head = -s[:, :1] * s[:, 1:] * powers[: m - 1]
+            terms = np.hstack([head, -s[:, :1] * tail_partials]).tolist()
+            values[lo : lo + len(terms)] = list(map(math.fsum, terms))
+        return values - zv, bound
 
     return Potential.from_callable(
         2, fn, SummableVariation(var_bound), label=f"ising-lr-g(alpha={a})", batch=batch

@@ -9,13 +9,13 @@ tabulate(f, length, tail), the values f(u . tail) over all words u of a
 length, is the one path by which the package reads f on many words: the
 transfer operator, truncate, tail_birkhoff, interactions and the kernels
 of callables use it.  It checks the table size, then calls the
-potential's word evaluator, f.words(length, tail).  A table potential
-reads its words by index arithmetic; a potential that supplies a batch
-evaluator (the Ising g, the run-length family below, and c*f of either)
-computes all words at once without building a Point per word.  Any other
-callable is evaluated once per word: that loop is the definition of
-f.words, and every batch evaluator must equal it bit for bit.  birkhoff,
-the sum along one point, is the reference for tests.
+potential's word evaluator, f.batch(length, tail), when it has one.  A
+table potential reads its words by index arithmetic; the Ising g, the
+run-length family below and c*f of any of them compute all words at once
+without building a Point per word.  A potential without a word evaluator
+is evaluated once per word: that loop is the definition of tabulate, and
+every word evaluator must equal it bit for bit.  birkhoff, the sum along
+one point, is the reference for tests.
 
 Regularity metadata drives the variation estimates:
 
@@ -97,8 +97,8 @@ class Potential:
     `table` is set for locally-constant potentials and is the exact value
     table at `regularity.depth`; the fast vectorised paths in the transfer
     and kernel modules key off it.  `batch`, when set, is a word
-    evaluator: batch(length, tail) returns what words(length, tail) would,
-    without evaluating fn once per word.
+    evaluator: batch(length, tail) returns what tabulate(f, length, tail)
+    returns without it, without evaluating fn once per word.
     """
 
     d: int
@@ -140,19 +140,6 @@ class Potential:
         """Return (value, certified absolute error bound) at x."""
         return self.fn(x)
 
-    def words(self, length: int, tail: Point) -> tuple[np.ndarray, float]:
-        """f(u . tail) for each of the d**length words u, in word_index
-        order, and the largest evaluation bound.  The batch evaluator when
-        there is one, else one certified evaluation per word."""
-        if self.batch is not None:
-            return self.batch(length, tail)
-        values = np.empty(self.d ** length)
-        err = 0.0
-        for i, row in enumerate(word_table(length, self.d)):
-            values[i], e = self.evaluate(prepend(tail, row))
-            err = max(err, e)
-        return values, err
-
     def depth(self) -> int | None:
         if isinstance(self.regularity, LocallyConstant):
             return self.regularity.depth
@@ -177,7 +164,7 @@ def scale(f: Potential, c: float) -> Potential:
         return c * v, abs(c) * e
 
     def batch(length: int, tail: Point) -> tuple[np.ndarray, float]:
-        values, err = f.words(length, tail)
+        values, err = tabulate(f, length, tail)
         return c * values, abs(c) * err
 
     reg = f.regularity
@@ -191,9 +178,17 @@ def scale(f: Potential, c: float) -> Potential:
 
 def tabulate(f: Potential, length: int, tail: Point) -> tuple[np.ndarray, float]:
     """f(u . tail) for each of the d**length words u, in word_index order,
-    and the largest evaluation bound: f.words, after the table-size guard."""
+    and the largest evaluation bound.  The word evaluator when f has one,
+    else one certified evaluation per word."""
     check_table_size(f.d, length)
-    return f.words(length, tail)
+    if f.batch is not None:
+        return f.batch(length, tail)
+    values = np.empty(f.d ** length)
+    err = 0.0
+    for i, row in enumerate(word_table(length, f.d)):
+        values[i], e = f.evaluate(prepend(tail, row))
+        err = max(err, e)
+    return values, err
 
 
 def truncate(f: Potential, depth: int, tail: Point | None = None) -> tuple[CylinderFunction, float]:

@@ -228,7 +228,7 @@ def test_hofbauer_word_evaluator_equals_per_word_path():
     for tail in ("|0", "|1", "0|1", "1|0", "000|1", "11|01", "01|10", "|01"):
         y = Point.from_literal(tail)
         for length in range(0, 7):
-            expected = oracle.words(length, y)
+            expected = tabulate(oracle, length, y)
             calls.clear()
             values, err = tabulate(f, length, y)
             assert values.tolist() == expected[0].tolist() and err == expected[1] == 0.0
@@ -251,7 +251,7 @@ def test_scale_keeps_the_word_evaluator():
     y = Point.from_literal("01|10")
     calls = []
     for p in (f, h, g):
-        words, err = dataclasses.replace(p, batch=None).words(5, y)
+        words, err = tabulate(dataclasses.replace(p, batch=None), 5, y)
         counted = dataclasses.replace(p, fn=lambda x, fn=p.fn: calls.append(x) or fn(x))
         for c in (-2.5, 0.3, 1.0 / 3.0):
             calls.clear()
@@ -261,7 +261,7 @@ def test_scale_keeps_the_word_evaluator():
             # c*f evaluates per point only when f does
             assert (calls == []) == (p.batch is not None)
             # and its per-word path agrees to the bit
-            per_word = dataclasses.replace(scale(p, c), batch=None).words(5, y)
+            per_word = tabulate(dataclasses.replace(scale(p, c), batch=None), 5, y)
             assert per_word[0].tolist() == values.tolist() and per_word[1] == bound
 
 
