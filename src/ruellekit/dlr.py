@@ -56,6 +56,7 @@ from .shift import (
     integrate,
     prepend,
     shift_n,
+    sum_of_products,
     word_index,
     word_table,
     word_tail_index,
@@ -189,7 +190,7 @@ def _kernel_given_tail(
     logw, werr = _log_weights_given_tail(f, beta, n, tail)
     p = _softmax(logw)
     gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
-    value = float(p @ gv)
+    value = sum_of_products(p, gv)
     # each weight carries relative error at most e^{2 werr} - 1
     bound = math.expm1(2.0 * werr) * float(np.max(np.abs(gv))) + _KERNEL_ROUNDING
     return value, bound
@@ -208,7 +209,7 @@ def _sweep(f: Potential, beta: float, tests, boundaries, volumes):
         for b, y in enumerate(boundaries):
             tail = shift_n(y, n)
             p = _softmax(_log_weights_given_tail(f, beta, n, tail)[0])  # serves every test
-            K[b] = [float(p @ g.values[word_tail_index(g.d, n, g.depth, tail)]) for g in tests]
+            K[b] = [sum_of_products(p, g.values[word_tail_index(g.d, n, g.depth, tail)]) for g in tests]
         yield n, K
 
 
@@ -296,8 +297,8 @@ def constant_shift_check(
         tail = shift_n(y, n)
         logw, _ = _log_weights_given_tail(f, beta, n, tail)
         gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
-        k1 = float(_softmax(logw) @ gv)
-        k2 = float(_softmax(logw - a_n) @ gv)
+        k1 = sum_of_products(_softmax(logw), gv)
+        k2 = sum_of_products(_softmax(logw - a_n), gv)
         return abs(k1 - k2)
     eng = _Engine.of(f, beta, g.depth)
     shifted = _Engine(eng.op.gauged(growth=a_n / n))
@@ -343,14 +344,14 @@ def finite_volume_dlr_check(
         row = eng.row(z, n + r)
         p = marginal[:, row]
         # the inner kernel at boundary u.t reads the first D symbols of u.t
-        lhs = float(p @ inner[word_tail_index(d, r, eng.depth, tail_z)]) / float(p.sum())
+        lhs = sum_of_products(p, inner[word_tail_index(d, r, eng.depth, tail_z)]) / float(p.sum())
         outer, _, _ = eng.run(block, r, lift=lift)
         return abs(lhs - float(outer[0, row] / outer[1, row]))
     inner = np.array([_kernel_given_tail(f, beta, n, prepend(tail_z, u), g)[0] for u in word_table(r, d)])
     logw, _ = _log_weights_given_tail(f, beta, n + r, tail_z)
     p = _softmax(logw)
     suffix = np.arange(d ** (n + r)) % d ** r
-    lhs = float(p @ inner[suffix])
+    lhs = sum_of_products(p, inner[suffix])
     rhs = _kernel_given_tail(f, beta, n + r, tail_z, g)[0]
     return abs(lhs - rhs)
 
@@ -394,11 +395,11 @@ def dlr_residual(
         ).T
         kernel_err = float(np.max(errs))
     suffix = np.arange(d ** M) % d ** L
-    lhs = float(mu.weights @ inner[suffix])
+    lhs = sum_of_products(mu.weights, inner[suffix])
     if g.depth <= M:
         rhs = integrate(mu, g)
     else:
-        rhs = float(mu.weights @ g.values[word_tail_index(d, M, g.depth, tail)])
+        rhs = sum_of_products(mu.weights, g.values[word_tail_index(d, M, g.depth, tail)])
     quad = kernel_err * mu.total_mass() + _representative_point_bound(f, beta, M, n, g)
     return abs(lhs - rhs), quad
 

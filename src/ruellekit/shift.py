@@ -375,6 +375,16 @@ class CylinderMeasure:
         return float(self.coarsen(len(word)).weights[word_index(word, self.d)])
 
 
+def sum_of_products(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i for 1-d float arrays, in numpy's own loop.
+
+    np.dot and 1-d `@` call OpenBLAS's threaded ddot, which on vectors of
+    more than 10,000 entries takes milliseconds per call in some processes
+    (numpy 2.4 on scipy-openblas 0.3.31, 2 vCPUs) instead of microseconds.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 def integrate(mu: CylinderMeasure, g: CylinderFunction) -> float:
     """Integral of a depth-q function against a depth-m measure (q <= m)."""
     if g.d != mu.d:
@@ -383,4 +393,4 @@ def integrate(mu: CylinderMeasure, g: CylinderFunction) -> float:
         raise ValueError(
             f"function depth {g.depth} exceeds measure depth {mu.depth}"
         )
-    return float(np.dot(mu.weights, g.refine(mu.depth).values))
+    return sum_of_products(mu.weights, g.refine(mu.depth).values)

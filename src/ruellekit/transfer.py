@@ -20,18 +20,25 @@ The iteration starts from the constant function / uniform measure
 products L psi and L* nu give the residuals of the current (psi, nu) and,
 renormalised, the next iterate.  It stops when both relative residuals
 fall under tol, and returns the vectors whose residuals it reports.
+
+A table potential of depth m reads only a w_1 ... w_{m-1}, so its
+eigendata are fixed by the depth-(m-1) words: power_iterate iterates on
+depth k = min(max(m-1, 1), D) tables and lifts the pair to the requested
+depth D once (psi repeated, nu([a w]) = e^{f(a w)} nu([w]) / lambda
+level by level), then takes its last step(s) at depth D.  `iterations`
+counts the steps at both depths.  Callables iterate at D throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .potentials import Potential, tabulate, var_upper
-from .shift import CylinderFunction, CylinderMeasure, Point
+from .shift import CylinderFunction, CylinderMeasure, Point, sum_of_products
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -103,6 +110,18 @@ class TransferOperator:
         return mat
 
 
+@lru_cache(maxsize=16)
+def _preimage_index(d: int, depth: int) -> np.ndarray:
+    """[a, i]: the index a * d**(m-1) + i // d of the child word
+    (a, w_1, ..., w_{m-1}) of the depth-m word i.
+
+    One array per (d, m), shared by every operator of that shape and never
+    written.  It keeps its writeable flag: np.take and np.bincount copy a
+    read-only index on every call (5-10x slower at depth 16).
+    """
+    return np.arange(d)[:, None] * d ** (depth - 1) + np.arange(d ** depth) // d
+
+
 def transfer_operator(f: Potential, depth: int, tail: Point | None = None) -> TransferOperator:
     """Build the depth-m operator L_f from the depth-(m+1) truncation of f."""
     if depth < 1:
@@ -113,9 +132,8 @@ def transfer_operator(f: Potential, depth: int, tail: Point | None = None) -> Tr
         raise ValueError("potential values must be finite (no NaN or inf)")
     bound = err + var_upper(f, depth + 1)
     d = f.d
-    preimages = np.arange(d)[:, None] * d ** (depth - 1) + np.arange(d ** depth) // d
     # extended word (a, w) has index a * d**m + index(w): reshape splits off a.
-    return TransferOperator(d, depth, values.reshape(d, d ** depth), preimages, bound)
+    return TransferOperator(d, depth, values.reshape(d, d ** depth), _preimage_index(d, depth), bound)
 
 
 @dataclass(frozen=True)
@@ -153,6 +171,16 @@ def power_iterate(
     every potential; lambda is read off the generalized Rayleigh quotient
     <nu, L psi> / <nu, psi> which is exact at the fixed point.
 
+    A table of depth m reads a w_1 ... w_{m-1} only, so the iteration runs
+    on depth k = min(max(m-1, 1), depth) tables (k = depth for callables).
+    Once the depth-k residuals are under tol, or at the last permitted
+    step, the pair is lifted to the requested depth D: psi does not read
+    past w_k, and L* nu = lambda nu read one cylinder at a time gives
+    nu([a w]) = e^{f(a w)} nu([w]) / lambda, one level at a time from
+    k to D.  The last step(s) run on the depth-D operator, so the
+    reported residuals are those of the returned depth-D vectors, and
+    `iterations` counts the steps at both depths.
+
     The iteration runs on e^{-c} L_f, c the maximum of the truncated
     table, and adds c back to log lambda: exact, and no weight overflows.
     lam is inf when e^{log_lam} exceeds the float range.
@@ -161,43 +189,64 @@ def power_iterate(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    op = transfer_operator(f, depth, tail)
-    top = float(np.max(op.log_weights))
-    op = op.gauged(growth=top)  # e^{-top} L: no weight exceeds 1
+    full = transfer_operator(f, depth, tail)
+    top = float(np.max(full.log_weights))
+    full = full.gauged(growth=top)  # e^{-top} L: no weight exceeds 1
+    k = depth if f.table is None else min(max(f.table.depth - 1, 1), depth)
+    op = full if k == depth else transfer_operator(f, k, tail).gauged(growth=top)
     psi = np.ones(op.size)
     nu = np.full(op.size, 1.0 / op.size)
+    converged = False
     for iterations in range(1, max_iter + 1):
+        if op is not full and (converged or iterations == max_iter):
+            psi, nu, op = np.repeat(psi, full.size // op.size), _lift(full, nu, op.depth), full
         # L psi and L* nu give the residuals of (psi, nu) and the next iterate
         l_psi = op.apply(psi)
         l_nu = op.dual_apply(nu)
-        num, den = np.dot(nu, l_psi), np.dot(nu, psi)
+        num, den = sum_of_products(nu, l_psi), sum_of_products(nu, psi)
         if not (den > 0.0 and math.isfinite(num)):
             # weights are in (0, 1] unless exp(f - max f) underflowed to 0
             raise NumericalBreakdown(
                 "power iteration broke down: weights exp(f - max f) underflow, "
                 "the spread of the table is too wide for double precision"
             )
-        lam = float(num / den)
-        res_psi = float(np.max(np.abs(l_psi - lam * psi)) / (lam * np.max(psi)))
-        res_nu = float(np.sum(np.abs(l_nu - lam * nu)) / (lam * np.sum(nu)))
+        lam = num / den
+        res_psi = float(abs(l_psi - lam * psi).max() / (lam * psi.max()))
+        res_nu = float(abs(l_nu - lam * nu).sum() / (lam * nu.sum()))
         converged = max(res_psi, res_nu) < tol
-        if converged or iterations == max_iter:
+        if (converged and op is full) or iterations == max_iter:
             break
-        psi = l_psi / np.max(l_psi)
-        nu = l_nu / np.sum(l_nu)
+        psi = l_psi / l_psi.max()
+        nu = l_nu / l_nu.sum()
     log_lam = math.log(lam) + top
     return RPFData(
         d=f.d,
         depth=depth,
         lam=exp_or_inf(log_lam),
         log_lam=log_lam,
-        psi=CylinderFunction(f.d, depth, psi / np.dot(nu, psi)),
+        psi=CylinderFunction(f.d, depth, psi / sum_of_products(nu, psi)),
         nu=CylinderMeasure(f.d, depth, nu),
         residual_fn=res_psi,
         residual_meas=res_nu,
         iterations=iterations,
         converged=converged,
     )
+
+
+def _lift(full: TransferOperator, nu: np.ndarray, depth: int) -> np.ndarray:
+    """Lift a depth-k eigenmeasure of `full` (whose weights read a w_1 ... w_k)
+    to full.depth: nu_{j+1}([a w]) = W_j(a, w) nu_j([w]) / lambda.
+
+    The mass of W_j * nu_j is <nu_j, L 1>, lambda at the fixed point, so
+    each level is divided by its own mass: neither a wide spread nor a
+    deep lift under- or overflows, and the result is a probability.
+    """
+    d = full.d
+    for j in range(depth, full.depth):
+        # W_j[a, w] = full.weights[a, w 0...0], laid out as the words a w
+        nu = (full.weights[:, :: d ** (full.depth - j)] * nu).ravel()
+        nu = nu / nu.sum()
+    return nu
 
 
 def normalize(f: Potential, rpf: RPFData, tail: Point | None = None) -> Potential:

@@ -204,3 +204,100 @@ def test_reported_residuals_are_those_of_the_returned_vectors(max_iter):
     res_meas = np.sum(np.abs(mat.T @ nu - lam * nu)) / (lam * np.sum(np.abs(nu)))
     assert rpf.residual_fn == pytest.approx(res_fn, abs=1e-12)
     assert rpf.residual_meas == pytest.approx(res_meas, abs=1e-12)
+
+
+DEPTH_4_TABLE = Potential.from_table(2, 4, np.random.default_rng(23).uniform(-1.0, 1.0, 16))
+
+
+def dense_eigendata(f, depth):
+    """(lambda, psi, nu) of the dense depth-m matrix, normalised as power_iterate's."""
+    mat = transfer_operator(f, depth).matrix()
+    vals, right = np.linalg.eig(mat)
+    lvals, left = np.linalg.eig(mat.T)
+    psi = np.abs(np.real(right[:, np.argmax(np.abs(vals))]))
+    nu = np.abs(np.real(left[:, np.argmax(np.abs(lvals))]))
+    nu = nu / nu.sum()
+    return float(np.max(np.abs(vals))), psi / (nu @ psi), nu
+
+
+def test_table_iterates_on_its_own_depth_and_lifts_once(monkeypatch):
+    sizes = {"apply": [], "dual_apply": []}
+    for name in sizes:
+        method = getattr(TransferOperator, name)
+
+        def counted(self, values, name=name, method=method):
+            sizes[name].append(self.size)
+            return method(self, values)
+
+        monkeypatch.setattr(TransferOperator, name, counted)
+    rpf = power_iterate(DEPTH_4_TABLE, 13)
+    assert rpf.converged and rpf.psi.depth == rpf.nu.depth == 13
+    for calls in sizes.values():
+        assert len(calls) == rpf.iterations
+        deep = [size for size in calls if size != 2**3]
+        assert 1 <= len(deep) <= 2 and set(deep) == {2**13}
+        assert calls[-len(deep):] == deep  # the depth-13 steps are the last ones
+
+
+@pytest.mark.parametrize("depth", [5, 13, 14])
+def test_lifted_eigendata_match_the_dense_table_depth_solve(depth):
+    f, k = DEPTH_4_TABLE, 3
+    lam, psi, nu = dense_eigendata(f, k)
+    rpf = power_iterate(f, depth, tol=1e-12)
+    assert rpf.converged
+    assert rpf.log_lam == pytest.approx(math.log(lam), abs=1e-13)
+    # psi reads w_1 ... w_k only; nu coarsens to the depth-k eigenmeasure
+    assert np.max(np.abs(rpf.psi.values - np.repeat(psi, 2 ** (depth - k)))) < 1e-10
+    assert np.sum(np.abs(rpf.nu.coarsen(k).weights - nu)) < 1e-10
+    # the residuals are those of the returned depth-D vectors under the depth-D operator
+    op = transfer_operator(f, depth)
+    p, n = rpf.psi.values, rpf.nu.weights
+    res_fn = np.max(np.abs(op.apply(p) - rpf.lam * p)) / (rpf.lam * np.max(p))
+    res_meas = np.sum(np.abs(op.dual_apply(n) - rpf.lam * n)) / (rpf.lam * np.sum(n))
+    assert max(res_fn, res_meas) < 1e-12
+    assert rpf.residual_fn == pytest.approx(res_fn, abs=1e-14)
+    assert rpf.residual_meas == pytest.approx(res_meas, abs=1e-14)
+
+
+def test_wide_spread_lift_stays_finite():
+    # beta * osc = 1400: e^{f - max f} spans e^0 .. e^-1400 (f(11) underflows to 0),
+    # and lambda of e^{-max f} L is ~ e^-350, so every lifted level divides by it
+    f = Potential.from_table(2, 2, [350.0, 700.0, 0.0, -700.0])
+    rpf = power_iterate(f, 13)
+    assert rpf.converged and rpf.iterations < 40
+    assert rpf.log_lam == pytest.approx(350.0 + math.log((1 + math.sqrt(5)) / 2), abs=1e-12)
+    psi, nu = rpf.psi.values, rpf.nu.weights
+    assert np.all(np.isfinite(psi)) and np.all(psi > 0)
+    assert np.all(np.isfinite(nu)) and nu.sum() == pytest.approx(1.0, abs=1e-12)
+    # nu charges exactly the words without two adjacent 1s (weight e^{f(11) - max f} = 0)
+    words = np.arange(2**13)
+    assert np.array_equal(nu > 0, (words & (words >> 1)) == 0)
+
+
+def test_last_permitted_step_runs_at_the_requested_depth():
+    rpf = power_iterate(DEPTH_4_TABLE, 13, max_iter=2)
+    assert not rpf.converged and rpf.iterations == 2
+    assert rpf.psi.values.size == rpf.nu.weights.size == 2**13
+    op = transfer_operator(DEPTH_4_TABLE, 13)
+    p, n = rpf.psi.values, rpf.nu.weights
+    res_fn = np.max(np.abs(op.apply(p) - rpf.lam * p)) / (rpf.lam * np.max(p))
+    res_meas = np.sum(np.abs(op.dual_apply(n) - rpf.lam * n)) / (rpf.lam * np.sum(n))
+    assert rpf.residual_fn == pytest.approx(res_fn, rel=1e-12)
+    assert rpf.residual_meas == pytest.approx(res_meas, rel=1e-12)
+
+
+def test_deep_inner_products_avoid_blas_dot(monkeypatch):
+    # np.dot on vectors of more than 10,000 entries can stall in OpenBLAS's threaded ddot
+    def refused(*args, **kwargs):
+        raise AssertionError("np.dot called")
+
+    monkeypatch.setattr(np, "dot", refused)
+    rpf = power_iterate(MARKOV, 14)
+    assert rpf.converged and rpf.psi.values.size == 2**14
+    assert integrate(rpf.nu, rpf.psi) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_operators_share_one_preimage_index():
+    op = transfer_operator(MARKOV, 5)
+    assert transfer_operator(DEPTH_4_TABLE, 5).preimages is op.preimages
+    assert np.array_equal(op.preimages[1], 2**4 + np.arange(2**5) // 2)
