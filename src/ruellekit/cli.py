@@ -1,11 +1,14 @@
 """Batch front-end: parse configs, dispatch computations, emit reports.
 
 Every subcommand writes a JSON report (schema "ruelle-kit/1") to --out or
-stdout, with numbers rendered at 17 significant digits so identical
-config + seed reproduces identical bytes (modulo the generated_at
-field).  Exit status: 0 on success, 2 when a computed residual lands
-beyond its tolerance, 1 on usage/config errors and on a numerical
-breakdown of a valid config (no report is written then).
+stdout in the layout of json.dumps(sort_keys=True, indent=2): sorted keys,
+one array element per line.  Floats, there and in the tl --csv rows, are
+"%.17g" or NaN/Infinity/-Infinity, so identical config + seed reproduces
+identical bytes (modulo the generated_at field).  Exit status: 0 on
+success, 2 when a computed residual lands beyond its tolerance (normalize:
+power iteration did not converge, or sup |L_fbar 1 - 1| > tol * max psi /
+min psi), 1 on usage/config errors and on a numerical breakdown of a valid
+config (no report is written then).
 
 Config files are JSON objects; recognized keys:
 
@@ -26,7 +29,6 @@ import argparse
 import csv
 import json
 import math
-import re
 import sys
 from datetime import datetime, timezone
 
@@ -59,30 +61,38 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _tokenize(obj, floats: list):
-    """Replace floats by placeholder strings so json.dumps leaves them alone."""
-    if isinstance(obj, float):
-        floats.append(obj)
-        return f"__rk_float_{len(floats) - 1}__"
+def _join_floats(values, sep: str) -> str:
+    """_format_float of each value, joined by sep: one % call when all are finite."""
+    if all(map(math.isfinite, values)):
+        return sep.join(["%.17g"] * len(values)) % tuple(values)
+    return sep.join(map(_format_float, values))
+
+
+def _emit(obj, pad: str) -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) lays it out, floats by _format_float."""
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if not isinstance(obj, (dict, list, tuple, np.ndarray)):
+        return json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
+    if len(obj) == 0:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
     if isinstance(obj, dict):
-        return {k: _tokenize(v, floats) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_tokenize(v, floats) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return _tokenize(float(obj), floats)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
-_FLOAT_TOKEN = re.compile(r'"__rk_float_(\d+)__"')
+        # json.dumps writes a non-string key (tl's int keys) as the string of its JSON text
+        body = sep.join(
+            f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_emit(v, inner)}"
+            for k, v in sorted(obj.items())
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    values = obj.tolist() if isinstance(obj, np.ndarray) else obj
+    all_floats = all(isinstance(v, float) for v in values)
+    body = _join_floats(values, sep) if all_floats else sep.join([_emit(v, inner) for v in values])
+    return "[\n" + inner + body + "\n" + pad + "]"
 
 
 def dump_report(report: dict) -> str:
-    floats: list = []
-    text = json.dumps(_tokenize(report, floats), sort_keys=True, indent=2)
-    text = _FLOAT_TOKEN.sub(lambda m: _format_float(floats[int(m.group(1))]), text)
-    return text + "\n"
+    return _emit(report, "") + "\n"
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
@@ -95,20 +105,14 @@ def _write_report(report: dict, out_path: str | None) -> None:
 
 
 def _write_csv(rows, path: str) -> None:
+    floats = [v for row in rows for v in (row.K_n, row.nu_ref, row.deviation)]
+    cells = iter(_join_floats(floats, "\n").split("\n"))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "cylinder", "boundary_id", "K_n", "nu_ref", "deviation"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.n,
-                    row.cylinder,
-                    row.boundary_id,
-                    _format_float(row.K_n),
-                    _format_float(row.nu_ref),
-                    _format_float(row.deviation),
-                ]
-            )
+        writer.writerows(
+            (r.n, r.cylinder, r.boundary_id, next(cells), next(cells), next(cells)) for r in rows
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +245,8 @@ def _cmd_rpf(cfg, args):
     results = {
         "lambda": rpf.lam,
         "log_lambda": rpf.log_lam,
-        "psi": list(rpf.psi.values),
-        "nu": list(rpf.nu.weights),
+        "psi": rpf.psi.values,
+        "nu": rpf.nu.weights,
         "residuals": {"function": rpf.residual_fn, "measure": rpf.residual_meas},
         "iterations": rpf.iterations,
         "depth": rpf.depth,
@@ -269,12 +273,14 @@ def _cmd_normalize(cfg, args):
     check = transfer.check_normalized(fbar, check_depth)
     results = {
         "depth": fbar.depth(),
-        "values": list(fbar.table.values),
+        "values": fbar.table.values,
         "check_depth": check_depth,
         "check_sup_norm": check,
         "log_lambda": rpf.log_lam,
     }
-    return results, check < tol, None
+    # check is per entry: up to max psi / min psi times the sup-norm residual held under tol
+    psi = rpf.psi.values
+    return results, rpf.converged and check <= tol * psi.max() / psi.min(), None
 
 
 def _cmd_kernel(cfg, args):
@@ -544,10 +550,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         cfg = _load_config(args.config)
         results, ok, rows = _COMMANDS[args.command](cfg, args)
     except UsageError as exc:
@@ -565,19 +573,7 @@ def run(argv=None) -> int:
     report = {
         "schema": SCHEMA,
         "command": args.command,
-        "params": {
-            "d": args.d,
-            "depth": args.depth,
-            "n": args.n,
-            "r": args.r,
-            "beta": args.beta,
-            "alpha": args.alpha,
-            "cutoff": args.cutoff,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "seed": args.seed,
-            "config": args.config,
-        },
+        "params": {k: v for k, v in vars(args).items() if k not in ("command", "out", "csv")},
         "results": results,
         "status": "ok" if ok else "check-failed",
         "generated_at": datetime.now(timezone.utc).isoformat(),

@@ -6,8 +6,11 @@ output, and config parsing for each potential descriptor kind.
 """
 
 import csv
+import dataclasses
+import io
 import json
 import math
+import re
 import warnings
 from collections import defaultdict
 
@@ -83,6 +86,26 @@ def test_normalize_markov(tmp_path):
     code, report = run(tmp_path, "normalize", "--config", markov_config(tmp_path))
     assert code == 0
     assert report["results"]["depth"] == 3
+    assert report["results"]["check_sup_norm"] < 1e-10
+
+
+def test_normalize_passes_converged_eigendata_with_a_wide_psi_spread(tmp_path):
+    # the check is per entry, up to max psi / min psi (17.5 here) times the residual held under tol
+    cfg = write_config(tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 2, "values": [0.0, 0.0, -1.0, 2.0]}}})
+    code, report = run(tmp_path, "normalize", "--config", cfg, "--depth", "2")
+    assert code == 0
+    assert report["status"] == "ok"
+    assert 1e-10 < report["results"]["check_sup_norm"] < 17.6e-10
+
+
+def test_normalize_fails_eigendata_that_did_not_converge(tmp_path, monkeypatch):
+    power_iterate = transfer.power_iterate
+    monkeypatch.setattr(
+        transfer, "power_iterate", lambda *a, **k: dataclasses.replace(power_iterate(*a, **k), converged=False)
+    )
+    code, report = run(tmp_path, "normalize", "--config", markov_config(tmp_path))
+    assert code == 2
+    assert report["status"] == "check-failed"
     assert report["results"]["check_sup_norm"] < 1e-10
 
 
@@ -402,3 +425,113 @@ def test_dump_report_many_floats():
     parsed = json.loads(text)
     assert parsed["values"] == values
     assert parsed["nested"]["first"] == values[0]
+
+
+def _format_float(x):
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return format(x, ".17g")
+
+
+def _tokenize(obj, floats):
+    """Replace floats by placeholder strings so json.dumps leaves them alone."""
+    if isinstance(obj, float):
+        floats.append(obj)
+        return f"__rk_float_{len(floats) - 1}__"
+    if isinstance(obj, dict):
+        return {k: _tokenize(v, floats) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_tokenize(v, floats) for v in obj]
+    if isinstance(obj, np.ndarray):  # as the list of its numpy scalars
+        return _tokenize(list(obj), floats)
+    if isinstance(obj, np.floating):
+        return _tokenize(float(obj), floats)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
+def reference_dump_report(report):
+    """The report layout by definition: json.dumps(sort_keys=True, indent=2)
+    with every float put back at .17g in place of its placeholder."""
+    floats = []
+    text = json.dumps(_tokenize(report, floats), sort_keys=True, indent=2)
+    text = re.sub(r'"__rk_float_(\d+)__"', lambda m: _format_float(floats[int(m.group(1))]), text)
+    return text + "\n"
+
+
+def reference_csv(rows):
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["n", "cylinder", "boundary_id", "K_n", "nu_ref", "deviation"])
+    for row in rows:
+        writer.writerow(
+            [row.n, row.cylinder, row.boundary_id, *map(_format_float, (row.K_n, row.nu_ref, row.deviation))]
+        )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"specials": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 0.1, 1e308]},
+        {"mixed": [1.5, float("nan")], "scalar": float("-inf"), "zero": -0.0, "tiny": 5e-324},
+        {"worst": {1: 0.5, 2: 0.25, 10: 0.125}, "by_name": {"b": 1, "a": 2, "10": 3, "9": 4}},
+        {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [[]], {"x": {}}]},
+        {"tuple": (1.0, 2.5, -3.0), "pair": (1, "a"), "float_tuple_with_nan": (float("nan"), 1.0)},
+        {"f64": np.float64(0.1), "i64": np.int64(-7), "f32": np.float32(0.1), "list_f64": [np.float64(1 / 3), np.float64(2.0)]},
+        {"array": np.random.default_rng(7).standard_normal(33), "array_nan": np.array([1.0, np.nan, -np.inf, 2.0])},
+        {"int_array": np.arange(4), "empty_array": np.zeros(0), "array_2d": np.ones((2, 2))},
+        {"mixed": [1, 2.5, "three", None, True, False, {"k": [0.1]}, np.float32(4.5), np.int64(6)]},
+        {"text": "déjà vu — ψ, ν", "ключ": "значение", "quote": 'a "b" \\ c\n'},
+        [0.1, 0.2],
+        "top-level string",
+        3.0,
+        {},
+    ],
+)
+def test_dump_report_matches_the_json_dumps_layout(obj):
+    assert cli.dump_report(obj) == reference_dump_report(obj)
+
+
+SUBCOMMAND_RUNS = [
+    ("rpf",),
+    ("rpf", "--config", markov_config, "--depth", "6"),
+    ("rpf", "--config", markov_config, "--max-iter", "2"),
+    ("pressure", "--config", markov_config),
+    ("normalize", "--config", markov_config),
+    ("kernel", "--config", markov_config, "--n", "4"),
+    ("kernel", "--config", ising_config, "--n", "4"),
+    ("tl", "--config", markov_config, "--n", "6", "--seed", "3"),
+    ("tl", "--config", markov_config, "--n", "40"),
+    ("dlr-check", "--n", "2", "--r", "2", "--seed", "1"),
+    ("interaction",),
+    ("interaction", "--alpha", "3.0"),
+    ("interaction", "--config", markov_config),
+    ("walters", "--config", markov_config, "--n", "4"),
+    ("uniqueness", "--config", markov_config, "--n", "6"),
+    ("ising", "--n", "20"),
+    ("change-of-measure",),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", SUBCOMMAND_RUNS, ids=lambda argv: " ".join(getattr(a, "__name__", a) for a in argv)
+)
+def test_subcommand_reports_match_the_json_dumps_layout(tmp_path, monkeypatch, argv):
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    reports, tables = [], []
+    dump_report, write_csv = cli.dump_report, cli._write_csv
+    monkeypatch.setattr(cli, "dump_report", lambda r: reports.append(r) or dump_report(r))
+    monkeypatch.setattr(cli, "_write_csv", lambda rows, path: tables.append(rows) or write_csv(rows, path))
+    csv_path = tmp_path / "rows.csv"
+    code, _ = run(tmp_path, *argv, "--csv", str(csv_path))
+    assert code in (0, 2)
+    (report,) = reports
+    text = (tmp_path / "report.json").read_text()
+    assert text == dump_report(report) == reference_dump_report(report)
+    if argv[0] == "tl":
+        (rows,) = tables
+        assert csv_path.read_bytes().decode() == reference_csv(rows)
