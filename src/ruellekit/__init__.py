@@ -36,7 +36,6 @@ from .potentials import (
 from .transfer import (
     RPFData,
     check_normalized,
-    iterate_to_fixed_point,
     normalize,
     power_iterate,
     transfer_operator,
@@ -59,7 +58,6 @@ from .dlr import (
     kernel,
     kernel_measure,
     log_partition,
-    partition,
     sandwich_check,
     tl_sequence,
 )

@@ -62,7 +62,8 @@ from .shift import (
     word_tail_index,
 )
 from .transfer import (
-    DEFAULT_MAX_ITER, DEFAULT_TOL, exp_or_inf, normalize, power_iterate, transfer_operator
+    DEFAULT_MAX_ITER, DEFAULT_TOL, NumericalBreakdown, exp_or_inf, normalize, power_iterate,
+    transfer_operator,
 )
 
 # Nominal rounding allowance of one computed kernel value.
@@ -225,7 +226,8 @@ def _kernels(f: Potential, beta: float, n: int, tests, boundaries) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def log_partition(f: Potential, beta: float, n: int, y: Point) -> float:
-    """log Z_n(y), finite however far Z_n(y) lies outside the float range."""
+    """log Z_n(y), Z_n(y) = sum_w exp(beta S_n f(w . sigma^n y)) = (L^n 1)(sigma^n y),
+    finite however far Z_n(y) lies outside the float range."""
     if n < 1:
         raise ValueError("volume must contain at least one site")
     if f.table is None:
@@ -237,15 +239,6 @@ def log_partition(f: Potential, beta: float, n: int, y: Point) -> float:
     # Z = block * e^lift * 2**exp2 in the engine's row scaling
     row = eng.row(y, n)
     return math.log(float(block[0, row])) + float(lift[row]) + exp2 * _LN2
-
-
-def partition(f: Potential, beta: float, n: int, y: Point) -> float:
-    """Z_n(y) = sum_w exp(beta S_n f(w . sigma^n y)) = (L^n 1)(sigma^n y).
-
-    The exponential of log_partition: inf when Z_n(y) exceeds the float
-    range, 0 when it falls below.
-    """
-    return exp_or_inf(log_partition(f, beta, n, y))
 
 
 def kernel(
@@ -557,19 +550,22 @@ def sandwich_check(
     """Does  e^{-2 D beta} <= kernel([C]|y) / kernel([C]|z) <= e^{2 D beta} hold?
 
     Returns (holds, margin) where margin is the worst of the two
-    multiplicative slacks (>= 1 exactly when the comparison holds).  Valid
-    whenever sigma^n y and sigma^n z lie in the tail family D was
-    estimated over.
+    multiplicative slacks, e^{2 |beta| D - |log K_y - log K_z|} (inf past
+    the float range).  holds reads the log of the margin, so it is decided
+    however wide beta * D is.  Valid whenever sigma^n y and sigma^n z lie
+    in the tail family D was estimated over.  The kernel masses are
+    positive; one that underflows to 0 raises NumericalBreakdown.
     """
     if n < len(C):
         raise ValueError("volume must resolve the cylinder")
     ind = CylinderFunction.indicator(f.d, C)
     ky, kz = (float(k) for k in _kernels(f, beta, n, [ind], [y, z])[:, 0])
     if ky <= 0.0 or kz <= 0.0:
-        raise ValueError("sandwich needs strictly positive kernel masses")
-    spread = math.exp(2.0 * abs(beta) * D)
-    margin = min(spread * kz / ky, spread * ky / kz)
-    return margin >= 1.0, margin
+        raise NumericalBreakdown(
+            "a kernel mass underflowed to 0, the sandwich ratio is out of double precision"
+        )
+    log_margin = 2.0 * abs(beta) * D - abs(math.log(ky) - math.log(kz))
+    return log_margin >= 0.0, exp_or_inf(log_margin)
 
 
 # ---------------------------------------------------------------------------

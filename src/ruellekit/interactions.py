@@ -20,7 +20,14 @@ the Hamiltonian of the volume {1..n} (all stored supports meeting it)
 telescopes to  S_n f(x) - n f(y).
 Each term costs one tabulation of f (potentials.tabulate) on its block
 words followed by the tail of y; the (k, n + 1) term reuses the (k, n)
-tabulation as its second argument.
+tabulation as its second argument.  The result covers the leading sites
+1..k_max, its anchor range, and refuses Hamiltonians of larger volumes.
+
+The spin-chain families ising_nn and ising_lr are translation invariant,
+Phi_{A+s} = Phi_A o sigma^s, so they store only their anchor row, the
+supports with leading site 1, and have no anchor range: the term of A + s
+at x is the row's term of A at sigma^s x, and the Hamiltonian of any
+volume {1..n} sums the row at x, sigma x, ..., sigma^{n-1} x.
 
 The reported norm groups supports by their *leading* site:
 value = sup_s sum over stored A with min A = s of sup|Phi_A|.  Every
@@ -33,7 +40,7 @@ has norm exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +51,7 @@ from .potentials import (
     tabulate,
     var_upper,
 )
-from .shift import Point, shift_n, word_index
+from .shift import CylinderFunction, Point, shift_n, word_index
 
 
 # ---------------------------------------------------------------------------
@@ -97,51 +104,52 @@ class PairSupport:
 
 @dataclass(frozen=True)
 class InteractionTerm:
-    """One local term: a value table over (a prefix of) its support.
+    """One local term: a value table over the leading sites of its support.
 
-    For a Progression the table reads the first local_depth sites of the
-    block (enough for potentials that only see that far); for a pair it
-    always reads both sites.  sup_bound certifies sup|Phi_A|.
+    The table reads the first table.depth sites of the support: for a
+    Progression as many as the potential sees, for a pair both sites.
+    sup_bound certifies sup|Phi_A| (default: the table's sup norm).
     """
 
     support: object
-    d: int
-    local_depth: int
-    values: np.ndarray = field(repr=False)
+    table: CylinderFunction
     sup_bound: float = 0.0
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
-        arr.setflags(write=False)
-        expected = self.d ** self.local_depth
-        if arr.shape != (expected,):
-            raise ValueError(f"expected {expected} values, got {arr.shape}")
-        object.__setattr__(self, "values", arr)
         if self.sup_bound == 0.0:
-            object.__setattr__(self, "sup_bound", float(np.max(np.abs(arr))))
+            object.__setattr__(self, "sup_bound", self.table.sup_norm())
 
     def value_at(self, x: Point) -> float:
-        sites = self.support.sites()[: self.local_depth]
+        sites = self.support.sites()[: self.table.depth]
         word = tuple(x.coord(i) for i in sites)
-        return float(self.values[word_index(word, self.d)])
+        return float(self.table.values[word_index(word, self.table.d)])
 
 
 @dataclass(frozen=True)
 class Interaction:
+    """Stored terms with leading sites 1..anchor_range.
+
+    anchor_range None marks a translation-invariant family stored as its
+    anchor row: every term has leading site 1, and anchor s is the row
+    read at sigma^(s-1) x.
+    """
+
     d: int
     terms: tuple[InteractionTerm, ...]
+    anchor_range: int | None
     norm_remainder: float = 0.0
-    translation_invariant: bool = False
     label: str = ""
+
+    def __post_init__(self):
+        limit = 1 if self.anchor_range is None else self.anchor_range
+        if any(t.support.min_site > limit for t in self.terms):
+            raise ValueError(f"stored terms need leading sites in 1..{limit}")
 
     def anchors(self) -> list[int]:
         return sorted({t.support.min_site for t in self.terms})
 
     def terms_at_anchor(self, s: int) -> list[InteractionTerm]:
         return [t for t in self.terms if t.support.min_site == s]
-
-    def max_anchor(self) -> int:
-        return max((t.support.min_site for t in self.terms), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +187,14 @@ def from_potential(
                 continue
             terms.append(
                 InteractionTerm(
-                    Progression(k, n), f.d, t, vals, float(np.max(np.abs(vals))) + bound
+                    Progression(k, n), CylinderFunction(f.d, t, vals), float(np.max(np.abs(vals))) + bound
                 )
             )
     return Interaction(
         d=f.d,
         terms=tuple(terms),
+        anchor_range=k_max,
         norm_remainder=_from_potential_remainder(f, k_max, n_max),
-        translation_invariant=False,
         label=f"telescoped({f.label})" if f.label else "telescoped",
     )
 
@@ -223,15 +231,17 @@ def hamiltonian_from_interaction(phi: Interaction, n: int, x: Point) -> float:
     """H_n(x): total stored interaction of supports meeting {1, ..., n}.
 
     A support meets the volume exactly when its leading site does, so this
-    sums the terms with min A <= n.  Callers must keep n within the stored
-    anchor range (the truncated family has nothing beyond it).
+    sums the terms with min A <= n: for an anchor row, the row at
+    sigma^s x for s < n.  Otherwise n must lie within the anchor range
+    (the truncated family has nothing beyond it).
     """
     if n < 1:
         raise ValueError("volume must contain at least site 1")
-    if n > phi.max_anchor():
-        raise ValueError(
-            f"volume {n} exceeds the stored anchor range {phi.max_anchor()}"
-        )
+    if phi.anchor_range is None:
+        shifted = [shift_n(x, s) for s in range(n)]
+        return math.fsum(t.value_at(xs) for xs in shifted for t in phi.terms)
+    if n > phi.anchor_range:
+        raise ValueError(f"volume {n} exceeds the stored anchor range {phi.anchor_range}")
     return math.fsum(
         t.value_at(x) for t in phi.terms if t.support.min_site <= n
     )
@@ -247,22 +257,15 @@ class NormResult:
         return self.value + self.remainder
 
 
-def interaction_norm(phi: Interaction, site_range: int | None = None) -> NormResult:
+def interaction_norm(phi: Interaction) -> NormResult:
     """sup over leading sites of the summed term bounds, plus remainder.
 
-    Scans the stored anchors up to site_range (all of them by default; the
-    first anchor suffices for translation-invariant families).  The
+    Scans the stored anchors (an anchor row has only site 1).  The
     remainder certifies the contribution of supports dropped by whatever
     truncation built the interaction.
     """
-    if phi.translation_invariant:
-        anchors = [1]
-    else:
-        anchors = phi.anchors()
-        if site_range is not None:
-            anchors = [s for s in anchors if s <= site_range]
     value = 0.0
-    for s in anchors:
+    for s in phi.anchors():
         value = max(value, math.fsum(t.sup_bound for t in phi.terms_at_anchor(s)))
     return NormResult(value=value, remainder=phi.norm_remainder)
 
@@ -271,22 +274,18 @@ def interaction_norm(phi: Interaction, site_range: int | None = None) -> NormRes
 # Spin-chain families
 # ---------------------------------------------------------------------------
 
-def ising_nn(site_range: int = 32) -> Interaction:
+def ising_nn() -> Interaction:
     """Phi_{{s,s+1}}(x) = x_s x_{s+1} - 1 on occupation labels {0, 1}.
 
     Per leading site there is a single pair with sup|Phi| = 1, so the norm
-    is exactly 1 with no remainder.
+    is exactly 1 with no remainder.  Stored as its anchor row {1, 2}.
     """
     vals = np.array([0.0 * 0 - 1, 0 * 1 - 1, 1 * 0 - 1, 1 * 1 - 1])
-    terms = [
-        InteractionTerm(PairSupport(s, s + 1), 2, 2, vals)
-        for s in range(1, site_range + 1)
-    ]
     return Interaction(
         d=2,
-        terms=tuple(terms),
+        terms=(InteractionTerm(PairSupport(1, 2), CylinderFunction(2, 2, vals)),),
+        anchor_range=None,
         norm_remainder=0.0,
-        translation_invariant=True,
         label="ising-nn",
     )
 
@@ -295,7 +294,6 @@ def ising_lr(
     alpha: float,
     labels: str = "occupation",
     pair_range: int = 64,
-    site_range: int = 32,
 ) -> Interaction:
     """Two-body chain with couplings decaying like |i-j|**(-alpha).
 
@@ -306,6 +304,7 @@ def ising_lr(
     shift the Hamiltonian by a configuration-independent amount once the
     volume is fixed).
 
+    Stored as its anchor row, the pairs {1, 1 + r} for r <= pair_range.
     Needs alpha > 1 for a summable per-site tail; the remainder is the
     integral-enclosure upper bound on sum_{r > pair_range} r^(-alpha).
     """
@@ -318,16 +317,14 @@ def ising_lr(
     else:
         raise ValueError(f"unknown labels {labels!r}")
     terms = []
-    for s in range(1, site_range + 1):
-        for r in range(1, pair_range + 1):
-            terms.append(
-                InteractionTerm(PairSupport(s, s + r), 2, 2, base / float(r) ** alpha)
-            )
+    for r in range(1, pair_range + 1):
+        p = float(r) ** alpha  # sup|base / p| = 1 / p, bitwise
+        terms.append(InteractionTerm(PairSupport(1, 1 + r), CylinderFunction(2, 2, base / p), 1.0 / p))
     remainder = pair_range ** (1.0 - alpha) / (alpha - 1.0)
     return Interaction(
         d=2,
         terms=tuple(terms),
+        anchor_range=None,
         norm_remainder=remainder,
-        translation_invariant=True,
         label=f"ising-lr(alpha={alpha},{labels})",
     )

@@ -275,19 +275,3 @@ def check_normalized(fbar: Potential, depth: int) -> float:
     op = transfer_operator(fbar, depth)
     return float(np.max(np.abs(op.apply(np.ones(op.size)) - 1.0)))
 
-
-def iterate_to_fixed_point(
-    fbar: Potential, g: CylinderFunction, depth: int, n: int
-) -> CylinderFunction:
-    """The n-th iterate of L_fbar on g at the given depth.
-
-    For a normalised potential the iterates squeeze onto the constant
-    equal to the integral of g against the invariant measure; compare the
-    oscillation of the returns at increasing n to watch the collapse.
-    """
-    op = transfer_operator(fbar, depth)
-    values = g.refine(depth).values
-    for _ in range(n):
-        values = op.apply(values)
-    return CylinderFunction(fbar.d, depth, values)
-

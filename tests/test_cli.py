@@ -220,6 +220,30 @@ def test_uniqueness_reports_certificate(tmp_path):
     assert report["results"]["min_margin"] >= 1.0
 
 
+def wide_table_config(tmp_path):
+    return write_config(
+        tmp_path,
+        {"potential": {"kind": "table", "params": {"d": 2, "depth": 2, "values": [0.0, -800.0, 0.0, -800.0]}}},
+    )
+
+
+def test_uniqueness_margin_beyond_the_float_range(tmp_path):
+    # 2 beta D = 720 overflows exp; the margin is decided as a log
+    code, report = run(tmp_path, "uniqueness", "--config", wide_table_config(tmp_path), "--beta", "0.45")
+    assert code == 0
+    assert report["results"]["D"] == 800.0
+    assert report["results"]["holds_all"] is True
+    assert all(m >= 1.0 for m in report["results"]["margins"])
+
+
+def test_uniqueness_underflowed_kernel_mass_is_a_breakdown(tmp_path, capsys):
+    # at beta 1 kernel masses of order e^-800 underflow to 0
+    code, report = run(tmp_path, "uniqueness", "--config", wide_table_config(tmp_path), "--beta", "1")
+    assert code == 1
+    assert report is None
+    assert "numerical breakdown:" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exit_1(capsys):
     assert cli.main(["frobnicate"]) == 1
     assert "usage error" in capsys.readouterr().err

@@ -17,13 +17,12 @@ from ruellekit.dlr import (
     kernel,
     kernel_measure,
     log_partition,
-    partition,
     sandwich_check,
     tl_sequence,
 )
 from ruellekit.potentials import GenericContinuous, Hoelder, Potential, birkhoff, scale
 from ruellekit.shift import CylinderFunction, CylinderMeasure, Point, prepend, shift_n, word_index
-from ruellekit.transfer import TransferOperator, normalize, power_iterate, transfer_operator
+from ruellekit.transfer import TransferOperator, exp_or_inf, normalize, power_iterate, transfer_operator
 
 MARKOV = Potential.from_table(2, 2, [math.log(2.0), 0.0, 0.0, 0.0], label="markov")
 
@@ -93,7 +92,7 @@ def oracle_case(d, depth, n):
 def test_partition_counts_when_potential_vanishes():
     zero = Potential.constant(2, 0.0)
     for n in (1, 2, 3, 5):
-        assert partition(zero, 1.0, n, Point.constant(0)) == pytest.approx(2.0**n)
+        assert math.exp(log_partition(zero, 1.0, n, Point.constant(0))) == pytest.approx(2.0**n)
 
 
 def test_partition_matches_enumeration():
@@ -103,7 +102,7 @@ def test_partition_matches_enumeration():
         y = random_point(rng, 2)
         n = int(rng.integers(1, 5))
         beta = float(rng.uniform(0.2, 2.0))
-        assert partition(f, beta, n, y) == pytest.approx(
+        assert math.exp(log_partition(f, beta, n, y)) == pytest.approx(
             brute_partition(f, beta, n, y), rel=1e-13
         )
 
@@ -111,12 +110,12 @@ def test_partition_matches_enumeration():
 @pytest.mark.parametrize("d,depth,n", ORACLE_CASES)
 def test_partition_matches_enumeration_oracle(d, depth, n):
     f, y, beta, _ = oracle_case(d, depth, n)
-    assert partition(f, beta, n, y) == pytest.approx(brute_partition(f, beta, n, y), rel=1e-13)
+    assert math.exp(log_partition(f, beta, n, y)) == pytest.approx(brute_partition(f, beta, n, y), rel=1e-13)
     assert log_partition(f, beta, n, y) == pytest.approx(brute_log_partition(f, beta, n, y), abs=1e-12)
 
 
 def test_log_partition_outside_the_float_range():
-    # at n = 2, Z = 2 e^-640000 (1 + e^-640000): partition underflows to 0, its log does not
+    # at n = 2, Z = 2 e^-640000 (1 + e^-640000): Z underflows to 0, its log does not
     f = Potential.from_table(2, 2, [0.0, -800.0, 0.0, -800.0])
     h = Potential.from_callable(2, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=1600.0))
     y = Point.from_literal("|1")
@@ -125,10 +124,10 @@ def test_log_partition_outside_the_float_range():
         for p in (f, h):
             assert log_partition(p, 800.0, n, y) == pytest.approx(
                 brute_log_partition(f, 800.0, n, y), rel=1e-13)
-            assert partition(p, 800.0, n, y) == 0.0
+            assert exp_or_inf(log_partition(p, 800.0, n, y)) == 0.0
             assert log_partition(p, -800.0, n, y) == pytest.approx(
                 brute_log_partition(f, -800.0, n, y), rel=1e-13)
-            assert partition(p, -800.0, n, y) == math.inf
+            assert exp_or_inf(log_partition(p, -800.0, n, y)) == math.inf
 
 
 def test_kernel_matches_enumeration():
@@ -200,7 +199,7 @@ def test_kernel_survives_any_spread_of_beta_f():
             top = float(np.max(logw))
             # f shifted per site so that log Z stays in range
             h = Potential.from_table(d, depth, values - top / (beta * n))
-            assert math.log(partition(h, beta, n, y)) == pytest.approx(
+            assert log_partition(h, beta, n, y) == pytest.approx(
                 math.log(np.exp(logw - top).sum()), abs=1e-11)
 
 
@@ -237,7 +236,8 @@ def test_callable_potential_matches_its_table():
     y, z = Point.from_literal("10|011"), Point.from_literal("|1")
     for n in (1, 4):
         assert kernel(h, 0.7, n, y, g) == pytest.approx(kernel(f, 0.7, n, y, g), abs=1e-13)
-        assert partition(h, 0.7, n, y) == pytest.approx(partition(f, 0.7, n, y), rel=1e-13)
+        assert math.exp(log_partition(h, 0.7, n, y)) == pytest.approx(
+            math.exp(log_partition(f, 0.7, n, y)), rel=1e-13)
         assert np.allclose(kernel_measure(h, 0.7, n, y).weights,
                            kernel_measure(f, 0.7, n, y).weights, rtol=0, atol=1e-13)
         assert sandwich_check(h, 0.7, n, (1,), y, z, 0.5)[1] == pytest.approx(

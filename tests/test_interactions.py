@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from ruellekit.interactions import (
+    Interaction,
+    InteractionTerm,
     PairSupport,
     Progression,
     from_potential,
@@ -15,7 +17,7 @@ from ruellekit.interactions import (
 )
 from ruellekit.ising import zeta
 from ruellekit.potentials import Hoelder, Potential, birkhoff
-from ruellekit.shift import Point
+from ruellekit.shift import CylinderFunction, Point
 
 
 def random_points(seed, d, count):
@@ -23,6 +25,37 @@ def random_points(seed, d, count):
     for _ in range(count):
         yield Point(tuple(rng.integers(0, d, int(rng.integers(0, 5)))),
                     tuple(rng.integers(0, d, int(rng.integers(1, 3)))))
+
+
+def long_points(seed, count):
+    """Points with aperiodic prefixes of 40-180 sites, so the pairs of H_n read varied spins."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield Point(tuple(rng.integers(0, 2, int(rng.integers(40, 180)))),
+                    tuple(rng.integers(0, 2, int(rng.integers(1, 4)))))
+
+
+def translated_copies(phi, copies=32):
+    """The per-anchor layout: the anchor row's pairs translated to leading
+    sites 1..copies, each copy sharing the row's table."""
+    terms = tuple(
+        InteractionTerm(PairSupport(t.support.i + s, t.support.j + s), t.table)
+        for s in range(copies)
+        for t in phi.terms
+    )
+    return Interaction(d=phi.d, terms=terms, anchor_range=copies)
+
+
+def brute_pair_sum(alpha, labels, pair_range, n, x):
+    """H_n(x) summed pair by pair from the definition of the chain."""
+    s = x.coords(n + pair_range)
+    if labels == "spin":
+        pair = [[(2 * a - 1) * (2 * b - 1) for b in (0, 1)] for a in (0, 1)]
+    else:
+        pair = [[a * b - 1 for b in (0, 1)] for a in (0, 1)]
+    return math.fsum(
+        pair[s[i]][s[i + r]] / float(r) ** alpha for i in range(n) for r in range(1, pair_range + 1)
+    )
 
 
 def test_progression_sites():
@@ -103,7 +136,7 @@ def test_from_potential_of_callable_twin_matches_table(d, depth, y):
     assert [t.support for t in phi_h.terms] == [t.support for t in phi_f.terms]
     for a, b in zip(phi_f.terms, phi_h.terms):
         # the callable's tables read the whole block, the table's only its depth
-        assert np.array_equal(np.repeat(a.values, d ** (b.local_depth - a.local_depth)), b.values)
+        assert np.array_equal(np.repeat(a.table.values, d ** (b.table.depth - a.table.depth)), b.table.values)
         assert a.sup_bound == b.sup_bound
 
 
@@ -118,7 +151,61 @@ def test_from_potential_evaluates_f_once_per_word():
     phi = from_potential(f, Point.from_literal("1|0"), k_max=3, n_max=3)
     assert len(phi.terms) == 3 * 4  # no term vanishes, so each tabulation is stored
     # one evaluation per word of each term, plus f(y)
-    assert len(calls) == 1 + sum(2**t.local_depth for t in phi.terms)
+    assert len(calls) == 1 + sum(2**t.table.depth for t in phi.terms)
+
+
+def test_constant_potential_has_zero_hamiltonian():
+    # every telescoped term vanishes, yet the volumes 1..k_max stay covered
+    phi = from_potential(Potential.constant(2, 0.5), Point.from_literal("1|0"), 8, 8)
+    assert phi.terms == ()
+    for x in random_points(41, 2, 5):
+        for n in range(1, 9):
+            assert hamiltonian_from_interaction(phi, n, x) == 0.0
+    with pytest.raises(ValueError, match="anchor range 8"):
+        hamiltonian_from_interaction(phi, 9, Point.constant(0))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [ising_nn(), ising_lr(2.5), ising_lr(1.5, labels="spin")],
+    ids=["nn", "lr-occupation", "lr-spin"],
+)
+def test_anchor_row_hamiltonian_equals_translated_copies(phi):
+    oracle = translated_copies(phi)
+    assert phi.anchors() == [1]
+    for x in long_points(42, 4):
+        for n in (1, 2, 3, 9, 20, 31, 32):
+            assert hamiltonian_from_interaction(phi, n, x) == hamiltonian_from_interaction(oracle, n, x)
+    with pytest.raises(ValueError, match="anchor range 32"):
+        hamiltonian_from_interaction(oracle, 33, Point.constant(0))
+
+
+@pytest.mark.parametrize("labels", ["occupation", "spin"])
+def test_anchor_row_hamiltonian_beyond_the_old_copies(labels):
+    phi = ising_lr(2.5, labels=labels, pair_range=16)
+    nn = ising_nn()
+    for x in long_points(43, 3):
+        for n in (40, 100):
+            assert hamiltonian_from_interaction(phi, n, x) == brute_pair_sum(2.5, labels, 16, n, x)
+            assert hamiltonian_from_interaction(nn, n, x) == brute_pair_sum(0.0, "occupation", 1, n, x)
+
+
+@pytest.mark.parametrize("pair_range", [1, 64, 4096])
+def test_lr_stores_one_row(pair_range):
+    phi = ising_lr(2.0, pair_range=pair_range)
+    assert len(phi.terms) == pair_range
+    assert [t.support for t in phi.terms] == [PairSupport(1, 1 + r) for r in range(1, pair_range + 1)]
+    assert all(t.sup_bound == t.table.sup_norm() for t in phi.terms)
+
+
+def test_interaction_refuses_terms_beyond_its_anchors():
+    table = CylinderFunction(2, 2, [-1.0, -1.0, -1.0, 0.0])
+    off_row = InteractionTerm(PairSupport(2, 3), table)
+    with pytest.raises(ValueError, match="leading sites in 1..1"):
+        Interaction(d=2, terms=(InteractionTerm(PairSupport(1, 2), table), off_row), anchor_range=None)
+    with pytest.raises(ValueError, match="leading sites in 1..1"):
+        Interaction(d=2, terms=(off_row,), anchor_range=1)
+    assert Interaction(d=2, terms=(off_row,), anchor_range=2).anchors() == [2]
 
 
 def test_nn_norm_is_exactly_one():
