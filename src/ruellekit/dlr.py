@@ -29,6 +29,14 @@ exponentiated once per epoch, so no kernel underflows to 0 / 0 however
 large beta * osc(f) is, and adding a constant to the exponent cancels in
 the normalised kernel.  The word enumeration subtracts the maximum over
 the words of each boundary.
+
+The boundary-independence certificate asks many small kernels at once:
+sandwich_check takes a list of draws (n, C, y, z) and reads all their
+kernels from one sweep over the distinct indicators 1_[C], boundaries and
+volumes, and D_estimate returns the running maxima of one pass, so one
+call serves every window up to N.  Each sandwich is decided on its log
+margin 2|beta| D - |log K_y - log K_z|, which stays finite where the
+margin itself overflows.
 """
 
 from __future__ import annotations
@@ -502,27 +510,32 @@ def default_tails(d: int) -> list[Point]:
 
 def D_estimate(
     f: Potential, N: int, tails: list[Point] | None = None
-) -> tuple[float, float]:
-    """Worst oscillation of S_n f across tail choices, n <= N, plus bound.
+) -> tuple[list[float], float]:
+    """Worst oscillation of S_n f across tail choices, for each window n <= N,
+    plus bound.
 
-    value = max over n <= N, over length-n words w, over pairs t, t' from
-    the tail set, of |S_n f(w.t) - S_n f(w.t')|.  bound is the metadata
-    majorant sum_{i>=1} var_i(f) (finite for locally-constant and Hoelder
-    regularity, inf otherwise).  tail_birkhoff gives S_n f(w.t) for every
-    w.  For a depth-m table only the last m - 1 terms of S_n f(w.t) read
-    t, and they read only the last m - 1 symbols of w, so every n >= m - 1
-    gives the same maximum: tables stop at n = min(N, m - 1).
+    values[n] = max over k <= n, over length-k words w, over pairs t, t'
+    from the tail set, of |S_k f(w.t) - S_k f(w.t')|, for n = 0, ..., N
+    (values[0] = 0): the running maxima of one pass, so values[-1] is the
+    estimate at N and values[n] the one a shorter window n would give.
+    bound is the metadata majorant sum_{i>=1} var_i(f) (finite for
+    locally-constant and Hoelder regularity, inf otherwise).  tail_birkhoff
+    gives S_k f(w.t) for every w.  For a depth-m table only the last m - 1
+    terms of S_k f(w.t) read t, and they read only the last m - 1 symbols
+    of w, so every k >= m - 1 gives the same maximum: tables stop at
+    k = min(N, m - 1) and repeat that maximum up to N.
     """
     tails = default_tails(f.d) if tails is None else tails
     if len(tails) < 2:
         raise ValueError("need at least two tails to compare")
     n_max = min(N, f.truncation_depth() - 1) if f.table is not None else N
-    value = 0.0
+    values = [0.0]
     # each tail's pass checks d**n_max against the size guard before any work
     for sums in zip(*(tail_birkhoff(f, n_max, t) for t in tails)):
         stack = np.stack([s for s, _ in sums])
-        value = max(value, float(np.max(stack.max(axis=0) - stack.min(axis=0))))
-    return value, _variation_sum_bound(f)
+        values.append(max(values[-1], float(np.max(stack.max(axis=0) - stack.min(axis=0)))))
+    values += values[-1:] * (N + 1 - len(values))
+    return values, _variation_sum_bound(f)
 
 
 def _variation_sum_bound(f: Potential) -> float:
@@ -541,31 +554,47 @@ def _variation_sum_bound(f: Potential) -> float:
 def sandwich_check(
     f: Potential,
     beta: float,
-    n: int,
-    C: tuple[int, ...],
-    y: Point,
-    z: Point,
+    draws: list[tuple[int, tuple[int, ...], Point, Point]],
     D: float,
-) -> tuple[bool, float]:
-    """Does  e^{-2 D beta} <= kernel([C]|y) / kernel([C]|z) <= e^{2 D beta} hold?
+) -> list[tuple[bool, float, float]]:
+    """Does  e^{-2 D beta} <= kernel([C]|y) / kernel([C]|z) <= e^{2 D beta}
+    hold for each draw (n, C, y, z)?
 
-    Returns (holds, margin) where margin is the worst of the two
-    multiplicative slacks, e^{2 |beta| D - |log K_y - log K_z|} (inf past
-    the float range).  holds reads the log of the margin, so it is decided
-    however wide beta * D is.  Valid whenever sigma^n y and sigma^n z lie
-    in the tail family D was estimated over.  The kernel masses are
-    positive; one that underflows to 0 raises NumericalBreakdown.
+    Returns (holds, margin, log_margin) per draw, where log_margin =
+    2 |beta| D - |log K_y - log K_z| is the log of the worst of the two
+    multiplicative slacks and margin = e^{log_margin} (inf past the float
+    range).  holds reads the log margin, so it is decided however wide
+    beta * D is.  Valid whenever sigma^n y and sigma^n z lie in the tail
+    family D was estimated over.
+
+    Every kernel comes from one sweep over the distinct indicators 1_[C],
+    boundaries and volumes; for a table-backed potential that is one
+    engine pass at the depth of the deepest cylinder.  A shallower
+    indicator lifted to that depth repeats its rows and the engine rescales
+    each row by its constant-1 column, so every kernel is bitwise the one
+    kernel() gives for its draw alone.  The kernel masses are positive; one
+    that underflows to 0 raises NumericalBreakdown.
     """
-    if n < len(C):
-        raise ValueError("volume must resolve the cylinder")
-    ind = CylinderFunction.indicator(f.d, C)
-    ky, kz = (float(k) for k in _kernels(f, beta, n, [ind], [y, z])[:, 0])
-    if ky <= 0.0 or kz <= 0.0:
-        raise NumericalBreakdown(
-            "a kernel mass underflowed to 0, the sandwich ratio is out of double precision"
-        )
-    log_margin = 2.0 * abs(beta) * D - abs(math.log(ky) - math.log(kz))
-    return log_margin >= 0.0, exp_or_inf(log_margin)
+    for n, C, _, _ in draws:
+        if n < len(C):
+            raise ValueError("volume must resolve the cylinder")
+        if n < 1:
+            raise ValueError("volume must contain at least one site")
+    test_of = {C: j for j, C in enumerate(dict.fromkeys(C for _, C, _, _ in draws))}
+    row_of = {p: b for b, p in enumerate(dict.fromkeys(p for _, _, y, z in draws for p in (y, z)))}
+    tests = [CylinderFunction.indicator(f.d, C) for C in test_of]
+    kernels = dict(_sweep(f, beta, tests, list(row_of), sorted({n for n, _, _, _ in draws})))
+    checks = []
+    for n, C, y, z in draws:
+        K, j = kernels[n], test_of[C]
+        ky, kz = float(K[row_of[y], j]), float(K[row_of[z], j])
+        if ky <= 0.0 or kz <= 0.0:
+            raise NumericalBreakdown(
+                "a kernel mass underflowed to 0, the sandwich ratio is out of double precision"
+            )
+        log_margin = 2.0 * abs(beta) * D - abs(math.log(ky) - math.log(kz))
+        checks.append((log_margin >= 0.0, exp_or_inf(log_margin), log_margin))
+    return checks
 
 
 # ---------------------------------------------------------------------------

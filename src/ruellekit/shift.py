@@ -58,17 +58,6 @@ def word_index(word: Sequence[int], d: int) -> int:
     return idx
 
 
-def index_word(idx: int, length: int, d: int) -> tuple[int, ...]:
-    """Inverse of :func:`word_index` for words of the given length."""
-    if not 0 <= idx < d ** length:
-        raise ValueError(f"index {idx} out of range for length {length}")
-    out = []
-    for _ in range(length):
-        out.append(idx % d)
-        idx //= d
-    return tuple(reversed(out))
-
-
 def word_table(length: int, d: int) -> np.ndarray:
     """All words of a given length as an integer array of shape (d**length, length).
 

@@ -144,19 +144,19 @@ def test_criterion_07_uniqueness_certificate():
         for m, seed in ((2, 11), (3, 12), (4, 13))
     ]
     worst_stab = max(
-        abs(dlr.D_estimate(f, 8)[0] - dlr.D_estimate(f, 16)[0]) for f in pots
+        abs(dlr.D_estimate(f, 8)[0][-1] - dlr.D_estimate(f, 16)[0][-1]) for f in pots
     )
     rng = np.random.default_rng(21)
     tails = dlr.default_tails(2)
     min_margin, holds_all = np.inf, True
     for i in range(20):
         f = pots[i % 3]
-        D = dlr.D_estimate(f, 8)[0]
+        D = dlr.D_estimate(f, 8)[0][-1]
         n = int(rng.integers(1, 9))
         C = tuple(int(s) for s in rng.integers(0, 2, size=int(rng.integers(1, min(n, 4) + 1))))
         y = prepend(tails[int(rng.integers(0, 3))], tuple(int(s) for s in rng.integers(0, 2, size=n)))
         z = prepend(tails[int(rng.integers(0, 3))], tuple(int(s) for s in rng.integers(0, 2, size=n)))
-        holds, margin = dlr.sandwich_check(f, 1.0, n, C, y, z, D)
+        holds, margin, _ = dlr.sandwich_check(f, 1.0, [(n, C, y, z)], D)[0]
         holds_all = holds_all and holds
         min_margin = min(min_margin, margin)
     ok = worst_stab < 1e-12 and holds_all and min_margin >= 1.0

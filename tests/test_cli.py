@@ -218,6 +218,37 @@ def test_uniqueness_reports_certificate(tmp_path):
     assert report["results"]["stabilized"] is True
     assert report["results"]["holds_all"] is True
     assert report["results"]["min_margin"] >= 1.0
+    log_margins = report["results"]["log_margins"]
+    assert report["results"]["margins"] == [math.exp(x) for x in log_margins]
+    assert report["results"]["min_log_margin"] == min(log_margins)
+
+
+def test_uniqueness_builds_one_engine_and_one_D_pass(tmp_path, monkeypatch):
+    # all 20 sandwich kernels come from one operator; one pass gives D at N and 2N
+    built, passes = [], []
+    build, estimate = dlr.transfer_operator, dlr.D_estimate
+    monkeypatch.setattr(dlr, "transfer_operator", lambda *a: built.append(a) or build(*a))
+    monkeypatch.setattr(dlr, "D_estimate", lambda *a: passes.append(a) or estimate(*a))
+    cfg = write_config(
+        tmp_path,
+        {"potential": {"kind": "table", "params": {"d": 2, "depth": 3, "values": [0.3, -1, 0.5, 0, 1, -0.2, 0.8, -0.6]}}},
+    )
+    code, report = run(tmp_path, "uniqueness", "--config", cfg, "--n", "6")
+    assert code == 0 and len(report["results"]["margins"]) == 20
+    assert len(built) == 1
+    assert len(passes) == 1
+
+
+def test_uniqueness_reads_D_at_N_from_the_2N_pass(tmp_path):
+    # a depth-4 table oscillates further at n = 2 than at n = 1: --n 1 is not stabilised
+    values = [0.0, 1.0, -0.5, 2.0, 0.25, -1.0, 1.5, 0.0, -2.0, 0.5, 1.0, -0.25, 0.75, 0.0, -1.5, 1.25]
+    cfg = write_config(tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 4, "values": values}}})
+    f = potentials.Potential.from_table(2, 4, values)
+    code, report = run(tmp_path, "uniqueness", "--config", cfg, "--n", "1")
+    D1, D2 = dlr.D_estimate(f, 1)[0][-1], dlr.D_estimate(f, 2)[0][-1]
+    assert D1 < D2
+    assert report["results"]["D"] == D1
+    assert report["results"]["stabilized"] is False and code == 2
 
 
 def wide_table_config(tmp_path):
@@ -234,6 +265,11 @@ def test_uniqueness_margin_beyond_the_float_range(tmp_path):
     assert report["results"]["D"] == 800.0
     assert report["results"]["holds_all"] is True
     assert all(m >= 1.0 for m in report["results"]["margins"])
+    # the margins overflow to Infinity; their logs say by how much each sandwich holds
+    log_margins = report["results"]["log_margins"]
+    assert len(log_margins) == 20
+    assert all(math.isfinite(x) and 0.0 <= x <= 2 * 0.45 * 800.0 for x in log_margins)
+    assert report["results"]["min_log_margin"] == min(log_margins)
 
 
 def test_uniqueness_underflowed_kernel_mass_is_a_breakdown(tmp_path, capsys):

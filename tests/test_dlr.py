@@ -240,8 +240,8 @@ def test_callable_potential_matches_its_table():
             math.exp(log_partition(f, 0.7, n, y)), rel=1e-13)
         assert np.allclose(kernel_measure(h, 0.7, n, y).weights,
                            kernel_measure(f, 0.7, n, y).weights, rtol=0, atol=1e-13)
-        assert sandwich_check(h, 0.7, n, (1,), y, z, 0.5)[1] == pytest.approx(
-            sandwich_check(f, 0.7, n, (1,), y, z, 0.5)[1], rel=1e-12)
+        assert sandwich_check(h, 0.7, [(n, (1,), y, z)], 0.5)[0][1] == pytest.approx(
+            sandwich_check(f, 0.7, [(n, (1,), y, z)], 0.5)[0][1], rel=1e-12)
         assert constant_shift_check(h, 0.7, n, y, g, 30.0) < 1e-12
         assert finite_volume_dlr_check(h, 0.7, n, 2, z, g) < 1e-12
         nu = power_iterate(f, 4, tol=1e-14).nu
@@ -364,8 +364,9 @@ def test_tl_rows_converge_to_eigenprobability():
 def test_D_estimate_stabilizes_and_bounds():
     rng = np.random.default_rng(27)
     f = Potential.from_table(2, 3, rng.uniform(-1.0, 1.0, 8))
-    v1, b1 = D_estimate(f, 4)
-    v2, b2 = D_estimate(f, 8)
+    values1, b1 = D_estimate(f, 4)
+    values2, b2 = D_estimate(f, 8)
+    v1, v2 = values1[-1], values2[-1]
     assert abs(v1 - v2) < 1e-12
     assert v1 <= b1 + 1e-12
     assert b1 == b2
@@ -391,7 +392,9 @@ def test_D_estimate_matches_enumeration_oracle(d, m):
         for w in itertools.product(range(d), repeat=N):
             vals = [birkhoff(f, prepend(t, w), N).value for t in tails]
             brute = max(brute, max(vals) - min(vals))
-        assert D_estimate(f, N)[0] == pytest.approx(brute, abs=1e-13)
+        assert D_estimate(f, N)[0][-1] == pytest.approx(brute, abs=1e-13)
+        # the running maxima of one longer pass hold every shorter window's estimate
+        assert D_estimate(f, m + 1)[0][N] == D_estimate(f, N)[0][-1]
 
 
 @pytest.mark.parametrize("d,m", [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3)])
@@ -403,7 +406,8 @@ def test_D_estimate_of_callable_twin_matches_table(d, m):
     tails = default_tails(d) + [Point.from_literal("1|0"), Point.from_literal("01|10")]
     for N in range(1, m + 2):
         for ts in (None, tails):
-            assert D_estimate(h, N, ts)[0] == pytest.approx(D_estimate(f, N, ts)[0], rel=1e-13, abs=1e-13)
+            assert D_estimate(h, N, ts)[0][-1] == pytest.approx(D_estimate(f, N, ts)[0][-1], rel=1e-13, abs=1e-13)
+            assert D_estimate(h, m + 1, ts)[0][N] == D_estimate(h, N, ts)[0][-1]
 
 
 def test_callable_kernel_evaluates_each_tail_word_once():
@@ -439,7 +443,7 @@ def test_callable_kernel_evaluates_each_tail_word_once():
 
 
 def test_sandwich_certificate():
-    D, _ = D_estimate(MARKOV, 6)
+    D = D_estimate(MARKOV, 6)[0][-1]
     tails = default_tails(2)
     rng = np.random.default_rng(28)
     for trial in range(10):
@@ -447,14 +451,39 @@ def test_sandwich_certificate():
         C = tuple(rng.integers(0, 2, int(rng.integers(1, min(n, 3) + 1))))
         y = tails[int(rng.integers(0, len(tails)))]
         z = tails[int(rng.integers(0, len(tails)))]
-        holds, margin = sandwich_check(MARKOV, 1.0, n, C, y, z, D)
+        holds, margin, _ = sandwich_check(MARKOV, 1.0, [(n, C, y, z)], D)[0]
         assert holds
         assert margin >= 1.0
     # an understated D must be caught: with D = 0 any kernel gap violates
-    holds, margin = sandwich_check(MARKOV, 1.0, 1, (0,), Point.constant(0), Point.constant(1), 0.0)
+    holds, margin, _ = sandwich_check(MARKOV, 1.0, [(1, (0,), Point.constant(0), Point.constant(1))], 0.0)[0]
     assert margin < 1.0 and not holds
     with pytest.raises(ValueError):
-        sandwich_check(MARKOV, 1.0, 1, (0, 1), tails[0], tails[1], D)
+        sandwich_check(MARKOV, 1.0, [(1, (0, 1), tails[0], tails[1])], D)
+
+
+@pytest.mark.parametrize("beta", [1.0, -0.7, 2.5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sandwich_sweep_equals_each_draw_alone(d, beta):
+    # one sweep at the deepest cylinder's depth gives every draw's kernels bitwise
+    rng = np.random.default_rng([d, 41])
+    tails = default_tails(d)
+
+    def boundary(n):
+        prefix = tuple(int(s) for s in rng.integers(0, d, size=int(rng.integers(0, n + 3))))
+        return prepend(tails[int(rng.integers(0, len(tails)))], prefix)
+
+    for m in (1, 2, 3, 4):
+        f = Potential.from_table(d, m, rng.uniform(-3.0, 3.0, d**m))
+        D = D_estimate(f, 8)[0][-1]
+        draws = []
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            C = tuple(int(s) for s in rng.integers(0, d, size=int(rng.integers(1, min(n, 4) + 1))))
+            draws.append((n, C, boundary(n), boundary(n)))
+        for (n, C, y, z), check in zip(draws, sandwich_check(f, beta, draws, D), strict=True):
+            ky, kz = (kernel(f, beta, n, p, CylinderFunction.indicator(d, C)) for p in (y, z))
+            log_margin = 2.0 * abs(beta) * D - abs(math.log(ky) - math.log(kz))
+            assert check == (log_margin >= 0.0, exp_or_inf(log_margin), log_margin)
 
 
 def test_change_of_measure():

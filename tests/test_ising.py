@@ -22,8 +22,18 @@ from ruellekit.ising import (
     zeta,
 )
 from ruellekit.potentials import tabulate, walters_estimate
-from ruellekit.shift import Point, index_word, prepend
+from ruellekit.shift import Point, prepend
 from ruellekit.transfer import power_iterate
+
+
+def index_word(idx, length, d):
+    """The word of the given length with lexicographic index idx (inverse of word_index)."""
+    out = []
+    for _ in range(length):
+        out.append(idx % d)
+        idx //= d
+    return tuple(reversed(out))
+
 
 P3 = IsingParams(alpha=3.0)
 

@@ -15,7 +15,6 @@ from ruellekit.shift import (
     check_table_size,
     first_disagreement,
     format_word,
-    index_word,
     integrate,
     metric_distance,
     parse_word,
@@ -33,6 +32,15 @@ points = st.builds(
     st.lists(symbols, max_size=5).map(tuple),
     st.lists(symbols, min_size=1, max_size=4).map(tuple),
 )
+
+
+def index_word(idx, length, d):
+    """The word of the given length with lexicographic index idx (inverse of word_index)."""
+    out = []
+    for _ in range(length):
+        out.append(idx % d)
+        idx //= d
+    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
