@@ -326,7 +326,8 @@ def _cmd_tl(cfg, args):
         boundaries = [_point_from_literal(t) for t in cfg["boundaries"]]
     else:
         boundaries = [_random_point(rng, f.d) for _ in range(4)]
-    rows, worst = dlr.tl_sequence(f, beta, cylinders, boundaries, n_max)
+    tol = _opt(args.tol, transfer.DEFAULT_TOL)
+    rows, worst = dlr.tl_sequence(f, beta, cylinders, boundaries, n_max, tol=tol)
     results = {
         "worst": worst,
         "n_max": n_max,
@@ -557,6 +558,8 @@ _PARSER = _build_parser()
 def run(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        if args.n is not None and args.n < 0:
+            raise UsageError(f"--n must be >= 0, got {args.n}")
         cfg = _load_config(args.config)
         results, ok, rows = _COMMANDS[args.command](cfg, args)
     except UsageError as exc:

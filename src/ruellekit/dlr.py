@@ -21,6 +21,16 @@ Potentials without a table (callables) are summed over the d^n volume
 words, weighted by potentials.tail_birkhoff: sum_{j <= n} d^j
 evaluations of f.
 
+_sweep is the one fork between the two for kernel values.  Per volume
+it yields the kernels of a list of test functions at a list of
+boundaries, their error bounds and the log-partitions; kernel,
+log_partition, tl_sequence, sandwich_check and the inner kernels of
+dlr_residual read it.  A callable's tower check (finite_volume_dlr_check)
+is the DLR equation of its volume-(n+r) kernel, dlr_residual of
+kernel_measure.  Only kernel_measure (splitting steps),
+constant_shift_check (a shifted gauge) and the table route of the tower
+check (one continued pass) fork on their own.
+
 The kernel reads y only through sigma^n y (the coordinates outside the
 volume); the engine reads exactly the first D of them, so boundary
 dependence is structural rather than numerical.  Its steps apply
@@ -114,7 +124,7 @@ class _Engine:
         size = self.op.size
         return np.stack([np.repeat(g.values, size // g.values.size) for g in tests] + [np.ones(size)])
 
-    def iterates(self, block: np.ndarray, split: int = 0, lift=None, exp2: int = 0):
+    def iterates(self, block: np.ndarray, split: int = 0, lift=None):
         """Yield (n, block_n, lift_n, exp2_n) for n = 1, 2, ...
 
         The n-th iterate is  block_n * exp(lift_n) * 2**exp2_n: lift_n is
@@ -124,15 +134,15 @@ class _Engine:
         the largest log-weight c, then steps while rows, growing at most
         d-fold and shrinking at most by e^(least row maximum - c) per step,
         stay within 2**512; past that, each row's own largest log-weight
-        goes to its lift, one step at a time.  (lift, exp2) gives the scale
-        of the starting block (default 1).
+        goes to its lift, one step at a time.  `lift` gives the row log
+        scales of the starting block (default 0).
 
         The first `split` steps keep the preimage symbol apart instead of
         summing over it: column u becomes the d columns u.a.  Started from
         the constant 1, column u after j <= split steps holds
         L^j 1_[u] = e^{beta S_j f(u x)} for each word u of length j.
         """
-        op, n = self.op, 0
+        op, n, exp2 = self.op, 0, 0
         lift = np.zeros(op.size) if lift is None else lift
         while True:
             e = np.frexp(block.max(axis=0))[1]
@@ -153,24 +163,27 @@ class _Engine:
                 yield n, block, lift + k * growth, exp2
             lift = lift + k * growth
 
-    def run(self, block: np.ndarray, n: int, split: int = 0, lift=None, exp2: int = 0):
-        """(block, lift, exp2) after n steps, in the scaling of `iterates`."""
-        for _, block, lift, exp2 in itertools.islice(self.iterates(block, split, lift, exp2), n):
+    def run(self, block: np.ndarray, n: int, split: int = 0, lift=None):
+        """(block, lift) after n steps, in the scaling of `iterates`."""
+        for _, block, lift, _ in itertools.islice(self.iterates(block, split, lift), n):
             pass
-        return block, lift, exp2
+        return block, lift
 
     def row(self, y: Point, n: int) -> int:
         """The row a volume-n kernel at boundary y reads: y_{n+1} ... y_{n+D}."""
         return word_index(y.coords(n + self.depth)[n:], self.d)
 
     def sweep(self, tests, boundaries, volumes):
-        """Yield (n, K) for each n of the increasing `volumes` (all >= 1):
-        K[b, j] is the volume-n kernel of tests[j] at boundaries[b]."""
+        """Yield (n, K, log_z) for each n of the increasing `volumes` (all >= 1):
+        K[b, j] is the volume-n kernel of tests[j] at boundaries[b] and
+        log_z[b] = log (L^n 1)(sigma^n boundaries[b])."""
         last = max(volumes, default=0)
-        for n, block, _, _ in itertools.islice(self.iterates(self.columns(tests)), last):
+        for n, block, lift, exp2 in itertools.islice(self.iterates(self.columns(tests)), last):
             if n in volumes:
                 rows = [self.row(y, n) for y in boundaries]
-                yield n, (block[:-1, rows] / block[-1, rows]).T
+                # L^n 1 = block[-1] * e^lift * 2**exp2 in the engine's row scaling
+                log_z = np.array([math.log(block[-1, i]) + lift[i] + exp2 * _LN2 for i in rows])
+                yield n, (block[:-1, rows] / block[-1, rows]).T, log_z
 
 
 # ---------------------------------------------------------------------------
@@ -193,40 +206,39 @@ def _softmax(logw: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum()
 
 
-def _kernel_given_tail(
-    f: Potential, beta: float, n: int, tail: Point, g: CylinderFunction
-) -> tuple[float, float]:
-    logw, werr = _log_weights_given_tail(f, beta, n, tail)
-    p = _softmax(logw)
-    gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
-    value = sum_of_products(p, gv)
-    # each weight carries relative error at most e^{2 werr} - 1
-    bound = math.expm1(2.0 * werr) * float(np.max(np.abs(gv))) + _KERNEL_ROUNDING
-    return value, bound
-
-
 def _sweep(f: Potential, beta: float, tests, boundaries, volumes):
-    """Yield (n, K) for each n of the increasing `volumes`: K[b, j] is the
-    volume-n kernel of tests[j] at boundaries[b]."""
+    """Yield (n, K, err, log_z) for each n of the increasing `volumes`:
+    K[b, j] is the volume-n kernel of tests[j] at boundaries[b], err[b, j]
+    a bound on its error and log_z[b] the log-partition log Z_n there.
+
+    The one table/callable fork for kernel values: a table runs one
+    engine pass, a callable sums each boundary's volume words."""
+    if min(volumes, default=1) < 1:
+        raise ValueError("volume must contain at least one site")
     if f.table is not None:
-        yield from _Engine.of(f, beta, max(g.depth for g in tests)).sweep(
-            tests, boundaries, volumes
-        )
+        eng = _Engine.of(f, beta, max((g.depth for g in tests), default=0))
+        for n, K, log_z in eng.sweep(tests, boundaries, volumes):
+            yield n, K, np.full(K.shape, _KERNEL_ROUNDING), log_z
         return
     for n in volumes:
         K = np.empty((len(boundaries), len(tests)))
+        err = np.empty_like(K)
+        log_z = np.empty(len(boundaries))
         for b, y in enumerate(boundaries):
             tail = shift_n(y, n)
-            p = _softmax(_log_weights_given_tail(f, beta, n, tail)[0])  # serves every test
-            K[b] = [sum_of_products(p, g.values[word_tail_index(g.d, n, g.depth, tail)]) for g in tests]
-        yield n, K
-
-
-def _kernels(f: Potential, beta: float, n: int, tests, boundaries) -> np.ndarray:
-    """Volume-n kernels of tests (columns) at boundaries (rows)."""
-    if n < 1:
-        raise ValueError("volume must contain at least one site")
-    return next(_sweep(f, beta, tests, boundaries, [n]))[1]
+            logw, werr = _log_weights_given_tail(f, beta, n, tail)
+            top = np.max(logw)
+            shifted = np.exp(logw - top)
+            total = shifted.sum()
+            log_z[b] = top + math.log(total)
+            p = shifted / total  # serves every test
+            # each weight carries relative error at most e^{2 werr} - 1
+            spread = math.expm1(2.0 * werr)
+            for j, g in enumerate(tests):
+                gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
+                K[b, j] = sum_of_products(p, gv)
+                err[b, j] = spread * float(np.max(np.abs(gv))) + _KERNEL_ROUNDING
+        yield n, K, err, log_z
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +248,7 @@ def _kernels(f: Potential, beta: float, n: int, tests, boundaries) -> np.ndarray
 def log_partition(f: Potential, beta: float, n: int, y: Point) -> float:
     """log Z_n(y), Z_n(y) = sum_w exp(beta S_n f(w . sigma^n y)) = (L^n 1)(sigma^n y),
     finite however far Z_n(y) lies outside the float range."""
-    if n < 1:
-        raise ValueError("volume must contain at least one site")
-    if f.table is None:
-        logw, _ = _log_weights_given_tail(f, beta, n, shift_n(y, n))
-        top = float(np.max(logw))
-        return top + math.log(float(np.exp(logw - top).sum()))
-    eng = _Engine.of(f, beta)
-    block, lift, exp2 = eng.run(eng.columns([]), n)
-    # Z = block * e^lift * 2**exp2 in the engine's row scaling
-    row = eng.row(y, n)
-    return math.log(float(block[0, row])) + float(lift[row]) + exp2 * _LN2
+    return float(next(_sweep(f, beta, [], [y], [n]))[3][0])
 
 
 def kernel(
@@ -255,7 +257,7 @@ def kernel(
     """The volume-n Gibbs average of g conditioned on the boundary y."""
     if g.d != f.d:
         raise ValueError("alphabet mismatch")
-    return float(_kernels(f, beta, n, [g], [y])[0, 0])
+    return float(next(_sweep(f, beta, [g], [y], [n]))[1][0, 0])
 
 
 def kernel_measure(
@@ -277,7 +279,7 @@ def kernel_measure(
         return CylinderMeasure(f.d, n, _softmax(logw)).coarsen(depth_out)
     eng = _Engine.of(f, beta)
     check_table_size(f.d, eng.depth + depth_out)
-    block, _, _ = eng.run(eng.columns([]), n, split=depth_out)
+    block, _ = eng.run(eng.columns([]), n, split=depth_out)
     masses = block[:, eng.row(y, n)]
     return CylinderMeasure(f.d, depth_out, masses / masses.sum())
 
@@ -331,30 +333,24 @@ def finite_volume_dlr_check(
     L^r(1_[u] L^n 1)(t) / (L^{n+r} 1)(t): r splitting steps continue the
     pass's column L^n 1.  The right side is kernel(f, beta, n + r, z, g):
     r further plain steps of the same pass.
-    Otherwise both sides are summed over the volume words.
+    Otherwise the check is the DLR equation of the volume-(n+r) kernel
+    itself: dlr_residual of kernel_measure(f, beta, n + r, z) at tail t.
     Returns |lhs - rhs|.
     """
-    d = f.d
     tail_z = shift_n(z, n + r)
-    if f.table is not None:
-        eng = _Engine.of(f, beta, g.depth)
-        block, lift, _ = eng.run(eng.columns([g]), n)
-        inner = block[0] / block[1]
-        check_table_size(d, eng.depth + r)
-        marginal, _, _ = eng.run(block[1:], r, split=r, lift=lift)
-        row = eng.row(z, n + r)
-        p = marginal[:, row]
-        # the inner kernel at boundary u.t reads the first D symbols of u.t
-        lhs = sum_of_products(p, inner[word_tail_index(d, r, eng.depth, tail_z)]) / float(p.sum())
-        outer, _, _ = eng.run(block, r, lift=lift)
-        return abs(lhs - float(outer[0, row] / outer[1, row]))
-    inner = np.array([_kernel_given_tail(f, beta, n, prepend(tail_z, u), g)[0] for u in word_table(r, d)])
-    logw, _ = _log_weights_given_tail(f, beta, n + r, tail_z)
-    p = _softmax(logw)
-    suffix = np.arange(d ** (n + r)) % d ** r
-    lhs = sum_of_products(p, inner[suffix])
-    rhs = _kernel_given_tail(f, beta, n + r, tail_z, g)[0]
-    return abs(lhs - rhs)
+    if f.table is None:
+        return dlr_residual(f, beta, kernel_measure(f, beta, n + r, z), n, g, tail_z)[0]
+    eng = _Engine.of(f, beta, g.depth)
+    block, lift = eng.run(eng.columns([g]), n)
+    inner = block[0] / block[1]
+    check_table_size(f.d, eng.depth + r)
+    marginal, _ = eng.run(block[1:], r, split=r, lift=lift)
+    row = eng.row(z, n + r)
+    p = marginal[:, row]
+    # the inner kernel at boundary u.t reads the first D symbols of u.t
+    lhs = sum_of_products(p, inner[word_tail_index(f.d, r, eng.depth, tail_z)]) / float(p.sum())
+    outer, _ = eng.run(block, r, lift=lift)
+    return abs(lhs - float(outer[0, row] / outer[1, row]))
 
 
 def dlr_residual(
@@ -374,8 +370,9 @@ def dlr_residual(
     covers that range the quadrature bound is zero (representative points
     are exact) and the residual measures mu itself.  Otherwise the bound
     accumulates variation estimates for the unresolved coordinates.
-    The d^(M-n) inner kernels come from one engine pass for a
-    table-backed potential.
+    The d^(M-n) inner kernels come from one sweep, read at one
+    representative boundary 0^n . u . tail per word u of coordinates
+    n+1..M (the kernel reads its boundary past the volume only).
     """
     d = f.d
     if mu.d != d or g.d != d:
@@ -384,24 +381,15 @@ def dlr_residual(
     if M < n:
         raise ValueError(f"measure depth {M} does not resolve the volume {n}")
     L = M - n
-    if f.table is not None:
-        eng = _Engine.of(f, beta, g.depth)
-        block, _, _ = eng.run(eng.columns([g]), n)
-        # the inner kernel at boundary u.tail reads the first D symbols of u.tail
-        inner = (block[0] / block[1])[word_tail_index(d, L, eng.depth, tail)]
-        kernel_err = _KERNEL_ROUNDING
-    else:
-        inner, errs = np.array(
-            [_kernel_given_tail(f, beta, n, prepend(tail, u), g) for u in word_table(L, d)]
-        ).T
-        kernel_err = float(np.max(errs))
+    boundaries = [prepend(tail, (0,) * n + tuple(u)) for u in word_table(L, d)]
+    _, inner, errs, _ = next(_sweep(f, beta, [g], boundaries, [n]))
     suffix = np.arange(d ** M) % d ** L
-    lhs = sum_of_products(mu.weights, inner[suffix])
+    lhs = sum_of_products(mu.weights, inner[suffix, 0])
     if g.depth <= M:
         rhs = integrate(mu, g)
     else:
         rhs = sum_of_products(mu.weights, g.values[word_tail_index(d, M, g.depth, tail)])
-    quad = kernel_err * mu.total_mass() + _representative_point_bound(f, beta, M, n, g)
+    quad = float(np.max(errs)) * mu.total_mass() + _representative_point_bound(f, beta, M, n, g)
     return abs(lhs - rhs), quad
 
 
@@ -470,12 +458,9 @@ def tl_sequence(
     refs = [reference.cylinder_mass(w) for w in cylinders]
     names = ["".join(str(s) for s in w) for w in cylinders]
     ids = [y.literal for y in boundaries]
-    volumes = range(qmax, n_max + 1)
-    if volumes and qmax < 1:
-        raise ValueError("volume must contain at least one site")
     rows: list[TLRow] = []
     worst: dict[int, float] = {}
-    for n, values in _sweep(f, beta, tests, boundaries, volumes):
+    for n, values, _, _ in _sweep(f, beta, tests, boundaries, range(qmax, n_max + 1)):
         dev = 0.0
         for j, (name, ref) in enumerate(zip(names, refs)):
             for b, boundary_id in enumerate(ids):
@@ -575,15 +560,13 @@ def sandwich_check(
     kernel() gives for its draw alone.  The kernel masses are positive; one
     that underflows to 0 raises NumericalBreakdown.
     """
-    for n, C, _, _ in draws:
-        if n < len(C):
-            raise ValueError("volume must resolve the cylinder")
-        if n < 1:
-            raise ValueError("volume must contain at least one site")
+    if any(n < len(C) for n, C, _, _ in draws):
+        raise ValueError("volume must resolve the cylinder")
     test_of = {C: j for j, C in enumerate(dict.fromkeys(C for _, C, _, _ in draws))}
     row_of = {p: b for b, p in enumerate(dict.fromkeys(p for _, _, y, z in draws for p in (y, z)))}
     tests = [CylinderFunction.indicator(f.d, C) for C in test_of]
-    kernels = dict(_sweep(f, beta, tests, list(row_of), sorted({n for n, _, _, _ in draws})))
+    volumes = sorted({n for n, _, _, _ in draws})
+    kernels = {n: K for n, K, _, _ in _sweep(f, beta, tests, list(row_of), volumes)}
     checks = []
     for n, C, y, z in draws:
         K, j = kernels[n], test_of[C]

@@ -49,6 +49,10 @@ from .shift import (
 )
 
 
+# The tail that finite-depth tables freeze remote coordinates to.
+REFERENCE_TAIL = Point.constant(0)
+
+
 # ---------------------------------------------------------------------------
 # Regularity metadata
 # ---------------------------------------------------------------------------
@@ -191,15 +195,15 @@ def tabulate(f: Potential, length: int, tail: Point) -> tuple[np.ndarray, float]
     return values, err
 
 
-def truncate(f: Potential, depth: int, tail: Point | None = None) -> tuple[CylinderFunction, float]:
-    """Depth-`depth` table of f with remote coordinates frozen to `tail`.
+def truncate(f: Potential, depth: int) -> tuple[CylinderFunction, float]:
+    """Depth-`depth` table of f with remote coordinates frozen to REFERENCE_TAIL.
 
     Returns (table, bound) where bound certifies the truncation plus
     evaluation error:  |f(x) - table(x)| <= bound on every x extending the
     sampled words by an arbitrary tail.  For locally-constant f of depth
     <= `depth` the bound is 0 and the table is exact.
     """
-    values, err = tabulate(f, depth, Point.constant(0) if tail is None else tail)
+    values, err = tabulate(f, depth, REFERENCE_TAIL)
     return CylinderFunction(f.d, depth, values), err + var_upper(f, depth)
 
 
@@ -299,14 +303,16 @@ def walters_estimate(f: Potential, p: int, n_sup: int) -> float:
     flat-Birkhoff-oscillation condition; the estimate is exact for
     locally-constant potentials (and then vanishes once p >= depth - 1)
     and a metadata majorant sum_{j=1}^{n_sup} var_{p+j}(f) otherwise.
+
+    For a depth-m table, two points agreeing on n + p coordinates differ
+    in at most the last m - 1 - p terms of S_n f, the same function of
+    the same coordinates for every n >= m - 1 - p: the sup stops there.
     """
     if p < 1 or n_sup < 1:
         raise ValueError("p and n_sup must be >= 1")
     if f.table is not None:
-        best = 0.0
-        for n in range(1, n_sup + 1):
-            best = max(best, _table_var(birkhoff_table(f, n), n + p))
-        return best
+        last = min(n_sup, max(f.table.depth - 1 - p, 1))
+        return max(_table_var(birkhoff_table(f, n), n + p) for n in range(1, last + 1))
     return math.fsum(var_upper(f, p + j) for j in range(1, n_sup + 1))
 
 

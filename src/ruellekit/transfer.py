@@ -5,8 +5,8 @@ For a potential f the operator acts on functions by
 Restricted to depth-m tables it becomes a d**m x d**m matrix with d
 positive entries per row: the weight of row w and preimage symbol a is
 exp(f(a w_1 ... w_m tail...)), where the potential is truncated at depth
-m+1 with a fixed reference tail (all-zero by default).  The truncation is
-exact for locally-constant potentials of depth <= m+1.
+m+1 with the all-zero reference tail (potentials.REFERENCE_TAIL).  The
+truncation is exact for locally-constant potentials of depth <= m+1.
 
 TransferOperator is the one code applying L_f and its adjoint, for power
 iteration and dlr's kernels alike, each one gather over its preimage
@@ -37,8 +37,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .potentials import Potential, tabulate, var_upper
-from .shift import CylinderFunction, CylinderMeasure, Point, sum_of_products
+from .potentials import REFERENCE_TAIL, Potential, tabulate, var_upper
+from .shift import CylinderFunction, CylinderMeasure, sum_of_products
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -122,11 +122,11 @@ def _preimage_index(d: int, depth: int) -> np.ndarray:
     return np.arange(d)[:, None] * d ** (depth - 1) + np.arange(d ** depth) // d
 
 
-def transfer_operator(f: Potential, depth: int, tail: Point | None = None) -> TransferOperator:
+def transfer_operator(f: Potential, depth: int) -> TransferOperator:
     """Build the depth-m operator L_f from the depth-(m+1) truncation of f."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    values, err = tabulate(f, depth + 1, Point.constant(0) if tail is None else tail)
+    values, err = tabulate(f, depth + 1, REFERENCE_TAIL)
     # a table was checked when it was built; a callable's values are checked here
     if f.table is None and not np.all(np.isfinite(values)):
         raise ValueError("potential values must be finite (no NaN or inf)")
@@ -162,7 +162,6 @@ def power_iterate(
     depth: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    tail: Point | None = None,
 ) -> RPFData:
     """Leading eigentriple (lambda, psi, nu) by two-sided power iteration.
 
@@ -189,11 +188,11 @@ def power_iterate(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    full = transfer_operator(f, depth, tail)
+    full = transfer_operator(f, depth)
     top = float(np.max(full.log_weights))
     full = full.gauged(growth=top)  # e^{-top} L: no weight exceeds 1
     k = depth if f.table is None else min(max(f.table.depth - 1, 1), depth)
-    op = full if k == depth else transfer_operator(f, k, tail).gauged(growth=top)
+    op = full if k == depth else transfer_operator(f, k).gauged(growth=top)
     psi = np.ones(op.size)
     nu = np.full(op.size, 1.0 / op.size)
     converged = False
@@ -249,7 +248,7 @@ def _lift(full: TransferOperator, nu: np.ndarray, depth: int) -> np.ndarray:
     return nu
 
 
-def normalize(f: Potential, rpf: RPFData, tail: Point | None = None) -> Potential:
+def normalize(f: Potential, rpf: RPFData) -> Potential:
     """The normalised potential  f + log psi - log psi o sigma - log lambda.
 
     rpf must be eigendata of f (power_iterate at some depth m); the result
@@ -263,7 +262,7 @@ def normalize(f: Potential, rpf: RPFData, tail: Point | None = None) -> Potentia
     if np.min(rpf.psi.values) <= 0.0:
         raise ValueError("eigenfunction must be strictly positive")
     # its log-weights are those of L_f in the gauge (log psi, log lambda)
-    op = transfer_operator(f, rpf.depth, tail).gauged(np.log(rpf.psi.values), rpf.log_lam)
+    op = transfer_operator(f, rpf.depth).gauged(np.log(rpf.psi.values), rpf.log_lam)
     return Potential.from_table(
         f.d, rpf.depth + 1, op.log_weights.ravel(),
         label=(f.label + "~normalised") if f.label else "normalised",

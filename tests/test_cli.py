@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from ruellekit import cli, dlr, potentials, transfer
+from ruellekit.shift import Point, parse_word
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -210,6 +211,53 @@ def test_walters_without_variation_metadata(tmp_path, capsys):
     # no honest variation majorant exists, so the subcommand refuses
     assert cli.main(["walters", "--config", cfg, "--n", "4"]) == 1
     assert "no variation metadata" in capsys.readouterr().err
+
+
+def test_walters_on_a_table_stops_at_its_depth(tmp_path):
+    # every n past depth - 2 repeats the same variation, so --n 40 builds no deep table
+    cfg = write_config(
+        tmp_path,
+        {"potential": {"kind": "table", "params": {"d": 2, "depth": 3, "values": [0.3, -1, 0.5, 0, 1, -0.2, 0.8, -0.6]}}},
+    )
+    code, report = run(tmp_path, "walters", "--config", cfg, "--n", "40")
+    assert code == 0
+    values = [e["value"] for e in report["results"]["estimates"]]
+    assert values[0] > 0.0 and values[1:] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("command", ["uniqueness", "tl", "kernel", "walters", "dlr-check"])
+def test_negative_n_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    calls = []
+    monkeypatch.setattr(potentials, "tabulate", lambda *args: calls.append(args))
+    assert cli.main([command, "--config", markov_config(tmp_path), "--n", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--n" in err
+    assert calls == []
+
+
+def test_tl_honours_tol(tmp_path):
+    # the eigenprobability reference is power-iterated to --tol
+    values = [0.3, -0.5, 0.9, 0.1, -0.7, 0.2, 0.5, -0.2]
+    cylinders, boundaries = ["0", "1", "01"], ["|0", "01|1"]
+    cfg = write_config(
+        tmp_path,
+        {
+            "potential": {"kind": "table", "params": {"d": 2, "depth": 3, "values": values}},
+            "cylinders": cylinders,
+            "boundaries": boundaries,
+        },
+    )
+    f = potentials.Potential.from_table(2, 3, values)
+    words = [parse_word(w) for w in cylinders]
+    points = [Point.from_literal(t) for t in boundaries]
+    worst = {}
+    for tol in ("1e-2", "1e-10"):
+        code, report = run(tmp_path, "tl", "--config", cfg, "--n", "8", "--tol", tol)
+        assert code == 0
+        _, expected = dlr.tl_sequence(f, 1.0, words, points, 8, tol=float(tol))
+        worst[tol] = report["results"]["worst"]
+        assert worst[tol] == {str(n): w for n, w in expected.items()}
+    assert worst["1e-2"] != worst["1e-10"]
 
 
 def test_uniqueness_reports_certificate(tmp_path):

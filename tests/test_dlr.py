@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from ruellekit.dlr import (
+    _KERNEL_ROUNDING,
+    _LN2,
     D_estimate,
+    _Engine,
+    _representative_point_bound,
     change_of_measure_check,
     constant_shift_check,
     default_tails,
@@ -20,8 +24,20 @@ from ruellekit.dlr import (
     sandwich_check,
     tl_sequence,
 )
-from ruellekit.potentials import GenericContinuous, Hoelder, Potential, birkhoff, scale
-from ruellekit.shift import CylinderFunction, CylinderMeasure, Point, prepend, shift_n, word_index
+from ruellekit.ising import IsingParams, g_potential
+from ruellekit.potentials import GenericContinuous, Hoelder, Potential, birkhoff, scale, tail_birkhoff
+from ruellekit.shift import (
+    CylinderFunction,
+    CylinderMeasure,
+    Point,
+    integrate,
+    prepend,
+    shift_n,
+    sum_of_products,
+    word_index,
+    word_table,
+    word_tail_index,
+)
 from ruellekit.transfer import TransferOperator, exp_or_inf, normalize, power_iterate, transfer_operator
 
 MARKOV = Potential.from_table(2, 2, [math.log(2.0), 0.0, 0.0, 0.0], label="markov")
@@ -440,6 +456,106 @@ def test_callable_kernel_evaluates_each_tail_word_once():
     assert len(calls) <= 4_008
     rows_f, _ = tl_sequence(f, 0.9, cylinders, boundaries, 8, reference)
     assert max(abs(a.K_n - b.K_n) for a, b in zip(rows_h, rows_f)) < 1e-13
+
+
+def enumerated_kernel(f, beta, n, tail, g):
+    """A callable's volume-n kernel of g at one tail, summed over the volume
+    words one boundary at a time: (value, bound, log Z, weights)."""
+    sums, err = np.zeros(1), 0.0
+    for sums, err in tail_birkhoff(f, n, tail):
+        pass
+    logw, werr = beta * sums, abs(beta) * err
+    top = float(np.max(logw))
+    shifted = np.exp(logw - top)
+    p = shifted / shifted.sum()
+    gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
+    bound = math.expm1(2.0 * werr) * float(np.max(np.abs(gv))) + _KERNEL_ROUNDING
+    return sum_of_products(p, gv), bound, top + math.log(float(shifted.sum())), p
+
+
+def engine_pass(f, beta, n, tests):
+    """(engine, block, lift, exp2) after n plain steps from the columns of tests."""
+    eng = _Engine.of(f, beta, max((g.depth for g in tests), default=0))
+    for _, block, lift, exp2 in itertools.islice(eng.iterates(eng.columns(tests)), n):
+        pass
+    return eng, block, lift, exp2
+
+
+def reference_kernels(f, beta, n, g, tails):
+    """Volume-n kernels of g and their bounds at the tails sigma^n y: rows of
+    one engine pass for a table, one enumeration per tail for a callable."""
+    if f.table is None:
+        values, bounds = np.array([enumerated_kernel(f, beta, n, t, g)[:2] for t in tails]).T
+        return values, bounds
+    eng, block, _, _ = engine_pass(f, beta, n, [g])
+    rows = [word_index(t.coords(eng.depth), f.d) for t in tails]
+    return (block[0] / block[1])[rows], np.full(len(tails), _KERNEL_ROUNDING)
+
+
+def reference_log_partition(f, beta, n, y):
+    if f.table is None:
+        return enumerated_kernel(f, beta, n, shift_n(y, n), CylinderFunction.constant(f.d, 1.0))[2]
+    eng, block, lift, exp2 = engine_pass(f, beta, n, [])
+    row = eng.row(y, n)
+    return math.log(float(block[0, row])) + float(lift[row]) + exp2 * _LN2
+
+
+def reference_dlr_residual(f, beta, mu, n, g, tail):
+    """dlr_residual with its inner kernels at the tails u . tail, |u| = M - n."""
+    d, M = f.d, mu.depth
+    L = M - n
+    inner, errs = reference_kernels(f, beta, n, g, [prepend(tail, u) for u in word_table(L, d)])
+    lhs = sum_of_products(mu.weights, inner[np.arange(d ** M) % d ** L])
+    if g.depth <= M:
+        rhs = integrate(mu, g)
+    else:
+        rhs = sum_of_products(mu.weights, g.values[word_tail_index(d, M, g.depth, tail)])
+    quad = float(np.max(errs)) * mu.total_mass() + _representative_point_bound(f, beta, M, n, g)
+    return abs(lhs - rhs), quad
+
+
+def reference_tower_check(f, beta, n, r, z, g):
+    """A callable's tower check, summed over the volume words of each boundary."""
+    d, tail = f.d, shift_n(z, n + r)
+    inner, _ = reference_kernels(f, beta, n, g, [prepend(tail, u) for u in word_table(r, d)])
+    rhs, _, _, p = enumerated_kernel(f, beta, n + r, tail, g)
+    lhs = sum_of_products(p, inner[np.arange(d ** (n + r)) % d ** r])
+    return abs(lhs - rhs)
+
+
+def twin(f):
+    """The callable that evaluates a table potential point by point."""
+    return Potential.from_callable(f.d, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=2.0))
+
+
+@pytest.mark.parametrize("beta", [1.0, -0.7, 2.5])
+def test_sweep_equals_the_per_boundary_routes(beta):
+    # every public kernel value read from _sweep is bitwise the one its
+    # former per-boundary route gave (the table route of the tower check
+    # did not change and is not repeated here)
+    rng = np.random.default_rng([17, round(100 + 10 * beta)])
+    potentials = [g_potential(IsingParams(alpha=3.0, cutoff=40))]
+    for d in (2, 3):
+        for m in (1, 2, 3, 4):
+            f = Potential.from_table(d, m, rng.uniform(-1.0, 1.0, d**m))
+            potentials += [f, twin(f)]
+    for f in potentials:
+        d = f.d
+        n, r = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        y, z = random_point(rng, d), random_point(rng, d)
+        for q in (1, n + r, n + r + 1):
+            g = CylinderFunction(d, q, rng.uniform(-1.0, 1.0, d**q))
+            assert log_partition(f, beta, n, y) == reference_log_partition(f, beta, n, y)
+            assert kernel(f, beta, n, y, g) == reference_kernels(f, beta, n, g, [shift_n(y, n)])[0][0]
+            for M in (n, n + 2):
+                mu = kernel_measure(f, beta, M, z)
+                assert dlr_residual(f, beta, mu, n, g, y) == reference_dlr_residual(f, beta, mu, n, g, y)
+            if f.table is None:
+                tower = finite_volume_dlr_check(f, beta, n, r, z, g)
+                assert tower == reference_tower_check(f, beta, n, r, z, g)
+                # the callable tower check is the DLR equation of the volume-(n+r) kernel
+                mu = kernel_measure(f, beta, n + r, z)
+                assert tower == dlr_residual(f, beta, mu, n, g, shift_n(z, n + r))[0]
 
 
 def test_sandwich_certificate():

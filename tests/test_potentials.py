@@ -174,6 +174,29 @@ def test_walters_estimate_is_sup_over_volumes():
     assert sups[0] == pytest.approx(var_upper(f, 2), abs=1e-14)
 
 
+def walters_over_every_volume(f, p, n_sup):
+    """sup_{n <= n_sup} var_{n+p}(S_n f) of a table, one Birkhoff table per n."""
+    best = 0.0
+    for n in range(1, n_sup + 1):
+        S = birkhoff_table(f, n)
+        best = max(best, var_upper(Potential.from_table(f.d, S.depth, S.values), n + p))
+    return best
+
+
+@pytest.mark.parametrize("d,m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4)])
+def test_walters_estimate_stops_at_the_table_depth(d, m):
+    # var_{n+p}(S_n f) no longer changes once n >= m - 1 - p
+    rng = np.random.default_rng([d, m, 13])
+    for _ in range(4):
+        f = Potential.from_table(d, m, rng.uniform(-1.0, 1.0, d**m))
+        for p in (1, 2, 3, 4, 8):
+            for n_sup in (1, 2, 5):
+                value = walters_estimate(f, p, n_sup)
+                assert value == pytest.approx(walters_over_every_volume(f, p, n_sup), abs=1e-13)
+                if p >= m - 1:
+                    assert value == 0.0
+
+
 def test_jop_series_flags():
     # summable variations: the exponent stalls, the series grows linearly
     res = jop_series(MARKOV, eps=0.5, n_terms=64)
