@@ -465,7 +465,7 @@ def _cmd_ising(cfg, args):
     params = ising.IsingParams(alpha=alpha, cutoff=_opt(args.cutoff, 200))
     terms = _opt(args.n, 100)
     rng = np.random.default_rng(args.seed)
-    zv, ze = ising.zeta(alpha, params.cutoff)
+    zv, ze = params.cutoff_zeta
     gv, ge = ising.g_one_sided(params, Point.constant(1))
     results = {
         "alpha": alpha,
@@ -558,8 +558,10 @@ _PARSER = _build_parser()
 def run(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        if args.n is not None and args.n < 0:
-            raise UsageError(f"--n must be >= 0, got {args.n}")
+        for flag in ("n", "depth", "r"):
+            value = getattr(args, flag)
+            if value is not None and value < 0:
+                raise UsageError(f"--{flag} must be >= 0, got {value}")
         cfg = _load_config(args.config)
         results, ok, rows = _COMMANDS[args.command](cfg, args)
     except UsageError as exc:

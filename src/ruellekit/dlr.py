@@ -337,6 +337,10 @@ def finite_volume_dlr_check(
     itself: dlr_residual of kernel_measure(f, beta, n + r, z) at tail t.
     Returns |lhs - rhs|.
     """
+    if n < 1:
+        raise ValueError("volume must contain at least one site")
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
     tail_z = shift_n(z, n + r)
     if f.table is None:
         return dlr_residual(f, beta, kernel_measure(f, beta, n + r, z), n, g, tail_z)[0]

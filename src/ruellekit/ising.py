@@ -27,16 +27,18 @@ is left.coord(i).
 The series are summed on spin arrays.  Each evaluation reads the
 coordinates it needs once, through Point.coords, as one array of spins
 (a spin window); symbols outside {0, 1} are refused once per window.
-Every series term is a coefficient in {-2, -1, 0, 1, 2} times a power
-j^(-alpha), so every term is exact, and math.fsum, being correctly
-rounded, gives the same bits whatever the order of the terms.  The powers
-come from Python's float pow, computed once per evaluation (once per
-potential for g): numpy's power differs from it in the last bit for a
-few j, which would change the values.  g_potential's word evaluator
-sums g over all words of a length from spin matrices of blocks of words:
-each word's exact terms and the tail's exact partials go into one
-math.fsum per word, which rounds the same exact sum, so it keeps those
-bits.
+Every series is a row of small integer coefficients (in {-2, ..., 2})
+times a shared float vector: the powers j^(-alpha), or for g's word
+evaluator the powers followed by the exact partials of the tail.  Such a
+row has one exact sum, and its value is that sum correctly rounded, which
+is what math.fsum returns whatever the order of the terms.  _exact_rows
+computes it for many rows at once, with no Python float per term: the
+vector is split once into aligned pieces (Rump, Ogita and Oishi's
+ExtractVector) so that one integer-matrix product gives each row's exact
+piece sums, and those few floats are rounded once per row.  The powers
+come from Python's float pow, computed and split once per IsingParams
+(so once per run of the command line): numpy's power differs from it in
+the last bit for a few j, which would change the values.
 
 Every series value carries a certified error bound built from
 integral-enclosure tails; the per-residue tails along a periodic side
@@ -45,11 +47,13 @@ make the inner sums exact up to brackets of width ~ cutoff^(-alpha).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .potentials import Potential, SummableVariation
 from .shift import Point, prepend, shift
@@ -69,6 +73,17 @@ class IsingParams:
             raise ValueError("alpha must be > 1 for a summable coupling")
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
+
+    @functools.cached_property
+    def _table(self) -> "_PowerTable":
+        """The powers j^(-alpha), j = 1..cutoff, and their split; built on
+        first use and kept with these parameters."""
+        return _power_table(self.alpha, self.cutoff)
+
+    @functools.cached_property
+    def cutoff_zeta(self) -> tuple[float, float]:
+        """zeta(alpha, cutoff), bitwise, from the power table."""
+        return _zeta_from(self.alpha, self.cutoff, math.fsum(self._table.powers.tolist()))
 
 
 def _tail_bracket(alpha: float, K: int) -> tuple[float, float]:
@@ -112,6 +127,73 @@ def _partials(terms) -> list[float]:
     return partials
 
 
+# ---------------------------------------------------------------------------
+# Exact row sums
+# ---------------------------------------------------------------------------
+
+def _split(v, weight: int) -> np.ndarray:
+    """Pieces q_1, ..., q_K (the rows of the result) with v = q_1 + ... + q_K
+    exactly, for integer rows c of weight sum_k |c_k| <= `weight`.
+
+    Rump's ExtractVector, repeated until nothing is left: with 2^e_t above
+    every entry of what the earlier pieces leave and b = bitlen(2 weight),
+    piece t is that rest rounded to multiples of 2^(e_t + b - 53) by
+    (r + 2^(e_t + b)) - 2^(e_t + b), and is at most 2^e_t in size.  So every
+    partial sum of c_k q_tk is a multiple of 2^(e_t + b - 53) below
+    2^(e_t + b - 1): exact in float64, in any order.
+    """
+    b = (2 * weight).bit_length()
+    if b > 50:
+        raise ValueError(f"row weight {weight} is too large to split for")
+    rest = np.array(v, dtype=float)
+    pieces = []
+    while (top := float(np.max(np.abs(rest), initial=0.0))) > 0.0:
+        e = math.frexp(top)[1]  # top < 2^e
+        if e + b > 1023:
+            raise ValueError(f"entry {top!r} is too large to split")
+        sigma = math.ldexp(1.0, e + b)
+        piece = (rest + sigma) - sigma
+        pieces.append(piece)
+        rest = rest - piece
+    return np.array(pieces).reshape(len(pieces), len(rest))
+
+
+def _exact_rows(C: np.ndarray, pieces: np.ndarray) -> np.ndarray:
+    """math.fsum(C[i] * v) for every row i, bitwise, where pieces = _split(v, w)
+    and w bounds the weight sum_k |C[i, k]| of every row.
+
+    The coefficients are integers whose products with v are exact (those
+    in {-2, ..., 2} are).  One product C @ pieces.T gives each row's exact
+    piece sums; a row whose pieces past the second sum to zero is rounded
+    by one IEEE addition, any other by math.fsum of its piece sums.  An
+    exact zero is +0.0, as math.fsum returns it.
+    """
+    sums = np.einsum("ij,kj->ik", C, pieces)  # exact: never np.dot
+    K = sums.shape[1]
+    if K == 0:
+        return np.zeros(len(sums))
+    out = (sums[:, 0] if K == 1 else sums[:, 0] + sums[:, 1]) + 0.0
+    if K > 2:
+        rows = np.flatnonzero(np.any(sums[:, 2:], axis=1))
+        out[rows] = list(map(math.fsum, sums[rows].tolist()))
+    return out
+
+
+@dataclass(frozen=True)
+class _PowerTable:
+    """j^(-alpha) for j = 1..len(powers) and its split for rows of
+    coefficients in {-2, ..., 2}: _exact_rows(C, pieces[:, :n]) sums any
+    such C of n <= len(powers) columns."""
+
+    powers: np.ndarray
+    pieces: np.ndarray
+
+
+def _power_table(alpha: float, count: int) -> _PowerTable:
+    powers = _powers(alpha, count)
+    return _PowerTable(powers, _split(powers, 2 * count))
+
+
 def zeta(alpha: float, cutoff: int = 100_000) -> tuple[float, float]:
     """zeta(alpha) as partial sum plus integral-bracketed tail midpoint.
 
@@ -120,7 +202,11 @@ def zeta(alpha: float, cutoff: int = 100_000) -> tuple[float, float]:
     """
     if alpha <= 1:
         raise ValueError("zeta series needs alpha > 1")
-    partial = math.fsum(j ** (-alpha) for j in range(1, cutoff + 1))
+    return _zeta_from(alpha, cutoff, math.fsum(j ** (-alpha) for j in range(1, cutoff + 1)))
+
+
+def _zeta_from(alpha: float, cutoff: int, partial: float) -> tuple[float, float]:
+    """zeta's value and bound from its partial sum up to the cutoff."""
     lo, hi = _tail_bracket(alpha, cutoff)
     value = partial + 0.5 * (lo + hi)
     # the analytic width can drop below float resolution; charge rounding too
@@ -192,8 +278,8 @@ def f_two_sided(params: IsingParams, x: TwoSidedPoint) -> tuple[float, float]:
     a, J = params.alpha, params.cutoff
     right = _spins(x.right.coords(J + 1))  # chain indices 0..J
     left = _spins(x.left.coords(J))  # chain indices -1..-J
-    terms = -right[0] * (right[1:] + left) * _powers(a, J)
-    return math.fsum(terms.tolist()), 2.0 * _tail_bracket(a, J)[1]
+    coeffs = -right[0] * (right[1:] + left)
+    return _exact_rows(coeffs[None, :], params._table.pieces).item(), 2.0 * _tail_bracket(a, J)[1]
 
 
 def g_one_sided(params: IsingParams, x: Point) -> tuple[float, float]:
@@ -202,24 +288,10 @@ def g_one_sided(params: IsingParams, x: Point) -> tuple[float, float]:
     x is the library's 1-indexed one-sided point; its coordinate i+1
     carries the chain coordinate i.
     """
-    return _g_given_zeta(params, x, *_g_constants(params))
-
-
-def _g_constants(params: IsingParams) -> tuple[np.ndarray, float, float]:
-    """What g_one_sided shares between points: the powers j^(-alpha),
-    j = 1..cutoff, the value of zeta(alpha, cutoff) and the certified bound."""
-    a, J = params.alpha, params.cutoff
-    zv, ze = zeta(a, J)
-    return _powers(a, J), zv, _tail_bracket(a, J)[1] + ze
-
-
-def _g_given_zeta(
-    params: IsingParams, x: Point, powers: np.ndarray, zv: float, bound: float
-) -> tuple[float, float]:
-    """g_one_sided with _g_constants(params) given."""
+    zv, ze = params.cutoff_zeta
     s = _spins(x.coords(params.cutoff + 1))  # chain indices 0..J
-    series = math.fsum((-s[0] * s[1:] * powers).tolist())
-    return series - zv, bound
+    series = _exact_rows((-s[0] * s[1:])[None, :], params._table.pieces).item()
+    return series - zv, _tail_bracket(params.alpha, params.cutoff)[1] + ze
 
 
 def g_potential(params: IsingParams) -> Potential:
@@ -239,37 +311,41 @@ def g_potential(params: IsingParams) -> Potential:
         return 2.0 * ((n - 1) ** (-a) + _tail_bracket(a, n - 1)[1])
 
     J = params.cutoff
-    powers, zv, bound = _g_constants(params)  # the same for every point
 
     def fn(x: Point) -> tuple[float, float]:
-        return _g_given_zeta(params, x, powers, zv, bound)
+        return g_one_sided(params, x)
 
     def batch(length: int, tail: Point) -> tuple[np.ndarray, float]:
         """g(u . tail) for every word u, from spin matrices of the words.
 
         The word holds chain indices 0..m-1, the tail the rest.  The tail
-        sum T = sum_{j >= m} s_j j^(-alpha) is the same for every word; its
-        exact partials, times -s_0, join each row's exact head terms
-        -s_0 s_j j^(-alpha), 0 < j < m, in one math.fsum per row.  That is
-        the correctly rounded value of the same exact sum that fn rounds,
-        so every value is fn's to the bit.  The words go in blocks of
-        _WORD_BLOCK rows, so memory does not grow with their number.
+        sum T = sum_{j >= m} s_j j^(-alpha) is the same for every word, so
+        its exact partials join the powers j^(-alpha), 0 < j < m, in one
+        vector, split once.  Row i of the coefficient matrix is
+        -s_0 (s_1, ..., s_{m-1}, 1, ..., 1) for word i, and _exact_rows
+        rounds its exact sum: the sum that fn rounds, so every value is
+        fn's to the bit.  The words go in blocks of _WORD_BLOCK rows, so
+        memory does not grow with their number.
         """
         if length == 0:  # the tail is the whole point
-            return np.array([fn(tail)[0]]), bound
+            value, bound = fn(tail)
+            return np.array([value]), bound
+        zv, ze = params.cutoff_zeta
+        powers = params._table.powers
         m = min(length, J + 1)
         t = _spins(tail.coords(J + 1 - m))  # chain indices m..J
-        tail_partials = np.array(_partials((t * powers[m - 1:]).tolist()))
+        tail_partials = _partials((t * powers[m - 1:]).tolist())
+        pieces = _split(np.concatenate([powers[: m - 1], tail_partials]), m - 1 + len(tail_partials))
         # column k of word i is its bit length-1-k: chain index k
         bits = np.arange(length - 1, length - 1 - m, -1)
         values = np.empty(2**length)
         for lo in range(0, len(values), _WORD_BLOCK):
             index = np.arange(lo, min(lo + _WORD_BLOCK, len(values)))
             s = 2 * ((index[:, None] >> bits) & 1) - 1
-            head = -s[:, :1] * s[:, 1:] * powers[: m - 1]
-            terms = np.hstack([head, -s[:, :1] * tail_partials]).tolist()
-            values[lo : lo + len(terms)] = list(map(math.fsum, terms))
-        return values - zv, bound
+            ones = np.ones((len(s), len(tail_partials)), dtype=np.int64)
+            coeffs = -s[:, :1] * np.hstack([s[:, 1:], ones])
+            values[lo : lo + len(s)] = _exact_rows(coeffs, pieces)
+        return values - zv, _tail_bracket(a, J)[1] + ze
 
     return Potential.from_callable(
         2, fn, SummableVariation(var_bound), label=f"ising-lr-g(alpha={a})", batch=batch
@@ -281,43 +357,70 @@ def g_potential(params: IsingParams) -> Potential:
 # ---------------------------------------------------------------------------
 
 def _transfer_terms(
-    params: IsingParams, x: TwoSidedPoint, count: int
-) -> list[tuple[float, float]]:
-    """(term_j, certified error) for j = 0..count-1, from one spin window.
+    params: IsingParams, x: TwoSidedPoint, count: int, shifted: TwoSidedPoint | None = None
+):
+    """(term_j, certified error) for j = 0..count-1, from one spin window;
+    given shifted = x.shift(), also the list for shifted, j = 0..count-2.
 
     term_j = -s_j * sum_{n >= 1} (s_{j-n} - s_j) / n^alpha.  The first
     n_exact = max(cutoff, j + alignment) terms of the inner sum are summed
     exactly; beyond them the walk sits inside the left cycle, so the
     remainder splits into per-residue arithmetic-progression tails, each
     enclosed by the integral bracket.  The error is that of the brackets.
+
+    shift x keeps the left cycle of x (prepend at most folds the prefix),
+    so its term_j is term_{j+1}(x), computed the same way, wherever the two
+    have the same n_exact; only the other rows are computed for it, from
+    the window of x.
     """
-    a, J = params.alpha, params.cutoff
-    P = len(x.left.prefix)
-    L = len(x.left.cycle)
-    # j = 0 reads deepest: its exact head and then one index per residue
-    lo = -(max(J, P + L) + L)
+    J = params.cutoff
+    P, L = len(x.left.prefix), len(x.left.cycle)
+    n_max = max(J, count - 1 + P + L)
+    lo = -(n_max + L)  # row j = 0 reads down to index -(n_exact + L)
+    j = np.arange(count)
+    centers = j - lo  # window entry of chain index j
+    n_exact = np.maximum(J, j + P + L)
+    differ = np.zeros(0, dtype=np.int64)
+    if shifted is not None:
+        assert len(shifted.left.cycle) == L
+        n_shifted = np.maximum(J, j[:-1] + len(shifted.left.prefix) + L)
+        differ = np.flatnonzero(n_shifted != n_exact[1:])
+        centers = np.concatenate([centers, centers[1:][differ]])
+        n_exact = np.concatenate([n_exact, n_shifted[differ]])
     w = _spin_window(x, lo, count - 1)
-    powers = _powers(a, max(J, count - 1 + P + L))
-    out = []
-    for j in range(count):
-        c = j - lo  # window entry of chain index j
-        sj = int(w[c])
-        n_exact = max(J, j + P + L)
-        # s_{j-n} - s_j for n = 1..n_exact
-        coeffs = w[c - n_exact : c][::-1] - sj
-        head = math.fsum((coeffs * powers[:n_exact]).tolist())
-        tail_mid = 0.0
-        tail_err = 0.0
-        for r in range(L):
-            n_first = n_exact + 1 + r
-            coeff = int(w[c - n_first]) - sj
-            if coeff == 0:
-                continue
-            mid, half = _residue_tail(a, n_first, L)
-            tail_mid += coeff * mid
-            tail_err += abs(coeff) * half
-        out.append((-sj * (head + tail_mid), tail_err))
-    return out
+    table = params._table if n_max <= J else _power_table(params.alpha, n_max)
+    values, errors = _inner_sums(params.alpha, w, centers, n_exact, L, table.pieces[:, :n_max])
+    rows = list(zip(values.tolist(), errors.tolist()))
+    if shifted is None:
+        return rows
+    rows_shifted = rows[1:count]
+    for k, i in enumerate(differ.tolist()):
+        rows_shifted[i] = rows[count + k]
+    return rows[:count], rows_shifted
+
+
+def _inner_sums(alpha, w, centers, n_exact, L, pieces):
+    """term_j and its error for the chain index j at each window entry of
+    `centers`, with its own n_exact, on a left cycle of length L."""
+    n_max = pieces.shape[1]
+    # row r holds w[c - n_max .. c] for c = centers[r]; column n - 1 of
+    # coeffs is s_{j-n} - s_j, zero for n > n_exact
+    view = sliding_window_view(w, n_max + 1)[centers - n_max]
+    coeffs = view[:, -2::-1] - view[:, -1:]
+    coeffs[np.arange(1, n_max + 1) > n_exact[:, None]] = 0
+    head = _exact_rows(coeffs, pieces)
+    sj = w[centers]
+    tail_mid = np.zeros(len(centers))
+    tail_err = np.zeros(len(centers))
+    for r in range(L):
+        n_first = (n_exact + 1 + r).tolist()
+        tails = {n: _residue_tail(alpha, n, L) for n in set(n_first)}
+        mid, half = np.array([tails[n] for n in n_first]).reshape(-1, 2).T
+        coeff = w[centers - n_exact - 1 - r] - sj
+        # a zero coefficient adds +0.0 to a sum that is never -0.0
+        tail_mid = tail_mid + coeff * mid
+        tail_err = tail_err + np.abs(coeff) * half
+    return -sj * (head + tail_mid), tail_err
 
 
 def _forward_constant_from(x: TwoSidedPoint) -> int | None:
@@ -379,13 +482,12 @@ def coboundary_check(
     f and g, the certified size of term_{M+1}, and the inner-sum
     brackets, rather than the (much larger) one-sided tail bounds of the
     two h values.  Each inner sum is computed once: j <= terms + 1 at x,
-    j <= terms at shift x.
+    and at shift x only the rows that are not those of x.
     """
     fv, fe = f_two_sided(params, x)
     gv, ge = g_one_sided(params, x.right)
     sx = x.shift()
-    tx = _transfer_terms(params, x, terms + 2)
-    ts = _transfer_terms(params, sx, terms + 1)
+    tx, ts = _transfer_terms(params, x, terms + 2, sx)
     hv, _ = _h_from_terms(params, x, terms, tx)
     hsv, hs_err = _h_from_terms(params, sx, terms, ts)
     residual = abs(fv - gv - hv + hsv)

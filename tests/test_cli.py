@@ -235,6 +235,14 @@ def test_negative_n_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
     assert calls == []
 
 
+@pytest.mark.parametrize("flag", ["--depth", "--r"])
+def test_negative_depth_and_r_are_usage_errors(capsys, flag):
+    # --depth -1 used to die in rng.uniform(size=0.5), --r -1 in islice
+    assert cli.main(["dlr-check", flag, "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag} must be >= 0")
+
+
 def test_tl_honours_tol(tmp_path):
     # the eigenprobability reference is power-iterated to --tol
     values = [0.3, -0.5, 0.9, 0.1, -0.7, 0.2, 0.5, -0.2]

@@ -243,6 +243,25 @@ def test_kernel_engine_exponentiates_once_per_epoch(monkeypatch):
     assert worst[500] < 1e-10
 
 
+def test_tower_check_refuses_volume_zero_on_both_routes(monkeypatch):
+    # the table route used to read the unstepped block as a volume-0 kernel
+    f = Potential.from_table(2, 2, [0.3, -0.5, 0.9, 0.1])
+    h = Potential.from_callable(2, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=2.0))
+    g = CylinderFunction.indicator(2, (0,))
+    z = Point.from_literal("|1")
+    engines = []
+    monkeypatch.setattr(_Engine, "of", lambda *args: engines.append(args))
+    messages = []
+    for pot in (f, h):
+        with pytest.raises(ValueError) as info:
+            finite_volume_dlr_check(pot, 0.7, 0, 2, z, g)
+        messages.append(str(info.value))
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            finite_volume_dlr_check(pot, 0.7, 2, -1, z, g)
+    assert messages == ["volume must contain at least one site"] * 2
+    assert engines == []
+
+
 def test_callable_potential_matches_its_table():
     # a callable has no table, so its kernels are summed over the volume words
     rng = np.random.default_rng(33)

@@ -390,27 +390,36 @@ def test_chain_series_equal_scalar_oracle(params):
 
 
 def test_coboundary_check_computes_each_inner_sum_once(monkeypatch):
-    windows, inner_sums = [], []
-    spin_window, transfer_terms = ising._spin_window, ising._transfer_terms
+    windows, rows = [], []
+    spin_window, inner_sums = ising._spin_window, ising._inner_sums
 
     def counted_window(*args):
         windows.append(args)
         return spin_window(*args)
 
-    def counted_terms(*args):
-        out = transfer_terms(*args)
-        inner_sums.extend(out)
-        return out
+    def counted_sums(alpha, w, centers, *args):
+        rows.extend(centers.tolist())
+        return inner_sums(alpha, w, centers, *args)
 
     monkeypatch.setattr(ising, "_spin_window", counted_window)
-    monkeypatch.setattr(ising, "_transfer_terms", counted_terms)
+    monkeypatch.setattr(ising, "_inner_sums", counted_sums)
     x = TwoSidedPoint.from_literals("110|01", "0110|1")
     for terms in (10, 40):
         windows.clear()
-        inner_sums.clear()
+        rows.clear()
         coboundary_check(P3, x, terms)
-        assert len(windows) == 2
-        assert len(inner_sums) == 2 * terms + 3
+        # every row of shift x is a row of x: j <= terms + 1 at x, nothing more
+        assert len(windows) == 1
+        assert len(rows) == terms + 2
+    # left "|1" with x_0 = 1: shift x keeps prefix length 0, so its row j has
+    # n_exact max(J, j + 1), against max(J, j + 2) for row j + 1 of x
+    params = IsingParams(alpha=3.0, cutoff=7)
+    x = TwoSidedPoint.from_literals("|1", "10|1")
+    windows.clear()
+    rows.clear()
+    coboundary_check(params, x, 20)
+    assert len(windows) == 1
+    assert len(rows) == 22 + sum(1 for j in range(21) if j + 2 > params.cutoff)
 
 
 @pytest.mark.parametrize("left,right", [("|1", "01|2"), ("|1", "0|12"), ("2|1", "0|1"), ("|21", "0|1")])
