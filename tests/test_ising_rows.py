@@ -334,3 +334,16 @@ def test_reports_equal_the_per_row_oracle_byte_for_byte(tmp_path, monkeypatch):
     for argv, (code, text), oracle in zip(argvs, new, old):
         assert code == 0, argv
         assert (code, text) == oracle, argv
+
+
+def test_ising_command_builds_one_power_table_per_run(monkeypatch):
+    tables, zetas = [], []
+    powers, zeta = ising._powers, ising.zeta
+    monkeypatch.setattr(ising, "_powers", lambda a, n: tables.append(n) or powers(a, n))
+    monkeypatch.setattr(ising, "zeta", lambda *args: zetas.append(args) or zeta(*args))
+    for _ in range(2):
+        tables.clear()
+        assert report_text(["ising", "--n", "40", "--alpha", "3.0"])[0] == 0
+        # one table per run, none kept from the run before
+        assert tables == [200]
+    assert zetas == []
