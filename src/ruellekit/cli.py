@@ -459,11 +459,18 @@ def _cmd_uniqueness(cfg, args):
     return results, all(holds) and stabilized, None
 
 
+# the coboundary points flip chain sites up to 12, and a point that differs
+# from the all-plus chain up to site B needs a transfer series of B + 2 terms
+_ISING_MIN_TERMS = 14
+
+
 def _cmd_ising(cfg, args):
     _refuse_beta(args, "its series are those of the energy at beta = 1")
     alpha = _opt(args.alpha, 3.0)
     params = ising.IsingParams(alpha=alpha, cutoff=_opt(args.cutoff, 200))
     terms = _opt(args.n, 100)
+    if alpha > 2 and terms < _ISING_MIN_TERMS:
+        raise UsageError(f"ising --n must be >= {_ISING_MIN_TERMS} for alpha > 2, got {terms}")
     rng = np.random.default_rng(args.seed)
     zv, ze = params.cutoff_zeta
     gv, ge = ising.g_one_sided(params, Point.constant(1))
@@ -562,6 +569,10 @@ def run(argv=None) -> int:
             value = getattr(args, flag)
             if value is not None and value < 0:
                 raise UsageError(f"--{flag} must be >= 0, got {value}")
+        if args.max_iter is not None and args.max_iter < 1:
+            raise UsageError(f"--max-iter must be >= 1, got {args.max_iter}")
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
         cfg = _load_config(args.config)
         results, ok, rows = _COMMANDS[args.command](cfg, args)
     except UsageError as exc:

@@ -177,10 +177,12 @@ class _Engine:
         """Yield (n, K, log_z) for each n of the increasing `volumes` (all >= 1):
         K[b, j] is the volume-n kernel of tests[j] at boundaries[b] and
         log_z[b] = log (L^n 1)(sigma^n boundaries[b])."""
-        last = max(volumes, default=0)
+        last, depth = max(volumes, default=0), self.depth
+        # one read per boundary: y.coords(n + D) at every volume is quadratic in n
+        coords = [y.coords(last + depth) for y in boundaries]
         for n, block, lift, exp2 in itertools.islice(self.iterates(self.columns(tests)), last):
             if n in volumes:
-                rows = [self.row(y, n) for y in boundaries]
+                rows = [word_index(c[n:n + depth], self.d) for c in coords]
                 # L^n 1 = block[-1] * e^lift * 2**exp2 in the engine's row scaling
                 log_z = np.array([math.log(block[-1, i]) + lift[i] + exp2 * _LN2 for i in rows])
                 yield n, (block[:-1, rows] / block[-1, rows]).T, log_z

@@ -16,17 +16,25 @@ eigenvalue lambda (log lambda is the finite-depth pressure), the positive
 eigenfunction psi, and the eigenprobability nu of the adjoint, with the
 normalisations nu(whole space) = 1 and integral of psi against nu = 1.
 The iteration starts from the constant function / uniform measure
-(deterministic) and applies L and its adjoint once each per step: the
-products L psi and L* nu give the residuals of the current (psi, nu) and,
-renormalised, the next iterate.  It stops when both relative residuals
-fall under tol, and returns the vectors whose residuals it reports.
+(deterministic) and runs in passes.  Each pass applies L and its adjoint
+once: the products L psi and L* nu give the Rayleigh quotient and the
+residuals of the current (psi, nu), and the stop rule reads them.  It
+takes the next iterate three Ruelle steps further on, with one
+application of L^3 (TransferOperator.power) and its adjoint, so one
+residual check serves four steps.  A pass takes one plain step instead
+when four would pass max_iter, and so does every pass when the L^3 table
+would hold more than _STRIDE_ENTRIES entries: there its gather costs
+more than the checks it saves.  The iteration stops when both relative
+residuals fall under tol, and returns the vectors whose residuals it
+reports.
 
 A table potential of depth m reads only a w_1 ... w_{m-1}, so its
 eigendata are fixed by the depth-(m-1) words: power_iterate iterates on
 depth k = min(max(m-1, 1), D) tables and lifts the pair to the requested
 depth D once (psi repeated, nu([a w]) = e^{f(a w)} nu([w]) / lambda
-level by level), then takes its last step(s) at depth D.  `iterations`
-counts the steps at both depths.  Callables iterate at D throughout.
+level by level), then takes its last step(s) at depth D, plain ones.
+`iterations` counts the Ruelle steps at both depths.  Callables iterate
+at D throughout.
 """
 
 from __future__ import annotations
@@ -42,6 +50,11 @@ from .shift import CylinderFunction, CylinderMeasure, sum_of_products
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
+# Ruelle steps per residual check: one plain step and one of L^(_STRIDE-1)
+_STRIDE = 4
+# the largest L^(_STRIDE-1) table power_iterate builds; past it the gather
+# of a stride costs more than the three checks it saves
+_STRIDE_ENTRIES = 2**14
 
 
 class NumericalBreakdown(ValueError):
@@ -63,6 +76,8 @@ class TransferOperator:
     weights[a, i] multiplies the value of the argument at the child word
     (a, w_1, ..., w_{m-1}) when producing the output at word w = index i.
     Their logs are f(a w), plus h[preimages[a, i]] - h[i] - c in a gauge.
+    The table of L^p (`power`) has one row per preimage word u of length p
+    in place of a.
     """
 
     d: int
@@ -85,6 +100,21 @@ class TransferOperator:
         logs = self.log_weights if scale is None else self.log_weights + scale[self.preimages] - scale
         return TransferOperator(self.d, self.depth, logs - growth, self.preimages, self.truncation_bound)
 
+    def power(self, p: int) -> "TransferOperator":
+        """L^p in the same layout, gauged by its own largest log-weight:
+        the row of the preimage word u = u_1 ... u_p (lexicographic index)
+        weighs the child word u w of word w by the product of the p steps'
+        weights, e^{S_p f(u w)} in the operator's gauge.
+
+        The gauge keeps the largest weight at 1, so a table whose
+        lambda^(p-1) lies below the float range still has weights."""
+        logs, pre = self.log_weights, self.preimages
+        for _ in range(p - 1):
+            # a symbol b in front of every child word: row b * d**j + row
+            logs = (self.log_weights[:, pre] + logs).reshape(-1, self.size)
+            pre = self.preimages[:, pre].reshape(-1, self.size)
+        return TransferOperator(self.d, self.depth, logs - logs.max(), pre, self.truncation_bound)
+
     def terms(self, values: np.ndarray) -> np.ndarray:
         """The summands of L per preimage symbol, shape (..., d, d**m)."""
         return self.weights * values.take(self.preimages, axis=-1)
@@ -105,8 +135,8 @@ class TransferOperator:
             raise ValueError("dense matrix would exceed the size guard")
         mat = np.zeros((self.size, self.size))
         rows = np.arange(self.size)
-        for a in range(self.d):
-            mat[rows, self.preimages[a]] += self.weights[a]
+        for pre, weights in zip(self.preimages, self.weights):
+            mat[rows, pre] += weights
         return mat
 
 
@@ -176,9 +206,16 @@ def power_iterate(
     step, the pair is lifted to the requested depth D: psi does not read
     past w_k, and L* nu = lambda nu read one cylinder at a time gives
     nu([a w]) = e^{f(a w)} nu([w]) / lambda, one level at a time from
-    k to D.  The last step(s) run on the depth-D operator, so the
+    k to D.  The last step(s) run on the depth-D operator, plain, so the
     reported residuals are those of the returned depth-D vectors, and
-    `iterations` counts the steps at both depths.
+    `iterations` counts the Ruelle steps at both depths.
+
+    Each pass checks the residuals of the current pair with one plain
+    step; while the pair has not converged and four more steps stay
+    within max_iter, it then takes three more at once with L^3, when the
+    L^3 table holds at most _STRIDE_ENTRIES entries.  Otherwise the next
+    iterate is that plain step's product.  `iterations` never exceeds
+    max_iter.
 
     The iteration runs on e^{-c} L_f, c the maximum of the truncated
     table, and adds c back to log lambda: exact, and no weight overflows.
@@ -193,30 +230,46 @@ def power_iterate(
     full = full.gauged(growth=top)  # e^{-top} L: no weight exceeds 1
     k = depth if f.table is None else min(max(f.table.depth - 1, 1), depth)
     op = full if k == depth else transfer_operator(f, k).gauged(growth=top)
+    # L^3 in its own gauge: its steps take the iterate, the checks use op
+    stride = None
+    if max_iter > _STRIDE and op.d ** (_STRIDE - 1) * op.size <= _STRIDE_ENTRIES:
+        stride = op.power(_STRIDE - 1)
     psi = np.ones(op.size)
     nu = np.full(op.size, 1.0 / op.size)
-    converged = False
-    for iterations in range(1, max_iter + 1):
+    iterations, converged = 0, False
+    while True:
+        iterations += 1
         if op is not full and (converged or iterations == max_iter):
             psi, nu, op = np.repeat(psi, full.size // op.size), _lift(full, nu, op.depth), full
+            stride = None  # the depth-D steps stay plain
         # L psi and L* nu give the residuals of (psi, nu) and the next iterate
         l_psi = op.apply(psi)
         l_nu = op.dual_apply(nu)
         num, den = sum_of_products(nu, l_psi), sum_of_products(nu, psi)
         if not (den > 0.0 and math.isfinite(num)):
             # weights are in (0, 1] unless exp(f - max f) underflowed to 0
-            raise NumericalBreakdown(
-                "power iteration broke down: weights exp(f - max f) underflow, "
-                "the spread of the table is too wide for double precision"
-            )
+            raise _breakdown()
         lam = num / den
         res_psi = float(abs(l_psi - lam * psi).max() / (lam * psi.max()))
         res_nu = float(abs(l_nu - lam * nu).sum() / (lam * nu.sum()))
         converged = max(res_psi, res_nu) < tol
         if (converged and op is full) or iterations == max_iter:
             break
+        # one statement per vector: each frees its old iterate before the next
+        # is made, which keeps a deep run's peak memory and page faults down
         psi = l_psi / l_psi.max()
         nu = l_nu / l_nu.sum()
+        if stride is not None and not converged and iterations + _STRIDE <= max_iter:
+            # from the normalised pair: a psi spread times the spread of L^3's
+            # weights must not pass the float range on top of lambda's scale
+            psi = stride.apply(psi)
+            nu = stride.dual_apply(nu)
+            scale, mass = psi.max(), nu.sum()
+            if not (scale > 0.0 and mass > 0.0):
+                raise _breakdown()  # L^3's weights underflowed where L's did not
+            psi = psi / scale
+            nu = nu / mass
+            iterations += _STRIDE - 1
     log_lam = math.log(lam) + top
     return RPFData(
         d=f.d,
@@ -229,6 +282,13 @@ def power_iterate(
         residual_meas=res_nu,
         iterations=iterations,
         converged=converged,
+    )
+
+
+def _breakdown() -> NumericalBreakdown:
+    return NumericalBreakdown(
+        "power iteration broke down: weights exp(f - max f) underflow, "
+        "the spread of the table is too wide for double precision"
     )
 
 

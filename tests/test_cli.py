@@ -91,12 +91,12 @@ def test_normalize_markov(tmp_path):
 
 
 def test_normalize_passes_converged_eigendata_with_a_wide_psi_spread(tmp_path):
-    # the check is per entry, up to max psi / min psi (17.5 here) times the residual held under tol
-    cfg = write_config(tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 2, "values": [0.0, 0.0, -1.0, 2.0]}}})
+    # the check is per entry, up to max psi / min psi (13.9 here) times the residual held under tol
+    cfg = write_config(tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 2, "values": [0.0, 0.0, -1.0, 1.8]}}})
     code, report = run(tmp_path, "normalize", "--config", cfg, "--depth", "2")
     assert code == 0
     assert report["status"] == "ok"
-    assert 1e-10 < report["results"]["check_sup_norm"] < 17.6e-10
+    assert 1e-10 < report["results"]["check_sup_norm"] < 13.9e-10
 
 
 def test_normalize_fails_eigendata_that_did_not_converge(tmp_path, monkeypatch):
@@ -137,7 +137,25 @@ def test_zero_beta_is_a_value_not_a_missing_flag(tmp_path):
 
 def test_zero_max_iter_is_refused(tmp_path, capsys):
     assert cli.main(["rpf", "--max-iter", "0"]) == 1
-    assert "max_iter" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("usage error: --max-iter must be >= 1")
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--max-iter", "-3", "--max-iter must be >= 1"),
+        ("--tol", "nan", "--tol must be a positive finite number"),
+        ("--tol", "0", "--tol must be a positive finite number"),
+        ("--tol", "-1", "--tol must be a positive finite number"),
+    ],
+)
+def test_bad_max_iter_and_tol_are_usage_errors(tmp_path, monkeypatch, capsys, flag, value, message):
+    # --tol nan or 0 used to run all 10,000 iterations and exit 2
+    calls = []
+    monkeypatch.setattr(potentials, "tabulate", lambda *args: calls.append(args))
+    assert cli.main(["rpf", "--config", markov_config(tmp_path), flag, value]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
+    assert calls == []
 
 
 def test_change_of_measure_default_corpus(tmp_path):
@@ -419,6 +437,20 @@ def test_numerical_breakdown_is_not_a_config_error(tmp_path, capsys):
         "numerical breakdown: power iteration broke down: weights exp(f - max f) "
         "underflow, the spread of the table is too wide for double precision\n"
     )
+
+
+def test_ising_refuses_too_few_terms_for_its_own_points(tmp_path, capsys):
+    # its points flip chain sites up to 12, and their series need 14 terms;
+    # --n 13 used to fail as "invalid config" on about half of the seeds
+    for seed in range(20):
+        code, report = run(tmp_path, "ising", "--n", "13", "--seed", str(seed), name=f"{seed}-13.json")
+        assert code == 1 and report is None
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--n" in err and "14" in err
+        code, report = run(tmp_path, "ising", "--n", "14", "--seed", str(seed), name=f"{seed}-14.json")
+        assert code == 0 and report["status"] == "ok"
+    # alpha <= 2 runs no series
+    assert run(tmp_path, "ising", "--n", "3", "--alpha", "2.0", name="alpha-2.json")[0] == 0
 
 
 def test_ising_lr_config_refuses_beta(tmp_path, capsys):

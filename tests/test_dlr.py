@@ -577,6 +577,31 @@ def test_sweep_equals_the_per_boundary_routes(beta):
                 assert tower == dlr_residual(f, beta, mu, n, g, shift_n(z, n + r))[0]
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_engine_sweep_reads_each_boundary_once(monkeypatch, d):
+    rng = np.random.default_rng([d, 43])
+    f = Potential.from_table(d, 3, rng.uniform(-1.0, 1.0, d**3))
+    tests = [CylinderFunction(d, q, rng.uniform(-1.0, 1.0, d**q)) for q in (1, 2, 4)]
+    boundaries = [random_point(rng, d) for _ in range(5)]
+    volumes = [1, 2, 5, 9, 40]
+    eng = _Engine.of(f, 1.3, 4)
+    # the per-volume read: y.coords(n + D) for every boundary at every volume
+    expected = []
+    for n, block, lift, exp2 in itertools.islice(eng.iterates(eng.columns(tests)), volumes[-1]):
+        if n in volumes:
+            rows = [eng.row(y, n) for y in boundaries]
+            log_z = np.array([math.log(block[-1, i]) + lift[i] + exp2 * _LN2 for i in rows])
+            expected.append((n, (block[:-1, rows] / block[-1, rows]).T, log_z))
+    reads = []
+    coords = Point.coords
+    monkeypatch.setattr(Point, "coords", lambda self, n: reads.append(self) or coords(self, n))
+    swept = list(eng.sweep(tests, boundaries, volumes))
+    assert len(reads) == len(boundaries) and all(a is b for a, b in zip(reads, boundaries))
+    for (n, K, log_z), (m, K_ref, log_z_ref) in zip(swept, expected, strict=True):
+        assert n == m
+        assert np.array_equal(K, K_ref) and np.array_equal(log_z, log_z_ref)
+
+
 def test_sandwich_certificate():
     D = D_estimate(MARKOV, 6)[0][-1]
     tails = default_tails(2)

@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from ruellekit.ising import IsingParams, g_potential
 from ruellekit.potentials import Hoelder, Potential, scale
-from ruellekit.shift import CylinderFunction, integrate
+from ruellekit.shift import CylinderFunction, integrate, sum_of_products
 from ruellekit.transfer import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     TransferOperator,
+    _lift,
     check_normalized,
     normalize,
     power_iterate,
@@ -223,12 +227,14 @@ def dense_eigendata(f, depth):
 
 
 def test_table_iterates_on_its_own_depth_and_lifts_once(monkeypatch):
+    # one entry per Ruelle step: an L^p table's call stands for p steps
     sizes = {"apply": [], "dual_apply": []}
     for name in sizes:
         method = getattr(TransferOperator, name)
 
         def counted(self, values, name=name, method=method):
-            sizes[name].append(self.size)
+            steps = round(math.log(len(self.preimages), self.d))
+            sizes[name].extend([self.size] * steps)
             return method(self, values)
 
         monkeypatch.setattr(TransferOperator, name, counted)
@@ -303,3 +309,111 @@ def test_operators_share_one_preimage_index():
     op = transfer_operator(MARKOV, 5)
     assert transfer_operator(DEPTH_4_TABLE, 5).preimages is op.preimages
     assert np.array_equal(op.preimages[1], 2**4 + np.arange(2**5) // 2)
+
+
+def test_power_table_is_the_matrix_power():
+    rng = np.random.default_rng(29)
+    for d, depth, p in [(2, 1, 3), (2, 3, 2), (3, 2, 3), (2, 4, 4)]:
+        f = Potential.from_table(d, depth + 1, rng.uniform(-2.0, 2.0, d ** (depth + 1)))
+        op = transfer_operator(f, depth)
+        power = op.power(p)
+        assert power.preimages.shape == power.log_weights.shape == (d**p, d**depth)
+        assert np.max(power.log_weights) == 0.0  # gauged by its own largest log-weight
+        # the matrix power, up to the gauge
+        expected = np.linalg.matrix_power(op.matrix(), p)
+        got = power.matrix()
+        assert np.max(np.abs(got / got.sum() - expected / expected.sum())) < 1e-15
+
+
+def stepwise_power_iterate(f, depth, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """(log lambda, psi, nu, converged): power_iterate's loop with one
+    residual check per Ruelle step."""
+    full = transfer_operator(f, depth)
+    top = float(np.max(full.log_weights))
+    full = full.gauged(growth=top)
+    k = depth if f.table is None else min(max(f.table.depth - 1, 1), depth)
+    op = full if k == depth else transfer_operator(f, k).gauged(growth=top)
+    psi = np.ones(op.size)
+    nu = np.full(op.size, 1.0 / op.size)
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        if op is not full and (converged or iterations == max_iter):
+            psi, nu, op = np.repeat(psi, full.size // op.size), _lift(full, nu, op.depth), full
+        l_psi = op.apply(psi)
+        l_nu = op.dual_apply(nu)
+        lam = sum_of_products(nu, l_psi) / sum_of_products(nu, psi)
+        res_psi = float(abs(l_psi - lam * psi).max() / (lam * psi.max()))
+        res_nu = float(abs(l_nu - lam * nu).sum() / (lam * nu.sum()))
+        converged = max(res_psi, res_nu) < tol
+        if (converged and op is full) or iterations == max_iter:
+            break
+        psi = l_psi / l_psi.max()
+        nu = l_nu / l_nu.sum()
+    return math.log(lam) + top, psi / sum_of_products(nu, psi), nu, converged
+
+
+def assert_matches_the_stepwise_loop(f, depth, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    rpf = power_iterate(f, depth, tol=tol, max_iter=max_iter)
+    log_lam, psi, nu, converged = stepwise_power_iterate(f, depth, tol, max_iter)
+    assert rpf.converged == converged
+    assert rpf.iterations <= max_iter
+    if not converged:
+        return rpf
+    assert max(rpf.residual_fn, rpf.residual_meas) < tol
+    # the residuals are those of the returned depth-D vectors
+    op = transfer_operator(f, depth)
+    p, n = rpf.psi.values, rpf.nu.weights
+    res_fn = np.max(np.abs(op.apply(p) - rpf.lam * p)) / (rpf.lam * np.max(p))
+    res_meas = np.sum(np.abs(op.dual_apply(n) - rpf.lam * n)) / (rpf.lam * np.sum(n))
+    assert rpf.residual_fn == pytest.approx(res_fn, rel=1e-6, abs=1e-15)
+    assert rpf.residual_meas == pytest.approx(res_meas, rel=1e-6, abs=1e-15)
+    assert abs(rpf.log_lam - log_lam) < 1e-13
+    assert np.max(np.abs(p - psi)) < 100 * tol
+    assert np.sum(np.abs(n - nu)) < 100 * tol
+    return rpf
+
+
+# d = 3 stops at depth 8: 3**13 words are too many for a unit test
+STRIDE_CASES = [
+    (d, m, value_scale, depth, tol, max_iter)
+    for d in (2, 3)
+    for m in (1, 2, 3, 4)
+    for value_scale in (0.3, 1.0, 3.0)
+    for depth in sorted({m, 8, 13} if d == 2 else {m, 8})
+    for tol in (1e-10, 1e-12)
+    for max_iter in (1, 2, 3, 5, DEFAULT_MAX_ITER)
+]
+
+
+def test_strided_loop_matches_the_stepwise_loop_on_tables():
+    assert len(STRIDE_CASES) >= 300
+    rng = np.random.default_rng(31)
+    for d, m, value_scale, depth, tol, max_iter in STRIDE_CASES:
+        f = Potential.from_table(d, m, rng.uniform(-value_scale, value_scale, d**m))
+        assert_matches_the_stepwise_loop(f, depth, tol, max_iter)
+
+
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_strided_loop_matches_the_stepwise_loop_on_ising_lr(depth):
+    rpf = assert_matches_the_stepwise_loop(g_potential(IsingParams(alpha=3.0, cutoff=200)), depth)
+    assert rpf.converged
+
+
+@pytest.mark.parametrize("max_iter", range(1, 14))
+def test_unconverged_runs_stop_at_max_iter(max_iter):
+    # tol 1e-300 is never met: every run takes exactly max_iter Ruelle steps
+    for f, depth in [(DEPTH_4_TABLE, 13), (DEPTH_4_TABLE, 3), (g_potential(IsingParams(alpha=3.0, cutoff=200)), 6)]:
+        rpf = power_iterate(f, depth, tol=1e-300, max_iter=max_iter)
+        assert not rpf.converged and rpf.iterations == max_iter
+
+
+def test_no_stride_table_above_the_cap(monkeypatch):
+    builds = []
+    power = TransferOperator.power
+    monkeypatch.setattr(TransferOperator, "power", lambda self, p: builds.append(self.size) or power(self, p))
+    f = g_potential(IsingParams(alpha=3.0, cutoff=200))
+    assert power_iterate(f, 12).converged
+    assert builds == []
+    # one level down, the L^3 table holds 2**14 entries and is built
+    assert power_iterate(f, 11).converged
+    assert builds == [2**11]
