@@ -26,7 +26,6 @@ single numpy Generator seeded by --seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -104,15 +103,23 @@ def _write_report(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(rows, path: str) -> None:
-    floats = [v for row in rows for v in (row.K_n, row.nu_ref, row.deviation)]
-    cells = iter(_join_floats(floats, "\n").split("\n"))
+def _write_csv(table: dlr.TLTable, path: str) -> None:
+    """tl's table, one row per (volume, cylinder, boundary) in that order,
+    written as the csv module's default dialect writes it: no field needs
+    quoting (cylinder names are digits, boundary ids digits and '|'), and
+    every line ends in \\r\\n."""
+    refs = _join_floats(table.nu_ref.tolist(), "\n").split("\n")
+    template = "".join([
+        f"{n},{name},{boundary_id},%s,{ref},%s\r\n"
+        for n in table.volumes.tolist()
+        for name, ref in zip(table.cylinders, refs)
+        for boundary_id in table.boundary_ids
+    ])
+    # K_n and deviation of each row, side by side in row order
+    pairs = np.stack([table.K, table.deviation], axis=-1).ravel().tolist()
+    cells = tuple(_join_floats(pairs, "\n").split("\n")) if pairs else ()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "cylinder", "boundary_id", "K_n", "nu_ref", "deviation"])
-        writer.writerows(
-            (r.n, r.cylinder, r.boundary_id, next(cells), next(cells), next(cells)) for r in rows
-        )
+        fh.write("n,cylinder,boundary_id,K_n,nu_ref,deviation\r\n" + template % cells)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +233,7 @@ def _random_word(rng: np.random.Generator, d: int, max_len: int) -> tuple[int, .
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (results, ok, csv_rows)
+# Subcommand handlers: each returns (results, ok, csv_table)
 # ---------------------------------------------------------------------------
 
 def _rpf_data(cfg, args):
@@ -290,8 +297,9 @@ def _cmd_kernel(cfg, args):
     y = _point_from_literal(cfg.get("boundary", "|0"))
     word = parse_word(cfg.get("test_word", "0"))
     g = CylinderFunction.indicator(f.d, word)
-    value = dlr.kernel(f, beta, n, y, g)
-    log_z = dlr.log_partition(f, beta, n, y)
+    # the kernel and its log-partition from one sweep
+    _, K, _, log_zs = next(dlr._sweep(f, beta, [g], [y], [n]))
+    value, log_z = float(K[0, 0]), float(log_zs[0])
     results = {
         "partition": transfer.exp_or_inf(log_z),
         "log_partition": log_z,
@@ -327,14 +335,14 @@ def _cmd_tl(cfg, args):
     else:
         boundaries = [_random_point(rng, f.d) for _ in range(4)]
     tol = _opt(args.tol, transfer.DEFAULT_TOL)
-    rows, worst = dlr.tl_sequence(f, beta, cylinders, boundaries, n_max, tol=tol)
+    table = dlr.tl_sequence(f, beta, cylinders, boundaries, n_max, tol=tol)
     results = {
-        "worst": worst,
+        "worst": dict(zip(table.volumes.tolist(), table.worst.tolist())),
         "n_max": n_max,
-        "rows": len(rows),
+        "rows": table.K.size,
         "boundaries": [y.literal for y in boundaries],
     }
-    return results, True, rows
+    return results, True, table
 
 
 def _cmd_dlr_check(cfg, args):
@@ -574,7 +582,7 @@ def run(argv=None) -> int:
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
             raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
         cfg = _load_config(args.config)
-        results, ok, rows = _COMMANDS[args.command](cfg, args)
+        results, ok, table = _COMMANDS[args.command](cfg, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -583,6 +591,10 @@ def run(argv=None) -> int:
         return 1
     except transfer.NumericalBreakdown as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return 1
+    except potentials.VariationUnavailable as exc:
+        # a valid config whose potential declares no variation bound the command needs
+        print(f"no certified bound: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
@@ -596,8 +608,8 @@ def run(argv=None) -> int:
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
     _write_report(report, args.out)
-    if args.csv and rows is not None:
-        _write_csv(rows, args.csv)
+    if args.csv and table is not None:
+        _write_csv(table, args.csv)
     return 0 if ok else 2
 
 

@@ -31,6 +31,12 @@ kernel_measure.  Only kernel_measure (splitting steps),
 constant_shift_check (a shifted gauge) and the table route of the tower
 check (one continued pass) fork on their own.
 
+tl_sequence returns its kernels as arrays, one TLTable: K[v, j, b] is the
+kernel mass of cylinder j at boundary b in the v-th volume, the stack of
+the per-volume K of one sweep, next to the reference masses nu_ref[j];
+the deviations |K - nu_ref| and each volume's worst deviation are one
+array operation each.
+
 The kernel reads y only through sigma^n y (the coordinates outside the
 volume); the engine reads exactly the first D of them, so boundary
 dependence is structural rather than numerical.  Its steps apply
@@ -54,6 +60,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -177,15 +184,24 @@ class _Engine:
         """Yield (n, K, log_z) for each n of the increasing `volumes` (all >= 1):
         K[b, j] is the volume-n kernel of tests[j] at boundaries[b] and
         log_z[b] = log (L^n 1)(sigma^n boundaries[b])."""
-        last, depth = max(volumes, default=0), self.depth
+        last, depth, d = max(volumes, default=0), self.depth, self.d
         # one read per boundary: y.coords(n + D) at every volume is quadratic in n
-        coords = [y.coords(last + depth) for y in boundaries]
+        coords = np.array([y.coords(last + depth) for y in boundaries], dtype=np.int64)
+        coords = coords.reshape(len(boundaries), last + depth)
+        # the kernels read y_{n+1} ... y_{n+D}: every coordinate from the first volume on
+        top = int(coords[:, min(volumes, default=0):].max(initial=0))
+        if top >= d:
+            raise ValueError(f"symbol {top} outside alphabet of size {d}")
+        # rows[b, n]: the row a volume-n kernel at boundaries[b] reads, y_{n+1} ... y_{n+D}
+        rows = coords[:, :last + 1]
+        for k in range(1, depth):
+            rows = rows * d + coords[:, k:k + last + 1]
         for n, block, lift, exp2 in itertools.islice(self.iterates(self.columns(tests)), last):
             if n in volumes:
-                rows = [word_index(c[n:n + depth], self.d) for c in coords]
-                # L^n 1 = block[-1] * e^lift * 2**exp2 in the engine's row scaling
-                log_z = np.array([math.log(block[-1, i]) + lift[i] + exp2 * _LN2 for i in rows])
-                yield n, (block[:-1, rows] / block[-1, rows]).T, log_z
+                r = rows[:, n]
+                z = block[-1, r]
+                # L^n 1 = z * e^lift * 2**exp2 in the engine's row scaling
+                yield n, (block[:-1, r] / z).T, np.log(z) + lift[r] + exp2 * _LN2
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +439,30 @@ def _representative_point_bound(
 # Kernel limits along growing volumes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TLRow:
-    n: int
-    cylinder: str
-    boundary_id: str
-    K_n: float
-    nu_ref: float
-    deviation: float
+@dataclass(frozen=True, eq=False)
+class TLTable:
+    """Kernel masses of cylinders along growing volumes, against a reference.
+
+    K[v, j, b] is the volume-volumes[v] kernel mass of cylinder j at
+    boundary b and nu_ref[j] the reference mass of cylinder j; cylinders and
+    boundary_ids name the j and b axes.
+    """
+
+    volumes: np.ndarray
+    cylinders: list[str]
+    boundary_ids: list[str]
+    K: np.ndarray
+    nu_ref: np.ndarray
+
+    @cached_property
+    def deviation(self) -> np.ndarray:
+        """|K - nu_ref|, entry by entry."""
+        return np.abs(self.K - self.nu_ref[:, None])
+
+    @cached_property
+    def worst(self) -> np.ndarray:
+        """The largest deviation of each volume over cylinders and boundaries."""
+        return self.deviation.max(axis=(1, 2))
 
 
 def tl_sequence(
@@ -441,15 +473,15 @@ def tl_sequence(
     n_max: int,
     reference: CylinderMeasure | None = None,
     tol: float = DEFAULT_TOL,
-) -> tuple[list[TLRow], dict[int, float]]:
+) -> TLTable:
     """Kernel masses of cylinders against the eigenprobability, per volume.
 
-    For each volume n <= n_max (starting at the deepest cylinder), each
-    cylinder word and each boundary point, tabulates the kernel mass, the
-    eigenprobability reference, and their deviation; for a table-backed
-    potential one engine pass over n serves every row.  Returns the rows and
-    the per-volume worst deviation over (cylinder, boundary) pairs -- the
-    sequence whose decay witnesses convergence to the eigenprobability.
+    Tabulates the kernel mass of each cylinder word at each boundary point
+    for every volume n from the deepest cylinder's length to n_max, next to
+    the cylinder's reference mass; for a table-backed potential one engine
+    pass over n serves the whole table.  Its worst deviation per volume,
+    over (cylinder, boundary) pairs, is the sequence whose decay witnesses
+    convergence to the eigenprobability.
 
     The reference defaults to power-iterated eigendata of beta*f at a
     depth resolving every requested cylinder.
@@ -461,30 +493,17 @@ def tl_sequence(
         depth = max(qmax, f.truncation_depth() - 1, 1)
         reference = power_iterate(scale(f, beta), depth, tol=tol).nu
     tests = [CylinderFunction.indicator(f.d, w) for w in cylinders]
-    refs = [reference.cylinder_mass(w) for w in cylinders]
-    names = ["".join(str(s) for s in w) for w in cylinders]
-    ids = [y.literal for y in boundaries]
-    rows: list[TLRow] = []
-    worst: dict[int, float] = {}
-    for n, values, _, _ in _sweep(f, beta, tests, boundaries, range(qmax, n_max + 1)):
-        dev = 0.0
-        for j, (name, ref) in enumerate(zip(names, refs)):
-            for b, boundary_id in enumerate(ids):
-                val = float(values[b, j])
-                delta = abs(val - ref)
-                dev = max(dev, delta)
-                rows.append(
-                    TLRow(
-                        n=n,
-                        cylinder=name,
-                        boundary_id=boundary_id,
-                        K_n=val,
-                        nu_ref=ref,
-                        deviation=delta,
-                    )
-                )
-        worst[n] = dev
-    return rows, worst
+    volumes = range(qmax, n_max + 1)
+    K = np.empty((len(volumes), len(tests), len(boundaries)))
+    for v, (_, values, _, _) in enumerate(_sweep(f, beta, tests, boundaries, volumes)):
+        K[v] = values.T
+    return TLTable(
+        volumes=np.array(volumes, dtype=np.int64),
+        cylinders=["".join(str(s) for s in w) for w in cylinders],
+        boundary_ids=[y.literal for y in boundaries],
+        K=K,
+        nu_ref=np.array([reference.cylinder_mass(w) for w in cylinders]),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -172,9 +172,6 @@ class Point:
         reps = -(-(n - k) // len(self.cycle))
         return (self.prefix + self.cycle * reps)[:n]
 
-    def max_symbol(self) -> int:
-        return max(self.prefix + self.cycle)
-
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"Point({self.literal!r})"
 
@@ -292,14 +289,8 @@ class CylinderFunction:
             self.d, depth, fn(self.refine(depth).values, other.refine(depth).values)
         )
 
-    def map(self, fn) -> "CylinderFunction":
-        return CylinderFunction(self.d, self.depth, fn(self.values))
-
     def __add__(self, other):
         return self.zip_with(other, np.add)
-
-    def __sub__(self, other):
-        return self.zip_with(other, np.subtract)
 
     def __mul__(self, other):
         return self.zip_with(other, np.multiply)

@@ -95,7 +95,8 @@ def test_criterion_04_kernels_converge_to_eigenprobability():
         f = _random_table(rng, 2, 2, scale=0.5)
         fbar = transfer.normalize(f, transfer.power_iterate(f, 2, tol=1e-13))
         boundaries = [_random_point(rng, 2, max_prefix=3) for _ in range(8)]
-        _, worst = dlr.tl_sequence(fbar, 1.0, cylinders, boundaries, 12, tol=1e-13)
+        table = dlr.tl_sequence(fbar, 1.0, cylinders, boundaries, 12, tol=1e-13)
+        worst = dict(zip(table.volumes.tolist(), table.worst.tolist()))
         worst12 = max(worst12, worst[12])
         mono = mono and all(worst[n + 1] <= worst[n] for n in range(4, 12))
     ok = worst12 < 1e-6 and mono

@@ -187,48 +187,39 @@ def test_interaction_from_table_config(tmp_path):
     assert report["results"]["terms"] > 0
 
 
+def hofbauer_config(tmp_path, **extra):
+    params = {
+        "a_seq": {"form": "power", "base": 0.25, "coef": 1.0, "exponent": 2.0},
+        "c_seq": {"form": "geometric", "base": -0.75, "coef": 2.0, "ratio": 0.5},
+        "a": 0.25,
+        "b": 5.0,
+        "c": -0.75,
+    }
+    return write_config(tmp_path, {"potential": {"kind": "hofbauer", "params": {**params, **extra}}})
+
+
 def test_walters_hofbauer_config(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "potential": {
-                "kind": "hofbauer",
-                "params": {
-                    "a_seq": {"form": "power", "base": 0.25, "coef": 1.0, "exponent": 2.0},
-                    "c_seq": {"form": "geometric", "base": -0.75, "coef": 2.0, "ratio": 0.5},
-                    "a": 0.25,
-                    "b": 5.0,
-                    "c": -0.75,
-                    "var_decay": {"form": "power", "base": 0.0, "coef": 8.0, "exponent": 2.0},
-                },
-            }
-        },
-    )
-    code, report = run(tmp_path, "walters", "--config", cfg, "--n", "4")
+    decay = {"form": "power", "base": 0.0, "coef": 8.0, "exponent": 2.0}
+    code, report = run(tmp_path, "walters", "--config", hofbauer_config(tmp_path, var_decay=decay), "--n", "4")
     assert code == 0
     assert report["results"]["jop"]["n_terms"] >= 8
     assert all(e["value"] >= 0.0 for e in report["results"]["estimates"])
 
 
 def test_walters_without_variation_metadata(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        {
-            "potential": {
-                "kind": "hofbauer",
-                "params": {
-                    "a_seq": {"form": "power", "base": 0.25, "coef": 1.0, "exponent": 2.0},
-                    "c_seq": {"form": "geometric", "base": -0.75, "coef": 2.0, "ratio": 0.5},
-                    "a": 0.25,
-                    "b": 5.0,
-                    "c": -0.75,
-                },
-            }
-        },
-    )
     # no honest variation majorant exists, so the subcommand refuses
-    assert cli.main(["walters", "--config", cfg, "--n", "4"]) == 1
+    assert cli.main(["walters", "--config", hofbauer_config(tmp_path), "--n", "4"]) == 1
     assert "no variation metadata" in capsys.readouterr().err
+
+
+def test_missing_variation_bound_is_not_a_config_error(tmp_path, capsys):
+    # the config is valid; the operator at depth 8 needs a variation bound it does not declare
+    code, report = run(tmp_path, "pressure", "--config", hofbauer_config(tmp_path), "--depth", "8")
+    assert code == 1
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith("no certified bound: no variation metadata for GenericContinuous")
+    assert "invalid config" not in err
 
 
 def test_walters_on_a_table_stops_at_its_depth(tmp_path):
@@ -280,9 +271,9 @@ def test_tl_honours_tol(tmp_path):
     for tol in ("1e-2", "1e-10"):
         code, report = run(tmp_path, "tl", "--config", cfg, "--n", "8", "--tol", tol)
         assert code == 0
-        _, expected = dlr.tl_sequence(f, 1.0, words, points, 8, tol=float(tol))
+        expected = dlr.tl_sequence(f, 1.0, words, points, 8, tol=float(tol))
         worst[tol] = report["results"]["worst"]
-        assert worst[tol] == {str(n): w for n, w in expected.items()}
+        assert worst[tol] == {str(n): w for n, w in zip(expected.volumes.tolist(), expected.worst.tolist())}
     assert worst["1e-2"] != worst["1e-10"]
 
 
@@ -479,19 +470,21 @@ def test_subcommands_without_beta_refuse_the_flag(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("config", ["table", "ising_lr"])
 def test_kernel_report_computes_log_partition_once(tmp_path, monkeypatch, config):
+    # the kernel value and its log-partition come from one sweep, one engine for a table
     calls = []
-    log_partition = dlr.log_partition
-
-    def counted(*args):
-        calls.append(args)
-        return log_partition(*args)
-
-    monkeypatch.setattr(dlr, "log_partition", counted)
+    sweep = dlr._sweep
+    monkeypatch.setattr(dlr, "_sweep", lambda *args: calls.append(args) or sweep(*args))
     path = markov_config(tmp_path) if config == "table" else ising_config(tmp_path)
     code, report = run(tmp_path, "kernel", "--config", path, "--n", "4")
     assert code == 0
     assert len(calls) == 1
-    assert report["results"]["partition"] == pytest.approx(math.exp(report["results"]["log_partition"]), rel=1e-15)
+    f, beta, [g], [y], [n] = calls[0]
+    results = report["results"]
+    assert (beta, n, y.literal) == (1.0, 4, "|0")
+    # bitwise the values of the two separate routes
+    assert results["kernel_value"] == dlr.kernel(f, beta, n, y, g)
+    assert results["log_partition"] == dlr.log_partition(f, beta, n, y)
+    assert results["partition"] == pytest.approx(math.exp(results["log_partition"]), rel=1e-15)
 
 
 def test_check_failure_exit_2(tmp_path):
@@ -610,15 +603,40 @@ def reference_dump_report(report):
     return text + "\n"
 
 
-def reference_csv(rows):
+def reference_csv(table):
+    """tl's CSV by definition: csv.writer, one row per (volume, cylinder, boundary)."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["n", "cylinder", "boundary_id", "K_n", "nu_ref", "deviation"])
-    for row in rows:
-        writer.writerow(
-            [row.n, row.cylinder, row.boundary_id, *map(_format_float, (row.K_n, row.nu_ref, row.deviation))]
-        )
+    for v, n in enumerate(table.volumes.tolist()):
+        for j, name in enumerate(table.cylinders):
+            for b, boundary_id in enumerate(table.boundary_ids):
+                floats = (table.K[v, j, b], table.nu_ref[j], table.deviation[v, j, b])
+                writer.writerow([n, name, boundary_id, *(_format_float(float(x)) for x in floats)])
     return buf.getvalue()
+
+
+def test_write_csv_matches_the_csv_writer_on_special_floats(tmp_path):
+    specials = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 0.1, 1.0]
+    K = np.array(specials * 4).reshape(2, 7, 2)
+    table = dlr.TLTable(
+        volumes=np.array([3, 12]),
+        cylinders=["0", "1", "01", "10", "110", "0", "11"],
+        boundary_ids=["|0", "01|1"],
+        K=K,
+        nu_ref=np.array([0.5, -0.0, 5e-324, float("nan"), float("inf"), 1.0, 0.25]),
+    )
+    path = tmp_path / "rows.csv"
+    with np.errstate(invalid="ignore"):  # inf - inf in the deviation column
+        cli._write_csv(table, str(path))
+        expected = reference_csv(table)
+    assert path.read_bytes().decode() == expected
+    assert {"NaN", "Infinity", "-Infinity", "-0", "4.9406564584124654e-324"} <= set(re.split(r"[,\r\n]", expected))
+    # every finite table writes its floats in one % call; so does an empty one
+    for K in (np.full((2, 7, 2), 0.1), np.zeros((0, 7, 2))):
+        finite = dataclasses.replace(table, volumes=np.array([3, 12][:len(K)]), K=K, nu_ref=np.full(7, 0.5))
+        cli._write_csv(finite, str(path))
+        assert path.read_bytes().decode() == reference_csv(finite)
 
 
 @pytest.mark.parametrize(
@@ -673,7 +691,7 @@ def test_subcommand_reports_match_the_json_dumps_layout(tmp_path, monkeypatch, a
     reports, tables = [], []
     dump_report, write_csv = cli.dump_report, cli._write_csv
     monkeypatch.setattr(cli, "dump_report", lambda r: reports.append(r) or dump_report(r))
-    monkeypatch.setattr(cli, "_write_csv", lambda rows, path: tables.append(rows) or write_csv(rows, path))
+    monkeypatch.setattr(cli, "_write_csv", lambda table, path: tables.append(table) or write_csv(table, path))
     csv_path = tmp_path / "rows.csv"
     code, _ = run(tmp_path, *argv, "--csv", str(csv_path))
     assert code in (0, 2)
@@ -681,5 +699,5 @@ def test_subcommand_reports_match_the_json_dumps_layout(tmp_path, monkeypatch, a
     text = (tmp_path / "report.json").read_text()
     assert text == dump_report(report) == reference_dump_report(report)
     if argv[0] == "tl":
-        (rows,) = tables
-        assert csv_path.read_bytes().decode() == reference_csv(rows)
+        (table,) = tables
+        assert csv_path.read_bytes().decode() == reference_csv(table)

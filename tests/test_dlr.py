@@ -237,10 +237,11 @@ def test_kernel_engine_exponentiates_once_per_epoch(monkeypatch):
     reference = power_iterate(f, 3).nu
     exponentiations.clear()
     boundaries = [Point.from_literal("|0"), Point.from_literal("01|1")]
-    rows, worst = tl_sequence(f, 1.0, [(0,), (1, 1, 0)], boundaries, 500, reference)
-    assert len(rows) == 4 * 498
+    table = tl_sequence(f, 1.0, [(0,), (1, 1, 0)], boundaries, 500, reference)
+    assert table.K.size == 4 * 498
     assert 1 <= len(exponentiations) <= 5
-    assert worst[500] < 1e-10
+    assert table.volumes[-1] == 500
+    assert table.worst[-1] < 1e-10
 
 
 def test_tower_check_refuses_volume_zero_on_both_routes(monkeypatch):
@@ -283,12 +284,12 @@ def test_callable_potential_matches_its_table():
         res_h, _ = dlr_residual(h, 0.7, nu, n, g, z)
         res_f, _ = dlr_residual(f, 0.7, nu, n, g, z)
         assert res_h == pytest.approx(res_f, abs=1e-13)
-    rows_h, _ = tl_sequence(h, 1.0, [(0,), (1, 0)], [y, z], 5)
-    rows_f, _ = tl_sequence(f, 1.0, [(0,), (1, 0)], [y, z], 5)
-    assert [(r.n, r.cylinder, r.boundary_id) for r in rows_h] == [
-        (r.n, r.cylinder, r.boundary_id) for r in rows_f
-    ]
-    assert max(abs(a.K_n - b.K_n) for a, b in zip(rows_h, rows_f)) < 1e-13
+    table_h = tl_sequence(h, 1.0, [(0,), (1, 0)], [y, z], 5)
+    table_f = tl_sequence(f, 1.0, [(0,), (1, 0)], [y, z], 5)
+    assert (table_h.volumes.tolist(), table_h.cylinders, table_h.boundary_ids) == (
+        table_f.volumes.tolist(), table_f.cylinders, table_f.boundary_ids)
+    assert table_h.K.shape == table_f.K.shape
+    assert np.max(np.abs(table_h.K - table_f.K)) < 1e-13
 
 
 def test_kernel_is_transfer_ratio():
@@ -389,11 +390,47 @@ def test_tl_rows_converge_to_eigenprobability():
     fbar = normalize(MARKOV, power_iterate(MARKOV, 2, tol=1e-13))
     cylinders = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
     boundaries = [Point.constant(0), Point.constant(1), Point.from_literal("|01")]
-    rows, worst = tl_sequence(fbar, 1.0, cylinders, boundaries, 10)
-    assert set(r.n for r in rows) == set(range(2, 11))
-    devs = [worst[n] for n in sorted(worst)]
+    table = tl_sequence(fbar, 1.0, cylinders, boundaries, 10)
+    assert table.volumes.tolist() == list(range(2, 11))
+    devs = table.worst.tolist()
     assert all(b <= a * 1.001 + 1e-15 for a, b in zip(devs[2:], devs[3:]))
     assert devs[-1] < 1e-6
+
+
+def test_engine_refuses_boundary_symbols_outside_the_alphabet():
+    f = Potential.from_table(2, 2, [0.3, -0.5, 0.9, 0.1])
+    g = CylinderFunction.indicator(2, (0,))
+    with pytest.raises(ValueError, match="symbol 2 outside alphabet of size 2"):
+        kernel(f, 1.0, 3, Point.from_literal("0102|1"), g)
+    # the volume's own coordinates are rewritten, never read
+    assert kernel(f, 1.0, 3, Point.from_literal("5|1"), g) == kernel(f, 1.0, 3, Point.from_literal("|1"), g)
+
+
+@pytest.mark.parametrize("kind", ["table", "ising_lr"])
+def test_tl_table_axes_are_volume_cylinder_boundary(kind):
+    # K[v, j, b] is bitwise the kernel of cylinder j at boundary b in volume volumes[v]
+    if kind == "table":
+        f = Potential.from_table(2, 3, np.random.default_rng(39).uniform(-1.0, 1.0, 8))
+        n_max = 9
+    else:
+        f = g_potential(IsingParams(alpha=3.0, cutoff=40))
+        n_max = 4
+    cylinders = [(1,), (0, 1), (1, 1, 0)]
+    boundaries = [Point.from_literal(t) for t in ("|0", "10|01", "1|10", "|1")]
+    reference = CylinderMeasure(2, 3, np.full(8, 0.125))
+    table = tl_sequence(f, 0.8, cylinders, boundaries, n_max, reference)
+    assert table.volumes.tolist() == list(range(3, n_max + 1))
+    assert table.cylinders == ["1", "01", "110"]
+    assert table.boundary_ids == [y.literal for y in boundaries]
+    assert table.K.shape == (n_max - 2, 3, 4)
+    for v, n in enumerate(table.volumes.tolist()):
+        for j, w in enumerate(cylinders):
+            g = CylinderFunction.indicator(2, w)
+            for b, y in enumerate(boundaries):
+                assert table.K[v, j, b] == kernel(f, 0.8, n, y, g)
+    assert np.array_equal(table.nu_ref, [0.5, 0.25, 0.125])
+    assert np.array_equal(table.deviation, np.abs(table.K - table.nu_ref[:, None]))
+    assert table.worst.tolist() == [max(table.deviation[v].ravel().tolist()) for v in range(n_max - 2)]
 
 
 def test_D_estimate_stabilizes_and_bounds():
@@ -471,10 +508,11 @@ def test_callable_kernel_evaluates_each_tail_word_once():
     boundaries = [Point.from_literal(t) for t in ("|0", "|1", "0|110", "1|01")]
     reference = power_iterate(f, 2).nu
     calls.clear()
-    rows_h, _ = tl_sequence(h, 0.9, cylinders, boundaries, 8, reference)
+    table_h = tl_sequence(h, 0.9, cylinders, boundaries, 8, reference)
     assert len(calls) <= 4_008
-    rows_f, _ = tl_sequence(f, 0.9, cylinders, boundaries, 8, reference)
-    assert max(abs(a.K_n - b.K_n) for a, b in zip(rows_h, rows_f)) < 1e-13
+    table_f = tl_sequence(f, 0.9, cylinders, boundaries, 8, reference)
+    assert table_h.K.shape == table_f.K.shape
+    assert np.max(np.abs(table_h.K - table_f.K)) < 1e-13
 
 
 def enumerated_kernel(f, beta, n, tail, g):
