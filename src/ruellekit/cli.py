@@ -330,6 +330,10 @@ def _cmd_tl(cfg, args):
         cylinders = [parse_word(w) for w in cfg["cylinders"]]
     else:
         cylinders = _default_cylinders(f.d)
+    # the volumes run from the deepest cylinder's length up to --n
+    qmax = max(map(len, cylinders), default=0)
+    if n_max < qmax:
+        raise UsageError(f"--n {n_max} is below the deepest cylinder's length {qmax}")
     if "boundaries" in cfg:
         boundaries = [_point_from_literal(t) for t in cfg["boundaries"]]
     else:
@@ -353,13 +357,13 @@ def _cmd_dlr_check(cfg, args):
     tol = _opt(args.tol, 1e-12)
     beta = _opt(args.beta, 1.0)
     rng = np.random.default_rng(args.seed)
-    residuals = []
+    cases = []
     for _ in range(10):
         f = _random_table_potential(rng, d, depth)
         q = int(rng.integers(1, n + r + 1))
         g = CylinderFunction(d, q, rng.uniform(-1.0, 1.0, size=d**q))
-        z = _random_point(rng, d)
-        residuals.append(dlr.finite_volume_dlr_check(f, beta, n, r, z, g))
+        cases.append((f, _random_point(rng, d), g))
+    residuals = dlr.finite_volume_dlr_check(beta, n, r, cases)
     worst = max(residuals)
     results = {
         "residuals": residuals,

@@ -29,7 +29,11 @@ dlr_residual read it.  A callable's tower check (finite_volume_dlr_check)
 is the DLR equation of its volume-(n+r) kernel, dlr_residual of
 kernel_measure.  Only kernel_measure (splitting steps),
 constant_shift_check (a shifted gauge) and the table route of the tower
-check (one continued pass) fork on their own.
+check fork on their own.  The tower check takes a list of cases
+(f, z, g) and steps all its table cases on one engine: each case's
+operator is one block of a disjoint union (transfer.disjoint_union), so
+one n-step pass and its two continuations (r splitting steps, r plain
+steps) serve every case, whatever their number.
 
 tl_sequence returns its kernels as arrays, one TLTable: K[v, j, b] is the
 kernel mass of cylinder j at boundary b in the v-th volume, the stack of
@@ -64,6 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import shift
 from .potentials import (
     Hoelder,
     LocallyConstant,
@@ -87,8 +92,8 @@ from .shift import (
     word_tail_index,
 )
 from .transfer import (
-    DEFAULT_MAX_ITER, DEFAULT_TOL, NumericalBreakdown, exp_or_inf, normalize, power_iterate,
-    transfer_operator,
+    DEFAULT_MAX_ITER, DEFAULT_TOL, NumericalBreakdown, disjoint_union, exp_or_inf, normalize,
+    power_iterate, transfer_operator,
 )
 
 # Nominal rounding allowance of one computed kernel value.
@@ -332,47 +337,93 @@ def constant_shift_check(
 # ---------------------------------------------------------------------------
 
 def finite_volume_dlr_check(
-    f: Potential,
     beta: float,
     n: int,
     r: int,
-    z: Point,
-    g: CylinderFunction,
-) -> float:
-    """Tower property of the kernels: averaging the volume-n kernel over the
-    volume-(n+r) one reproduces the volume-(n+r) average of g.
+    cases: list[tuple[Potential, Point, CylinderFunction]],
+) -> list[float]:
+    """Tower property of the kernels, one residual |lhs - rhs| per case
+    (f, z, g): averaging the volume-n kernel of beta*f over the
+    volume-(n+r) one at boundary z reproduces the volume-(n+r) average of g.
 
     The inner kernel depends on its boundary through coordinates
     n+1, ..., n+r of the outer word plus t = sigma^{n+r} z.  For a
-    table-backed potential the two sides take separate routes through the
+    table-backed f the two sides take separate routes through the
     engine.  The left side reads the inner kernels at the boundaries u.t
     (|u| = r) from the rows of one n-step pass, and weighs them by the
     volume-(n+r) marginal of coordinates n+1..n+r, which is
     L^r(1_[u] L^n 1)(t) / (L^{n+r} 1)(t): r splitting steps continue the
-    pass's column L^n 1.  The right side is kernel(f, beta, n + r, z, g):
+    pass's column L^n 1.  The right side is the volume-(n+r) kernel of g:
     r further plain steps of the same pass.
-    Otherwise the check is the DLR equation of the volume-(n+r) kernel
-    itself: dlr_residual of kernel_measure(f, beta, n + r, z) at tail t.
-    Returns |lhs - rhs|.
+
+    The table cases take those three passes together.  Case j's operator
+    of beta*f_j at depth D_j = max(depth(g_j), depth(f_j) - 1, 1) is block
+    j of one disjoint union (transfer.disjoint_union), which keeps each
+    case's preimages inside its own block, and each case reads its rows at
+    its block's offset.  Cases are packed in order into as few unions as
+    keep the split block, d**r times the union's size, within the
+    table-size guard; a case that alone exceeds it is refused before any
+    work.  A one-case union is the case's own operator, so a case checked
+    alone gets the per-case value bitwise; in a batch it moves only by
+    the rounding of the engine's shared row gauge.
+    For a callable f the check is the DLR equation of the volume-(n+r)
+    kernel itself: dlr_residual of kernel_measure(f, beta, n + r, z) at
+    tail t.
     """
     if n < 1:
         raise ValueError("volume must contain at least one site")
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    tail_z = shift_n(z, n + r)
-    if f.table is None:
-        return dlr_residual(f, beta, kernel_measure(f, beta, n + r, z), n, g, tail_z)[0]
-    eng = _Engine.of(f, beta, g.depth)
-    block, lift = eng.run(eng.columns([g]), n)
+    if len({f.d for f, _, _ in cases} | {g.d for _, _, g in cases}) > 1:
+        raise ValueError("alphabet mismatch: tower check cases must share one alphabet")
+    splits = {}  # table case -> the entries of its split block, d**(D_j + r)
+    for j, (f, _, g) in enumerate(cases):
+        if f.table is None:
+            check_table_size(f.d, n + r)  # the volume-(n+r) words
+        else:
+            splits[j] = check_table_size(f.d, max(g.depth, f.truncation_depth() - 1, 1) + r)
+    passes, size = [], 0
+    for j, entries in splits.items():
+        if not passes or size + entries > shift.MAX_TABLE_ENTRIES:
+            passes.append([])
+            size = 0
+        passes[-1].append(j)
+        size += entries
+    residuals = [0.0] * len(cases)
+    for batch in passes:
+        for j, res in zip(batch, _tower_pass(beta, n, r, [cases[j] for j in batch])):
+            residuals[j] = res
+    for j, (f, z, g) in enumerate(cases):
+        if f.table is None:
+            mu = kernel_measure(f, beta, n + r, z)
+            residuals[j] = dlr_residual(f, beta, mu, n, g, shift_n(z, n + r))[0]
+    return residuals
+
+
+def _tower_pass(beta: float, n: int, r: int, cases) -> list[float]:
+    """The tower residuals of table cases (f, z, g), from one engine on the
+    disjoint union of their operators (see finite_volume_dlr_check)."""
+    ops = [_Engine.of(f, beta, g.depth).op for f, _, g in cases]
+    starts = np.cumsum([0] + [op.size for op in ops[:-1]])
+    reads = []
+    for op, start, (_, z, _) in zip(ops, starts, cases):
+        tail = shift_n(z, n + r)
+        # the outer kernels read the first D symbols of t, the inner ones
+        # at boundary u.t the first D symbols of u.t
+        row = start + word_index(tail.coords(op.depth), op.d)
+        reads.append((row, start + word_tail_index(op.d, r, op.depth, tail)))
+    eng = _Engine(disjoint_union(ops))
+    tests = np.concatenate([np.repeat(g.values, op.size // g.values.size) for op, (_, _, g) in zip(ops, cases)])
+    block, lift = eng.run(np.stack([tests, np.ones(eng.op.size)]), n)
     inner = block[0] / block[1]
-    check_table_size(f.d, eng.depth + r)
     marginal, _ = eng.run(block[1:], r, split=r, lift=lift)
-    row = eng.row(z, n + r)
-    p = marginal[:, row]
-    # the inner kernel at boundary u.t reads the first D symbols of u.t
-    lhs = sum_of_products(p, inner[word_tail_index(f.d, r, eng.depth, tail_z)]) / float(p.sum())
     outer, _ = eng.run(block, r, lift=lift)
-    return abs(lhs - float(outer[0, row] / outer[1, row]))
+    residuals = []
+    for row, cells in reads:
+        p = marginal[:, row]
+        lhs = sum_of_products(p, inner[cells]) / float(p.sum())
+        residuals.append(abs(lhs - float(outer[0, row] / outer[1, row])))
+    return residuals
 
 
 def dlr_residual(

@@ -280,26 +280,8 @@ class CylinderFunction:
     def value_at(self, x: Point) -> float:
         return float(self.values[word_index(x.coords(self.depth), self.d)])
 
-    def zip_with(self, other: "CylinderFunction", fn) -> "CylinderFunction":
-        """Pointwise combination after aligning depths."""
-        if other.d != self.d:
-            raise ValueError("alphabet mismatch")
-        depth = max(self.depth, other.depth)
-        return CylinderFunction(
-            self.d, depth, fn(self.refine(depth).values, other.refine(depth).values)
-        )
-
-    def __add__(self, other):
-        return self.zip_with(other, np.add)
-
-    def __mul__(self, other):
-        return self.zip_with(other, np.multiply)
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def oscillation(self) -> float:
-        return float(np.max(self.values) - np.min(self.values))
 
 
 @dataclass(frozen=True)
@@ -329,12 +311,6 @@ class CylinderMeasure:
 
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    def normalized(self) -> "CylinderMeasure":
-        mass = self.total_mass()
-        if mass <= 0:
-            raise ValueError("cannot normalise a measure with non-positive mass")
-        return CylinderMeasure(self.d, self.depth, self.weights / mass)
 
     def coarsen(self, depth: int) -> "CylinderMeasure":
         if depth > self.depth:

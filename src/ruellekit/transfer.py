@@ -77,18 +77,22 @@ class TransferOperator:
     (a, w_1, ..., w_{m-1}) when producing the output at word w = index i.
     Their logs are f(a w), plus h[preimages[a, i]] - h[i] - c in a gauge.
     The table of L^p (`power`) has one row per preimage word u of length p
-    in place of a.
+    in place of a.  A disjoint union of operators (disjoint_union) lays
+    their tables side by side in one.
     """
 
     d: int
     depth: int
-    log_weights: np.ndarray    # shape (d, d**depth)
+    log_weights: np.ndarray    # shape (d, size)
     preimages: np.ndarray      # [a, i]: index of the child word (a, w_1, ..., w_{m-1}) of word i
     truncation_bound: float    # certified bound on the dropped tail-dependence
 
     @property
     def size(self) -> int:
-        return self.d ** self.depth
+        """Entries of the tables it acts on: d**depth for an operator of one
+        depth, the sum of its blocks' sizes for a disjoint union, whose
+        preimages never leave the block of their row."""
+        return self.log_weights.shape[-1]
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -138,6 +142,30 @@ class TransferOperator:
         for pre, weights in zip(self.preimages, self.weights):
             mat[rows, pre] += weights
         return mat
+
+
+def disjoint_union(ops: list[TransferOperator]) -> TransferOperator:
+    """The operators of `ops` side by side, as one operator on the
+    concatenation of their tables.
+
+    Block j holds ops[j]'s log-weights, and its preimages offset by the
+    block's start, so every preimage stays inside its own block: apply,
+    terms and dual_apply act on each block as its own operator does,
+    bitwise.  The union has the deepest block's depth and the largest
+    truncation bound; a union of one operator is that operator.
+    """
+    if len({op.d for op in ops}) != 1:
+        raise ValueError("a disjoint union needs operators on one alphabet")
+    if len(ops) == 1:
+        return ops[0]
+    starts = np.cumsum([0] + [op.size for op in ops[:-1]])
+    return TransferOperator(
+        ops[0].d,
+        max(op.depth for op in ops),
+        np.concatenate([op.log_weights for op in ops], axis=-1),
+        np.concatenate([op.preimages + start for op, start in zip(ops, starts)], axis=-1),
+        max(op.truncation_bound for op in ops),
+    )
 
 
 @lru_cache(maxsize=16)

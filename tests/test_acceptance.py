@@ -80,7 +80,7 @@ def test_criterion_03_finite_volume_consistency():
         q = int(rng.integers(1, n + r + 1))
         g = CylinderFunction(2, q, rng.uniform(-1.0, 1.0, size=2**q))
         z = _random_point(rng, 2)
-        worst = max(worst, dlr.finite_volume_dlr_check(f, 1.0, n, r, z, g))
+        worst = max(worst, dlr.finite_volume_dlr_check(1.0, n, r, [(f, z, g)])[0])
     ok = worst < 1e-12
     _report(3, ok, f"50 tower instances: worst residual {worst:.2e} (tol 1e-12)")
 

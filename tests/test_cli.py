@@ -117,6 +117,29 @@ def test_dlr_check_seed_one(tmp_path):
     assert report["results"]["instances"] == 10
 
 
+def test_dlr_check_makes_one_call(tmp_path, monkeypatch):
+    calls = []
+    check = dlr.finite_volume_dlr_check
+    monkeypatch.setattr(dlr, "finite_volume_dlr_check", lambda *args: calls.append(args) or check(*args))
+    code, report = run(tmp_path, "dlr-check", "--n", "4", "--r", "3", "--seed", "7")
+    assert code == 0
+    ((beta, n, r, cases),) = calls
+    assert (beta, n, r, len(cases)) == (1.0, 4, 3, 10)
+    assert len(report["results"]["residuals"]) == 10
+
+
+def test_tl_refuses_n_below_the_deepest_cylinder(tmp_path, capsys):
+    # the volumes run from the deepest cylinder's length: none lie below it
+    cfg = write_config(
+        tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 3, "values": [0.1] * 8}}}
+    )
+    assert cli.main(["tl", "--config", cfg, "--n", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--n 1" in err and "length 2" in err
+    code, report = run(tmp_path, "tl", "--config", cfg, "--n", "2")
+    assert code == 0 and report["results"]["rows"] == 6 * 4
+
+
 def test_kernel_uniform_potential(tmp_path):
     code, report = run(tmp_path, "kernel")
     assert code == 0

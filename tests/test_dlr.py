@@ -24,12 +24,14 @@ from ruellekit.dlr import (
     sandwich_check,
     tl_sequence,
 )
+from ruellekit import shift
 from ruellekit.ising import IsingParams, g_potential
 from ruellekit.potentials import GenericContinuous, Hoelder, Potential, birkhoff, scale, tail_birkhoff
 from ruellekit.shift import (
     CylinderFunction,
     CylinderMeasure,
     Point,
+    TableSizeError,
     integrate,
     prepend,
     shift_n,
@@ -194,7 +196,7 @@ def test_kernel_survives_any_spread_of_beta_f():
     y = Point.from_literal("|1")
     for beta in (1.0, 800.0):
         assert kernel(f, beta, 1, y, g) == 0.5
-        assert finite_volume_dlr_check(f, beta, 1, 2, y, g) < 1e-12
+        assert finite_volume_dlr_check(beta, 1, 2, [(f, y, g)])[0] < 1e-12
     rng = np.random.default_rng(34)
     for d, depth, n in ((2, 2, 5), (2, 3, 7), (3, 2, 4), (3, 3, 3)):
         # some extended words cost 800 more than the rest
@@ -206,7 +208,7 @@ def test_kernel_survives_any_spread_of_beta_f():
         for beta in (1.0, 1.5, -1.0):
             # weights e^{beta S_n f} carry relative rounding ~ eps * |beta S_n f|
             assert kernel(f, beta, n, y, g) == pytest.approx(brute_kernel(f, beta, n, y, g), abs=1e-11)
-            assert finite_volume_dlr_check(f, beta, n, 2, z, g) < 1e-11
+            assert finite_volume_dlr_check(beta, n, 2, [(f, z, g)])[0] < 1e-11
             km = kernel_measure(f, beta, n, y, depth_out=2)
             for w in itertools.product(range(d), repeat=2):
                 ind = CylinderFunction.indicator(d, w)
@@ -255,10 +257,10 @@ def test_tower_check_refuses_volume_zero_on_both_routes(monkeypatch):
     messages = []
     for pot in (f, h):
         with pytest.raises(ValueError) as info:
-            finite_volume_dlr_check(pot, 0.7, 0, 2, z, g)
+            finite_volume_dlr_check(0.7, 0, 2, [(pot, z, g)])
         messages.append(str(info.value))
         with pytest.raises(ValueError, match="r must be >= 0"):
-            finite_volume_dlr_check(pot, 0.7, 2, -1, z, g)
+            finite_volume_dlr_check(0.7, 2, -1, [(pot, z, g)])
     assert messages == ["volume must contain at least one site"] * 2
     assert engines == []
 
@@ -279,7 +281,7 @@ def test_callable_potential_matches_its_table():
         assert sandwich_check(h, 0.7, [(n, (1,), y, z)], 0.5)[0][1] == pytest.approx(
             sandwich_check(f, 0.7, [(n, (1,), y, z)], 0.5)[0][1], rel=1e-12)
         assert constant_shift_check(h, 0.7, n, y, g, 30.0) < 1e-12
-        assert finite_volume_dlr_check(h, 0.7, n, 2, z, g) < 1e-12
+        assert finite_volume_dlr_check(0.7, n, 2, [(h, z, g)])[0] < 1e-12
         nu = power_iterate(f, 4, tol=1e-14).nu
         res_h, _ = dlr_residual(h, 0.7, nu, n, g, z)
         res_f, _ = dlr_residual(f, 0.7, nu, n, g, z)
@@ -342,7 +344,7 @@ def test_finite_volume_consistency_identity():
         q = int(rng.integers(1, n + r + 1))
         g = CylinderFunction(2, q, rng.uniform(-1.0, 1.0, 2**q))
         z = random_point(rng, 2)
-        assert finite_volume_dlr_check(f, 1.0, n, r, z, g) < 1e-12
+        assert finite_volume_dlr_check(1.0, n, r, [(f, z, g)])[0] < 1e-12
 
 
 def test_finite_volume_consistency_reads_the_outer_boundary():
@@ -353,7 +355,7 @@ def test_finite_volume_consistency_reads_the_outer_boundary():
         for n, r, q in ((2, 1, 1), (3, 1, 4), (1, 2, 3)):
             g = CylinderFunction(d, q, rng.uniform(-1.0, 1.0, d**q))
             z = random_point(rng, d)
-            assert finite_volume_dlr_check(f, 1.3, n, r, z, g) < 1e-12
+            assert finite_volume_dlr_check(1.3, n, r, [(f, z, g)])[0] < 1e-12
 
 
 def test_dlr_residual_vanishes_for_eigenprobability():
@@ -608,11 +610,123 @@ def test_sweep_equals_the_per_boundary_routes(beta):
                 mu = kernel_measure(f, beta, M, z)
                 assert dlr_residual(f, beta, mu, n, g, y) == reference_dlr_residual(f, beta, mu, n, g, y)
             if f.table is None:
-                tower = finite_volume_dlr_check(f, beta, n, r, z, g)
+                tower = finite_volume_dlr_check(beta, n, r, [(f, z, g)])[0]
                 assert tower == reference_tower_check(f, beta, n, r, z, g)
                 # the callable tower check is the DLR equation of the volume-(n+r) kernel
                 mu = kernel_measure(f, beta, n + r, z)
                 assert tower == dlr_residual(f, beta, mu, n, g, shift_n(z, n + r))[0]
+
+
+def reference_table_tower_check(beta, n, r, f, z, g):
+    """A table's tower check on its own engine: three passes per case."""
+    eng = _Engine.of(f, beta, g.depth)
+    block, lift = eng.run(eng.columns([g]), n)
+    inner = block[0] / block[1]
+    marginal, _ = eng.run(block[1:], r, split=r, lift=lift)
+    row = eng.row(z, n + r)
+    p = marginal[:, row]
+    cells = word_tail_index(f.d, r, eng.depth, shift_n(z, n + r))
+    lhs = sum_of_products(p, inner[cells]) / float(p.sum())
+    outer, _ = eng.run(block, r, lift=lift)
+    return abs(lhs - float(outer[0, row] / outer[1, row]))
+
+
+def tower_cases(rng, d, n, r, count):
+    """Random table cases (f, z, g): table depths 1-3, test depths 1..n+r+1."""
+    cases = []
+    for _ in range(count):
+        m = int(rng.integers(1, 4))
+        q = int(rng.integers(1, n + r + 2))
+        f = Potential.from_table(d, m, rng.uniform(-1.0, 1.0, d**m))
+        cases.append((f, random_point(rng, d), CylinderFunction(d, q, rng.uniform(-1.0, 1.0, d**q))))
+    return cases
+
+
+def count_engine_passes(monkeypatch):
+    """The sizes of the tables of every _Engine.iterates pass started from now on."""
+    passes = []
+    iterates = _Engine.iterates
+    monkeypatch.setattr(_Engine, "iterates", lambda self, *args: passes.append(self.op.size) or iterates(self, *args))
+    return passes
+
+
+@pytest.mark.parametrize("beta", [1.0, -0.7, 2.5])
+def test_one_case_tower_check_is_the_per_case_route(beta):
+    rng = np.random.default_rng([48, round(10 + 10 * beta)])
+    for d in (2, 3):
+        for r in range(4):
+            n = int(rng.integers(1, 4))
+            for case in tower_cases(rng, d, n, r, 3):
+                assert finite_volume_dlr_check(beta, n, r, [case]) == [reference_table_tower_check(beta, n, r, *case)]
+
+
+@pytest.mark.parametrize("beta", [1.0, -0.7, 2.5])
+def test_batched_tower_check_matches_one_case_calls(beta):
+    # block j of the union steps case j's table; only the engine's shared
+    # row gauge (its common power of two and epoch length) couples them
+    rng = np.random.default_rng([49, round(10 + 10 * beta)])
+    for d in (2, 3):
+        for r in range(4):
+            n = int(rng.integers(1, 4))
+            cases = tower_cases(rng, d, n, r, 7)
+            # a callable rides in the same call, on its own route
+            cases.insert(3, (twin(cases[0][0]), cases[1][1], cases[2][2]))
+            batched = finite_volume_dlr_check(beta, n, r, cases)
+            assert len(batched) == len(cases)
+            for case, res in zip(cases, batched):
+                alone = finite_volume_dlr_check(beta, n, r, [case])[0]
+                assert abs(res - alone) <= 1e-15 and res < 1e-12
+
+
+def test_batched_tower_check_survives_a_wide_spread():
+    # beta * osc(f) = 640000: one-step epochs, each row in its own gauge
+    wide = (Potential.from_table(2, 2, [0.0, -800.0, 0.0, -800.0]), Point.from_literal("|1"),
+            CylinderFunction.indicator(2, (0,)))
+    rng = np.random.default_rng(50)
+    for n, r in ((1, 2), (3, 1), (2, 3), (2, 0)):
+        cases = [wide] + tower_cases(rng, 2, n, r, 4)
+        batched = finite_volume_dlr_check(800.0, n, r, cases)
+        for case, res in zip(cases, batched):
+            alone = finite_volume_dlr_check(800.0, n, r, [case])[0]
+            assert abs(res - alone) <= 1e-15 and res < 1e-12
+
+
+def test_tower_check_batch_runs_three_engine_passes(monkeypatch):
+    passes = count_engine_passes(monkeypatch)
+    rng = np.random.default_rng(51)
+    for count in (1, 2, 10, 40):
+        passes.clear()
+        cases = tower_cases(rng, 2, 3, 2, count)
+        finite_volume_dlr_check(1.0, 3, 2, cases)
+        engine_sizes = [2 ** max(g.depth, f.truncation_depth() - 1, 1) for f, _, g in cases]
+        assert passes == [sum(engine_sizes)] * 3
+
+
+def test_tower_check_packs_cases_within_the_size_guard(monkeypatch):
+    rng = np.random.default_rng(52)
+    n, r = 2, 2
+    # engine depth 2 per case: a split block of 2**2 * 4 = 16 entries each
+    cases = [
+        (Potential.from_table(2, 3, rng.uniform(-1.0, 1.0, 8)), random_point(rng, 2),
+         CylinderFunction(2, 2, rng.uniform(-1.0, 1.0, 4)))
+        for _ in range(4)
+    ]
+    one_pass = finite_volume_dlr_check(1.0, n, r, cases)
+    passes = count_engine_passes(monkeypatch)
+    monkeypatch.setattr(shift, "MAX_TABLE_ENTRIES", 32)
+    two_passes = finite_volume_dlr_check(1.0, n, r, cases)
+    assert passes == [8] * 6
+    assert max(abs(a - b) for a, b in zip(one_pass, two_passes)) <= 1e-15
+    assert max(two_passes) < 1e-12
+    # a depth-4 test function alone needs 2**(4 + 2) entries: refused before any pass
+    passes.clear()
+    deep = (cases[0][0], cases[0][1], CylinderFunction(2, 4, rng.uniform(-1.0, 1.0, 16)))
+    with pytest.raises(TableSizeError):
+        finite_volume_dlr_check(1.0, n, r, cases + [deep])
+    ternary = (Potential.constant(3, 0.0), cases[0][1], CylinderFunction.indicator(3, (2,)))
+    with pytest.raises(ValueError, match="alphabet"):
+        finite_volume_dlr_check(1.0, n, r, cases + [ternary])
+    assert passes == []
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -196,17 +196,3 @@ def test_measure_masses():
     assert mu.total_mass() == pytest.approx(1.0)
     assert mu.cylinder_mass((0,)) == pytest.approx(0.5)
     assert mu.cylinder_mass((0, 1, 1)) == pytest.approx(1 / 8)
-    nu = CylinderMeasure(2, 1, np.array([1.0, 3.0])).normalized()
-    assert nu.total_mass() == pytest.approx(1.0)
-    assert nu.cylinder_mass((1,)) == pytest.approx(0.75)
-
-
-def test_function_algebra():
-    a = CylinderFunction(2, 1, np.array([1.0, 2.0]))
-    b = CylinderFunction(2, 2, np.array([1.0, 0.0, -1.0, 4.0]))
-    s = a + b
-    assert s.depth == 2
-    assert list(s.values) == [2.0, 1.0, 1.0, 6.0]
-    assert (a * b).values[3] == 8.0
-    assert s.sup_norm() == 6.0
-    assert b.oscillation() == 5.0

@@ -14,6 +14,7 @@ from ruellekit.transfer import (
     TransferOperator,
     _lift,
     check_normalized,
+    disjoint_union,
     normalize,
     power_iterate,
     transfer_operator,
@@ -309,6 +310,34 @@ def test_operators_share_one_preimage_index():
     op = transfer_operator(MARKOV, 5)
     assert transfer_operator(DEPTH_4_TABLE, 5).preimages is op.preimages
     assert np.array_equal(op.preimages[1], 2**4 + np.arange(2**5) // 2)
+
+
+def test_disjoint_union_acts_on_each_block_as_its_operator():
+    rng = np.random.default_rng(47)
+    for d, depths in [(2, (1, 3, 2)), (3, (2, 1)), (2, (4,))]:
+        ops = []
+        for depth in depths:
+            f = Potential.from_table(d, depth + 1, rng.uniform(-2.0, 2.0, d ** (depth + 1)))
+            ops.append(transfer_operator(f, depth).gauged(rng.uniform(-1.0, 1.0, d**depth), 0.3))
+        union = disjoint_union(ops)
+        sizes = [op.size for op in ops]
+        assert union.size == sum(sizes) and union.depth == max(depths)
+        starts = np.cumsum([0] + sizes)
+        # every preimage stays inside the block of its row
+        for op, lo, hi in zip(ops, starts, starts[1:]):
+            assert np.all((union.preimages[:, lo:hi] >= lo) & (union.preimages[:, lo:hi] < hi))
+        values = rng.uniform(-1.0, 1.0, (3, union.size))
+        weights = rng.uniform(0.0, 1.0, union.size)
+        terms, applied = union.terms(values), union.apply(values)
+        dual = union.dual_apply(weights)
+        for op, lo, hi in zip(ops, starts, starts[1:]):
+            assert np.array_equal(terms[..., lo:hi], op.terms(values[:, lo:hi]))
+            assert np.array_equal(applied[:, lo:hi], op.apply(values[:, lo:hi]))
+            assert np.array_equal(dual[lo:hi], op.dual_apply(weights[lo:hi]))
+    op = transfer_operator(MARKOV, 3)
+    assert disjoint_union([op]) is op
+    with pytest.raises(ValueError, match="one alphabet"):
+        disjoint_union([op, transfer_operator(Potential.constant(3, 0.0), 1)])
 
 
 def test_power_table_is_the_matrix_power():
