@@ -17,8 +17,6 @@ from .shift import (
     Point,
     TableSizeError,
     integrate,
-    metric_distance,
-    preimages,
     shift_n,
 )
 from .potentials import (
@@ -65,6 +63,7 @@ from .ising import (
     IsingParams,
     TwoSidedPoint,
     coboundary_check,
+    coboundary_checks,
     f_two_sided,
     g_one_sided,
     g_potential,

@@ -479,7 +479,12 @@ _ISING_MIN_TERMS = 14
 def _cmd_ising(cfg, args):
     _refuse_beta(args, "its series are those of the energy at beta = 1")
     alpha = _opt(args.alpha, 3.0)
-    params = ising.IsingParams(alpha=alpha, cutoff=_opt(args.cutoff, 200))
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise UsageError(f"ising --alpha must be a finite number > 1, got {alpha}")
+    cutoff = _opt(args.cutoff, 200)
+    if cutoff < 2:
+        raise UsageError(f"ising --cutoff must be >= 2, got {cutoff}")
+    params = ising.IsingParams(alpha=alpha, cutoff=cutoff)
     terms = _opt(args.n, 100)
     if alpha > 2 and terms < _ISING_MIN_TERMS:
         raise UsageError(f"ising --n must be >= {_ISING_MIN_TERMS} for alpha > 2, got {terms}")
@@ -503,18 +508,19 @@ def _cmd_ising(cfg, args):
     results["witness_ratio"] = ratio
     ok = True
     if alpha > 2:
-        checks = []
+        points = []
         for _ in range(5):
             spots = rng.integers(1, 13, size=3)
             signs = rng.integers(0, 2, size=3)
             flips = {int(p) if s else -int(p) for p, s in zip(spots, signs)}
             right = tuple(0 if i in flips else 1 for i in range(13))
             left = tuple(0 if -i in flips else 1 for i in range(1, 13))
-            x = ising.TwoSidedPoint(Point(left, (1,)), Point(right, (1,)))
-            res, bnd = ising.coboundary_check(params, x, terms)
-            checks.append({"point": x.literal, "residual": res, "bound": bnd})
-            ok = ok and res <= bnd
-        results["coboundary"] = checks
+            points.append(ising.TwoSidedPoint(Point(left, (1,)), Point(right, (1,))))
+        checks = ising.coboundary_checks(params, points, terms)
+        results["coboundary"] = [
+            {"point": x.literal, "residual": res, "bound": bnd} for x, (res, bnd) in zip(points, checks)
+        ]
+        ok = all(res <= bnd for res, bnd in checks)
     return results, ok, None
 
 

@@ -27,18 +27,22 @@ is left.coord(i).
 The series are summed on spin arrays.  Each evaluation reads the
 coordinates it needs once, through Point.coords, as one array of spins
 (a spin window); symbols outside {0, 1} are refused once per window.
+coboundary_checks reads the windows of all its points into one array.
 Every series is a row of small integer coefficients (in {-2, ..., 2})
-times a shared float vector: the powers j^(-alpha), or for g's word
-evaluator the powers followed by the exact partials of the tail.  Such a
-row has one exact sum, and its value is that sum correctly rounded, which
-is what math.fsum returns whatever the order of the terms.  _exact_rows
-computes it for many rows at once, with no Python float per term: the
-vector is split once into aligned pieces (Rump, Ogita and Oishi's
-ExtractVector) so that one integer-matrix product gives each row's exact
-piece sums, and those few floats are rounded once per row.  The powers
-come from Python's float pow, computed and split once per IsingParams
-(so once per run of the command line): numpy's power differs from it in
-the last bit for a few j, which would change the values.
+times the powers j^(-alpha).  Such a row has one exact sum, and its value
+is that sum correctly rounded, which is what math.fsum returns whatever
+the order of the terms.  It is computed with no Python float per term:
+the powers are split once into aligned pieces (Rump, Ogita and Oishi's
+ExtractVector), so that every partial sum of a row against a piece is
+exact, in any order, and _round_rows rounds each row's few piece sums.
+_exact_rows takes the piece sums as one integer-matrix product; the
+transfer series take them as sliding products (convolutions) of the spin
+windows with the pieces, and g's word evaluator adds the tail's piece
+sums, taken once per call, to each word's.  The powers come from Python's
+float pow, computed and split once per IsingParams (so once per run of the
+command line; a transfer series whose exact heads run past the cutoff
+splits a longer table per call): numpy's power differs from it in the last
+bit for a few j, which would change the values.
 
 Every series value carries a certified error bound built from
 integral-enclosure tails; the per-residue tails along a periodic side
@@ -50,10 +54,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .potentials import Potential, SummableVariation
 from .shift import Point, prepend, shift
@@ -69,8 +74,10 @@ class IsingParams:
     cutoff: int = 200
 
     def __post_init__(self):
-        if self.alpha <= 1:
-            raise ValueError("alpha must be > 1 for a summable coupling")
+        if not (math.isfinite(self.alpha) and self.alpha > 1):
+            raise ValueError(
+                f"alpha must be a finite number > 1 for a summable coupling, got {self.alpha}"
+            )
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
 
@@ -106,25 +113,6 @@ def _powers(alpha: float, count: int) -> np.ndarray:
 
 
 _WORD_BLOCK = 1 << 12  # rows of g_potential's word evaluator per spin matrix
-
-
-def _partials(terms) -> list[float]:
-    """Shewchuk's partials of a float sum: non-overlapping floats whose exact
-    sum is the exact sum of `terms` (the expansion math.fsum keeps)."""
-    partials: list[float] = []
-    for x in terms:
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-    return partials
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +152,18 @@ def _exact_rows(C: np.ndarray, pieces: np.ndarray) -> np.ndarray:
 
     The coefficients are integers whose products with v are exact (those
     in {-2, ..., 2} are).  One product C @ pieces.T gives each row's exact
-    piece sums; a row whose pieces past the second sum to zero is rounded
-    by one IEEE addition, any other by math.fsum of its piece sums.  An
-    exact zero is +0.0, as math.fsum returns it.
+    piece sums, and _round_rows rounds them.
     """
-    sums = np.einsum("ij,kj->ik", C, pieces)  # exact: never np.dot
+    return _round_rows(np.einsum("ij,kj->ik", C, pieces))  # exact: never np.dot
+
+
+def _round_rows(sums: np.ndarray) -> np.ndarray:
+    """The correctly rounded total of every row of exact piece sums.
+
+    A row whose piece sums past the second are zero is rounded by one IEEE
+    addition, any other by math.fsum of its piece sums.  An exact zero is
+    +0.0, as math.fsum returns it.
+    """
     K = sums.shape[1]
     if K == 0:
         return np.zeros(len(sums))
@@ -192,6 +187,23 @@ class _PowerTable:
 def _power_table(alpha: float, count: int) -> _PowerTable:
     powers = _powers(alpha, count)
     return _PowerTable(powers, _split(powers, 2 * count))
+
+
+# np.convolve takes each output from BLAS's ddot, which on vectors longer than
+# 10,000 entries can stall for milliseconds per call (see shift.sum_of_products)
+_DOT_BLOCK = 1 << 13
+
+
+def _valid_convolve(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.convolve(a, q, "valid") for len(a) >= len(q) >= 1, summed over
+    blocks of at most _DOT_BLOCK entries of q.  For a piece q of a split and
+    spins a it is exact, whatever the order of the terms."""
+    n = len(q)
+    out = 0.0
+    for lo in range(0, n, _DOT_BLOCK):
+        hi = min(lo + _DOT_BLOCK, n)
+        out = out + np.convolve(a[n - hi : len(a) - lo], q[lo:hi], "valid")
+    return out
 
 
 def zeta(alpha: float, cutoff: int = 100_000) -> tuple[float, float]:
@@ -218,12 +230,18 @@ def _zeta_from(alpha: float, cutoff: int, partial: float) -> tuple[float, float]
 # Two-sided points and spin windows
 # ---------------------------------------------------------------------------
 
-def _spins(symbols: tuple[int, ...]) -> np.ndarray:
+def _spins(symbols: Sequence[int]) -> np.ndarray:
     """Spins 2x - 1 of a row of symbols; refuses symbols outside {0, 1}."""
-    top = max(symbols, default=0)  # Points hold no negative symbols
+    # bytes() reads a list of small ints far faster than np.array, and
+    # refuses symbols past 255 (Points hold no negative symbols)
+    try:
+        symbols = np.frombuffer(bytes(symbols), dtype=np.uint8)
+    except ValueError:
+        symbols = np.array([max(symbols)])
+    top = symbols.max(initial=0)
     if top > 1:
         raise ValueError(f"symbol {top} is not a valid two-letter spin label")
-    return 2 * np.array(symbols, dtype=np.int64) - 1
+    return 2 * symbols.astype(np.int64) - 1
 
 
 @dataclass(frozen=True)
@@ -264,9 +282,14 @@ class TwoSidedPoint:
         return f"{self.left.literal}~{self.right.literal}"
 
 
-def _spin_window(x: TwoSidedPoint, lo: int, hi: int) -> np.ndarray:
-    """Spins at chain indices lo..hi (lo < 0 <= hi + 1); entry k is index lo + k."""
-    return _spins(x.left.coords(-lo)[::-1] + x.right.coords(hi + 1))
+def _spin_windows(points: Sequence[TwoSidedPoint], lo: int, hi: int) -> np.ndarray:
+    """Spins at chain indices lo..hi (lo < 0 <= hi + 1) of every point, one
+    row each: entry k of a row is index lo + k."""
+    symbols = []
+    for x in points:
+        symbols += x.left.coords(-lo)[::-1]
+        symbols += x.right.coords(hi + 1)
+    return _spins(symbols).reshape(len(points), hi - lo + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,31 +343,29 @@ def g_potential(params: IsingParams) -> Potential:
 
         The word holds chain indices 0..m-1, the tail the rest.  The tail
         sum T = sum_{j >= m} s_j j^(-alpha) is the same for every word, so
-        its exact partials join the powers j^(-alpha), 0 < j < m, in one
-        vector, split once.  Row i of the coefficient matrix is
-        -s_0 (s_1, ..., s_{m-1}, 1, ..., 1) for word i, and _exact_rows
-        rounds its exact sum: the sum that fn rounds, so every value is
-        fn's to the bit.  The words go in blocks of _WORD_BLOCK rows, so
-        memory does not grow with their number.
+        it is taken once, as its exact sums against the pieces of the power
+        table.  Word i's piece sums are -s_0 times its head's, over
+        j = 1..m-1, plus T's, and _round_rows rounds their exact total: the
+        sum that fn rounds, so every value is fn's to the bit.  The words
+        go in blocks of _WORD_BLOCK rows, so memory does not grow with
+        their number.
         """
         if length == 0:  # the tail is the whole point
             value, bound = fn(tail)
             return np.array([value]), bound
         zv, ze = params.cutoff_zeta
-        powers = params._table.powers
+        pieces = params._table.pieces
         m = min(length, J + 1)
         t = _spins(tail.coords(J + 1 - m))  # chain indices m..J
-        tail_partials = _partials((t * powers[m - 1:]).tolist())
-        pieces = _split(np.concatenate([powers[: m - 1], tail_partials]), m - 1 + len(tail_partials))
+        tail_sums = np.einsum("kj,j->k", pieces[:, m - 1 :], t)
         # column k of word i is its bit length-1-k: chain index k
         bits = np.arange(length - 1, length - 1 - m, -1)
         values = np.empty(2**length)
         for lo in range(0, len(values), _WORD_BLOCK):
             index = np.arange(lo, min(lo + _WORD_BLOCK, len(values)))
             s = 2 * ((index[:, None] >> bits) & 1) - 1
-            ones = np.ones((len(s), len(tail_partials)), dtype=np.int64)
-            coeffs = -s[:, :1] * np.hstack([s[:, 1:], ones])
-            values[lo : lo + len(s)] = _exact_rows(coeffs, pieces)
+            head_sums = np.einsum("ij,kj->ik", s[:, 1:], pieces[:, : m - 1])
+            values[lo : lo + len(s)] = _round_rows(-s[:, :1] * (head_sums + tail_sums))
         return values - zv, _tail_bracket(a, J)[1] + ze
 
     return Potential.from_callable(
@@ -356,71 +377,117 @@ def g_potential(params: IsingParams) -> Potential:
 # The transfer function h
 # ---------------------------------------------------------------------------
 
-def _transfer_terms(
-    params: IsingParams, x: TwoSidedPoint, count: int, shifted: TwoSidedPoint | None = None
-):
-    """(term_j, certified error) for j = 0..count-1, from one spin window;
-    given shifted = x.shift(), also the list for shifted, j = 0..count-2.
+class _ChainRows(NamedTuple):
+    """The series of a batch of points: entry p, or row p, is point p's."""
+
+    f: np.ndarray  # f(x)
+    g: np.ndarray  # g(x.right)
+    terms: np.ndarray  # term_j(x), j < count
+    errors: np.ndarray  # their certified errors
+    shifted: np.ndarray  # term_j(shift x), j < count - 1
+    shifted_errors: np.ndarray
+
+
+def _chain_rows(params: IsingParams, points: Sequence[TwoSidedPoint], count: int) -> _ChainRows:
+    """f(x), g(x.right), and term_j with its certified error for j < count
+    at x and for j < count - 1 at shift x, for every point x.
 
     term_j = -s_j * sum_{n >= 1} (s_{j-n} - s_j) / n^alpha.  The first
     n_exact = max(cutoff, j + alignment) terms of the inner sum are summed
-    exactly; beyond them the walk sits inside the left cycle, so the
-    remainder splits into per-residue arithmetic-progression tails, each
-    enclosed by the integral bracket.  The error is that of the brackets.
+    exactly, where the alignment is the length of the left prefix plus
+    the left cycle; beyond them the walk sits inside the left cycle, so
+    the remainder splits into per-residue arithmetic-progression tails,
+    each enclosed by the integral bracket.  The error is that of the
+    brackets.  shift x keeps the left cycle of x (prepend at most folds
+    the prefix), so its term_j is term_{j+1}(x), computed the same way,
+    wherever the two have the same n_exact; only the other rows are
+    computed for it, from the spins of x.
 
-    shift x keeps the left cycle of x (prepend at most folds the prefix),
-    so its term_j is term_{j+1}(x), computed the same way, wherever the two
-    have the same n_exact; only the other rows are computed for it, from
-    the window of x.
+    Every point's spins are read once, into one array, and every exact
+    head is taken as its sums against the pieces q of one split power
+    table.  sum_{n <= n_exact} s_{j-n} q_n is a sliding product of the
+    spins with q: one convolution per point and piece serves the rows
+    with n_exact = cutoff, and one more per alignment the longer rows,
+    which all read the spins from index -alignment on.  s_j times a prefix
+    sum of q turns it into the head's piece sum.  Each of these partial
+    sums is exact under _split's guarantee, in any order, and one
+    _round_rows pass rounds the rows of every f, g and term.
     """
-    J = params.cutoff
-    P, L = len(x.left.prefix), len(x.left.cycle)
-    n_max = max(J, count - 1 + P + L)
-    lo = -(n_max + L)  # row j = 0 reads down to index -(n_exact + L)
-    j = np.arange(count)
-    centers = j - lo  # window entry of chain index j
-    n_exact = np.maximum(J, j + P + L)
-    differ = np.zeros(0, dtype=np.int64)
-    if shifted is not None:
-        assert len(shifted.left.cycle) == L
-        n_shifted = np.maximum(J, j[:-1] + len(shifted.left.prefix) + L)
-        differ = np.flatnonzero(n_shifted != n_exact[1:])
-        centers = np.concatenate([centers, centers[1:][differ]])
-        n_exact = np.concatenate([n_exact, n_shifted[differ]])
-    w = _spin_window(x, lo, count - 1)
-    table = params._table if n_max <= J else _power_table(params.alpha, n_max)
-    values, errors = _inner_sums(params.alpha, w, centers, n_exact, L, table.pieces[:, :n_max])
-    rows = list(zip(values.tolist(), errors.tolist()))
-    if shifted is None:
-        return rows
-    rows_shifted = rows[1:count]
-    for k, i in enumerate(differ.tolist()):
-        rows_shifted[i] = rows[count + k]
-    return rows[:count], rows_shifted
+    a, J = params.alpha, params.cutoff
+    cycles = [len(x.left.cycle) for x in points]
+    aligns = [len(x.left.prefix) + L for x, L in zip(points, cycles)]
+    # shift x's row j sits at index j + 1 of x.  Its left side is
+    # prepend(x.left, (x_0,)): the same cycle, and a canonical prefix one
+    # longer unless x_0 folds into the cycle, so its alignment as a row of x
+    # is the same, or one less
+    shifted_aligns = [
+        A - (not x.left.prefix and x.right.coord(1) == x.left.cycle[-1])
+        for x, A in zip(points, aligns)
+    ]
+    n_max = max(J, count - 1 + max(aligns))
+    lo = -(n_max + max(cycles))  # a row reads down to index -(n_exact + L)
+    s = _spin_windows(points, lo, max(J, count - 1))
+    sf = s.astype(float)
+    pieces = (params._table if n_max <= J else _power_table(a, n_max)).pieces
+    prefix_sums = np.cumsum(pieces, axis=1)
 
+    # f and g: the spins at indices 1..J, and -1..-J
+    right = sf[:, 1 - lo : J + 1 - lo]
+    left = sf[:, -1 - lo : -1 - lo - J : -1]
+    s0 = s[:, -lo, None]
+    g_sums = -s0 * np.einsum("pj,kj->pk", right, pieces[:, :J])
+    f_sums = -s0 * np.einsum("pj,kj->pk", right + left, pieces[:, :J])
 
-def _inner_sums(alpha, w, centers, n_exact, L, pieces):
-    """term_j and its error for the chain index j at each window entry of
-    `centers`, with its own n_exact, on a left cycle of length L."""
-    n_max = pieces.shape[1]
-    # row r holds w[c - n_max .. c] for c = centers[r]; column n - 1 of
-    # coeffs is s_{j-n} - s_j, zero for n > n_exact
-    view = sliding_window_view(w, n_max + 1)[centers - n_max]
-    coeffs = view[:, -2::-1] - view[:, -1:]
-    coeffs[np.arange(1, n_max + 1) > n_exact[:, None]] = 0
-    head = _exact_rows(coeffs, pieces)
-    sj = w[centers]
-    tail_mid = np.zeros(len(centers))
-    tail_err = np.zeros(len(centers))
-    for r in range(L):
-        n_first = (n_exact + 1 + r).tolist()
-        tails = {n: _residue_tail(alpha, n, L) for n in set(n_first)}
-        mid, half = np.array([tails[n] for n in n_first]).reshape(-1, 2).T
-        coeff = w[centers - n_exact - 1 - r] - sj
-        # a zero coefficient adds +0.0 to a sum that is never -0.0
-        tail_mid = tail_mid + coeff * mid
-        tail_err = tail_err + np.abs(coeff) * half
-    return -sj * (head + tail_mid), tail_err
+    # one row per centre c of x, then one per row of shift x that is not x's
+    P, j = len(points), np.arange(count)
+    n_x = np.maximum(J, j + np.array(aligns)[:, None])
+    n_shifted = np.maximum(J, j[1:] + np.array(shifted_aligns)[:, None])
+    differ = n_shifted != n_x[:, 1:]
+    extra_owner, extra_c = np.nonzero(differ)
+    owner = np.concatenate([np.repeat(np.arange(P), count), extra_owner])
+    c = np.concatenate([np.tile(j, P), extra_c + 1])
+    n = np.concatenate([n_x.ravel(), n_shifted[differ]])
+
+    # rows with n_exact = J read the J spins below their centre
+    window = sf[:, -J - lo : count - 1 - lo]  # indices -J .. count - 2
+    at_cutoff = np.array([[_valid_convolve(w, q[:J]) for q in pieces] for w in window])
+    sums = at_cutoff[owner, :, c]
+    # longer rows read the spins from index c - n_exact = -alignment on
+    longer, starts = n > J, c - n
+    for p, start in set(zip(owner[longer].tolist(), starts[longer].tolist())):
+        rows = longer & (owner == p) & (starts == start)
+        w = sf[p, start - lo : c[rows].max() - lo]  # indices start .. the top centre - 1
+        padded = np.concatenate([np.zeros(len(w) - 1), w])
+        full = np.array([_valid_convolve(padded, q[: len(w)]) for q in pieces])
+        sums[rows] = full[:, c[rows] - 1 - start].T
+    at = owner * s.shape[1] + c - lo  # entry of s.ravel() at each row's centre
+    flat = s.ravel()
+    sj = flat[at]
+    head_sums = sums - sj[:, None] * prefix_sums[:, n - 1].T
+
+    rounded = _round_rows(np.concatenate([f_sums, g_sums, head_sums]))
+    head = rounded[2 * P :]
+    tail_mid = np.zeros(len(c))
+    tail_err = np.zeros(len(c))
+    cyc = np.asarray(cycles)[owner]
+    for L in set(cycles):
+        rows = np.flatnonzero(cyc == L)
+        first = n[rows] + 1
+        # (midpoint, half-width) of the residue tail from k on, k > J
+        brackets = np.array([_residue_tail(a, k, L) for k in range(J + 1, first.max() + L)])
+        for r in range(L):
+            mid, half = brackets[first + r - J - 1].T
+            coeff = flat[at[rows] - first - r] - sj[rows]
+            # a zero coefficient adds +0.0 to a sum that is never -0.0
+            tail_mid[rows] = tail_mid[rows] + coeff * mid
+            tail_err[rows] = tail_err[rows] + np.abs(coeff) * half
+    term = -sj * (head + tail_mid)
+
+    terms, errors = term[: P * count].reshape(P, count), tail_err[: P * count].reshape(P, count)
+    shifted, shifted_errors = terms[:, 1:].copy(), errors[:, 1:].copy()
+    shifted[differ], shifted_errors[differ] = term[P * count :], tail_err[P * count :]
+    f, g = rounded[:P], rounded[P : 2 * P] - params.cutoff_zeta[0]
+    return _ChainRows(f, g, terms, errors, shifted, shifted_errors)
 
 
 def _forward_constant_from(x: TwoSidedPoint) -> int | None:
@@ -430,77 +497,88 @@ def _forward_constant_from(x: TwoSidedPoint) -> int | None:
     return len(x.right.prefix)
 
 
-def transfer_h(
-    params: IsingParams, x: TwoSidedPoint, terms: int
-) -> tuple[float, float]:
-    """Partial sum of the transfer series, with certified error bound.
+def _series_tail(params: IsingParams, x: TwoSidedPoint, terms: int) -> float:
+    """Certified bound on the terms past j = terms of the transfer series at x.
 
-    Sums term_j for j = 0..terms.  The dropped tail is controlled through
-    the last index B where x can still disagree with its forward
-    constant: |term_j| <= 2 sum_{k >= j-B} k^(-alpha), summable over j
-    exactly when alpha > 2 (smaller alpha is refused).  Points whose
-    forward tail is not eventually constant get error_bound = inf -- the
-    series has no reason to converge there.
+    The dropped tail is controlled through the last index B where x can
+    still disagree with its forward constant: |term_j| <= 2 sum_{k >= j-B}
+    k^(-alpha), summable over j exactly when alpha > 2 (smaller alpha is
+    refused).  Points whose forward tail is not eventually constant get
+    inf -- the series has no reason to converge there.
     """
-    return _h_from_terms(params, x, terms, _transfer_terms(params, x, terms + 1))
-
-
-def _h_from_terms(
-    params: IsingParams, x: TwoSidedPoint, terms: int, term_list
-) -> tuple[float, float]:
-    """transfer_h from (term_j, error) for j = 0..terms (the list may run on)."""
-    if params.alpha <= 2:
+    a = params.alpha
+    if a <= 2:
         raise ValueError(
             "the transfer series needs alpha > 2; its terms are not summable below that"
         )
-    a = params.alpha
-    head = term_list[: terms + 1]
-    value = math.fsum(v for v, _ in head)
-    inner_err = 0.0
-    for _, e in head:
-        inner_err += e
+    if terms < 0:
+        raise ValueError(f"need terms >= 0, got {terms}")
     start = _forward_constant_from(x)
     if start is None:
-        return value, math.inf
+        return math.inf
     B = start - 1  # last chain index that may differ from the forward constant
     if terms < B + 2:
         raise ValueError(
             f"need terms >= {B + 2} so the certified tail clears the prefix"
         )
-    tail = 2.0 / (a - 1.0) * (terms - B - 1) ** (2.0 - a) / (a - 2.0)
-    return value, inner_err + tail
+    return 2.0 / (a - 1.0) * (terms - B - 1) ** (2.0 - a) / (a - 2.0)
 
 
-def coboundary_check(
+def transfer_h(
     params: IsingParams, x: TwoSidedPoint, terms: int
 ) -> tuple[float, float]:
-    """Residual and certified bound for  f = g + h - h o shift  at x.
+    """Partial sum of the transfer series, with certified error bound.
+
+    Sums term_j for j = 0..terms; the error is the terms' inner-sum
+    brackets plus _series_tail's bound on the rest (inf where the forward
+    side of x is never constant).
+    """
+    tail = _series_tail(params, x, terms)
+    rows = _chain_rows(params, [x], terms + 1)
+    return math.fsum(rows.terms[0].tolist()), float(np.cumsum(rows.errors[0])[-1]) + tail
+
+
+def coboundary_checks(
+    params: IsingParams, points: Sequence[TwoSidedPoint], terms: int
+) -> list[tuple[float, float]]:
+    """Residual and certified bound for  f = g + h - h o shift  at every point.
 
     The residual evaluates the four pieces literally.  The bound uses the
     exact telescoping of the h partial sums -- h_M(x) - h_M(shift x) =
     term_0(x) - term_{M+1}(x) -- so it charges the series truncations of
     f and g, the certified size of term_{M+1}, and the inner-sum
     brackets, rather than the (much larger) one-sided tail bounds of the
-    two h values.  Each inner sum is computed once: j <= terms + 1 at x,
-    and at shift x only the rows that are not those of x.
+    two h values.  One _chain_rows pass serves every point: j <= terms + 1
+    at x, and at shift x only the rows that are not those of x.
     """
-    fv, fe = f_two_sided(params, x)
-    gv, ge = g_one_sided(params, x.right)
-    sx = x.shift()
-    tx, ts = _transfer_terms(params, x, terms + 2, sx)
-    hv, _ = _h_from_terms(params, x, terms, tx)
-    hsv, hs_err = _h_from_terms(params, sx, terms, ts)
-    residual = abs(fv - gv - hv + hsv)
-    if math.isinf(hs_err):
-        return residual, math.inf
-    last, last_err = tx[terms + 1]
-    inner_err = 0.0
-    for j in range(terms + 2):
-        inner_err += tx[j][1]
-        if j >= 1:
-            inner_err += ts[j - 1][1]
-    bound = fe + ge + abs(last) + last_err + inner_err + 1e-12
-    return residual, bound
+    tails = [_series_tail(params, x, terms) for x in points]
+    if not points:
+        return []
+    a, J = params.alpha, params.cutoff
+    rows = _chain_rows(params, points, terms + 2)
+    h = [math.fsum(t) for t in rows.terms[:, : terms + 1].tolist()]
+    h_shifted = [math.fsum(t) for t in rows.shifted[:, : terms + 1].tolist()]
+    residual = np.abs(rows.f - rows.g - h + h_shifted)
+    # the errors of term_j(x), j <= terms + 1, and of term_{j-1}(shift x),
+    # j >= 1, added up in turn
+    errors = np.empty((len(points), 2 * terms + 3))
+    errors[:, 0] = rows.errors[:, 0]
+    errors[:, 1::2] = rows.errors[:, 1:]
+    errors[:, 2::2] = rows.shifted_errors
+    inner_err = np.cumsum(errors, axis=1)[:, -1]
+    fe = 2.0 * _tail_bracket(a, J)[1]
+    ge = _tail_bracket(a, J)[1] + params.cutoff_zeta[1]
+    last = rows.terms[:, terms + 1]
+    bound = fe + ge + np.abs(last) + rows.errors[:, terms + 1] + inner_err + 1e-12
+    bound[np.isinf(tails)] = math.inf
+    return list(zip(residual.tolist(), bound.tolist()))
+
+
+def coboundary_check(
+    params: IsingParams, x: TwoSidedPoint, terms: int
+) -> tuple[float, float]:
+    """coboundary_checks at the one point x."""
+    return coboundary_checks(params, [x], terms)[0]
 
 
 # ---------------------------------------------------------------------------

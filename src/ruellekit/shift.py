@@ -197,11 +197,6 @@ def prepend(x: Point, word: Sequence[int]) -> Point:
     return Point(tuple(word) + x.prefix, x.cycle)
 
 
-def preimages(x: Point, d: int) -> list[Point]:
-    """The d shift-preimages a.x of x, ordered by the new first symbol."""
-    return [prepend(x, (a,)) for a in range(d)]
-
-
 def first_disagreement(x: Point, y: Point) -> int | None:
     """1-based index of the first coordinate where x and y differ, or None.
 
@@ -215,12 +210,6 @@ def first_disagreement(x: Point, y: Point) -> int | None:
         if a != b:
             return i
     return None
-
-
-def metric_distance(x: Point, y: Point) -> float:
-    """d(x, y) = 2**(-N), N the first disagreement index; 0 for equal points."""
-    n = first_disagreement(x, y)
-    return 0.0 if n is None else 2.0 ** (-n)
 
 
 # ---------------------------------------------------------------------------

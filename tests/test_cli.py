@@ -467,6 +467,22 @@ def test_ising_refuses_too_few_terms_for_its_own_points(tmp_path, capsys):
     assert run(tmp_path, "ising", "--n", "3", "--alpha", "2.0", name="alpha-2.json")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--alpha", "nan", "ising --alpha must be a finite number > 1"),
+        ("--alpha", "inf", "ising --alpha must be a finite number > 1"),
+        ("--alpha", "1", "ising --alpha must be a finite number > 1"),
+        ("--cutoff", "1", "ising --cutoff must be >= 2"),
+    ],
+)
+def test_ising_refuses_bad_alpha_and_cutoff(tmp_path, capsys, flag, value, message):
+    # --alpha nan used to print an all-NaN report with status "ok"
+    code, report = run(tmp_path, "ising", flag, value)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
+
+
 def test_ising_lr_config_refuses_beta(tmp_path, capsys):
     # kernels scale g by --beta; a beta inside g would be applied twice
     cfg = write_config(tmp_path, {"potential": {"kind": "ising_lr", "params": {"beta": 7}}})

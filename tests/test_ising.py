@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -52,8 +53,9 @@ def test_zeta_guards():
 
 
 def test_params_guards():
-    with pytest.raises(ValueError):
-        IsingParams(alpha=0.9)
+    for alpha in (0.9, 1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            IsingParams(alpha=alpha)
     with pytest.raises(ValueError):
         IsingParams(alpha=3.0, cutoff=1)
 
@@ -391,26 +393,26 @@ def test_chain_series_equal_scalar_oracle(params):
 
 def test_coboundary_check_computes_each_inner_sum_once(monkeypatch):
     windows, rows = [], []
-    spin_window, inner_sums = ising._spin_window, ising._inner_sums
+    spin_windows, round_rows = ising._spin_windows, ising._round_rows
 
-    def counted_window(*args):
-        windows.append(args)
-        return spin_window(*args)
+    def counted_windows(points, *args):
+        windows.append(len(points))
+        return spin_windows(points, *args)
 
-    def counted_sums(alpha, w, centers, *args):
-        rows.extend(centers.tolist())
-        return inner_sums(alpha, w, centers, *args)
+    def counted_rows(sums):
+        rows.append(len(sums))
+        return round_rows(sums)
 
-    monkeypatch.setattr(ising, "_spin_window", counted_window)
-    monkeypatch.setattr(ising, "_inner_sums", counted_sums)
+    monkeypatch.setattr(ising, "_spin_windows", counted_windows)
+    monkeypatch.setattr(ising, "_round_rows", counted_rows)
     x = TwoSidedPoint.from_literals("110|01", "0110|1")
     for terms in (10, 40):
         windows.clear()
         rows.clear()
         coboundary_check(P3, x, terms)
-        # every row of shift x is a row of x: j <= terms + 1 at x, nothing more
-        assert len(windows) == 1
-        assert len(rows) == terms + 2
+        # f, g, and every row of shift x is a row of x: j <= terms + 1 at x
+        assert windows == [1]
+        assert rows == [2 + terms + 2]
     # left "|1" with x_0 = 1: shift x keeps prefix length 0, so its row j has
     # n_exact max(J, j + 1), against max(J, j + 2) for row j + 1 of x
     params = IsingParams(alpha=3.0, cutoff=7)
@@ -418,8 +420,23 @@ def test_coboundary_check_computes_each_inner_sum_once(monkeypatch):
     windows.clear()
     rows.clear()
     coboundary_check(params, x, 20)
-    assert len(windows) == 1
-    assert len(rows) == 22 + sum(1 for j in range(21) if j + 2 > params.cutoff)
+    assert windows == [1]
+    assert rows == [2 + 22 + sum(1 for j in range(21) if j + 2 > params.cutoff)]
+
+
+def test_coboundary_checks_memory_is_linear_in_terms():
+    # the five points of the command line at --n 3000: a (rows x n_exact)
+    # coefficient matrix per point took 283 MB
+    params = IsingParams(alpha=3.0)
+    points = cli_points(0)
+    tracemalloc.start()
+    try:
+        checks = ising.coboundary_checks(params, points, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert all(res <= bound for res, bound in checks)
 
 
 @pytest.mark.parametrize("left,right", [("|1", "01|2"), ("|1", "0|12"), ("2|1", "0|1"), ("|21", "0|1")])
@@ -436,3 +453,12 @@ def test_symbols_outside_the_spin_alphabet_are_refused(left, right):
             g_one_sided(P3, x.right)
         with pytest.raises(ValueError):
             g_potential(P3).evaluate(x.right)
+
+
+def test_symbols_past_a_byte_are_refused_by_name():
+    x = TwoSidedPoint(Point((), (1,)), Point((0, 300), (1,)))
+    for check in (coboundary_check, transfer_h):
+        with pytest.raises(ValueError, match="symbol 300 is not a valid two-letter spin label"):
+            check(P3, x, 20)
+    with pytest.raises(ValueError, match="symbol 300 is not"):
+        g_one_sided(P3, x.right)

@@ -123,6 +123,25 @@ def oracle_g(params, x):
     return series - zv, ising._tail_bracket(a, J)[1] + ze
 
 
+def partials(terms):
+    """Shewchuk's partials of a float sum: non-overlapping floats whose exact
+    sum is the exact sum of `terms` (the expansion math.fsum keeps)."""
+    out = []
+    for x in terms:
+        i = 0
+        for y in out:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                out[i] = lo
+                i += 1
+            x = hi
+        out[i:] = [x]
+    return out
+
+
 def oracle_batch(params, length, tail):
     a, J = params.alpha, params.cutoff
     if length == 0:
@@ -132,7 +151,7 @@ def oracle_batch(params, length, tail):
     zv, ze = ising.zeta(a, J)
     m = min(length, J + 1)
     t = ising._spins(tail.coords(J + 1 - m))
-    tail_partials = np.array(ising._partials((t * powers[m - 1:]).tolist()))
+    tail_partials = np.array(partials((t * powers[m - 1:]).tolist()))
     bits = np.arange(length - 1, length - 1 - m, -1)
     index = np.arange(2**length)
     s = 2 * ((index[:, None] >> bits) & 1) - 1
@@ -154,7 +173,7 @@ def oracle_transfer_terms(params, x, count):
     P = len(x.left.prefix)
     L = len(x.left.cycle)
     lo = -(max(J, P + L) + L)
-    w = ising._spin_window(x, lo, count - 1)
+    w = np.array([2 * x.coord(i) - 1 for i in range(lo, count)])
     powers = oracle_powers(a, max(J, count - 1 + P + L))
     out = []
     for j in range(count):
@@ -177,8 +196,27 @@ def oracle_transfer_terms(params, x, count):
     return out
 
 
+def oracle_h_from_terms(params, x, terms, term_list):
+    """transfer_h from (term_j, error) for j = 0..terms (the list may run on)."""
+    if params.alpha <= 2:
+        raise ValueError("the transfer series needs alpha > 2")
+    a = params.alpha
+    head = term_list[: terms + 1]
+    value = math.fsum(v for v, _ in head)
+    inner_err = 0.0
+    for _, e in head:
+        inner_err += e
+    start = ising._forward_constant_from(x)
+    if start is None:
+        return value, math.inf
+    B = start - 1
+    if terms < B + 2:
+        raise ValueError(f"need terms >= {B + 2}")
+    return value, inner_err + 2.0 / (a - 1.0) * (terms - B - 1) ** (2.0 - a) / (a - 2.0)
+
+
 def oracle_transfer_h(params, x, terms):
-    return ising._h_from_terms(params, x, terms, oracle_transfer_terms(params, x, terms + 1))
+    return oracle_h_from_terms(params, x, terms, oracle_transfer_terms(params, x, terms + 1))
 
 
 def oracle_coboundary_check(params, x, terms):
@@ -187,8 +225,8 @@ def oracle_coboundary_check(params, x, terms):
     sx = x.shift()
     tx = oracle_transfer_terms(params, x, terms + 2)
     ts = oracle_transfer_terms(params, sx, terms + 1)
-    hv, _ = ising._h_from_terms(params, x, terms, tx)
-    hsv, hs_err = ising._h_from_terms(params, sx, terms, ts)
+    hv, _ = oracle_h_from_terms(params, x, terms, tx)
+    hsv, hs_err = oracle_h_from_terms(params, sx, terms, ts)
     residual = abs(fv - gv - hv + hsv)
     if math.isinf(hs_err):
         return residual, math.inf
@@ -234,14 +272,50 @@ def test_chain_series_equal_the_per_row_oracle(params):
         x = TwoSidedPoint.from_literals(left, right)
         assert ising.f_two_sided(params, x) == oracle_f(params, x)
         assert ising.g_one_sided(params, x.right) == oracle_g(params, x.right)
-        for count in (0, 1, terms + 2):
-            assert ising._transfer_terms(params, x, count) == oracle_transfer_terms(params, x, count)
-        tx, ts = ising._transfer_terms(params, x, terms + 2, x.shift())
-        assert tx == oracle_transfer_terms(params, x, terms + 2)
-        assert ts == oracle_transfer_terms(params, x.shift(), terms + 1)
+        for count in (1, 2, terms + 2):
+            rows = ising._chain_rows(params, [x], count)
+            assert [rows.f.item(), rows.g.item()] == [oracle_f(params, x)[0], oracle_g(params, x.right)[0]]
+            assert list(zip(rows.terms[0], rows.errors[0])) == oracle_transfer_terms(params, x, count)
+            shifted = list(zip(rows.shifted[0], rows.shifted_errors[0]))
+            assert shifted == oracle_transfer_terms(params, x.shift(), count - 1)
         if params.alpha > 2:
             assert ising.transfer_h(params, x, terms) == oracle_transfer_h(params, x, terms)
             assert ising.coboundary_check(params, x, terms) == oracle_coboundary_check(params, x, terms)
+
+
+# cutoff 8 puts j + alignment past the cutoff from j = 4 on at "110|01"
+BATCH_PARAMS = PARAMS + [IsingParams(alpha=alpha, cutoff=8) for alpha in (2.05, 3.0, 4.0, 400.0)]
+
+
+@pytest.mark.parametrize("params", BATCH_PARAMS, ids=[f"{p.alpha}-{p.cutoff}" for p in BATCH_PARAMS])
+def test_batch_equals_one_point_at_a_time(params):
+    # left cycles of length 1 and 2, prefix folds, and a forward side that
+    # is never constant, all in one batch
+    points = [TwoSidedPoint.from_literals(left, right) for left, right in POINTS + [("1|0", "|10")]]
+    terms = 20
+    batch = ising._chain_rows(params, points, terms + 2)
+    for p, x in enumerate(points):
+        single = ising._chain_rows(params, [x], terms + 2)
+        for name, values in batch._asdict().items():
+            assert same_bits(values[p], getattr(single, name)[0]), (name, x.literal)
+    checks = ising.coboundary_checks(params, points, terms)
+    assert same_bits(checks, [ising.coboundary_checks(params, [x], terms)[0] for x in points])
+    assert checks[-1][1] == math.inf and all(math.isfinite(bound) for _, bound in checks[:-1])
+
+
+def test_convolutions_in_blocks_change_no_bit(monkeypatch):
+    # blocks of 3 entries split every piece, at every cutoff, as blocks of
+    # 8192 split a cutoff past 8192
+    points = [TwoSidedPoint.from_literals(left, right) for left, right in POINTS]
+    whole = [ising._chain_rows(params, points, 22) for params in BATCH_PARAMS]
+    lengths = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda a, v, mode: lengths.append(len(v)) or convolve(a, v, mode))
+    monkeypatch.setattr(ising, "_DOT_BLOCK", 3)
+    for params, rows in zip(BATCH_PARAMS, whole):
+        blocked = ising._chain_rows(params, points, 22)
+        assert all(same_bits(a, b) for a, b in zip(blocked, rows))
+    assert lengths and max(lengths) == 3
 
 
 @pytest.mark.parametrize("params", PARAMS, ids=ids)
@@ -264,8 +338,8 @@ def test_word_evaluator_makes_no_per_word_fsum(monkeypatch):
         return math.fsum(items)
 
     def counted_split(v, weight):
-        splits.append(split(v, weight))
-        return splits[-1]
+        splits.append(weight)
+        return split(v, weight)
 
     fake_math = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
     fake_math.fsum = counted_fsum
@@ -278,13 +352,14 @@ def test_word_evaluator_makes_no_per_word_fsum(monkeypatch):
             calls.clear()
             splits.clear()
             values, _ = gp.batch(8, Point.from_literal("0110|01"))
-        (pieces,) = splits
-        K = pieces.shape[0]
+        # the tail joins the power table's own split: nothing is split per call
+        assert splits == []
+        K = params._table.pieces.shape[0]
         # only rows of more than two pieces go to fsum, with K floats each
         assert len(calls) <= (2**8 if K > 2 else 0)
         assert set(calls) <= {K}
         assert same_bits(values, oracle_batch(params, 8, Point.from_literal("0110|01"))[0])
-    # cutoff 2: the vector is [1, 2^-alpha], one piece and no fsum at all
+    # cutoff 2: the powers are [1, 2^-alpha], one piece and no fsum at all
     assert K == 1 and calls == []
 
 
@@ -302,7 +377,11 @@ def report_text(argv):
 def oracle_program(monkeypatch):
     monkeypatch.setattr(ising, "f_two_sided", oracle_f)
     monkeypatch.setattr(ising, "g_one_sided", oracle_g)
-    monkeypatch.setattr(ising, "coboundary_check", oracle_coboundary_check)
+    monkeypatch.setattr(
+        ising,
+        "coboundary_checks",
+        lambda params, points, terms: [oracle_coboundary_check(params, x, terms) for x in points],
+    )
     monkeypatch.setattr(ising, "g_potential", oracle_g_potential)
     monkeypatch.setattr(
         ising.IsingParams, "cutoff_zeta", property(lambda p: ising.zeta(p.alpha, p.cutoff))
@@ -347,3 +426,18 @@ def test_ising_command_builds_one_power_table_per_run(monkeypatch):
         # one table per run, none kept from the run before
         assert tables == [200]
     assert zetas == []
+
+
+def test_ising_command_reads_one_spin_array_and_makes_one_row_pass(monkeypatch):
+    windows, passes = [], []
+    spin_windows, round_rows = ising._spin_windows, ising._round_rows
+    monkeypatch.setattr(
+        ising, "_spin_windows", lambda points, *args: windows.append(len(points)) or spin_windows(points, *args)
+    )
+    monkeypatch.setattr(ising, "_round_rows", lambda sums: passes.append(len(sums)) or round_rows(sums))
+    assert report_text(["ising", "--n", "40", "--alpha", "3.0"])[0] == 0
+    # all five points in one window array; one pass rounds their f, g and
+    # 42 term rows each (every row of shift x is one of x at cutoff 200),
+    # and one more the all-plus g of the report
+    assert windows == [5]
+    assert sorted(passes) == [1, 5 * (2 + 42)]

@@ -16,9 +16,7 @@ from ruellekit.shift import (
     first_disagreement,
     format_word,
     integrate,
-    metric_distance,
     parse_word,
-    preimages,
     prepend,
     shift,
     shift_n,
@@ -122,15 +120,6 @@ def test_shift_n_composes(x, n):
     assert shift_n(x, n) == y
 
 
-@given(points)
-def test_preimages_shift_back(x):
-    pres = preimages(x, 3)
-    assert len(pres) == 3
-    assert sorted(p.coord(1) for p in pres) == [0, 1, 2]
-    for p in pres:
-        assert shift(p) == x
-
-
 @given(points, st.lists(symbols, min_size=1, max_size=4).map(tuple))
 def test_prepend_then_shift(x, word):
     y = prepend(x, word)
@@ -140,21 +129,13 @@ def test_prepend_then_shift(x, word):
 
 @given(points, points)
 @settings(max_examples=200)
-def test_metric_and_disagreement(x, y):
+def test_first_disagreement(x, y):
     n = first_disagreement(x, y)
     if n is None:
         assert x == y
-        assert metric_distance(x, y) == 0.0
     else:
         assert x.coords(n - 1) == y.coords(n - 1)
         assert x.coord(n) != y.coord(n)
-        assert metric_distance(x, y) == 2.0 ** (-n)
-
-
-@given(points, points, points)
-@settings(max_examples=200)
-def test_ultrametric_inequality(x, y, z):
-    assert metric_distance(x, z) <= max(metric_distance(x, y), metric_distance(y, z))
 
 
 # ---------------------------------------------------------------------------
