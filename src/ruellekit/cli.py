@@ -4,7 +4,9 @@ Every subcommand writes a JSON report (schema "ruelle-kit/1") to --out or
 stdout in the layout of json.dumps(sort_keys=True, indent=2): sorted keys,
 one array element per line.  Floats, there and in the tl --csv rows, are
 "%.17g" or NaN/Infinity/-Infinity, so identical config + seed reproduces
-identical bytes (modulo the generated_at field).  Exit status: 0 on
+identical bytes (modulo the generated_at field).  A float array with
+fewer than half its entries distinct (psi repeats each of its values) has
+each distinct value formatted once; the bytes are the same.  Exit status: 0 on
 success, 2 when a computed residual lands beyond its tolerance (normalize:
 power iteration did not converge, or sup |L_fbar 1 - 1| > tol * max psi /
 min psi), 1 on usage/config errors and on a numerical breakdown of a valid
@@ -60,11 +62,29 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _join_floats(values, sep: str) -> str:
-    """_format_float of each value, joined by sep: one % call when all are finite."""
-    if all(map(math.isfinite, values)):
+def _format_floats(values: list[float], finite: bool, sep: str) -> str:
+    """_format_float of each value, joined by sep; when all are finite, one % call formats them."""
+    if finite:
         return sep.join(["%.17g"] * len(values)) % tuple(values)
     return sep.join(map(_format_float, values))
+
+
+def _join_floats(values: np.ndarray, sep: str) -> str:
+    """_format_float of each entry of a 1-D float64 array, joined by sep.
+
+    When fewer than half the entries are distinct (psi repeats each of its
+    values), each distinct value is formatted once and its text gathered
+    back in array order.  Values are keyed by bit pattern, so 0.0 and -0.0
+    keep their own text; the bytes are those of formatting every entry.
+    """
+    bits = values.view(np.uint64)
+    keys = np.sort(bits)
+    keys = np.append(keys[:1], keys[1:][keys[1:] != keys[:-1]])
+    if 2 * keys.size < values.size:
+        distinct = keys.view(np.float64)
+        texts = _format_floats(distinct.tolist(), bool(np.isfinite(distinct).all()), "\n").split("\n")
+        return sep.join(np.array(texts, dtype=object)[np.searchsorted(keys, bits)].tolist())
+    return _format_floats(values.tolist(), bool(np.isfinite(values).all()), sep)
 
 
 def _emit(obj, pad: str) -> str:
@@ -84,9 +104,14 @@ def _emit(obj, pad: str) -> str:
             for k, v in sorted(obj.items())
         )
         return "{\n" + inner + body + "\n" + pad + "}"
-    values = obj.tolist() if isinstance(obj, np.ndarray) else obj
-    all_floats = all(isinstance(v, float) for v in values)
-    body = _join_floats(values, sep) if all_floats else sep.join([_emit(v, inner) for v in values])
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        body = _join_floats(obj.astype(np.float64, copy=False), sep)
+    else:
+        values = obj.tolist() if isinstance(obj, np.ndarray) else obj
+        if all(isinstance(v, float) for v in values):
+            body = _format_floats(values, all(map(math.isfinite, values)), sep)
+        else:
+            body = sep.join([_emit(v, inner) for v in values])
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
@@ -108,7 +133,7 @@ def _write_csv(table: dlr.TLTable, path: str) -> None:
     written as the csv module's default dialect writes it: no field needs
     quoting (cylinder names are digits, boundary ids digits and '|'), and
     every line ends in \\r\\n."""
-    refs = _join_floats(table.nu_ref.tolist(), "\n").split("\n")
+    refs = _join_floats(table.nu_ref, "\n").split("\n")
     template = "".join([
         f"{n},{name},{boundary_id},%s,{ref},%s\r\n"
         for n in table.volumes.tolist()
@@ -116,8 +141,8 @@ def _write_csv(table: dlr.TLTable, path: str) -> None:
         for boundary_id in table.boundary_ids
     ])
     # K_n and deviation of each row, side by side in row order
-    pairs = np.stack([table.K, table.deviation], axis=-1).ravel().tolist()
-    cells = tuple(_join_floats(pairs, "\n").split("\n")) if pairs else ()
+    pairs = np.stack([table.K, table.deviation], axis=-1).ravel()
+    cells = tuple(_join_floats(pairs, "\n").split("\n")) if pairs.size else ()
     with open(path, "w", newline="") as fh:
         fh.write("n,cylinder,boundary_id,K_n,nu_ref,deviation\r\n" + template % cells)
 
@@ -479,8 +504,6 @@ _ISING_MIN_TERMS = 14
 def _cmd_ising(cfg, args):
     _refuse_beta(args, "its series are those of the energy at beta = 1")
     alpha = _opt(args.alpha, 3.0)
-    if not (math.isfinite(alpha) and alpha > 1):
-        raise UsageError(f"ising --alpha must be a finite number > 1, got {alpha}")
     cutoff = _opt(args.cutoff, 200)
     if cutoff < 2:
         raise UsageError(f"ising --cutoff must be >= 2, got {cutoff}")
@@ -591,6 +614,10 @@ def run(argv=None) -> int:
             raise UsageError(f"--max-iter must be >= 1, got {args.max_iter}")
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
             raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
+        # --alpha feeds ising, interaction and ising_lr configs, whose couplings
+        # are summable only at a finite alpha > 1
+        if args.alpha is not None and not (math.isfinite(args.alpha) and args.alpha > 1):
+            raise UsageError(f"{args.command} --alpha must be a finite number > 1, got {args.alpha}")
         cfg = _load_config(args.config)
         results, ok, table = _COMMANDS[args.command](cfg, args)
     except UsageError as exc:

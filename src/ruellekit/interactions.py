@@ -308,8 +308,8 @@ def ising_lr(
     Needs alpha > 1 for a summable per-site tail; the remainder is the
     integral-enclosure upper bound on sum_{r > pair_range} r^(-alpha).
     """
-    if alpha <= 1:
-        raise ValueError("alpha must be > 1 for a summable pair tail")
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise ValueError(f"alpha must be a finite number > 1 for a summable pair tail, got {alpha}")
     if labels == "occupation":
         base = np.array([-1.0, -1.0, -1.0, 0.0])
     elif labels == "spin":

@@ -212,8 +212,8 @@ def zeta(alpha: float, cutoff: int = 100_000) -> tuple[float, float]:
     Returns (value, error_bound) with the true value inside
     value +/- error_bound.
     """
-    if alpha <= 1:
-        raise ValueError("zeta series needs alpha > 1")
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise ValueError(f"zeta series needs a finite alpha > 1, got {alpha}")
     return _zeta_from(alpha, cutoff, math.fsum(j ** (-alpha) for j in range(1, cutoff + 1)))
 
 

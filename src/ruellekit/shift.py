@@ -115,11 +115,11 @@ class Point:
     cycle: tuple[int, ...]
 
     def __post_init__(self):
-        prefix = tuple(int(s) for s in self.prefix)
-        cycle = tuple(int(s) for s in self.cycle)
+        prefix = tuple(map(int, self.prefix))
+        cycle = tuple(map(int, self.cycle))
         if not cycle:
             raise ValueError("cycle must be non-empty")
-        if any(s < 0 for s in prefix + cycle):
+        if min(prefix + cycle) < 0:
             raise ValueError("symbols must be non-negative integers")
         cycle = _primitive_cycle(cycle)
         # Absorb prefix symbols that merely repeat the tail of the cycle:

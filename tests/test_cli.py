@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from ruellekit import cli, dlr, potentials, transfer
-from ruellekit.shift import Point, parse_word
+from ruellekit.shift import CylinderFunction, Point, parse_word
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
 
@@ -483,6 +483,17 @@ def test_ising_refuses_bad_alpha_and_cutoff(tmp_path, capsys, flag, value, messa
     assert capsys.readouterr().err.startswith(f"usage error: {message}")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1", "0.5"])
+@pytest.mark.parametrize("command", ["interaction", "pressure"])
+def test_bad_alpha_is_a_usage_error_naming_the_flag(tmp_path, capsys, command, value):
+    # no config names the bad value: it is the flag's, which pressure reads into ising_lr
+    cfg = write_config(tmp_path, {"potential": {"kind": "ising_lr", "params": {"cutoff": 50}}})
+    argv = [f"--alpha={value}"] + (["--config", cfg, "--depth", "4"] if command == "pressure" else [])
+    code, report = run(tmp_path, command, *argv)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith(f"usage error: {command} --alpha must be a finite number > 1")
+
+
 def test_ising_lr_config_refuses_beta(tmp_path, capsys):
     # kernels scale g by --beta; a beta inside g would be applied twice
     cfg = write_config(tmp_path, {"potential": {"kind": "ising_lr", "params": {"beta": 7}}})
@@ -671,11 +682,22 @@ def test_write_csv_matches_the_csv_writer_on_special_floats(tmp_path):
         expected = reference_csv(table)
     assert path.read_bytes().decode() == expected
     assert {"NaN", "Infinity", "-Infinity", "-0", "4.9406564584124654e-324"} <= set(re.split(r"[,\r\n]", expected))
+    # repeated cells, 0.0 beside -0.0, format each distinct value once
+    K = np.array([0.0, -0.0, 0.25, 0.0, -0.0, 0.25, 0.5] * 4).reshape(2, 7, 2)
+    repeated = dataclasses.replace(table, K=K, nu_ref=np.array([0.25, -0.0, 0.0, 0.25, -0.0, 1.0, 0.0]))
+    cli._write_csv(repeated, str(path))
+    expected = reference_csv(repeated)
+    assert path.read_bytes().decode() == expected
+    assert "3,0,|0,0,0.25,0.25\r\n3,0,01|1,-0,0.25,0.25\r\n3,1,|0,0.25,-0,0.25\r\n" in expected
     # every finite table writes its floats in one % call; so does an empty one
     for K in (np.full((2, 7, 2), 0.1), np.zeros((0, 7, 2))):
         finite = dataclasses.replace(table, volumes=np.array([3, 12][:len(K)]), K=K, nu_ref=np.full(7, 0.5))
         cli._write_csv(finite, str(path))
         assert path.read_bytes().decode() == reference_csv(finite)
+
+
+# as CylinderFunction.values: the formatter reads through a view it never writes
+READ_ONLY = CylinderFunction(2, 4, [0.25, -0.0, 0.0, 0.25] * 4).values
 
 
 @pytest.mark.parametrize(
@@ -691,6 +713,13 @@ def test_write_csv_matches_the_csv_writer_on_special_floats(tmp_path):
         {"int_array": np.arange(4), "empty_array": np.zeros(0), "array_2d": np.ones((2, 2))},
         {"mixed": [1, 2.5, "three", None, True, False, {"k": [0.1]}, np.float32(4.5), np.int64(6)]},
         {"text": "déjà vu — ψ, ν", "ключ": "значение", "quote": 'a "b" \\ c\n'},
+        # arrays with fewer than half their entries distinct format each once
+        {"signed_zeros": np.array([0.0, -0.0, 0.5] * 7), "repeated_ties": np.repeat([0.1, 0.2], 8)},
+        {"specials": np.repeat([np.nan, np.inf, -np.inf, 5e-324, -0.0, 1.0], 5)},
+        {"read_only": READ_ONLY, "read_only_plain": READ_ONLY[:3]},
+        {"all_equal": np.full(9, 1 / 3), "one": np.array([2.5]), "one_nan": np.array([np.nan])},
+        {"f32": np.repeat(np.float32([0.1, -0.0, np.inf]), 3), "f32_plain": np.float32([1 / 3, 2.5])},
+        {"f64_2d": np.repeat([[0.1, -0.0], [np.nan, 0.1]], 3, axis=0), "strided": np.arange(12.0)[::3] % 2},
         [0.1, 0.2],
         "top-level string",
         3.0,
@@ -699,6 +728,22 @@ def test_write_csv_matches_the_csv_writer_on_special_floats(tmp_path):
 )
 def test_dump_report_matches_the_json_dumps_layout(obj):
     assert cli.dump_report(obj) == reference_dump_report(obj)
+
+
+def test_rpf_formats_each_distinct_psi_value_once(tmp_path, monkeypatch):
+    # psi of a depth-4 table at depth 10 repeats each of its 2^3 values 2^7 times
+    values = np.random.default_rng(5).uniform(-0.3, 0.3, size=16).tolist()
+    cfg = write_config(tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 4, "values": values}}})
+    formatted = []
+    format_floats = cli._format_floats
+    monkeypatch.setattr(cli, "_format_floats", lambda v, *rest: formatted.append(list(v)) or format_floats(v, *rest))
+    code, report = run(tmp_path, "rpf", "--config", cfg, "--depth", "10", "--tol", "1e-12")
+    assert code == 0 and len(report["results"]["psi"]) == 1024
+    psi = set(report["results"]["psi"])
+    assert len(psi) == 8
+    # nu's entries are nearly all distinct and are formatted as they stand
+    assert sorted(map(len, formatted)) == [8, 1024]
+    assert [len(v) for v in formatted if set(v) <= psi] == [8]
 
 
 SUBCOMMAND_RUNS = [

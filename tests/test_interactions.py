@@ -190,6 +190,13 @@ def test_anchor_row_hamiltonian_beyond_the_old_copies(labels):
             assert hamiltonian_from_interaction(nn, n, x) == brute_pair_sum(0.0, "occupation", 1, n, x)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5, math.nan, math.inf, -math.inf])
+def test_lr_refuses_alpha_without_a_summable_tail(alpha):
+    # NaN fails every comparison, so `alpha <= 1` alone let it through
+    with pytest.raises(ValueError, match="alpha must be a finite number > 1"):
+        ising_lr(alpha)
+
+
 @pytest.mark.parametrize("pair_range", [1, 64, 4096])
 def test_lr_stores_one_row(pair_range):
     phi = ising_lr(2.0, pair_range=pair_range)

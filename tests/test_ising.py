@@ -48,8 +48,10 @@ def test_zeta_brackets_the_truth(alpha):
 
 
 def test_zeta_guards():
-    with pytest.raises(ValueError):
-        zeta(1.0)
+    # NaN fails every comparison, so `alpha <= 1` alone let it through
+    for alpha in (1.0, 0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="zeta series needs a finite alpha > 1"):
+            zeta(alpha)
 
 
 def test_params_guards():

@@ -97,6 +97,22 @@ def test_point_canonical_forms_are_equal():
     assert Point.from_literal("01|10").literal == Point((0, 1), (1, 0)).literal
 
 
+@given(st.lists(symbols, max_size=9), st.lists(symbols, min_size=1, max_size=6))
+def test_point_fields_are_python_ints_whatever_the_symbols(prefix, cycle):
+    x = Point(tuple(prefix), tuple(cycle))
+    y = Point(np.array(prefix, dtype=np.int64), np.array(cycle, dtype=np.uint8))
+    assert (y.prefix, y.cycle) == (x.prefix, x.cycle) and y == x and hash(y) == hash(x)
+    assert all(type(s) is int for s in y.prefix + y.cycle)
+
+
+def test_point_refuses_empty_cycles_and_negative_symbols():
+    with pytest.raises(ValueError, match="cycle must be non-empty"):
+        Point((0, 1), ())
+    for prefix, cycle in (((-1,), (0,)), ((0,), (1, -2)), ((), (-1,))):
+        with pytest.raises(ValueError, match="symbols must be non-negative integers"):
+            Point(prefix, cycle)
+
+
 @given(points)
 def test_point_coords_periodic_tail(x):
     L = len(x.cycle)
