@@ -62,7 +62,6 @@ from .dlr import (
 from .ising import (
     IsingParams,
     TwoSidedPoint,
-    coboundary_check,
     coboundary_checks,
     f_two_sided,
     g_one_sided,

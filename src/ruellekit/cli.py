@@ -36,7 +36,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import dlr, interactions, ising, potentials, transfer
-from .shift import CylinderFunction, Point, TableSizeError, parse_word
+from .shift import CylinderFunction, Point, TableSizeError, parse_word, word_table
 
 SCHEMA = "ruelle-kit/1"
 
@@ -337,15 +337,6 @@ def _cmd_kernel(cfg, args):
     return results, True, None
 
 
-def _default_cylinders(d: int, max_depth: int = 2):
-    words = []
-    for q in range(1, max_depth + 1):
-        for i in range(d**q):
-            word = tuple((i // d ** (q - 1 - k)) % d for k in range(q))
-            words.append(word)
-    return words
-
-
 def _cmd_tl(cfg, args):
     f = _potential_from(cfg, args)
     beta = _opt(args.beta, 1.0)
@@ -354,7 +345,8 @@ def _cmd_tl(cfg, args):
     if "cylinders" in cfg:
         cylinders = [parse_word(w) for w in cfg["cylinders"]]
     else:
-        cylinders = _default_cylinders(f.d)
+        # every word of length 1 and 2, in word_index order
+        cylinders = [tuple(w) for q in (1, 2) for w in word_table(q, f.d).tolist()]
     # the volumes run from the deepest cylinder's length up to --n
     qmax = max(map(len, cylinders), default=0)
     if n_max < qmax:
@@ -472,7 +464,7 @@ def _cmd_uniqueness(cfg, args):
     # one pass over the 2N window, whose size guard refuses before any work;
     # its running maxima hold the estimate at N too
     values, bound = dlr.D_estimate(f, 2 * N)
-    value = values[max(N, 0)]
+    value = values[N]
     stabilized = abs(value - values[-1]) < 1e-12
     tails = dlr.default_tails(f.d)
     draws = []
@@ -602,6 +594,18 @@ def _build_parser() -> _Parser:
 
 _PARSER = _build_parser()
 
+# the flags each subcommand reads as a number of sites, which must be >= 1 there
+_SITE_FLAGS = {
+    "rpf": ("depth",),
+    "pressure": ("depth",),
+    "normalize": ("depth", "n"),
+    "kernel": ("n",),
+    "dlr-check": ("n",),
+    "walters": ("n",),
+    "uniqueness": ("n",),
+    "change-of-measure": ("depth",),
+}
+
 
 def run(argv=None) -> int:
     try:
@@ -610,6 +614,11 @@ def run(argv=None) -> int:
             value = getattr(args, flag)
             if value is not None and value < 0:
                 raise UsageError(f"--{flag} must be >= 0, got {value}")
+        for flag in _SITE_FLAGS.get(args.command, ()):
+            if getattr(args, flag) == 0:
+                raise UsageError(f"--{flag} must be >= 1 for {args.command}, got 0")
+        if args.d is not None and args.d < 1:
+            raise UsageError(f"--d must be >= 1, got {args.d}")
         if args.max_iter is not None and args.max_iter < 1:
             raise UsageError(f"--max-iter must be >= 1, got {args.max_iter}")
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
@@ -650,9 +659,5 @@ def run(argv=None) -> int:
     return 0 if ok else 2
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -12,8 +12,8 @@ e^{beta f(a x)} h(a x):
 
     kernel(g | y) = (L^n g)(sigma^n y) / (L^n 1)(sigma^n y).
 
-For table-backed potentials every kernel here is computed in that form
-by one engine: n operator steps on value tables of depth
+For table-backed potentials the kernels of test functions are computed
+in that form by one engine: n operator steps on value tables of depth
 D = max(depth(g), depth(f) - 1, 1), each step exact, one pass serving
 every boundary (and every volume up to n) at once.  The cost grows
 linearly in n, and volumes are not bounded by the table-size guard.
@@ -25,9 +25,11 @@ _sweep is the one fork between the two for kernel values.  Per volume
 it yields the kernels of a list of test functions at a list of
 boundaries, their error bounds and the log-partitions; kernel,
 log_partition, tl_sequence, sandwich_check and the inner kernels of
-dlr_residual read it.  A callable's tower check (finite_volume_dlr_check)
-is the DLR equation of its volume-(n+r) kernel, dlr_residual of
-kernel_measure.  Only kernel_measure (splitting steps),
+dlr_residual read it.  kernel_measure, the kernel as a measure on the
+volume's cylinders, is that word enumeration for every potential: the
+d^n normalised word weights, bounded by the table-size guard.  A
+callable's tower check (finite_volume_dlr_check) is the DLR equation of
+its volume-(n+r) kernel, dlr_residual of kernel_measure.  Only
 constant_shift_check (a shifted gauge) and the table route of the tower
 check fork on their own.  The tower check takes a list of cases
 (f, z, g) and steps all its table cases on one engine: each case's
@@ -107,6 +109,13 @@ _EPOCH_RANGE = 512 * _LN2  # how far a row may grow or shrink within an epoch
 # The kernel engine: Ruelle-operator iterates on value tables
 # ---------------------------------------------------------------------------
 
+def _engine_depth(f: Potential, q: int) -> int:
+    """The engine depth D = max(q, depth(f) - 1, 1) for test functions of
+    depth <= q: steps are exact once D covers the tests and f's reach past
+    the preimage symbol."""
+    return max(q, f.truncation_depth() - 1, 1)
+
+
 class _Engine:
     """Iterates of the Ruelle operator L of beta*f on blocks of columns.
 
@@ -126,8 +135,7 @@ class _Engine:
     @classmethod
     def of(cls, f: Potential, beta: float, q: int = 0) -> "_Engine":
         """The engine of a table-backed beta*f for test functions of depth <= q."""
-        depth = max(q, f.truncation_depth() - 1, 1)
-        op = transfer_operator(f, depth)  # exact: depth + 1 >= depth(f)
+        op = transfer_operator(f, _engine_depth(f, q))  # exact: depth + 1 >= depth(f)
         # the operator of beta*f, without building the potential beta*f
         return cls(replace(op, log_weights=beta * op.log_weights))
 
@@ -217,16 +225,20 @@ def _log_weights_given_tail(
     f: Potential, beta: float, n: int, tail: Point
 ) -> tuple[np.ndarray, float]:
     """log-weights beta * S_n f(w . tail) over all d^n words w, with bound:
-    the kernel path for potentials without a table."""
+    the kernel path for potentials without a table, and kernel_measure's."""
     sums, err = np.zeros(1), 0.0
     for sums, err in tail_birkhoff(f, n, tail):
         pass
     return beta * sums, abs(beta) * err
 
 
-def _softmax(logw: np.ndarray) -> np.ndarray:
-    shifted = np.exp(logw - np.max(logw))
-    return shifted / shifted.sum()
+def _normalised(logw: np.ndarray) -> tuple[np.ndarray, float]:
+    """(e^logw / Z, log Z), Z = sum e^logw, with the largest log-weight
+    subtracted before exponentiating."""
+    top = np.max(logw)
+    shifted = np.exp(logw - top)
+    total = shifted.sum()
+    return shifted / total, top + math.log(total)
 
 
 def _sweep(f: Potential, beta: float, tests, boundaries, volumes):
@@ -250,11 +262,7 @@ def _sweep(f: Potential, beta: float, tests, boundaries, volumes):
         for b, y in enumerate(boundaries):
             tail = shift_n(y, n)
             logw, werr = _log_weights_given_tail(f, beta, n, tail)
-            top = np.max(logw)
-            shifted = np.exp(logw - top)
-            total = shifted.sum()
-            log_z[b] = top + math.log(total)
-            p = shifted / total  # serves every test
+            p, log_z[b] = _normalised(logw)  # p serves every test
             # each weight carries relative error at most e^{2 werr} - 1
             spread = math.expm1(2.0 * werr)
             for j, g in enumerate(tests):
@@ -288,23 +296,15 @@ def kernel_measure(
 ) -> CylinderMeasure:
     """The kernel as a measure on depth-`depth_out` cylinders (default n).
 
-    For a table-backed potential the masses of all d^depth_out cylinders
-    come from one pass: L^n 1_[u] = L^(n-k) (L^k 1_[u]) with k = depth_out,
-    the inner iterates built by k splitting steps.  That pass holds
-    d^(D + depth_out) values, D the engine depth, so the table-size guard
-    bounds D + depth_out (the enumeration of callables bounds n).
+    The normalised weights of the d^n volume words, for a table and a
+    callable alike, coarsened to depth `depth_out`; the table-size guard
+    bounds d^n.
     """
     depth_out = n if depth_out is None else depth_out
     if not 0 <= depth_out <= n:
         raise ValueError("cylinders of that depth are not resolved inside the volume")
-    if f.table is None:
-        logw, _ = _log_weights_given_tail(f, beta, n, shift_n(y, n))
-        return CylinderMeasure(f.d, n, _softmax(logw)).coarsen(depth_out)
-    eng = _Engine.of(f, beta)
-    check_table_size(f.d, eng.depth + depth_out)
-    block, _ = eng.run(eng.columns([]), n, split=depth_out)
-    masses = block[:, eng.row(y, n)]
-    return CylinderMeasure(f.d, depth_out, masses / masses.sum())
+    logw, _ = _log_weights_given_tail(f, beta, n, shift_n(y, n))
+    return CylinderMeasure(f.d, n, _normalised(logw)[0]).coarsen(depth_out)
 
 
 def constant_shift_check(
@@ -323,8 +323,8 @@ def constant_shift_check(
         tail = shift_n(y, n)
         logw, _ = _log_weights_given_tail(f, beta, n, tail)
         gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
-        k1 = sum_of_products(_softmax(logw), gv)
-        k2 = sum_of_products(_softmax(logw - a_n), gv)
+        k1 = sum_of_products(_normalised(logw)[0], gv)
+        k2 = sum_of_products(_normalised(logw - a_n)[0], gv)
         return abs(k1 - k2)
     eng = _Engine.of(f, beta, g.depth)
     shifted = _Engine(eng.op.gauged(growth=a_n / n))
@@ -381,7 +381,7 @@ def finite_volume_dlr_check(
         if f.table is None:
             check_table_size(f.d, n + r)  # the volume-(n+r) words
         else:
-            splits[j] = check_table_size(f.d, max(g.depth, f.truncation_depth() - 1, 1) + r)
+            splits[j] = check_table_size(f.d, _engine_depth(f, g.depth) + r)
     passes, size = [], 0
     for j, entries in splits.items():
         if not passes or size + entries > shift.MAX_TABLE_ENTRIES:
@@ -541,8 +541,7 @@ def tl_sequence(
         raise ValueError("need at least one cylinder and one boundary")
     qmax = max(len(w) for w in cylinders)
     if reference is None:
-        depth = max(qmax, f.truncation_depth() - 1, 1)
-        reference = power_iterate(scale(f, beta), depth, tol=tol).nu
+        reference = power_iterate(scale(f, beta), _engine_depth(f, qmax), tol=tol).nu
     tests = [CylinderFunction.indicator(f.d, w) for w in cylinders]
     volumes = range(qmax, n_max + 1)
     K = np.empty((len(volumes), len(tests), len(boundaries)))

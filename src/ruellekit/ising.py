@@ -574,13 +574,6 @@ def coboundary_checks(
     return list(zip(residual.tolist(), bound.tolist()))
 
 
-def coboundary_check(
-    params: IsingParams, x: TwoSidedPoint, terms: int
-) -> tuple[float, float]:
-    """coboundary_checks at the one point x."""
-    return coboundary_checks(params, [x], terms)[0]
-
-
 # ---------------------------------------------------------------------------
 # Regularity diagnostics
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ error (0.0 when the value is exact, as for finite-depth tables).
 
 tabulate(f, length, tail), the values f(u . tail) over all words u of a
 length, is the one path by which the package reads f on many words: the
-transfer operator, truncate, tail_birkhoff, interactions and the kernels
-of callables use it.  It checks the table size, then calls the
+transfer operator, tail_birkhoff, interactions and the kernels of
+callables use it.  It checks the table size, then calls the
 potential's word evaluator, f.batch(length, tail), when it has one.  A
 table potential reads its words by index arithmetic; the Ising g, the
 run-length family below and c*f of any of them compute all words at once
@@ -98,9 +98,9 @@ class VariationUnavailable(ValueError):
 class Potential:
     """A potential: certified evaluator + regularity metadata.
 
-    `table` is set for locally-constant potentials and is the exact value
-    table at `regularity.depth`; the fast vectorised paths in the transfer
-    and kernel modules key off it.  `batch`, when set, is a word
+    `table` is set exactly for locally-constant potentials and is the
+    exact value table at `regularity.depth`; the fast vectorised paths in
+    the transfer and kernel modules key off it.  `batch`, when set, is a word
     evaluator: batch(length, tail) returns what tabulate(f, length, tail)
     returns without it, without evaluating fn once per word.
     """
@@ -113,6 +113,13 @@ class Potential:
     batch: Callable[[int, Point], tuple[np.ndarray, float]] | None = field(
         default=None, repr=False
     )
+
+    def __post_init__(self):
+        if (self.table is None) == isinstance(self.regularity, LocallyConstant):
+            raise ValueError(
+                "a potential has a value table exactly when its regularity is "
+                "LocallyConstant: build a locally-constant one with from_table"
+            )
 
     # -- constructors -------------------------------------------------------
 
@@ -193,18 +200,6 @@ def tabulate(f: Potential, length: int, tail: Point) -> tuple[np.ndarray, float]
         values[i], e = f.evaluate(prepend(tail, row))
         err = max(err, e)
     return values, err
-
-
-def truncate(f: Potential, depth: int) -> tuple[CylinderFunction, float]:
-    """Depth-`depth` table of f with remote coordinates frozen to REFERENCE_TAIL.
-
-    Returns (table, bound) where bound certifies the truncation plus
-    evaluation error:  |f(x) - table(x)| <= bound on every x extending the
-    sampled words by an arbitrary tail.  For locally-constant f of depth
-    <= `depth` the bound is 0 and the table is exact.
-    """
-    values, err = tabulate(f, depth, REFERENCE_TAIL)
-    return CylinderFunction(f.d, depth, values), err + var_upper(f, depth)
 
 
 def tail_birkhoff(f: Potential, n: int, tail: Point):

@@ -195,8 +195,8 @@ def test_criterion_09_ising_coboundary_certificate():
             Point(tuple(0 if -i in flips else 1 for i in range(1, 13)), (1,)),
             Point(tuple(0 if i in flips else 1 for i in range(13)), (1,)),
         )
-        res, bound = ising.coboundary_check(base, x, 100)
-        res2, bound2 = ising.coboundary_check(doubled, x, 200)
+        res, bound = ising.coboundary_checks(base, [x], 100)[0]
+        res2, bound2 = ising.coboundary_checks(doubled, [x], 200)[0]
         within = within and res <= bound and res2 <= bound2
         worst_bound = max(worst_bound, bound)
         min_ratio = min(min_ratio, bound / bound2)

@@ -7,12 +7,17 @@ output, and config parsing for each potential descriptor kind.
 
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +53,7 @@ def markov_config(tmp_path):
 
 def run(tmp_path, *args, name="report.json"):
     out = tmp_path / name
-    code = cli.main([*args, "--out", str(out)])
+    code = cli.run([*args, "--out", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
 
@@ -133,7 +138,7 @@ def test_tl_refuses_n_below_the_deepest_cylinder(tmp_path, capsys):
     cfg = write_config(
         tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 3, "values": [0.1] * 8}}}
     )
-    assert cli.main(["tl", "--config", cfg, "--n", "1"]) == 1
+    assert cli.run(["tl", "--config", cfg, "--n", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "--n 1" in err and "length 2" in err
     code, report = run(tmp_path, "tl", "--config", cfg, "--n", "2")
@@ -159,7 +164,7 @@ def test_zero_beta_is_a_value_not_a_missing_flag(tmp_path):
 
 
 def test_zero_max_iter_is_refused(tmp_path, capsys):
-    assert cli.main(["rpf", "--max-iter", "0"]) == 1
+    assert cli.run(["rpf", "--max-iter", "0"]) == 1
     assert capsys.readouterr().err.startswith("usage error: --max-iter must be >= 1")
 
 
@@ -176,7 +181,7 @@ def test_bad_max_iter_and_tol_are_usage_errors(tmp_path, monkeypatch, capsys, fl
     # --tol nan or 0 used to run all 10,000 iterations and exit 2
     calls = []
     monkeypatch.setattr(potentials, "tabulate", lambda *args: calls.append(args))
-    assert cli.main(["rpf", "--config", markov_config(tmp_path), flag, value]) == 1
+    assert cli.run(["rpf", "--config", markov_config(tmp_path), flag, value]) == 1
     assert capsys.readouterr().err.startswith(f"usage error: {message}")
     assert calls == []
 
@@ -231,7 +236,7 @@ def test_walters_hofbauer_config(tmp_path):
 
 def test_walters_without_variation_metadata(tmp_path, capsys):
     # no honest variation majorant exists, so the subcommand refuses
-    assert cli.main(["walters", "--config", hofbauer_config(tmp_path), "--n", "4"]) == 1
+    assert cli.run(["walters", "--config", hofbauer_config(tmp_path), "--n", "4"]) == 1
     assert "no variation metadata" in capsys.readouterr().err
 
 
@@ -261,7 +266,7 @@ def test_walters_on_a_table_stops_at_its_depth(tmp_path):
 def test_negative_n_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
     calls = []
     monkeypatch.setattr(potentials, "tabulate", lambda *args: calls.append(args))
-    assert cli.main([command, "--config", markov_config(tmp_path), "--n", "-1"]) == 1
+    assert cli.run([command, "--config", markov_config(tmp_path), "--n", "-1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "--n" in err
     assert calls == []
@@ -270,9 +275,33 @@ def test_negative_n_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
 @pytest.mark.parametrize("flag", ["--depth", "--r"])
 def test_negative_depth_and_r_are_usage_errors(capsys, flag):
     # --depth -1 used to die in rng.uniform(size=0.5), --r -1 in islice
-    assert cli.main(["dlr-check", flag, "-1"]) == 1
+    assert cli.run(["dlr-check", flag, "-1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: {flag} must be >= 0")
+
+
+ZERO_FLAG_RUNS = [
+    ("kernel", "--n", "0"),
+    ("dlr-check", "--n", "0"),
+    ("normalize", "--n", "0"),
+    ("walters", "--n", "0"),
+    ("uniqueness", "--config", markov_config, "--n", "0"),
+    *((command, "--depth", "0") for command in ("rpf", "pressure", "normalize", "change-of-measure")),
+    *((command, "--d", "0") for command in ("kernel", "dlr-check", "change-of-measure")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", ZERO_FLAG_RUNS, ids=lambda argv: " ".join(getattr(a, "__name__", a) for a in argv)
+)
+def test_zero_sites_or_symbols_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    # each used to fail inside the computation as "invalid config", and
+    # uniqueness to exit 2 on a D estimated over an empty window
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda cfg, args: pytest.fail("the command ran"))
+    code, report = run(tmp_path, *argv)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith(f"usage error: {argv[-2]} must be >= 1")
 
 
 def test_tl_honours_tol(tmp_path):
@@ -368,26 +397,40 @@ def test_uniqueness_underflowed_kernel_mass_is_a_breakdown(tmp_path, capsys):
     assert "numerical breakdown:" in capsys.readouterr().err
 
 
+def test_console_script_is_cli_run(tmp_path):
+    # the [project.scripts] entry (tomllib needs Python 3.11; the package supports 3.10)
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(r'^ruellekit = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    assert getattr(importlib.import_module(module), name) is cli.run
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "ruellekit.cli", "pressure"],
+        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["status"] == "ok"
+
+
 def test_unknown_subcommand_exit_1(capsys):
-    assert cli.main(["frobnicate"]) == 1
+    assert cli.run(["frobnicate"]) == 1
     assert "usage error" in capsys.readouterr().err
 
 
 def test_unreadable_config_exit_1(tmp_path, capsys):
-    assert cli.main(["rpf", "--config", str(tmp_path / "missing.json")]) == 1
+    assert cli.run(["rpf", "--config", str(tmp_path / "missing.json")]) == 1
     assert "cannot read config" in capsys.readouterr().err
 
 
 def test_invalid_json_config_exit_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
-    assert cli.main(["rpf", "--config", str(path)]) == 1
+    assert cli.run(["rpf", "--config", str(path)]) == 1
     assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_unknown_potential_kind_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, {"potential": {"kind": "frob"}})
-    assert cli.main(["rpf", "--config", cfg]) == 1
+    assert cli.run(["rpf", "--config", cfg]) == 1
     assert "unknown potential kind" in capsys.readouterr().err
 
 
@@ -397,14 +440,14 @@ def ising_config(tmp_path):
 
 def test_size_guard_exit_1(tmp_path, capsys):
     # doubling the window asks the callable for 2^32 volume words
-    assert cli.main(["uniqueness", "--config", ising_config(tmp_path), "--n", "16"]) == 1
+    assert cli.run(["uniqueness", "--config", ising_config(tmp_path), "--n", "16"]) == 1
     assert "size guard" in capsys.readouterr().err
 
 
 def test_size_guard_fires_before_any_table(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(potentials, "tabulate", lambda *args: calls.append(args))
-    assert cli.main(["uniqueness", "--config", ising_config(tmp_path), "--n", "16"]) == 1
+    assert cli.run(["uniqueness", "--config", ising_config(tmp_path), "--n", "16"]) == 1
     assert "size guard" in capsys.readouterr().err
     assert calls == []
 
@@ -414,7 +457,7 @@ def test_non_finite_table_is_refused(tmp_path, capsys, bad):
     cfg = write_config(
         tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 1, "values": [0.0, bad]}}}
     )
-    assert cli.main(["pressure", "--config", cfg]) == 1
+    assert cli.run(["pressure", "--config", cfg]) == 1
     assert "invalid config" in capsys.readouterr().err
 
 
@@ -572,11 +615,13 @@ def test_csv_rows_match_report(tmp_path):
     assert rows[0] == ["n", "cylinder", "boundary_id", "K_n", "nu_ref", "deviation"]
     assert len(rows) - 1 == report["results"]["rows"]
     assert all(float(row[5]) >= 0.0 for row in rows[1:])
+    # no cylinders in the config: every word of length 1 and 2, in word order
+    assert list(dict.fromkeys(row[1] for row in rows[1:])) == ["0", "1", "00", "01", "10", "11"]
 
 
 def test_floats_rendered_at_17_digits(tmp_path):
     out = tmp_path / "report.json"
-    cli.main(["pressure", "--config", markov_config(tmp_path), "--out", str(out)])
+    cli.run(["pressure", "--config", markov_config(tmp_path), "--out", str(out)])
     text = out.read_text()
     value = json.loads(text)["results"]["pressure"]
     assert format(value, ".17g") in text

@@ -13,7 +13,7 @@ from ruellekit import ising
 from ruellekit.ising import (
     IsingParams,
     TwoSidedPoint,
-    coboundary_check,
+    coboundary_checks,
     f_two_sided,
     g_one_sided,
     g_potential,
@@ -146,15 +146,15 @@ def test_coboundary_residual_within_bounds(alpha):
     params = IsingParams(alpha=alpha)
     for left, right in [("|1", "0|1"), ("110|01", "0110|1"), ("0|1", "10|1")]:
         x = TwoSidedPoint.from_literals(left, right)
-        residual, bound = coboundary_check(params, x, 100)
+        residual, bound = coboundary_checks(params, [x], 100)[0]
         assert residual <= bound
         assert bound < 0.05
 
 
 def test_coboundary_bound_shrinks_fourfold():
     x = TwoSidedPoint.from_literals("110|01", "0110|1")
-    _, b1 = coboundary_check(IsingParams(alpha=3.0, cutoff=200), x, 100)
-    _, b2 = coboundary_check(IsingParams(alpha=3.0, cutoff=400), x, 200)
+    _, b1 = coboundary_checks(IsingParams(alpha=3.0, cutoff=200), [x], 100)[0]
+    _, b2 = coboundary_checks(IsingParams(alpha=3.0, cutoff=400), [x], 200)[0]
     assert b1 < 1e-3
     assert b1 / b2 >= 4.0
 
@@ -390,7 +390,7 @@ def test_chain_series_equal_scalar_oracle(params):
     for x in criterion_09_points() + cli_points(0):
         assert f_two_sided(params, x) == scalar_f(params, x)
         assert transfer_h(params, x, terms) == scalar_transfer_h(params, x, terms, inner)
-        assert coboundary_check(params, x, terms) == scalar_coboundary_check(params, x, terms, inner)
+        assert coboundary_checks(params, [x], terms)[0] == scalar_coboundary_check(params, x, terms, inner)
 
 
 def test_coboundary_check_computes_each_inner_sum_once(monkeypatch):
@@ -411,7 +411,7 @@ def test_coboundary_check_computes_each_inner_sum_once(monkeypatch):
     for terms in (10, 40):
         windows.clear()
         rows.clear()
-        coboundary_check(P3, x, terms)
+        coboundary_checks(P3, [x], terms)
         # f, g, and every row of shift x is a row of x: j <= terms + 1 at x
         assert windows == [1]
         assert rows == [2 + terms + 2]
@@ -421,7 +421,7 @@ def test_coboundary_check_computes_each_inner_sum_once(monkeypatch):
     x = TwoSidedPoint.from_literals("|1", "10|1")
     windows.clear()
     rows.clear()
-    coboundary_check(params, x, 20)
+    coboundary_checks(params, [x], 20)
     assert windows == [1]
     assert rows == [2 + 22 + sum(1 for j in range(21) if j + 2 > params.cutoff)]
 
@@ -447,7 +447,7 @@ def test_symbols_outside_the_spin_alphabet_are_refused(left, right):
     with pytest.raises(ValueError):
         f_two_sided(P3, x)
     with pytest.raises(ValueError):
-        coboundary_check(P3, x, 20)
+        coboundary_checks(P3, [x], 20)
     with pytest.raises(ValueError):
         transfer_h(P3, x, 20)
     if "2" in right:
@@ -459,8 +459,10 @@ def test_symbols_outside_the_spin_alphabet_are_refused(left, right):
 
 def test_symbols_past_a_byte_are_refused_by_name():
     x = TwoSidedPoint(Point((), (1,)), Point((0, 300), (1,)))
-    for check in (coboundary_check, transfer_h):
-        with pytest.raises(ValueError, match="symbol 300 is not a valid two-letter spin label"):
-            check(P3, x, 20)
+    message = "symbol 300 is not a valid two-letter spin label"
+    with pytest.raises(ValueError, match=message):
+        coboundary_checks(P3, [x], 20)
+    with pytest.raises(ValueError, match=message):
+        transfer_h(P3, x, 20)
     with pytest.raises(ValueError, match="symbol 300 is not"):
         g_one_sided(P3, x.right)

@@ -280,7 +280,7 @@ def test_chain_series_equal_the_per_row_oracle(params):
             assert shifted == oracle_transfer_terms(params, x.shift(), count - 1)
         if params.alpha > 2:
             assert ising.transfer_h(params, x, terms) == oracle_transfer_h(params, x, terms)
-            assert ising.coboundary_check(params, x, terms) == oracle_coboundary_check(params, x, terms)
+            assert ising.coboundary_checks(params, [x], terms)[0] == oracle_coboundary_check(params, x, terms)
 
 
 # cutoff 8 puts j + alignment past the cutoff from j = 4 on at "110|01"

@@ -9,6 +9,7 @@ from ruellekit.ising import IsingParams, g_potential
 from ruellekit.potentials import (
     GenericContinuous,
     Hoelder,
+    LocallyConstant,
     Potential,
     SummableVariation,
     VariationUnavailable,
@@ -19,11 +20,11 @@ from ruellekit.potentials import (
     scale,
     tabulate,
     tail_birkhoff,
-    truncate,
     var_upper,
     walters_estimate,
 )
-from ruellekit.shift import Point, TableSizeError, prepend
+from ruellekit.shift import Point, TableSizeError, prepend, word_index
+from ruellekit.transfer import transfer_operator
 
 MARKOV = Potential.from_table(
     2, 2, [math.log(2.0), 0.0, 0.0, 0.0], label="markov"
@@ -87,10 +88,12 @@ def test_birkhoff_matches_table_and_loop():
 
 
 def test_truncate_exact_for_tables():
-    table, bound = truncate(MARKOV, 4)
-    assert bound == 0.0
-    assert table.depth == 4
-    assert table.value_at(Point.from_literal("00|1")) == math.log(2.0)
+    # the depth-3 operator reads the depth-4 truncation of f
+    op = transfer_operator(MARKOV, 3)
+    assert op.truncation_bound == 0.0
+    assert op.depth == 3
+    # the extended word 0011 = 0 . 011
+    assert op.log_weights[0, word_index((0, 1, 1), 2)] == math.log(2.0)
 
     # truncating a callable reports the evaluation bound it inherited
     def fn(x):
@@ -98,8 +101,20 @@ def test_truncate_exact_for_tables():
 
     # truncating a callable charges the variation majorant plus evaluation error
     g = Potential.from_callable(2, fn, Hoelder(gamma=1.0, constant=1.0))
-    _, bound = truncate(g, 3)
-    assert bound == pytest.approx(2.0**-3 + 1e-9)
+    assert transfer_operator(g, 2).truncation_bound == pytest.approx(2.0**-3 + 1e-9)
+
+
+
+def test_a_potential_has_a_table_exactly_when_locally_constant():
+    # a LocallyConstant callable had no table for var_upper and power_iterate
+    # to read (AttributeError) and D_estimate's bound checked nothing
+    fn = MARKOV.fn
+    with pytest.raises(ValueError, match="from_table"):
+        Potential.from_callable(2, fn, LocallyConstant(1))
+    with pytest.raises(ValueError, match="from_table"):
+        Potential(2, LocallyConstant(2), fn)
+    with pytest.raises(ValueError, match="from_table"):
+        Potential(2, Hoelder(gamma=1.0, constant=1.0), fn, MARKOV.table)
 
 
 TAILS = ("|0", "|1", "|01", "2|10", "0110|2", "21|0")
