@@ -9,8 +9,9 @@ fewer than half its entries distinct (psi repeats each of its values) has
 each distinct value formatted once; the bytes are the same.  Exit status: 0 on
 success, 2 when a computed residual lands beyond its tolerance (normalize:
 power iteration did not converge, or sup |L_fbar 1 - 1| > tol * max psi /
-min psi), 1 on usage/config errors and on a numerical breakdown of a valid
-config (no report is written then).
+min psi; tl: its reference's power iteration did not converge), 1 on
+usage/config errors and on a numerical breakdown of a valid config (no
+report is written then).
 
 Config files are JSON objects; recognized keys:
 
@@ -185,10 +186,17 @@ def _sequence_from(desc: dict):
 
 
 def _potential_from(cfg: dict, args) -> potentials.Potential:
+    """The config's potential (0 on --d symbols when it names none), times
+    --beta when the flag is given."""
     desc = cfg.get("potential")
     if desc is None:
-        d = _opt(args.d, 2)
-        return potentials.Potential.constant(d, 0.0)
+        f = potentials.Potential.constant(_opt(args.d, 2), 0.0)
+    else:
+        f = _described_potential(desc, args)
+    return f if args.beta is None else potentials.scale(f, args.beta)
+
+
+def _described_potential(desc: dict, args) -> potentials.Potential:
     kind = desc.get("kind")
     params = desc.get("params", {})
     try:
@@ -263,8 +271,6 @@ def _random_word(rng: np.random.Generator, d: int, max_len: int) -> tuple[int, .
 
 def _rpf_data(cfg, args):
     f = _potential_from(cfg, args)
-    if args.beta is not None:
-        f = potentials.scale(f, args.beta)
     depth = _opt(args.depth, max(f.depth() or 1, 1))
     tol = _opt(args.tol, transfer.DEFAULT_TOL)
     max_iter = _opt(args.max_iter, transfer.DEFAULT_MAX_ITER)
@@ -317,13 +323,12 @@ def _cmd_normalize(cfg, args):
 
 def _cmd_kernel(cfg, args):
     f = _potential_from(cfg, args)
-    beta = _opt(args.beta, 1.0)
     n = _opt(args.n, 2)
     y = _point_from_literal(cfg.get("boundary", "|0"))
     word = parse_word(cfg.get("test_word", "0"))
     g = CylinderFunction.indicator(f.d, word)
     # the kernel and its log-partition from one sweep
-    _, K, _, log_zs = next(dlr._sweep(f, beta, [g], [y], [n]))
+    _, K, _, log_zs = next(dlr._sweep(f, [g], [y], [n]))
     value, log_z = float(K[0, 0]), float(log_zs[0])
     results = {
         "partition": transfer.exp_or_inf(log_z),
@@ -332,14 +337,13 @@ def _cmd_kernel(cfg, args):
         "test_word": cfg.get("test_word", "0"),
         "boundary": y.literal,
         "n": n,
-        "beta": beta,
+        "beta": _opt(args.beta, 1.0),
     }
     return results, True, None
 
 
 def _cmd_tl(cfg, args):
     f = _potential_from(cfg, args)
-    beta = _opt(args.beta, 1.0)
     n_max = _opt(args.n, 12)
     rng = np.random.default_rng(args.seed)
     if "cylinders" in cfg:
@@ -356,31 +360,34 @@ def _cmd_tl(cfg, args):
     else:
         boundaries = [_random_point(rng, f.d) for _ in range(4)]
     tol = _opt(args.tol, transfer.DEFAULT_TOL)
-    table = dlr.tl_sequence(f, beta, cylinders, boundaries, n_max, tol=tol)
+    table = dlr.tl_sequence(f, cylinders, boundaries, n_max, tol=tol)
     results = {
         "worst": dict(zip(table.volumes.tolist(), table.worst.tolist())),
         "n_max": n_max,
         "rows": table.K.size,
         "boundaries": [y.literal for y in boundaries],
     }
-    return results, True, table
+    # kernels against an unconverged reference measure nothing: check-failed, as pressure
+    return results, table.converged, table
 
 
 def _cmd_dlr_check(cfg, args):
+    _refuse(args, "config", "it checks the table potentials it samples from --seed")
     d = _opt(args.d, 2)
     depth = _opt(args.depth, 2)
     n = _opt(args.n, 2)
     r = _opt(args.r, 2)
     tol = _opt(args.tol, 1e-12)
-    beta = _opt(args.beta, 1.0)
     rng = np.random.default_rng(args.seed)
     cases = []
     for _ in range(10):
         f = _random_table_potential(rng, d, depth)
+        if args.beta is not None:
+            f = potentials.scale(f, args.beta)
         q = int(rng.integers(1, n + r + 1))
         g = CylinderFunction(d, q, rng.uniform(-1.0, 1.0, size=d**q))
         cases.append((f, _random_point(rng, d), g))
-    residuals = dlr.finite_volume_dlr_check(beta, n, r, cases)
+    residuals = dlr.finite_volume_dlr_check(n, r, cases)
     worst = max(residuals)
     results = {
         "residuals": residuals,
@@ -393,14 +400,14 @@ def _cmd_dlr_check(cfg, args):
     return results, worst < tol, None
 
 
-def _refuse_beta(args, reason: str) -> None:
-    """Subcommands that do not scale the potential refuse --beta."""
-    if args.beta is not None:
-        raise UsageError(f"{args.command} takes no --beta: {reason}")
+def _refuse(args, flag: str, reason: str) -> None:
+    """Subcommands refuse the flags they do not read: --beta, --config."""
+    if getattr(args, flag) is not None:
+        raise UsageError(f"{args.command} takes no --{flag}: {reason}")
 
 
 def _cmd_interaction(cfg, args):
-    _refuse_beta(args, "it reads the interaction of the potential as given")
+    _refuse(args, "beta", "it reads the interaction of the potential as given")
     if cfg.get("potential") is not None:
         f = _potential_from(cfg, args)
         depth = f.depth()
@@ -436,7 +443,7 @@ def _cmd_interaction(cfg, args):
 
 
 def _cmd_walters(cfg, args):
-    _refuse_beta(args, "its estimates are those of the potential as given")
+    _refuse(args, "beta", "its estimates are those of the potential as given")
     f = _potential_from(cfg, args)
     n_sup = _opt(args.n, 16)
     estimates = [
@@ -458,7 +465,8 @@ def _cmd_walters(cfg, args):
 
 def _cmd_uniqueness(cfg, args):
     f = _potential_from(cfg, args)
-    beta = _opt(args.beta, 1.0)
+    if f.d < 2:
+        raise UsageError(f"uniqueness --d must be >= 2: it compares tails on two symbols or more, got {f.d}")
     N = _opt(args.n, 8)
     rng = np.random.default_rng(args.seed)
     # one pass over the 2N window, whose size guard refuses before any work;
@@ -474,7 +482,7 @@ def _cmd_uniqueness(cfg, args):
         y = tails[int(rng.integers(0, len(tails)))]
         z = tails[int(rng.integers(0, len(tails)))]
         draws.append((n, C, y, z))
-    holds, margins, log_margins = zip(*dlr.sandwich_check(f, beta, draws, value))
+    holds, margins, log_margins = zip(*dlr.sandwich_check(f, draws, value))
     results = {
         "D": value,
         "metadata_bound": bound,
@@ -494,7 +502,8 @@ _ISING_MIN_TERMS = 14
 
 
 def _cmd_ising(cfg, args):
-    _refuse_beta(args, "its series are those of the energy at beta = 1")
+    _refuse(args, "beta", "its series are those of the energy at beta = 1")
+    _refuse(args, "config", "its chain is set by --alpha and --cutoff")
     alpha = _opt(args.alpha, 3.0)
     cutoff = _opt(args.cutoff, 200)
     if cutoff < 2:
@@ -540,17 +549,18 @@ def _cmd_ising(cfg, args):
 
 
 def _cmd_change_of_measure(cfg, args):
-    _refuse_beta(args, "it checks the potential as given")
+    _refuse(args, "beta", "it checks the potential as given")
     depth = _opt(args.depth, 3)
     tol = _opt(args.tol, 1e-9)
+    max_iter = _opt(args.max_iter, transfer.DEFAULT_MAX_ITER)
     if cfg.get("potential") is not None:
         f = _potential_from(cfg, args)
-        deviations = [dlr.change_of_measure_check(f, depth)]
+        deviations = [dlr.change_of_measure_check(f, depth, max_iter=max_iter)]
     else:
         d = _opt(args.d, 2)
         rng = np.random.default_rng(args.seed)
         deviations = [
-            dlr.change_of_measure_check(_random_table_potential(rng, d, 2), depth)
+            dlr.change_of_measure_check(_random_table_potential(rng, d, 2), depth, max_iter=max_iter)
             for _ in range(10)
         ]
     worst = max(deviations)

@@ -3,14 +3,18 @@
 The volume-n kernel conditioned on a boundary configuration y averages a
 test function over all ways of rewriting the first n coordinates:
 
-    kernel(g | y) = sum_w  e^{beta S_n f(w . sigma^n y)} g(w . sigma^n y)
+    kernel(g | y) = sum_w  e^{S_n f(w . sigma^n y)} g(w . sigma^n y)
                     / partition
 
 where w runs over the d^n words.  Summed over w, numerator and partition
 function are iterates of the Ruelle operator (L h)(x) = sum_a
-e^{beta f(a x)} h(a x):
+e^{f(a x)} h(a x):
 
     kernel(g | y) = (L^n g)(sigma^n y) / (L^n 1)(sigma^n y).
+
+Every function here sums the potential f it is given: the specification
+at inverse temperature beta is the kernel of the potential beta*f, which
+the caller forms with potentials.scale.
 
 For table-backed potentials the kernels of test functions are computed
 in that form by one engine: n operator steps on value tables of depth
@@ -48,8 +52,8 @@ volume); the engine reads exactly the first D of them, so boundary
 dependence is structural rather than numerical.  Its steps apply
 transfer.TransferOperator in a gauge of per-row log scales, renewed and
 exponentiated once per epoch, so no kernel underflows to 0 / 0 however
-large beta * osc(f) is, and adding a constant to the exponent cancels in
-the normalised kernel.  The word enumeration subtracts the maximum over
+large osc(f) is, and adding a constant to the exponent cancels in the
+normalised kernel.  The word enumeration subtracts the maximum over
 the words of each boundary.
 
 The boundary-independence certificate asks many small kernels at once:
@@ -57,15 +61,16 @@ sandwich_check takes a list of draws (n, C, y, z) and reads all their
 kernels from one sweep over the distinct indicators 1_[C], boundaries and
 volumes, and D_estimate returns the running maxima of one pass, so one
 call serves every window up to N.  Each sandwich is decided on its log
-margin 2|beta| D - |log K_y - log K_z|, which stays finite where the
-margin itself overflows.
+margin 2 D - |log K_y - log K_z|, which stays finite where the margin
+itself overflows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,7 +81,6 @@ from .potentials import (
     LocallyConstant,
     Potential,
     VariationUnavailable,
-    scale,
     tail_birkhoff,
     var_upper,
 )
@@ -117,7 +121,7 @@ def _engine_depth(f: Potential, q: int) -> int:
 
 
 class _Engine:
-    """Iterates of the Ruelle operator L of beta*f on blocks of columns.
+    """Iterates of the Ruelle operator L of f on blocks of columns.
 
     A block stacks one depth-D value table per function of the first D
     coordinates (its columns; its rows are the table entries).  A step
@@ -126,18 +130,16 @@ class _Engine:
     at once.  Steps are exact when D covers the test functions' depth and
     the potential's reach past the preimage symbol, depth(f) - 1.  Each
     step is one application of `op`, the depth-D transfer operator of
-    beta*f, in a gauge of the rows' log scales.
+    f, in a gauge of the rows' log scales.
     """
 
     def __init__(self, op):
         self.op, self.d, self.depth = op, op.d, op.depth
 
     @classmethod
-    def of(cls, f: Potential, beta: float, q: int = 0) -> "_Engine":
-        """The engine of a table-backed beta*f for test functions of depth <= q."""
-        op = transfer_operator(f, _engine_depth(f, q))  # exact: depth + 1 >= depth(f)
-        # the operator of beta*f, without building the potential beta*f
-        return cls(replace(op, log_weights=beta * op.log_weights))
+    def of(cls, f: Potential, q: int = 0) -> "_Engine":
+        """The engine of a table-backed f for test functions of depth <= q."""
+        return cls(transfer_operator(f, _engine_depth(f, q)))  # exact: depth + 1 >= depth(f)
 
     def columns(self, tests: list[CylinderFunction]) -> np.ndarray:
         """The block [g_1, ..., g_k, 1] of depth-D value tables."""
@@ -154,13 +156,14 @@ class _Engine:
         the largest log-weight c, then steps while rows, growing at most
         d-fold and shrinking at most by e^(least row maximum - c) per step,
         stay within 2**512; past that, each row's own largest log-weight
-        goes to its lift, one step at a time.  `lift` gives the row log
-        scales of the starting block (default 0).
+        goes to its lift, one step at a time.  On one symbol with equal row
+        maxima no row moves, and one epoch covers the run.  `lift` gives
+        the row log scales of the starting block (default 0).
 
         The first `split` steps keep the preimage symbol apart instead of
         summing over it: column u becomes the d columns u.a.  Started from
         the constant 1, column u after j <= split steps holds
-        L^j 1_[u] = e^{beta S_j f(u x)} for each word u of length j.
+        L^j 1_[u] = e^{S_j f(u x)} for each word u of length j.
         """
         op, n, exp2 = self.op, 0, 0
         lift = np.zeros(op.size) if lift is None else lift
@@ -174,7 +177,8 @@ class _Engine:
             epoch = op.gauged(lift)
             row_top = epoch.log_weights.max(axis=0)
             top = float(row_top.max())
-            steps = int(_EPOCH_RANGE // max(math.log(self.d), top - float(row_top.min())))
+            spread = max(math.log(self.d), top - float(row_top.min()))
+            steps = int(_EPOCH_RANGE // spread) if spread else sys.maxsize
             growth = top if steps else row_top
             epoch = epoch.gauged(growth=growth)
             for k in range(1, max(steps, 1) + 1):
@@ -221,15 +225,13 @@ class _Engine:
 # Word enumeration (potentials without a table)
 # ---------------------------------------------------------------------------
 
-def _log_weights_given_tail(
-    f: Potential, beta: float, n: int, tail: Point
-) -> tuple[np.ndarray, float]:
-    """log-weights beta * S_n f(w . tail) over all d^n words w, with bound:
+def _log_weights_given_tail(f: Potential, n: int, tail: Point) -> tuple[np.ndarray, float]:
+    """log-weights S_n f(w . tail) over all d^n words w, with bound:
     the kernel path for potentials without a table, and kernel_measure's."""
     sums, err = np.zeros(1), 0.0
     for sums, err in tail_birkhoff(f, n, tail):
         pass
-    return beta * sums, abs(beta) * err
+    return sums, err
 
 
 def _normalised(logw: np.ndarray) -> tuple[np.ndarray, float]:
@@ -241,7 +243,7 @@ def _normalised(logw: np.ndarray) -> tuple[np.ndarray, float]:
     return shifted / total, top + math.log(total)
 
 
-def _sweep(f: Potential, beta: float, tests, boundaries, volumes):
+def _sweep(f: Potential, tests, boundaries, volumes):
     """Yield (n, K, err, log_z) for each n of the increasing `volumes`:
     K[b, j] is the volume-n kernel of tests[j] at boundaries[b], err[b, j]
     a bound on its error and log_z[b] the log-partition log Z_n there.
@@ -251,7 +253,7 @@ def _sweep(f: Potential, beta: float, tests, boundaries, volumes):
     if min(volumes, default=1) < 1:
         raise ValueError("volume must contain at least one site")
     if f.table is not None:
-        eng = _Engine.of(f, beta, max((g.depth for g in tests), default=0))
+        eng = _Engine.of(f, max((g.depth for g in tests), default=0))
         for n, K, log_z in eng.sweep(tests, boundaries, volumes):
             yield n, K, np.full(K.shape, _KERNEL_ROUNDING), log_z
         return
@@ -261,7 +263,7 @@ def _sweep(f: Potential, beta: float, tests, boundaries, volumes):
         log_z = np.empty(len(boundaries))
         for b, y in enumerate(boundaries):
             tail = shift_n(y, n)
-            logw, werr = _log_weights_given_tail(f, beta, n, tail)
+            logw, werr = _log_weights_given_tail(f, n, tail)
             p, log_z[b] = _normalised(logw)  # p serves every test
             # each weight carries relative error at most e^{2 werr} - 1
             spread = math.expm1(2.0 * werr)
@@ -276,57 +278,49 @@ def _sweep(f: Potential, beta: float, tests, boundaries, volumes):
 # Public kernel interface
 # ---------------------------------------------------------------------------
 
-def log_partition(f: Potential, beta: float, n: int, y: Point) -> float:
-    """log Z_n(y), Z_n(y) = sum_w exp(beta S_n f(w . sigma^n y)) = (L^n 1)(sigma^n y),
+def log_partition(f: Potential, n: int, y: Point) -> float:
+    """log Z_n(y), Z_n(y) = sum_w exp(S_n f(w . sigma^n y)) = (L^n 1)(sigma^n y),
     finite however far Z_n(y) lies outside the float range."""
-    return float(next(_sweep(f, beta, [], [y], [n]))[3][0])
+    return float(next(_sweep(f, [], [y], [n]))[3][0])
 
 
-def kernel(
-    f: Potential, beta: float, n: int, y: Point, g: CylinderFunction
-) -> float:
+def kernel(f: Potential, n: int, y: Point, g: CylinderFunction) -> float:
     """The volume-n Gibbs average of g conditioned on the boundary y."""
     if g.d != f.d:
         raise ValueError("alphabet mismatch")
-    return float(next(_sweep(f, beta, [g], [y], [n]))[1][0, 0])
+    return float(next(_sweep(f, [g], [y], [n]))[1][0, 0])
 
 
-def kernel_measure(
-    f: Potential, beta: float, n: int, y: Point, depth_out: int | None = None
-) -> CylinderMeasure:
-    """The kernel as a measure on depth-`depth_out` cylinders (default n).
-
-    The normalised weights of the d^n volume words, for a table and a
-    callable alike, coarsened to depth `depth_out`; the table-size guard
-    bounds d^n.
+def kernel_measure(f: Potential, n: int, y: Point) -> CylinderMeasure:
+    """The kernel as a measure on the depth-n cylinders: the normalised
+    weights of the d^n volume words, for a table and a callable alike;
+    the table-size guard bounds d^n.  CylinderMeasure.coarsen gives its
+    marginal on shallower cylinders.
     """
-    depth_out = n if depth_out is None else depth_out
-    if not 0 <= depth_out <= n:
-        raise ValueError("cylinders of that depth are not resolved inside the volume")
-    logw, _ = _log_weights_given_tail(f, beta, n, shift_n(y, n))
-    return CylinderMeasure(f.d, n, _normalised(logw)[0]).coarsen(depth_out)
+    logw, _ = _log_weights_given_tail(f, n, shift_n(y, n))
+    return CylinderMeasure(f.d, n, _normalised(logw)[0])
 
 
 def constant_shift_check(
-    f: Potential, beta: float, n: int, y: Point, g: CylinderFunction, a_n: float
+    f: Potential, n: int, y: Point, g: CylinderFunction, a_n: float
 ) -> float:
-    """|kernel from exponent beta S_n f  vs  exponent beta S_n f - a_n|.
+    """|kernel from exponent S_n f  vs  exponent S_n f - a_n|.
 
     Shifting the exponent by a constant moves every log-weight equally and
     the max-subtraction removes it again, so this measures pure
     floating-point jitter.  For a table-backed potential the shifted
-    kernel is the engine's for beta f - a_n / n.
+    kernel is the engine's for f - a_n / n.
     """
     if n < 1:
         raise ValueError("volume must contain at least one site")
     if f.table is None:
         tail = shift_n(y, n)
-        logw, _ = _log_weights_given_tail(f, beta, n, tail)
+        logw, _ = _log_weights_given_tail(f, n, tail)
         gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
         k1 = sum_of_products(_normalised(logw)[0], gv)
         k2 = sum_of_products(_normalised(logw - a_n)[0], gv)
         return abs(k1 - k2)
-    eng = _Engine.of(f, beta, g.depth)
+    eng = _Engine.of(f, g.depth)
     shifted = _Engine(eng.op.gauged(growth=a_n / n))
     k1, k2 = (next(e.sweep([g], [y], [n]))[1][0, 0] for e in (eng, shifted))
     return abs(k1 - k2)
@@ -337,13 +331,10 @@ def constant_shift_check(
 # ---------------------------------------------------------------------------
 
 def finite_volume_dlr_check(
-    beta: float,
-    n: int,
-    r: int,
-    cases: list[tuple[Potential, Point, CylinderFunction]],
+    n: int, r: int, cases: list[tuple[Potential, Point, CylinderFunction]]
 ) -> list[float]:
     """Tower property of the kernels, one residual |lhs - rhs| per case
-    (f, z, g): averaging the volume-n kernel of beta*f over the
+    (f, z, g): averaging the volume-n kernel of f over the
     volume-(n+r) one at boundary z reproduces the volume-(n+r) average of g.
 
     The inner kernel depends on its boundary through coordinates
@@ -357,7 +348,7 @@ def finite_volume_dlr_check(
     r further plain steps of the same pass.
 
     The table cases take those three passes together.  Case j's operator
-    of beta*f_j at depth D_j = max(depth(g_j), depth(f_j) - 1, 1) is block
+    of f_j at depth D_j = max(depth(g_j), depth(f_j) - 1, 1) is block
     j of one disjoint union (transfer.disjoint_union), which keeps each
     case's preimages inside its own block, and each case reads its rows at
     its block's offset.  Cases are packed in order into as few unions as
@@ -367,7 +358,7 @@ def finite_volume_dlr_check(
     alone gets the per-case value bitwise; in a batch it moves only by
     the rounding of the engine's shared row gauge.
     For a callable f the check is the DLR equation of the volume-(n+r)
-    kernel itself: dlr_residual of kernel_measure(f, beta, n + r, z) at
+    kernel itself: dlr_residual of kernel_measure(f, n + r, z) at
     tail t.
     """
     if n < 1:
@@ -391,19 +382,19 @@ def finite_volume_dlr_check(
         size += entries
     residuals = [0.0] * len(cases)
     for batch in passes:
-        for j, res in zip(batch, _tower_pass(beta, n, r, [cases[j] for j in batch])):
+        for j, res in zip(batch, _tower_pass(n, r, [cases[j] for j in batch])):
             residuals[j] = res
     for j, (f, z, g) in enumerate(cases):
         if f.table is None:
-            mu = kernel_measure(f, beta, n + r, z)
-            residuals[j] = dlr_residual(f, beta, mu, n, g, shift_n(z, n + r))[0]
+            mu = kernel_measure(f, n + r, z)
+            residuals[j] = dlr_residual(f, mu, n, g, shift_n(z, n + r))[0]
     return residuals
 
 
-def _tower_pass(beta: float, n: int, r: int, cases) -> list[float]:
+def _tower_pass(n: int, r: int, cases) -> list[float]:
     """The tower residuals of table cases (f, z, g), from one engine on the
     disjoint union of their operators (see finite_volume_dlr_check)."""
-    ops = [_Engine.of(f, beta, g.depth).op for f, _, g in cases]
+    ops = [_Engine.of(f, g.depth).op for f, _, g in cases]
     starts = np.cumsum([0] + [op.size for op in ops[:-1]])
     reads = []
     for op, start, (_, z, _) in zip(ops, starts, cases):
@@ -427,12 +418,7 @@ def _tower_pass(beta: float, n: int, r: int, cases) -> list[float]:
 
 
 def dlr_residual(
-    f: Potential,
-    beta: float,
-    mu: CylinderMeasure,
-    n: int,
-    g: CylinderFunction,
-    tail: Point,
+    f: Potential, mu: CylinderMeasure, n: int, g: CylinderFunction, tail: Point
 ) -> tuple[float, float]:
     """How far mu is from solving the volume-n equation  mu(kernel(g|.)) = mu(g).
 
@@ -455,23 +441,21 @@ def dlr_residual(
         raise ValueError(f"measure depth {M} does not resolve the volume {n}")
     L = M - n
     boundaries = [prepend(tail, (0,) * n + tuple(u)) for u in word_table(L, d)]
-    _, inner, errs, _ = next(_sweep(f, beta, [g], boundaries, [n]))
+    _, inner, errs, _ = next(_sweep(f, [g], boundaries, [n]))
     suffix = np.arange(d ** M) % d ** L
     lhs = sum_of_products(mu.weights, inner[suffix, 0])
     if g.depth <= M:
         rhs = integrate(mu, g)
     else:
         rhs = sum_of_products(mu.weights, g.values[word_tail_index(d, M, g.depth, tail)])
-    quad = float(np.max(errs)) * mu.total_mass() + _representative_point_bound(f, beta, M, n, g)
+    quad = float(np.max(errs)) * mu.total_mass() + _representative_point_bound(f, M, n, g)
     return abs(lhs - rhs), quad
 
 
-def _representative_point_bound(
-    f: Potential, beta: float, M: int, n: int, g: CylinderFunction
-) -> float:
+def _representative_point_bound(f: Potential, M: int, n: int, g: CylinderFunction) -> float:
     """Bound on replacing each depth-M cylinder by one representative point.
 
-    The integrand's weight exponents move by at most beta * n * var_{M-n+1}(f)
+    The integrand's weight exponents move by at most n * var_{M-n+1}(f)
     across a depth-M cylinder, and the g-values by var based on depth.
     """
     gap = 0.0
@@ -481,9 +465,8 @@ def _representative_point_bound(
         osc = var_upper(f, max(M - n + 1, 1))
     except VariationUnavailable:
         return math.inf
-    weight_move = abs(beta) * n * osc
     gmax = float(np.max(np.abs(g.values)))
-    return gap + math.expm1(2.0 * weight_move) * gmax
+    return gap + math.expm1(2.0 * n * osc) * gmax
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +479,8 @@ class TLTable:
 
     K[v, j, b] is the volume-volumes[v] kernel mass of cylinder j at
     boundary b and nu_ref[j] the reference mass of cylinder j; cylinders and
-    boundary_ids name the j and b axes.
+    boundary_ids name the j and b axes.  converged is False when the
+    power iteration that gave nu_ref stopped short of its tolerance.
     """
 
     volumes: np.ndarray
@@ -504,6 +488,7 @@ class TLTable:
     boundary_ids: list[str]
     K: np.ndarray
     nu_ref: np.ndarray
+    converged: bool = True
 
     @cached_property
     def deviation(self) -> np.ndarray:
@@ -518,7 +503,6 @@ class TLTable:
 
 def tl_sequence(
     f: Potential,
-    beta: float,
     cylinders: list[tuple[int, ...]],
     boundaries: list[Point],
     n_max: int,
@@ -534,18 +518,21 @@ def tl_sequence(
     over (cylinder, boundary) pairs, is the sequence whose decay witnesses
     convergence to the eigenprobability.
 
-    The reference defaults to power-iterated eigendata of beta*f at a
-    depth resolving every requested cylinder.
+    The reference defaults to power-iterated eigendata of f at a depth
+    resolving every requested cylinder; the table's converged flag is
+    that iteration's (True for a given reference).
     """
     if not cylinders or not boundaries:
         raise ValueError("need at least one cylinder and one boundary")
     qmax = max(len(w) for w in cylinders)
+    converged = True
     if reference is None:
-        reference = power_iterate(scale(f, beta), _engine_depth(f, qmax), tol=tol).nu
+        rpf = power_iterate(f, _engine_depth(f, qmax), tol=tol)
+        reference, converged = rpf.nu, rpf.converged
     tests = [CylinderFunction.indicator(f.d, w) for w in cylinders]
     volumes = range(qmax, n_max + 1)
     K = np.empty((len(volumes), len(tests), len(boundaries)))
-    for v, (_, values, _, _) in enumerate(_sweep(f, beta, tests, boundaries, volumes)):
+    for v, (_, values, _, _) in enumerate(_sweep(f, tests, boundaries, volumes)):
         K[v] = values.T
     return TLTable(
         volumes=np.array(volumes, dtype=np.int64),
@@ -553,6 +540,7 @@ def tl_sequence(
         boundary_ids=[y.literal for y in boundaries],
         K=K,
         nu_ref=np.array([reference.cylinder_mass(w) for w in cylinders]),
+        converged=converged,
     )
 
 
@@ -612,20 +600,17 @@ def _variation_sum_bound(f: Potential) -> float:
 
 
 def sandwich_check(
-    f: Potential,
-    beta: float,
-    draws: list[tuple[int, tuple[int, ...], Point, Point]],
-    D: float,
+    f: Potential, draws: list[tuple[int, tuple[int, ...], Point, Point]], D: float
 ) -> list[tuple[bool, float, float]]:
-    """Does  e^{-2 D beta} <= kernel([C]|y) / kernel([C]|z) <= e^{2 D beta}
-    hold for each draw (n, C, y, z)?
+    """Does  e^{-2 D} <= kernel([C]|y) / kernel([C]|z) <= e^{2 D}  hold for
+    each draw (n, C, y, z), D the boundary-oscillation constant of f?
 
     Returns (holds, margin, log_margin) per draw, where log_margin =
-    2 |beta| D - |log K_y - log K_z| is the log of the worst of the two
+    2 D - |log K_y - log K_z| is the log of the worst of the two
     multiplicative slacks and margin = e^{log_margin} (inf past the float
     range).  holds reads the log margin, so it is decided however wide
-    beta * D is.  Valid whenever sigma^n y and sigma^n z lie in the tail
-    family D was estimated over.
+    D is.  Valid whenever sigma^n y and sigma^n z lie in the tail family
+    D was estimated over.
 
     Every kernel comes from one sweep over the distinct indicators 1_[C],
     boundaries and volumes; for a table-backed potential that is one
@@ -641,7 +626,7 @@ def sandwich_check(
     row_of = {p: b for b, p in enumerate(dict.fromkeys(p for _, _, y, z in draws for p in (y, z)))}
     tests = [CylinderFunction.indicator(f.d, C) for C in test_of]
     volumes = sorted({n for n, _, _, _ in draws})
-    kernels = {n: K for n, K, _, _ in _sweep(f, beta, tests, list(row_of), volumes)}
+    kernels = {n: K for n, K, _, _ in _sweep(f, tests, list(row_of), volumes)}
     checks = []
     for n, C, y, z in draws:
         K, j = kernels[n], test_of[C]
@@ -650,7 +635,7 @@ def sandwich_check(
             raise NumericalBreakdown(
                 "a kernel mass underflowed to 0, the sandwich ratio is out of double precision"
             )
-        log_margin = 2.0 * abs(beta) * D - abs(math.log(ky) - math.log(kz))
+        log_margin = 2.0 * D - abs(math.log(ky) - math.log(kz))
         checks.append((log_margin >= 0.0, exp_or_inf(log_margin), log_margin))
     return checks
 

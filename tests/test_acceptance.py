@@ -80,7 +80,7 @@ def test_criterion_03_finite_volume_consistency():
         q = int(rng.integers(1, n + r + 1))
         g = CylinderFunction(2, q, rng.uniform(-1.0, 1.0, size=2**q))
         z = _random_point(rng, 2)
-        worst = max(worst, dlr.finite_volume_dlr_check(1.0, n, r, [(f, z, g)])[0])
+        worst = max(worst, dlr.finite_volume_dlr_check(n, r, [(f, z, g)])[0])
     ok = worst < 1e-12
     _report(3, ok, f"50 tower instances: worst residual {worst:.2e} (tol 1e-12)")
 
@@ -95,7 +95,7 @@ def test_criterion_04_kernels_converge_to_eigenprobability():
         f = _random_table(rng, 2, 2, scale=0.5)
         fbar = transfer.normalize(f, transfer.power_iterate(f, 2, tol=1e-13))
         boundaries = [_random_point(rng, 2, max_prefix=3) for _ in range(8)]
-        table = dlr.tl_sequence(fbar, 1.0, cylinders, boundaries, 12, tol=1e-13)
+        table = dlr.tl_sequence(fbar, cylinders, boundaries, 12, tol=1e-13)
         worst = dict(zip(table.volumes.tolist(), table.worst.tolist()))
         worst12 = max(worst12, worst[12])
         mono = mono and all(worst[n + 1] <= worst[n] for n in range(4, 12))
@@ -157,7 +157,7 @@ def test_criterion_07_uniqueness_certificate():
         C = tuple(int(s) for s in rng.integers(0, 2, size=int(rng.integers(1, min(n, 4) + 1))))
         y = prepend(tails[int(rng.integers(0, 3))], tuple(int(s) for s in rng.integers(0, 2, size=n)))
         z = prepend(tails[int(rng.integers(0, 3))], tuple(int(s) for s in rng.integers(0, 2, size=n)))
-        holds, margin, _ = dlr.sandwich_check(f, 1.0, [(n, C, y, z)], D)[0]
+        holds, margin, _ = dlr.sandwich_check(f, [(n, C, y, z)], D)[0]
         holds_all = holds_all and holds
         min_margin = min(min_margin, margin)
     ok = worst_stab < 1e-12 and holds_all and min_margin >= 1.0
@@ -226,7 +226,7 @@ def test_criterion_11_eigenprobability_solves_dlr():
         for n in range(1, 5):
             g = CylinderFunction(2, 3, rng.uniform(-1.0, 1.0, size=8))
             tail = tails[int(rng.integers(0, 3))]
-            res, quad = dlr.dlr_residual(fbar, 1.0, nu, n, g, tail)
+            res, quad = dlr.dlr_residual(fbar, nu, n, g, tail)
             worst = max(worst, res + quad)
     ok = worst < 1e-9
     _report(11, ok, f"5 normalized potentials, n <= 4: worst residual {worst:.2e} (tol 1e-9)")
@@ -242,6 +242,6 @@ def test_criterion_12_kernels_ignore_constant_shifts():
         g = CylinderFunction(2, q, rng.uniform(-1.0, 1.0, size=2**q))
         y = _random_point(rng, 2)
         a_n = float(rng.uniform(-50.0, 50.0))
-        worst = max(worst, dlr.constant_shift_check(f, 1.0, n, y, g, a_n))
+        worst = max(worst, dlr.constant_shift_check(f, n, y, g, a_n))
     ok = worst < 1e-12
     _report(12, ok, f"20 instances, shifts up to |50|: worst residual {worst:.2e} (tol 1e-12)")

@@ -128,9 +128,23 @@ def test_dlr_check_makes_one_call(tmp_path, monkeypatch):
     monkeypatch.setattr(dlr, "finite_volume_dlr_check", lambda *args: calls.append(args) or check(*args))
     code, report = run(tmp_path, "dlr-check", "--n", "4", "--r", "3", "--seed", "7")
     assert code == 0
-    ((beta, n, r, cases),) = calls
-    assert (beta, n, r, len(cases)) == (1.0, 4, 3, 10)
+    ((n, r, cases),) = calls
+    assert (n, r, len(cases)) == (4, 3, 10)
     assert len(report["results"]["residuals"]) == 10
+
+
+def test_dlr_check_scales_its_sampled_tables_by_beta(tmp_path, monkeypatch):
+    # the same draws, each table times --beta: the tower check of beta*f
+    calls = []
+    check = dlr.finite_volume_dlr_check
+    monkeypatch.setattr(dlr, "finite_volume_dlr_check", lambda *args: calls.append(args) or check(*args))
+    for beta in ([], ["--beta", "2.5"]):
+        code, _ = run(tmp_path, "dlr-check", "--seed", "7", *beta)
+        assert code == 0
+    (_, _, plain), (_, _, scaled) = calls
+    for (f, z, g), (bf, bz, bg) in zip(plain, scaled, strict=True):
+        assert np.array_equal(bf.table.values, 2.5 * f.table.values)
+        assert bz == z and np.array_equal(bg.values, g.values)
 
 
 def test_tl_refuses_n_below_the_deepest_cylinder(tmp_path, capsys):
@@ -151,6 +165,51 @@ def test_kernel_uniform_potential(tmp_path):
     # f == 0 at volume 2: four words, the test indicator [0] picks up half
     assert report["results"]["partition"] == 4.0
     assert report["results"]["kernel_value"] == 0.5
+
+
+def test_one_symbol_kernels_are_one(tmp_path, capsys):
+    # one symbol: a single volume word, so every kernel is 1 at every volume
+    code, report = run(tmp_path, "kernel", "--d", "1")
+    assert code == 0
+    assert report["results"]["kernel_value"] == 1.0
+    code, report = run(tmp_path, "tl", "--d", "1", "--n", "5")
+    assert code == 0
+    assert report["results"]["worst"] == {str(n): 0 for n in range(2, 6)}
+    # the sandwich compares tails, and one symbol has one tail
+    code, report = run(tmp_path, "uniqueness", "--d", "1", name="uniqueness.json")
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith("usage error: uniqueness --d must be >= 2")
+
+
+def test_tl_fails_the_check_on_an_unconverged_reference(tmp_path):
+    # at beta 10 this table's |lambda_2 / lambda_1| is 1 - 1.5e-6: 10,000 steps
+    # leave the reference unconverged, and pressure exits 2 on it too
+    values = np.random.default_rng(5).normal(size=16).tolist()
+    cfg = write_config(tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 4, "values": values}}})
+    code, report = run(tmp_path, "tl", "--config", cfg, "--beta", "10", "--n", "30")
+    assert code == 2
+    assert report["status"] == "check-failed"
+    assert len(report["results"]["worst"]) == 29
+    code, report = run(tmp_path, "pressure", "--config", cfg, "--beta", "10", "--depth", "4")
+    assert code == 2
+
+
+@pytest.mark.parametrize("command", ["dlr-check", "ising"])
+def test_subcommands_without_a_config_refuse_the_flag(tmp_path, capsys, command):
+    # neither reads a config: a user's potential would go unchecked
+    code, report = run(tmp_path, command, "--config", markov_config(tmp_path))
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith(f"usage error: {command} takes no --config")
+
+
+def test_change_of_measure_honours_max_iter(tmp_path):
+    # one power-iteration step leaves nu and the normalised fixed point 0.18 apart
+    code, report = run(tmp_path, "change-of-measure", "--config", markov_config(tmp_path), "--max-iter", "1")
+    assert code == 2
+    assert report["results"]["max_deviation"] > 0.1
+    code, report = run(tmp_path, "change-of-measure", "--config", markov_config(tmp_path))
+    assert code == 0
+    assert report["results"]["max_deviation"] < 1e-9
 
 
 def test_zero_beta_is_a_value_not_a_missing_flag(tmp_path):
@@ -323,7 +382,7 @@ def test_tl_honours_tol(tmp_path):
     for tol in ("1e-2", "1e-10"):
         code, report = run(tmp_path, "tl", "--config", cfg, "--n", "8", "--tol", tol)
         assert code == 0
-        expected = dlr.tl_sequence(f, 1.0, words, points, 8, tol=float(tol))
+        expected = dlr.tl_sequence(f, words, points, 8, tol=float(tol))
         worst[tol] = report["results"]["worst"]
         assert worst[tol] == {str(n): w for n, w in zip(expected.volumes.tolist(), expected.worst.tolist())}
     assert worst["1e-2"] != worst["1e-10"]
@@ -376,10 +435,11 @@ def wide_table_config(tmp_path):
 
 
 def test_uniqueness_margin_beyond_the_float_range(tmp_path):
-    # 2 beta D = 720 overflows exp; the margin is decided as a log
+    # 2 D = 720 overflows exp; the margin is decided as a log
     code, report = run(tmp_path, "uniqueness", "--config", wide_table_config(tmp_path), "--beta", "0.45")
     assert code == 0
-    assert report["results"]["D"] == 800.0
+    # D is that of the potential 0.45 f: 0.45 times the 800 of f
+    assert report["results"]["D"] == 0.45 * 800.0
     assert report["results"]["holds_all"] is True
     assert all(m >= 1.0 for m in report["results"]["margins"])
     # the margins overflow to Infinity; their logs say by how much each sandwich holds
@@ -571,12 +631,12 @@ def test_kernel_report_computes_log_partition_once(tmp_path, monkeypatch, config
     code, report = run(tmp_path, "kernel", "--config", path, "--n", "4")
     assert code == 0
     assert len(calls) == 1
-    f, beta, [g], [y], [n] = calls[0]
+    f, [g], [y], [n] = calls[0]
     results = report["results"]
-    assert (beta, n, y.literal) == (1.0, 4, "|0")
+    assert (results["beta"], n, y.literal) == (1.0, 4, "|0")
     # bitwise the values of the two separate routes
-    assert results["kernel_value"] == dlr.kernel(f, beta, n, y, g)
-    assert results["log_partition"] == dlr.log_partition(f, beta, n, y)
+    assert results["kernel_value"] == dlr.kernel(f, n, y, g)
+    assert results["log_partition"] == dlr.log_partition(f, n, y)
     assert results["partition"] == pytest.approx(math.exp(results["log_partition"]), rel=1e-15)
 
 

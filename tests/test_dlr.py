@@ -1,5 +1,6 @@
 """Specification kernels against brute-force enumeration oracles."""
 
+import inspect
 import itertools
 import math
 from functools import cached_property
@@ -24,7 +25,7 @@ from ruellekit.dlr import (
     sandwich_check,
     tl_sequence,
 )
-from ruellekit import shift
+from ruellekit import dlr, shift
 from ruellekit.ising import IsingParams, g_potential
 from ruellekit.potentials import GenericContinuous, Hoelder, Potential, birkhoff, scale, tail_birkhoff
 from ruellekit.shift import (
@@ -110,7 +111,7 @@ def oracle_case(d, depth, n):
 def test_partition_counts_when_potential_vanishes():
     zero = Potential.constant(2, 0.0)
     for n in (1, 2, 3, 5):
-        assert math.exp(log_partition(zero, 1.0, n, Point.constant(0))) == pytest.approx(2.0**n)
+        assert math.exp(log_partition(zero, n, Point.constant(0))) == pytest.approx(2.0**n)
 
 
 def test_partition_matches_enumeration():
@@ -120,7 +121,7 @@ def test_partition_matches_enumeration():
         y = random_point(rng, 2)
         n = int(rng.integers(1, 5))
         beta = float(rng.uniform(0.2, 2.0))
-        assert math.exp(log_partition(f, beta, n, y)) == pytest.approx(
+        assert math.exp(log_partition(scale(f, beta), n, y)) == pytest.approx(
             brute_partition(f, beta, n, y), rel=1e-13
         )
 
@@ -128,8 +129,8 @@ def test_partition_matches_enumeration():
 @pytest.mark.parametrize("d,depth,n", ORACLE_CASES)
 def test_partition_matches_enumeration_oracle(d, depth, n):
     f, y, beta, _ = oracle_case(d, depth, n)
-    assert math.exp(log_partition(f, beta, n, y)) == pytest.approx(brute_partition(f, beta, n, y), rel=1e-13)
-    assert log_partition(f, beta, n, y) == pytest.approx(brute_log_partition(f, beta, n, y), abs=1e-12)
+    assert math.exp(log_partition(scale(f, beta), n, y)) == pytest.approx(brute_partition(f, beta, n, y), rel=1e-13)
+    assert log_partition(scale(f, beta), n, y) == pytest.approx(brute_log_partition(f, beta, n, y), abs=1e-12)
 
 
 def test_log_partition_outside_the_float_range():
@@ -140,12 +141,47 @@ def test_log_partition_outside_the_float_range():
     assert brute_log_partition(f, 800.0, 2, y) == pytest.approx(-640000.0 + math.log(2.0), rel=1e-15)
     for n in (1, 2, 5):
         for p in (f, h):
-            assert log_partition(p, 800.0, n, y) == pytest.approx(
+            assert log_partition(scale(p, 800.0), n, y) == pytest.approx(
                 brute_log_partition(f, 800.0, n, y), rel=1e-13)
-            assert exp_or_inf(log_partition(p, 800.0, n, y)) == 0.0
-            assert log_partition(p, -800.0, n, y) == pytest.approx(
+            assert exp_or_inf(log_partition(scale(p, 800.0), n, y)) == 0.0
+            assert log_partition(scale(p, -800.0), n, y) == pytest.approx(
                 brute_log_partition(f, -800.0, n, y), rel=1e-13)
-            assert exp_or_inf(log_partition(p, -800.0, n, y)) == math.inf
+            assert exp_or_inf(log_partition(scale(p, -800.0), n, y)) == math.inf
+
+
+def test_no_dlr_function_takes_beta():
+    # the kernels sum the potential they are given: beta enters as scale(f, beta)
+    public = [
+        obj for name, obj in vars(dlr).items()
+        if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == dlr.__name__
+    ]
+    assert kernel in public and tl_sequence in public
+    assert [fn.__name__ for fn in public if "beta" in inspect.signature(fn).parameters] == []
+
+
+def test_one_symbol_kernels_are_one():
+    # one row and log d = 0: nothing leaves the float range, one epoch covers the run
+    f = Potential.constant(1, 0.3)
+    g = CylinderFunction.indicator(1, (0,))
+    y = Point.constant(0)
+    for n in (1, 5, 2000):
+        assert kernel(f, n, y, g) == 1.0
+        assert log_partition(f, n, y) == pytest.approx(0.3 * n, rel=1e-12)
+    table = tl_sequence(f, [(0,), (0, 0)], [y], 40)
+    assert table.converged and table.worst.tolist() == [0.0] * 39
+
+
+def test_tl_sequence_reports_an_unconverged_reference():
+    # at beta 10, |lambda_2 / lambda_1| = 1 - 1.5e-6 at argument 2 pi / 3: the
+    # default 10,000 steps leave the reference unconverged
+    f = scale(Potential.from_table(2, 4, np.random.default_rng(5).normal(size=16)), 10.0)
+    cylinders, boundaries = [(0,), (1, 0)], [Point.constant(0), Point.from_literal("|01")]
+    table = tl_sequence(f, cylinders, boundaries, 12)
+    assert not table.converged
+    assert not power_iterate(f, 3).converged
+    # a reference given by the caller is the caller's to check
+    reference = CylinderMeasure.uniform(2, 2)
+    assert tl_sequence(f, cylinders, boundaries, 12, reference).converged
 
 
 def test_kernel_matches_enumeration():
@@ -159,7 +195,7 @@ def test_kernel_matches_enumeration():
         g = CylinderFunction(d, q, rng.uniform(-1.0, 1.0, d**q))
         y = random_point(rng, d)
         beta = float(rng.uniform(0.2, 1.5))
-        assert kernel(f, beta, n, y, g) == pytest.approx(
+        assert kernel(scale(f, beta), n, y, g) == pytest.approx(
             brute_kernel(f, beta, n, y, g), abs=1e-13
         )
 
@@ -168,10 +204,10 @@ def test_kernel_matches_enumeration():
 def test_kernel_matches_enumeration_oracle(d, depth, n):
     f, y, beta, tests = oracle_case(d, depth, n)
     for g in tests:
-        assert kernel(f, beta, n, y, g) == pytest.approx(brute_kernel(f, beta, n, y, g), abs=1e-13)
+        assert kernel(scale(f, beta), n, y, g) == pytest.approx(brute_kernel(f, beta, n, y, g), abs=1e-13)
     if n <= 6:
         weights = brute_weights(f, beta, n, y)
-        km = kernel_measure(f, beta, n, y)
+        km = kernel_measure(scale(f, beta), n, y)
         assert np.max(np.abs(km.weights - weights / weights.sum())) < 1e-13
 
 
@@ -185,7 +221,7 @@ def test_kernel_at_volume_40_is_dense_matrix_ratio():
     cols = np.linalg.matrix_power(mat, n) @ np.column_stack([g.values, np.ones(27)])
     for y in (Point.from_literal("2101|12"), Point.from_literal("|0"), Point.from_literal("1|021")):
         row = word_index(shift_n(y, n).coords(3), 3)
-        assert kernel(f, 1.0, n, y, g) == pytest.approx(cols[row, 0] / cols[row, 1], abs=1e-12)
+        assert kernel(f, n, y, g) == pytest.approx(cols[row, 0] / cols[row, 1], abs=1e-12)
 
 
 def test_kernel_survives_any_spread_of_beta_f():
@@ -195,8 +231,8 @@ def test_kernel_survives_any_spread_of_beta_f():
     g = CylinderFunction.indicator(2, (0,))
     y = Point.from_literal("|1")
     for beta in (1.0, 800.0):
-        assert kernel(f, beta, 1, y, g) == 0.5
-        assert finite_volume_dlr_check(beta, 1, 2, [(f, y, g)])[0] < 1e-12
+        assert kernel(scale(f, beta), 1, y, g) == 0.5
+        assert finite_volume_dlr_check(1, 2, [(scale(f, beta), y, g)])[0] < 1e-12
     rng = np.random.default_rng(34)
     for d, depth, n in ((2, 2, 5), (2, 3, 7), (3, 2, 4), (3, 3, 3)):
         # some extended words cost 800 more than the rest
@@ -207,9 +243,9 @@ def test_kernel_survives_any_spread_of_beta_f():
         y, z = random_point(rng, d), random_point(rng, d)
         for beta in (1.0, 1.5, -1.0):
             # weights e^{beta S_n f} carry relative rounding ~ eps * |beta S_n f|
-            assert kernel(f, beta, n, y, g) == pytest.approx(brute_kernel(f, beta, n, y, g), abs=1e-11)
-            assert finite_volume_dlr_check(beta, n, 2, [(f, z, g)])[0] < 1e-11
-            km = kernel_measure(f, beta, n, y, depth_out=2)
+            assert kernel(scale(f, beta), n, y, g) == pytest.approx(brute_kernel(f, beta, n, y, g), abs=1e-11)
+            assert finite_volume_dlr_check(n, 2, [(scale(f, beta), z, g)])[0] < 1e-11
+            km = kernel_measure(scale(f, beta), n, y).coarsen(2)
             for w in itertools.product(range(d), repeat=2):
                 ind = CylinderFunction.indicator(d, w)
                 assert km.cylinder_mass(w) == pytest.approx(brute_kernel(f, beta, n, y, ind), abs=1e-11)
@@ -217,7 +253,7 @@ def test_kernel_survives_any_spread_of_beta_f():
             top = float(np.max(logw))
             # f shifted per site so that log Z stays in range
             h = Potential.from_table(d, depth, values - top / (beta * n))
-            assert log_partition(h, beta, n, y) == pytest.approx(
+            assert log_partition(scale(h, beta), n, y) == pytest.approx(
                 math.log(np.exp(logw - top).sum()), abs=1e-11)
 
 
@@ -239,7 +275,7 @@ def test_kernel_engine_exponentiates_once_per_epoch(monkeypatch):
     reference = power_iterate(f, 3).nu
     exponentiations.clear()
     boundaries = [Point.from_literal("|0"), Point.from_literal("01|1")]
-    table = tl_sequence(f, 1.0, [(0,), (1, 1, 0)], boundaries, 500, reference)
+    table = tl_sequence(f, [(0,), (1, 1, 0)], boundaries, 500, reference)
     assert table.K.size == 4 * 498
     assert 1 <= len(exponentiations) <= 5
     assert table.volumes[-1] == 500
@@ -257,10 +293,10 @@ def test_tower_check_refuses_volume_zero_on_both_routes(monkeypatch):
     messages = []
     for pot in (f, h):
         with pytest.raises(ValueError) as info:
-            finite_volume_dlr_check(0.7, 0, 2, [(pot, z, g)])
+            finite_volume_dlr_check(0, 2, [(scale(pot, 0.7), z, g)])
         messages.append(str(info.value))
         with pytest.raises(ValueError, match="r must be >= 0"):
-            finite_volume_dlr_check(0.7, 2, -1, [(pot, z, g)])
+            finite_volume_dlr_check(2, -1, [(scale(pot, 0.7), z, g)])
     assert messages == ["volume must contain at least one site"] * 2
     assert engines == []
 
@@ -273,21 +309,22 @@ def test_callable_potential_matches_its_table():
     g = CylinderFunction(2, 3, rng.uniform(-1.0, 1.0, 8))
     y, z = Point.from_literal("10|011"), Point.from_literal("|1")
     for n in (1, 4):
-        assert kernel(h, 0.7, n, y, g) == pytest.approx(kernel(f, 0.7, n, y, g), abs=1e-13)
-        assert math.exp(log_partition(h, 0.7, n, y)) == pytest.approx(
-            math.exp(log_partition(f, 0.7, n, y)), rel=1e-13)
-        assert np.allclose(kernel_measure(h, 0.7, n, y).weights,
-                           kernel_measure(f, 0.7, n, y).weights, rtol=0, atol=1e-13)
-        assert sandwich_check(h, 0.7, [(n, (1,), y, z)], 0.5)[0][1] == pytest.approx(
-            sandwich_check(f, 0.7, [(n, (1,), y, z)], 0.5)[0][1], rel=1e-12)
-        assert constant_shift_check(h, 0.7, n, y, g, 30.0) < 1e-12
-        assert finite_volume_dlr_check(0.7, n, 2, [(h, z, g)])[0] < 1e-12
+        assert kernel(scale(h, 0.7), n, y, g) == pytest.approx(kernel(scale(f, 0.7), n, y, g), abs=1e-13)
+        assert math.exp(log_partition(scale(h, 0.7), n, y)) == pytest.approx(
+            math.exp(log_partition(scale(f, 0.7), n, y)), rel=1e-13)
+        assert np.allclose(kernel_measure(scale(h, 0.7), n, y).weights,
+                           kernel_measure(scale(f, 0.7), n, y).weights, rtol=0, atol=1e-13)
+        # the constant D = 0.5 of f is 0.7 * 0.5 for 0.7 f
+        assert sandwich_check(scale(h, 0.7), [(n, (1,), y, z)], 0.7 * 0.5)[0][1] == pytest.approx(
+            sandwich_check(scale(f, 0.7), [(n, (1,), y, z)], 0.7 * 0.5)[0][1], rel=1e-12)
+        assert constant_shift_check(scale(h, 0.7), n, y, g, 30.0) < 1e-12
+        assert finite_volume_dlr_check(n, 2, [(scale(h, 0.7), z, g)])[0] < 1e-12
         nu = power_iterate(f, 4, tol=1e-14).nu
-        res_h, _ = dlr_residual(h, 0.7, nu, n, g, z)
-        res_f, _ = dlr_residual(f, 0.7, nu, n, g, z)
+        res_h, _ = dlr_residual(scale(h, 0.7), nu, n, g, z)
+        res_f, _ = dlr_residual(scale(f, 0.7), nu, n, g, z)
         assert res_h == pytest.approx(res_f, abs=1e-13)
-    table_h = tl_sequence(h, 1.0, [(0,), (1, 0)], [y, z], 5)
-    table_f = tl_sequence(f, 1.0, [(0,), (1, 0)], [y, z], 5)
+    table_h = tl_sequence(h, [(0,), (1, 0)], [y, z], 5)
+    table_f = tl_sequence(f, [(0,), (1, 0)], [y, z], 5)
     assert (table_h.volumes.tolist(), table_h.cylinders, table_h.boundary_ids) == (
         table_f.volumes.tolist(), table_f.cylinders, table_f.boundary_ids)
     assert table_h.K.shape == table_f.K.shape
@@ -308,19 +345,19 @@ def test_kernel_is_transfer_ratio():
         den = op.apply(den)
         row = word_index(shift_n(y, n).coords(depth), 2)
         ratio = num[row] / den[row]
-        assert kernel(MARKOV, 1.0, n, y, g) == pytest.approx(ratio, rel=1e-12)
+        assert kernel(MARKOV, n, y, g) == pytest.approx(ratio, rel=1e-12)
 
 
 def test_kernel_measure_coarsens_to_kernel_of_indicators():
     rng = np.random.default_rng(24)
     f = Potential.from_table(2, 2, rng.uniform(-1.0, 1.0, 4))
     y = Point.from_literal("01|1")
-    km = kernel_measure(f, 1.0, 3, y, depth_out=2)
+    km = kernel_measure(f, 3, y).coarsen(2)
     assert km.total_mass() == pytest.approx(1.0, abs=1e-12)
     for w in itertools.product(range(2), repeat=2):
         ind = CylinderFunction.indicator(2, w)
         assert km.cylinder_mass(w) == pytest.approx(
-            kernel(f, 1.0, 3, y, ind), abs=1e-13
+            kernel(f, 3, y, ind), abs=1e-13
         )
 
 
@@ -331,7 +368,7 @@ def test_constant_shift_invariance():
         g = CylinderFunction(2, 2, rng.uniform(-1.0, 1.0, 4))
         y = random_point(rng, 2)
         a_n = float(rng.uniform(-50.0, 50.0))
-        res = constant_shift_check(f, 1.0, 3, y, g, a_n)
+        res = constant_shift_check(f, 3, y, g, a_n)
         assert res < 1e-12
 
 
@@ -344,7 +381,7 @@ def test_finite_volume_consistency_identity():
         q = int(rng.integers(1, n + r + 1))
         g = CylinderFunction(2, q, rng.uniform(-1.0, 1.0, 2**q))
         z = random_point(rng, 2)
-        assert finite_volume_dlr_check(1.0, n, r, [(f, z, g)])[0] < 1e-12
+        assert finite_volume_dlr_check(n, r, [(f, z, g)])[0] < 1e-12
 
 
 def test_finite_volume_consistency_reads_the_outer_boundary():
@@ -355,7 +392,7 @@ def test_finite_volume_consistency_reads_the_outer_boundary():
         for n, r, q in ((2, 1, 1), (3, 1, 4), (1, 2, 3)):
             g = CylinderFunction(d, q, rng.uniform(-1.0, 1.0, d**q))
             z = random_point(rng, d)
-            assert finite_volume_dlr_check(1.3, n, r, [(f, z, g)])[0] < 1e-12
+            assert finite_volume_dlr_check(n, r, [(scale(f, 1.3), z, g)])[0] < 1e-12
 
 
 def test_dlr_residual_vanishes_for_eigenprobability():
@@ -363,7 +400,7 @@ def test_dlr_residual_vanishes_for_eigenprobability():
     nu = power_iterate(f, 6, tol=1e-14).nu
     g = CylinderFunction.indicator(2, (0, 1))
     for n in (1, 2, 3):
-        res, quad = dlr_residual(f, 1.0, nu, n, g, Point.constant(0))
+        res, quad = dlr_residual(f, nu, n, g, Point.constant(0))
         assert quad < 1e-12
         assert res < 1e-11
 
@@ -371,7 +408,7 @@ def test_dlr_residual_vanishes_for_eigenprobability():
 def test_dlr_residual_detects_wrong_measure():
     g = CylinderFunction.indicator(2, (0,)).refine(2)
     uniform = CylinderMeasure.uniform(2, 6)
-    res, _ = dlr_residual(MARKOV, 1.0, uniform, 2, g, Point.constant(0))
+    res, _ = dlr_residual(MARKOV, uniform, 2, g, Point.constant(0))
     assert res > 0.01
 
 
@@ -382,8 +419,8 @@ def test_dlr_residual_quadrature_bound_is_honest():
     nu_deep = power_iterate(f, 6, tol=1e-14).nu
     nu_shallow = nu_deep.coarsen(2)
     g = CylinderFunction.indicator(2, (0,))
-    res_deep, _ = dlr_residual(f, 1.0, nu_deep, 2, g, Point.constant(0))
-    res_shallow, quad = dlr_residual(f, 1.0, nu_shallow, 2, g, Point.constant(0))
+    res_deep, _ = dlr_residual(f, nu_deep, 2, g, Point.constant(0))
+    res_shallow, quad = dlr_residual(f, nu_shallow, 2, g, Point.constant(0))
     assert quad > 0.0
     assert abs(res_shallow - res_deep) <= quad
 
@@ -392,7 +429,7 @@ def test_tl_rows_converge_to_eigenprobability():
     fbar = normalize(MARKOV, power_iterate(MARKOV, 2, tol=1e-13))
     cylinders = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
     boundaries = [Point.constant(0), Point.constant(1), Point.from_literal("|01")]
-    table = tl_sequence(fbar, 1.0, cylinders, boundaries, 10)
+    table = tl_sequence(fbar, cylinders, boundaries, 10)
     assert table.volumes.tolist() == list(range(2, 11))
     devs = table.worst.tolist()
     assert all(b <= a * 1.001 + 1e-15 for a, b in zip(devs[2:], devs[3:]))
@@ -403,9 +440,9 @@ def test_engine_refuses_boundary_symbols_outside_the_alphabet():
     f = Potential.from_table(2, 2, [0.3, -0.5, 0.9, 0.1])
     g = CylinderFunction.indicator(2, (0,))
     with pytest.raises(ValueError, match="symbol 2 outside alphabet of size 2"):
-        kernel(f, 1.0, 3, Point.from_literal("0102|1"), g)
+        kernel(f, 3, Point.from_literal("0102|1"), g)
     # the volume's own coordinates are rewritten, never read
-    assert kernel(f, 1.0, 3, Point.from_literal("5|1"), g) == kernel(f, 1.0, 3, Point.from_literal("|1"), g)
+    assert kernel(f, 3, Point.from_literal("5|1"), g) == kernel(f, 3, Point.from_literal("|1"), g)
 
 
 @pytest.mark.parametrize("kind", ["table", "ising_lr"])
@@ -420,7 +457,7 @@ def test_tl_table_axes_are_volume_cylinder_boundary(kind):
     cylinders = [(1,), (0, 1), (1, 1, 0)]
     boundaries = [Point.from_literal(t) for t in ("|0", "10|01", "1|10", "|1")]
     reference = CylinderMeasure(2, 3, np.full(8, 0.125))
-    table = tl_sequence(f, 0.8, cylinders, boundaries, n_max, reference)
+    table = tl_sequence(scale(f, 0.8), cylinders, boundaries, n_max, reference)
     assert table.volumes.tolist() == list(range(3, n_max + 1))
     assert table.cylinders == ["1", "01", "110"]
     assert table.boundary_ids == [y.literal for y in boundaries]
@@ -429,7 +466,7 @@ def test_tl_table_axes_are_volume_cylinder_boundary(kind):
         for j, w in enumerate(cylinders):
             g = CylinderFunction.indicator(2, w)
             for b, y in enumerate(boundaries):
-                assert table.K[v, j, b] == kernel(f, 0.8, n, y, g)
+                assert table.K[v, j, b] == kernel(scale(f, 0.8), n, y, g)
     assert np.array_equal(table.nu_ref, [0.5, 0.25, 0.125])
     assert np.array_equal(table.deviation, np.abs(table.K - table.nu_ref[:, None]))
     assert table.worst.tolist() == [max(table.deviation[v].ravel().tolist()) for v in range(n_max - 2)]
@@ -497,10 +534,10 @@ def test_callable_kernel_evaluates_each_tail_word_once():
     g = CylinderFunction.indicator(2, (1, 0))
     y = Point.from_literal("0|110")
     n = 8
-    assert kernel(h, 0.9, n, y, g) == pytest.approx(kernel(f, 0.9, n, y, g), abs=1e-13)
+    assert kernel(scale(h, 0.9), n, y, g) == pytest.approx(kernel(scale(f, 0.9), n, y, g), abs=1e-13)
     assert len(calls) <= sum(2**j for j in range(1, n + 1))
     calls.clear()
-    assert log_partition(h, 0.9, n, y) == pytest.approx(log_partition(f, 0.9, n, y), rel=1e-13)
+    assert log_partition(scale(h, 0.9), n, y) == pytest.approx(log_partition(scale(f, 0.9), n, y), rel=1e-13)
     assert len(calls) <= sum(2**j for j in range(1, n + 1))
     # one weight pass per boundary and volume serves every cylinder:
     # 4 boundaries x sum_{n=2}^{8} (2^{n+1} - 2) = 4,008 evaluations
@@ -510,20 +547,20 @@ def test_callable_kernel_evaluates_each_tail_word_once():
     boundaries = [Point.from_literal(t) for t in ("|0", "|1", "0|110", "1|01")]
     reference = power_iterate(f, 2).nu
     calls.clear()
-    table_h = tl_sequence(h, 0.9, cylinders, boundaries, 8, reference)
+    table_h = tl_sequence(scale(h, 0.9), cylinders, boundaries, 8, reference)
     assert len(calls) <= 4_008
-    table_f = tl_sequence(f, 0.9, cylinders, boundaries, 8, reference)
+    table_f = tl_sequence(scale(f, 0.9), cylinders, boundaries, 8, reference)
     assert table_h.K.shape == table_f.K.shape
     assert np.max(np.abs(table_h.K - table_f.K)) < 1e-13
 
 
 def enumerated_kernel(f, beta, n, tail, g):
-    """A callable's volume-n kernel of g at one tail, summed over the volume
-    words one boundary at a time: (value, bound, log Z, weights)."""
-    sums, err = np.zeros(1), 0.0
-    for sums, err in tail_birkhoff(f, n, tail):
+    """A callable's volume-n kernel of g at one tail at inverse temperature
+    beta, summed over the volume words one boundary at a time:
+    (value, bound, log Z, weights)."""
+    logw, werr = np.zeros(1), 0.0
+    for logw, werr in tail_birkhoff(scale(f, beta), n, tail):
         pass
-    logw, werr = beta * sums, abs(beta) * err
     top = float(np.max(logw))
     shifted = np.exp(logw - top)
     p = shifted / shifted.sum()
@@ -534,7 +571,7 @@ def enumerated_kernel(f, beta, n, tail, g):
 
 def engine_pass(f, beta, n, tests):
     """(engine, block, lift, exp2) after n plain steps from the columns of tests."""
-    eng = _Engine.of(f, beta, max((g.depth for g in tests), default=0))
+    eng = _Engine.of(scale(f, beta), max((g.depth for g in tests), default=0))
     for _, block, lift, exp2 in itertools.islice(eng.iterates(eng.columns(tests)), n):
         pass
     return eng, block, lift, exp2
@@ -569,7 +606,7 @@ def reference_dlr_residual(f, beta, mu, n, g, tail):
         rhs = integrate(mu, g)
     else:
         rhs = sum_of_products(mu.weights, g.values[word_tail_index(d, M, g.depth, tail)])
-    quad = float(np.max(errs)) * mu.total_mass() + _representative_point_bound(f, beta, M, n, g)
+    quad = float(np.max(errs)) * mu.total_mass() + _representative_point_bound(scale(f, beta), M, n, g)
     return abs(lhs - rhs), quad
 
 
@@ -604,22 +641,22 @@ def test_sweep_equals_the_per_boundary_routes(beta):
         y, z = random_point(rng, d), random_point(rng, d)
         for q in (1, n + r, n + r + 1):
             g = CylinderFunction(d, q, rng.uniform(-1.0, 1.0, d**q))
-            assert log_partition(f, beta, n, y) == reference_log_partition(f, beta, n, y)
-            assert kernel(f, beta, n, y, g) == reference_kernels(f, beta, n, g, [shift_n(y, n)])[0][0]
+            assert log_partition(scale(f, beta), n, y) == reference_log_partition(f, beta, n, y)
+            assert kernel(scale(f, beta), n, y, g) == reference_kernels(f, beta, n, g, [shift_n(y, n)])[0][0]
             for M in (n, n + 2):
-                mu = kernel_measure(f, beta, M, z)
-                assert dlr_residual(f, beta, mu, n, g, y) == reference_dlr_residual(f, beta, mu, n, g, y)
+                mu = kernel_measure(scale(f, beta), M, z)
+                assert dlr_residual(scale(f, beta), mu, n, g, y) == reference_dlr_residual(f, beta, mu, n, g, y)
             if f.table is None:
-                tower = finite_volume_dlr_check(beta, n, r, [(f, z, g)])[0]
+                tower = finite_volume_dlr_check(n, r, [(scale(f, beta), z, g)])[0]
                 assert tower == reference_tower_check(f, beta, n, r, z, g)
                 # the callable tower check is the DLR equation of the volume-(n+r) kernel
-                mu = kernel_measure(f, beta, n + r, z)
-                assert tower == dlr_residual(f, beta, mu, n, g, shift_n(z, n + r))[0]
+                mu = kernel_measure(scale(f, beta), n + r, z)
+                assert tower == dlr_residual(scale(f, beta), mu, n, g, shift_n(z, n + r))[0]
 
 
 def reference_table_tower_check(beta, n, r, f, z, g):
     """A table's tower check on its own engine: three passes per case."""
-    eng = _Engine.of(f, beta, g.depth)
+    eng = _Engine.of(scale(f, beta), g.depth)
     block, lift = eng.run(eng.columns([g]), n)
     inner = block[0] / block[1]
     marginal, _ = eng.run(block[1:], r, split=r, lift=lift)
@@ -656,8 +693,8 @@ def test_one_case_tower_check_is_the_per_case_route(beta):
     for d in (2, 3):
         for r in range(4):
             n = int(rng.integers(1, 4))
-            for case in tower_cases(rng, d, n, r, 3):
-                assert finite_volume_dlr_check(beta, n, r, [case]) == [reference_table_tower_check(beta, n, r, *case)]
+            for f, z, g in tower_cases(rng, d, n, r, 3):
+                assert finite_volume_dlr_check(n, r, [(scale(f, beta), z, g)]) == [reference_table_tower_check(beta, n, r, f, z, g)]
 
 
 @pytest.mark.parametrize("beta", [1.0, -0.7, 2.5])
@@ -671,10 +708,11 @@ def test_batched_tower_check_matches_one_case_calls(beta):
             cases = tower_cases(rng, d, n, r, 7)
             # a callable rides in the same call, on its own route
             cases.insert(3, (twin(cases[0][0]), cases[1][1], cases[2][2]))
-            batched = finite_volume_dlr_check(beta, n, r, cases)
+            cases = [(scale(f, beta), z, g) for f, z, g in cases]
+            batched = finite_volume_dlr_check(n, r, cases)
             assert len(batched) == len(cases)
             for case, res in zip(cases, batched):
-                alone = finite_volume_dlr_check(beta, n, r, [case])[0]
+                alone = finite_volume_dlr_check(n, r, [case])[0]
                 assert abs(res - alone) <= 1e-15 and res < 1e-12
 
 
@@ -684,10 +722,10 @@ def test_batched_tower_check_survives_a_wide_spread():
             CylinderFunction.indicator(2, (0,)))
     rng = np.random.default_rng(50)
     for n, r in ((1, 2), (3, 1), (2, 3), (2, 0)):
-        cases = [wide] + tower_cases(rng, 2, n, r, 4)
-        batched = finite_volume_dlr_check(800.0, n, r, cases)
+        cases = [(scale(f, 800.0), z, g) for f, z, g in [wide] + tower_cases(rng, 2, n, r, 4)]
+        batched = finite_volume_dlr_check(n, r, cases)
         for case, res in zip(cases, batched):
-            alone = finite_volume_dlr_check(800.0, n, r, [case])[0]
+            alone = finite_volume_dlr_check(n, r, [case])[0]
             assert abs(res - alone) <= 1e-15 and res < 1e-12
 
 
@@ -697,7 +735,7 @@ def test_tower_check_batch_runs_three_engine_passes(monkeypatch):
     for count in (1, 2, 10, 40):
         passes.clear()
         cases = tower_cases(rng, 2, 3, 2, count)
-        finite_volume_dlr_check(1.0, 3, 2, cases)
+        finite_volume_dlr_check(3, 2, cases)
         engine_sizes = [2 ** max(g.depth, f.truncation_depth() - 1, 1) for f, _, g in cases]
         assert passes == [sum(engine_sizes)] * 3
 
@@ -711,10 +749,10 @@ def test_tower_check_packs_cases_within_the_size_guard(monkeypatch):
          CylinderFunction(2, 2, rng.uniform(-1.0, 1.0, 4)))
         for _ in range(4)
     ]
-    one_pass = finite_volume_dlr_check(1.0, n, r, cases)
+    one_pass = finite_volume_dlr_check(n, r, cases)
     passes = count_engine_passes(monkeypatch)
     monkeypatch.setattr(shift, "MAX_TABLE_ENTRIES", 32)
-    two_passes = finite_volume_dlr_check(1.0, n, r, cases)
+    two_passes = finite_volume_dlr_check(n, r, cases)
     assert passes == [8] * 6
     assert max(abs(a - b) for a, b in zip(one_pass, two_passes)) <= 1e-15
     assert max(two_passes) < 1e-12
@@ -722,10 +760,10 @@ def test_tower_check_packs_cases_within_the_size_guard(monkeypatch):
     passes.clear()
     deep = (cases[0][0], cases[0][1], CylinderFunction(2, 4, rng.uniform(-1.0, 1.0, 16)))
     with pytest.raises(TableSizeError):
-        finite_volume_dlr_check(1.0, n, r, cases + [deep])
+        finite_volume_dlr_check(n, r, cases + [deep])
     ternary = (Potential.constant(3, 0.0), cases[0][1], CylinderFunction.indicator(3, (2,)))
     with pytest.raises(ValueError, match="alphabet"):
-        finite_volume_dlr_check(1.0, n, r, cases + [ternary])
+        finite_volume_dlr_check(n, r, cases + [ternary])
     assert passes == []
 
 
@@ -736,7 +774,7 @@ def test_engine_sweep_reads_each_boundary_once(monkeypatch, d):
     tests = [CylinderFunction(d, q, rng.uniform(-1.0, 1.0, d**q)) for q in (1, 2, 4)]
     boundaries = [random_point(rng, d) for _ in range(5)]
     volumes = [1, 2, 5, 9, 40]
-    eng = _Engine.of(f, 1.3, 4)
+    eng = _Engine.of(scale(f, 1.3), 4)
     # the per-volume read: y.coords(n + D) for every boundary at every volume
     expected = []
     for n, block, lift, exp2 in itertools.islice(eng.iterates(eng.columns(tests)), volumes[-1]):
@@ -763,14 +801,14 @@ def test_sandwich_certificate():
         C = tuple(rng.integers(0, 2, int(rng.integers(1, min(n, 3) + 1))))
         y = tails[int(rng.integers(0, len(tails)))]
         z = tails[int(rng.integers(0, len(tails)))]
-        holds, margin, _ = sandwich_check(MARKOV, 1.0, [(n, C, y, z)], D)[0]
+        holds, margin, _ = sandwich_check(MARKOV, [(n, C, y, z)], D)[0]
         assert holds
         assert margin >= 1.0
     # an understated D must be caught: with D = 0 any kernel gap violates
-    holds, margin, _ = sandwich_check(MARKOV, 1.0, [(1, (0,), Point.constant(0), Point.constant(1))], 0.0)[0]
+    holds, margin, _ = sandwich_check(MARKOV, [(1, (0,), Point.constant(0), Point.constant(1))], 0.0)[0]
     assert margin < 1.0 and not holds
     with pytest.raises(ValueError):
-        sandwich_check(MARKOV, 1.0, [(1, (0, 1), tails[0], tails[1])], D)
+        sandwich_check(MARKOV, [(1, (0, 1), tails[0], tails[1])], D)
 
 
 @pytest.mark.parametrize("beta", [1.0, -0.7, 2.5])
@@ -792,8 +830,9 @@ def test_sandwich_sweep_equals_each_draw_alone(d, beta):
             n = int(rng.integers(1, 9))
             C = tuple(int(s) for s in rng.integers(0, d, size=int(rng.integers(1, min(n, 4) + 1))))
             draws.append((n, C, boundary(n), boundary(n)))
-        for (n, C, y, z), check in zip(draws, sandwich_check(f, beta, draws, D), strict=True):
-            ky, kz = (kernel(f, beta, n, p, CylinderFunction.indicator(d, C)) for p in (y, z))
+        # D(beta f) = |beta| D(f)
+        for (n, C, y, z), check in zip(draws, sandwich_check(scale(f, beta), draws, abs(beta) * D), strict=True):
+            ky, kz = (kernel(scale(f, beta), n, p, CylinderFunction.indicator(d, C)) for p in (y, z))
             log_margin = 2.0 * abs(beta) * D - abs(math.log(ky) - math.log(kz))
             assert check == (log_margin >= 0.0, exp_or_inf(log_margin), log_margin)
 
@@ -812,6 +851,6 @@ def test_scaled_kernel_is_beta_kernel():
     g = CylinderFunction(2, 2, rng.uniform(-1.0, 1.0, 4))
     y = Point.from_literal("0|1")
     beta = 1.7
-    assert kernel(f, beta, 3, y, g) == pytest.approx(
-        kernel(scale(f, beta), 1.0, 3, y, g), rel=1e-12
+    assert kernel(scale(f, beta), 3, y, g) == pytest.approx(
+        brute_kernel(f, beta, 3, y, g), rel=1e-12
     )
