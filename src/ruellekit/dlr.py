@@ -508,6 +508,7 @@ def tl_sequence(
     n_max: int,
     reference: CylinderMeasure | None = None,
     tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> TLTable:
     """Kernel masses of cylinders against the eigenprobability, per volume.
 
@@ -519,15 +520,16 @@ def tl_sequence(
     convergence to the eigenprobability.
 
     The reference defaults to power-iterated eigendata of f at a depth
-    resolving every requested cylinder; the table's converged flag is
-    that iteration's (True for a given reference).
+    resolving every requested cylinder, within tol and max_iter; the
+    table's converged flag is that iteration's (True for a given
+    reference).
     """
     if not cylinders or not boundaries:
         raise ValueError("need at least one cylinder and one boundary")
     qmax = max(len(w) for w in cylinders)
     converged = True
     if reference is None:
-        rpf = power_iterate(f, _engine_depth(f, qmax), tol=tol)
+        rpf = power_iterate(f, _engine_depth(f, qmax), tol, max_iter)
         reference, converged = rpf.nu, rpf.converged
     tests = [CylinderFunction.indicator(f.d, w) for w in cylinders]
     volumes = range(qmax, n_max + 1)
@@ -649,14 +651,15 @@ def change_of_measure_check(
     depth: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
-    """Max over depth-m cylinder indicators g of |nu(g) - mu(g / psi)|.
+) -> tuple[float, bool]:
+    """Max over depth-m cylinder indicators g of |nu(g) - mu(g / psi)|,
+    and whether both power iterations behind it converged.
 
     nu and psi are the eigenprobability and eigenfunction of f at the
     given depth, and mu is the fixed measure of the normalised potential;
     the two integrals agree because mu has density psi against nu.
     """
     rpf = power_iterate(f, depth, tol, max_iter)
-    fbar = normalize(f, rpf)
-    mu = power_iterate(fbar, depth, tol, max_iter).nu
-    return float(np.max(np.abs(rpf.nu.weights - mu.weights / rpf.psi.values)))
+    fixed = power_iterate(normalize(f, rpf), depth, tol, max_iter)
+    deviation = float(np.max(np.abs(rpf.nu.weights - fixed.nu.weights / rpf.psi.values)))
+    return deviation, rpf.converged and fixed.converged

@@ -131,6 +131,9 @@ class Potential:
             return tab.value_at(x), 0.0
 
         def batch(length: int, tail: Point) -> tuple[np.ndarray, float]:
+            if length >= depth:
+                # u . tail reads the leading `depth` symbols of u alone
+                return np.repeat(tab.values, d ** (length - depth)), 0.0
             return tab.values[word_tail_index(d, length, depth, tail)], 0.0
 
         return cls(d, LocallyConstant(depth), fn, tab, label, batch)

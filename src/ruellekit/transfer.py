@@ -16,17 +16,33 @@ eigenvalue lambda (log lambda is the finite-depth pressure), the positive
 eigenfunction psi, and the eigenprobability nu of the adjoint, with the
 normalisations nu(whole space) = 1 and integral of psi against nu = 1.
 The iteration starts from the constant function / uniform measure
-(deterministic) and runs in passes.  Each pass applies L and its adjoint
-once: the products L psi and L* nu give the Rayleigh quotient and the
-residuals of the current (psi, nu), and the stop rule reads them.  It
-takes the next iterate three Ruelle steps further on, with one
-application of L^3 (TransferOperator.power) and its adjoint, so one
-residual check serves four steps.  A pass takes one plain step instead
-when four would pass max_iter, and so does every pass when the L^3 table
-would hold more than _STRIDE_ENTRIES entries: there its gather costs
-more than the checks it saves.  The iteration stops when both relative
-residuals fall under tol, and returns the vectors whose residuals it
-reports.
+(deterministic) and reaches its iterates in one of three ways.
+
+- Squared: a table whose iteration depth has at most _SQUARE_ENTRIES
+  words squares its dense matrix, scaled by the maximum after each
+  product, until a product changes the scaled power by at most sqrt(tol)
+  (the next would change it by about tol) or the next would pass
+  max_iter.  The row and column sums of L^(2^j) are the power iterates
+  of psi and nu after 2^j Ruelle steps, and `iterations` counts them so.
+- Strided: callables, tables above that cap, and a squared pair that
+  has not converged take the next iterate three Ruelle steps further on
+  after each check, with one application of L^3 (TransferOperator.power)
+  and its adjoint, so one residual check serves four steps.  A pass takes
+  one plain step instead when four would pass max_iter, and so does
+  every pass when the L^3 table would hold more than _STRIDE_ENTRIES
+  entries (there its gather costs more than the checks it saves) or a
+  weight of L is below the normal float range (there L^3's iterates
+  part from the steps').
+- Plain: each pass applies L and its adjoint once: the products L psi
+  and L* nu give the Rayleigh quotient and the residuals of the current
+  (psi, nu), and the stop rule reads them.  Plain steps check the
+  squared and strided iterates and take the last step at the requested
+  depth.
+
+The iteration stops when both relative residuals fall under tol, and
+returns the vectors whose residuals it reports.  Squaring makes a table
+run report more `iterations` than stepping would, rounded up to a power
+of two plus its checks (e.g. 30 -> 66), with far fewer operator calls.
 
 A table potential of depth m reads only a w_1 ... w_{m-1}, so its
 eigendata are fixed by the depth-(m-1) words: power_iterate iterates on
@@ -55,6 +71,12 @@ _STRIDE = 4
 # the largest L^(_STRIDE-1) table power_iterate builds; past it the gather
 # of a stride costs more than the three checks it saves
 _STRIDE_ENTRIES = 2**14
+# the most words of a table iteration depth power_iterate squares the
+# matrix of: an einsum product costs ~3 us at 8 words, ~91 us at 64, where
+# stepping wins
+_SQUARE_ENTRIES = 32
+# the smallest positive normal float
+_TINY = float(np.finfo(float).tiny)
 
 
 class NumericalBreakdown(ValueError):
@@ -238,18 +260,26 @@ def power_iterate(
     reported residuals are those of the returned depth-D vectors, and
     `iterations` counts the Ruelle steps at both depths.
 
-    Each pass checks the residuals of the current pair with one plain
-    step; while the pair has not converged and four more steps stay
-    within max_iter, it then takes three more at once with L^3, when the
-    L^3 table holds at most _STRIDE_ENTRIES entries.  Otherwise the next
-    iterate is that plain step's product.  `iterations` never exceeds
-    max_iter.
+    A table whose depth k has at most _SQUARE_ENTRIES words starts from
+    the iterates after 2^j steps, the row and column sums of the squared
+    depth-k matrix (_squared); other operators start from the constant
+    function and the uniform measure.  Each pass checks the residuals of
+    the current pair with one plain step; while the pair has not
+    converged and four more steps stay within max_iter, it then takes
+    three more at once with L^3, built at the first such pass, when the
+    L^3 table holds at most _STRIDE_ENTRIES entries and every weight of L
+    is a normal float (past that, L^3's iterates part from the steps').
+    Otherwise the next iterate is that plain step's product.  So a
+    squared pair that converged builds no L^3.  `iterations` never
+    exceeds max_iter.
 
     The iteration runs on e^{-c} L_f, c the maximum of the truncated
     table, and adds c back to log lambda: exact, and no weight overflows.
     lam is inf when e^{log_lam} exceeds the float range.
     A table spread so wide that weights underflow to 0 can drive the
-    iterates to 0 / 0; that raises NumericalBreakdown.
+    iterates to 0 / 0, or drive lambda or <nu, psi> below the smallest
+    normal float, past which the residuals and psi / <nu, psi> leave the
+    float range; that raises NumericalBreakdown.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -258,24 +288,30 @@ def power_iterate(
     full = full.gauged(growth=top)  # e^{-top} L: no weight exceeds 1
     k = depth if f.table is None else min(max(f.table.depth - 1, 1), depth)
     op = full if k == depth else transfer_operator(f, k).gauged(growth=top)
-    # L^3 in its own gauge: its steps take the iterate, the checks use op
-    stride = None
-    if max_iter > _STRIDE and op.d ** (_STRIDE - 1) * op.size <= _STRIDE_ENTRIES:
-        stride = op.power(_STRIDE - 1)
     psi = np.ones(op.size)
     nu = np.full(op.size, 1.0 / op.size)
     iterations, converged = 0, False
+    if f.table is not None and op.size <= _SQUARE_ENTRIES and max_iter > 2:
+        psi, nu, iterations = _squared(op, tol, max_iter)
+    # no stride once a weight leaves the normal range: L^3's iterates part from the steps'
+    strided = (
+        max_iter > _STRIDE
+        and op.d ** (_STRIDE - 1) * op.size <= _STRIDE_ENTRIES
+        and op.weights.min() >= _TINY
+    )
+    stride = None
     while True:
         iterations += 1
         if op is not full and (converged or iterations == max_iter):
             psi, nu, op = np.repeat(psi, full.size // op.size), _lift(full, nu, op.depth), full
-            stride = None  # the depth-D steps stay plain
+            strided = False  # the depth-D steps stay plain
         # L psi and L* nu give the residuals of (psi, nu) and the next iterate
         l_psi = op.apply(psi)
         l_nu = op.dual_apply(nu)
         num, den = sum_of_products(nu, l_psi), sum_of_products(nu, psi)
-        if not (den > 0.0 and math.isfinite(num)):
-            # weights are in (0, 1] unless exp(f - max f) underflowed to 0
+        if not (_TINY <= num < math.inf and den >= _TINY):
+            # weights are in (0, 1] unless exp(f - max f) underflowed to 0;
+            # below _TINY, lambda and psi / <nu, psi> leave the float range
             raise _breakdown()
         lam = num / den
         res_psi = float(abs(l_psi - lam * psi).max() / (lam * psi.max()))
@@ -287,7 +323,10 @@ def power_iterate(
         # is made, which keeps a deep run's peak memory and page faults down
         psi = l_psi / l_psi.max()
         nu = l_nu / l_nu.sum()
-        if stride is not None and not converged and iterations + _STRIDE <= max_iter:
+        if strided and not converged and iterations + _STRIDE <= max_iter:
+            if stride is None:
+                # L^3 in its own gauge: its steps take the iterate, the checks use op
+                stride = op.power(_STRIDE - 1)
             # from the normalised pair: a psi spread times the spread of L^3's
             # weights must not pass the float range on top of lambda's scale
             psi = stride.apply(psi)
@@ -311,6 +350,38 @@ def power_iterate(
         iterations=iterations,
         converged=converged,
     )
+
+
+def _squared(op: TransferOperator, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(psi, nu, 2^j): the power iterates 2^j Ruelle steps from the constant
+    function and the uniform measure, from the squares of op's matrix.
+
+    Each square is scaled by its maximum.  Squaring stops once a product
+    changes the scaled power by at most sqrt(tol): the error falls
+    quadratically, so the last power's is about tol.  It also stops
+    before 2^j + 1 steps would pass max_iter, which leaves the residual
+    check a step, and before a square in which a sum underflowed to 0
+    where the exact power is positive: steps, normalised one at a time,
+    keep such entries, so they take over from the last power.  The
+    products are np.einsum's, not BLAS's (see shift.sum_of_products).
+    """
+    power = op.matrix()
+    power = power / power.max()
+    reach = power > 0.0  # where the exact power is positive
+    steps, enough = 1, math.sqrt(tol)
+    while 2 * steps < max_iter:
+        square = np.einsum("ij,jk->ik", power, power)
+        reach = np.einsum("ij,jk->ik", reach, reach)
+        positive = np.count_nonzero(square)
+        if positive == 0 or positive < np.count_nonzero(reach):
+            break
+        square = square / square.max()
+        change = float(np.abs(square - power).max())
+        power, steps = square, 2 * steps
+        if change <= enough:
+            break
+    psi, nu = power.sum(axis=1), power.sum(axis=0)
+    return psi / psi.max(), nu / nu.sum(), steps
 
 
 def _breakdown() -> NumericalBreakdown:

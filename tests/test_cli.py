@@ -96,9 +96,11 @@ def test_normalize_markov(tmp_path):
 
 
 def test_normalize_passes_converged_eigendata_with_a_wide_psi_spread(tmp_path):
-    # the check is per entry, up to max psi / min psi (13.9 here) times the residual held under tol
-    cfg = write_config(tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 2, "values": [0.0, 0.0, -1.0, 1.8]}}})
-    code, report = run(tmp_path, "normalize", "--config", cfg, "--depth", "2")
+    # the check is per entry, up to max psi / min psi (2.9e3 here) times the residual held under tol;
+    # a depth-7 table iterates on 64 words, above the squaring cap, and stops just under tol
+    values = np.random.default_rng(7).normal(size=128).tolist()
+    cfg = write_config(tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 7, "values": values}}})
+    code, report = run(tmp_path, "normalize", "--config", cfg, "--depth", "6")
     assert code == 0
     assert report["status"] == "ok"
     assert 1e-10 < report["results"]["check_sup_norm"] < 13.9e-10
@@ -210,6 +212,26 @@ def test_change_of_measure_honours_max_iter(tmp_path):
     code, report = run(tmp_path, "change-of-measure", "--config", markov_config(tmp_path))
     assert code == 0
     assert report["results"]["max_deviation"] < 1e-9
+
+
+@pytest.mark.parametrize("unconverged", [0, 1])
+def test_change_of_measure_fails_unconverged_eigendata(tmp_path, monkeypatch, unconverged):
+    # a deviation under tol from eigendata short of tol certifies nothing:
+    # either power iteration (f's, then the normalised potential's) fails the check
+    calls = []
+    power_iterate = dlr.power_iterate
+
+    def flagged(*args):
+        rpf = power_iterate(*args)
+        calls.append(rpf)
+        return dataclasses.replace(rpf, converged=False) if len(calls) == unconverged + 1 else rpf
+
+    monkeypatch.setattr(dlr, "power_iterate", flagged)
+    code, report = run(tmp_path, "change-of-measure", "--config", markov_config(tmp_path))
+    assert len(calls) == 2
+    assert report["results"]["max_deviation"] < 1e-9
+    assert code == 2
+    assert report["status"] == "check-failed"
 
 
 def test_zero_beta_is_a_value_not_a_missing_flag(tmp_path):
@@ -386,6 +408,32 @@ def test_tl_honours_tol(tmp_path):
         worst[tol] = report["results"]["worst"]
         assert worst[tol] == {str(n): w for n, w in zip(expected.volumes.tolist(), expected.worst.tolist())}
     assert worst["1e-2"] != worst["1e-10"]
+
+
+def test_tl_honours_max_iter(tmp_path):
+    # one Ruelle step leaves the eigenprobability reference unconverged
+    values = [0.3, -0.5, 0.9, 0.1, -0.7, 0.2, 0.5, -0.2]
+    cfg = write_config(tmp_path, {"potential": {"kind": "table", "params": {"d": 2, "depth": 3, "values": values}}})
+    code, report = run(tmp_path, "tl", "--config", cfg, "--n", "6", "--max-iter", "1")
+    assert code == 2
+    assert report["status"] == "check-failed"
+    # the default is the 10,000-step cap, as for pressure
+    reports = []
+    for argv in ([], ["--max-iter", str(transfer.DEFAULT_MAX_ITER)]):
+        code, _ = run(tmp_path, "tl", "--config", cfg, "--n", "6", *argv)
+        assert code == 0
+        text = (tmp_path / "report.json").read_text()
+        reports.append([ln for ln in text.splitlines() if "generated_at" not in ln and "max_iter" not in ln])
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("flag,value", [("--depth", "3"), ("--r", "2"), ("--tol", "1e-3"), ("--max-iter", "5"), ("--csv", "k.csv")])
+def test_kernel_refuses_the_flags_it_does_not_read(tmp_path, monkeypatch, capsys, flag, value):
+    monkeypatch.chdir(tmp_path)
+    code, report = run(tmp_path, "kernel", "--config", markov_config(tmp_path), "--n", "4", flag, value)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith(f"usage error: kernel takes no {flag}:")
+    assert not (tmp_path / "k.csv").exists()
 
 
 def test_uniqueness_reports_certificate(tmp_path):
@@ -882,7 +930,8 @@ def test_subcommand_reports_match_the_json_dumps_layout(tmp_path, monkeypatch, a
     monkeypatch.setattr(cli, "dump_report", lambda r: reports.append(r) or dump_report(r))
     monkeypatch.setattr(cli, "_write_csv", lambda table, path: tables.append(table) or write_csv(table, path))
     csv_path = tmp_path / "rows.csv"
-    code, _ = run(tmp_path, *argv, "--csv", str(csv_path))
+    # tl writes the one CSV; kernel refuses the flag
+    code, _ = run(tmp_path, *argv, *(("--csv", str(csv_path)) if argv[0] == "tl" else ()))
     assert code in (0, 2)
     (report,) = reports
     text = (tmp_path / "report.json").read_text()

@@ -838,10 +838,17 @@ def test_sandwich_sweep_equals_each_draw_alone(d, beta):
 
 
 def test_change_of_measure():
-    assert change_of_measure_check(MARKOV, 3, tol=1e-13) < 1e-10
+    deviation, converged = change_of_measure_check(MARKOV, 3, tol=1e-13)
+    assert converged and deviation < 1e-10
     rng = np.random.default_rng(29)
     f = Potential.from_table(2, 2, rng.uniform(-1.0, 1.0, 4))
-    assert change_of_measure_check(f, 3, tol=1e-13) < 1e-9
+    deviation, converged = change_of_measure_check(f, 3, tol=1e-13)
+    assert converged and deviation < 1e-9
+
+
+def test_change_of_measure_reports_unconverged_eigendata():
+    deviation, converged = change_of_measure_check(MARKOV, 3, max_iter=1)
+    assert not converged and deviation > 0.1
 
 
 def test_scaled_kernel_is_beta_kernel():

@@ -144,6 +144,18 @@ def test_tabulate_matches_point_oracle(d, depth):
             assert list(values) == oracle and err == 1e-9
 
 
+@pytest.mark.parametrize("d,depth", [(1, 2), (2, 0), (2, 1), (2, 3), (3, 2)])
+def test_table_word_evaluator_equals_per_word_path(d, depth):
+    # below the table depth the tail is read; at and above it the values repeat
+    f, _, tails = tail_twins(d, depth, 3)
+    oracle = dataclasses.replace(f, batch=None)
+    for tail in tails:
+        for length in range(max(depth - 1, 0), depth + 4):
+            values, err = tabulate(f, length, tail)
+            expected, expected_err = tabulate(oracle, length, tail)
+            assert values.tolist() == expected.tolist() and err == expected_err == 0.0
+
+
 @pytest.mark.parametrize("d,depth", [(2, 1), (2, 3), (3, 2)])
 def test_tail_birkhoff_matches_point_oracle(d, depth):
     f, h, tails = tail_twins(d, depth, 2, err=1e-9)

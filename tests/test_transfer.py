@@ -1,18 +1,24 @@
 """Transfer-operator machinery against dense linear-algebra oracles."""
 
+import collections
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
+from ruellekit import transfer
 from ruellekit.ising import IsingParams, g_potential
 from ruellekit.potentials import Hoelder, Potential, scale
 from ruellekit.shift import CylinderFunction, integrate, sum_of_products
 from ruellekit.transfer import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    NumericalBreakdown,
     TransferOperator,
     _lift,
+    _squared,
     check_normalized,
     disjoint_union,
     normalize,
@@ -228,7 +234,8 @@ def dense_eigendata(f, depth):
 
 
 def test_table_iterates_on_its_own_depth_and_lifts_once(monkeypatch):
-    # one entry per Ruelle step: an L^p table's call stands for p steps
+    # one entry per Ruelle step: an L^p table's call stands for p steps,
+    # and a squared power L^(2^j) for 2^j steps of each operator
     sizes = {"apply": [], "dual_apply": []}
     for name in sizes:
         method = getattr(TransferOperator, name)
@@ -239,6 +246,14 @@ def test_table_iterates_on_its_own_depth_and_lifts_once(monkeypatch):
             return method(self, values)
 
         monkeypatch.setattr(TransferOperator, name, counted)
+
+    def squared(op, tol, max_iter):
+        psi, nu, steps = _squared(op, tol, max_iter)
+        for calls in sizes.values():
+            calls.extend([op.size] * steps)
+        return psi, nu, steps
+
+    monkeypatch.setattr(transfer, "_squared", squared)
     rpf = power_iterate(DEPTH_4_TABLE, 13)
     assert rpf.converged and rpf.psi.depth == rpf.nu.depth == 13
     for calls in sizes.values():
@@ -295,15 +310,26 @@ def test_last_permitted_step_runs_at_the_requested_depth():
     assert rpf.residual_meas == pytest.approx(res_meas, rel=1e-12)
 
 
-def test_deep_inner_products_avoid_blas_dot(monkeypatch):
-    # np.dot on vectors of more than 10,000 entries can stall in OpenBLAS's threaded ddot
-    def refused(*args, **kwargs):
-        raise AssertionError("np.dot called")
+class _Refused:
+    def __init__(self, name):
+        self.name = name
 
-    monkeypatch.setattr(np, "dot", refused)
-    rpf = power_iterate(MARKOV, 14)
-    assert rpf.converged and rpf.psi.values.size == 2**14
-    assert integrate(rpf.nu, rpf.psi) == pytest.approx(1.0, abs=1e-12)
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} called")
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"{self.name}.{attr} called")
+
+
+def test_deep_inner_products_avoid_blas_dot(monkeypatch):
+    # np.dot on vectors of more than 10,000 entries can stall in OpenBLAS's
+    # threaded ddot; the squared matrices' products stay off BLAS as well
+    for name in ("dot", "matmul", "linalg"):
+        monkeypatch.setattr(np, name, _Refused(f"np.{name}"))
+    for f in (MARKOV, DEPTH_4_TABLE, Potential.from_table(2, 7, np.linspace(-1.0, 1.0, 128))):
+        rpf = power_iterate(f, 14)
+        assert rpf.converged and rpf.psi.values.size == 2**14
+        assert integrate(rpf.nu, rpf.psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_operators_share_one_preimage_index():
@@ -370,7 +396,11 @@ def stepwise_power_iterate(f, depth, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
             psi, nu, op = np.repeat(psi, full.size // op.size), _lift(full, nu, op.depth), full
         l_psi = op.apply(psi)
         l_nu = op.dual_apply(nu)
-        lam = sum_of_products(nu, l_psi) / sum_of_products(nu, psi)
+        num, den = sum_of_products(nu, l_psi), sum_of_products(nu, psi)
+        tiny = np.finfo(float).tiny
+        if not (tiny <= num < math.inf and den >= tiny):
+            raise NumericalBreakdown("the iterates left the float range")
+        lam = num / den
         res_psi = float(abs(l_psi - lam * psi).max() / (lam * psi.max()))
         res_nu = float(abs(l_nu - lam * nu).sum() / (lam * nu.sum()))
         converged = max(res_psi, res_nu) < tol
@@ -446,3 +476,87 @@ def test_no_stride_table_above_the_cap(monkeypatch):
     # one level down, the L^3 table holds 2**14 entries and is built
     assert power_iterate(f, 11).converged
     assert builds == [2**11]
+
+
+@pytest.mark.parametrize("d,m,squared", [(2, 6, True), (2, 7, False), (3, 4, True), (3, 5, False)])
+def test_tables_square_up_to_32_words_and_step_above(monkeypatch, d, m, squared):
+    # d**(m-1) words at the iteration depth: 32 and 27 are squared, 64 and 81 stepped with L^3
+    squares, strides = [], []
+    monkeypatch.setattr(transfer, "_squared", lambda op, *args: squares.append(op.size) or _squared(op, *args))
+    power = TransferOperator.power
+    monkeypatch.setattr(TransferOperator, "power", lambda self, p: strides.append(self.size) or power(self, p))
+    f = Potential.from_table(d, m, np.random.default_rng([d, m]).uniform(-1.0, 1.0, d**m))
+    rpf = assert_matches_the_stepwise_loop(f, m + 1)
+    assert rpf.converged
+    assert (squares, strides) == (([d ** (m - 1)], []) if squared else ([], [d ** (m - 1)]))
+
+
+def outcome(run):
+    try:
+        return "converged" if run() else "unconverged"
+    except NumericalBreakdown:
+        return "breakdown"
+
+
+def exact_log_spectral_radius(f, depth):
+    """log lambda of the depth-m operator in 50-digit arithmetic, where no weight underflows."""
+    op = transfer_operator(f, depth)
+    top = float(op.log_weights.max())
+    with mpmath.workdps(50):
+        mat = mpmath.matrix(op.size, op.size)
+        for logs, pre in zip(op.log_weights, op.preimages):
+            for i, (w, j) in enumerate(zip(logs, pre)):
+                mat[i, int(j)] += mpmath.exp(mpmath.mpf(float(w)) - top)
+        return float(mpmath.log(max(abs(x) for x in mpmath.eig(mat, left=False, right=False)))) + top
+
+
+def test_wide_spreads_square_to_the_stepwise_outcome():
+    # beta * osc of 745 and more: weights e^{f - max f} underflow to 0.  The squares
+    # reach the steps' outcome, or converge where the steps' iterates broke down
+    # (their supports parted): then on the pressure of the 50-digit operator
+    rng = np.random.default_rng(41)
+    seen = collections.Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, m in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]:
+            for spread in (745.0, 1000.0, 3000.0):
+                for _ in range(4):
+                    values = rng.uniform(-1.0, 1.0, d**m)
+                    f = Potential.from_table(d, m, values * spread / (values.max() - values.min()))
+                    for depth in (max(m - 1, 1), m + 1):
+                        squared = outcome(lambda: power_iterate(f, depth, max_iter=500).converged)
+                        stepped = outcome(lambda: stepwise_power_iterate(f, depth, max_iter=500)[3])
+                        seen[squared, stepped] += 1
+                        if squared == stepped == "converged":
+                            assert power_iterate(f, depth, max_iter=500).log_lam == pytest.approx(
+                                stepwise_power_iterate(f, depth, max_iter=500)[0], rel=1e-14
+                            )
+                        elif (squared, stepped) == ("converged", "breakdown"):
+                            assert power_iterate(f, depth, max_iter=500).log_lam == pytest.approx(
+                                exact_log_spectral_radius(f, depth), rel=1e-14
+                            )
+                        else:
+                            assert squared == stepped
+    assert seen["converged", "converged"] > 0 and seen["breakdown", "breakdown"] > 0
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
+def test_squares_are_the_power_iterates_and_stop_at_sqrt_tol(tol):
+    op = transfer_operator(DEPTH_4_TABLE, 3)
+    psi, nu, steps = _squared(op, tol, DEFAULT_MAX_ITER)
+    # the scaled powers one square at a time: every change but the last exceeds sqrt(tol)
+    power = op.matrix() / op.matrix().max()
+    changes = []
+    for _ in range(int(math.log2(steps))):
+        square = power @ power
+        square /= square.max()
+        changes.append(np.max(np.abs(square - power)))
+        power = square
+    assert 2 ** len(changes) == steps
+    assert changes[-1] <= math.sqrt(tol) < min(changes[:-1])
+    # the row and column sums are the iterates of `steps` Ruelle steps from the start
+    p, n = np.ones(op.size), np.full(op.size, 1.0 / op.size)
+    for _ in range(steps):
+        p, n = op.apply(p), op.dual_apply(n)
+        p, n = p / p.max(), n / n.sum()
+    assert np.max(np.abs(psi - p)) < 1e-13 and np.sum(np.abs(nu - n)) < 1e-13
