@@ -6,12 +6,15 @@ one array element per line.  Floats, there and in the tl --csv rows, are
 "%.17g" or NaN/Infinity/-Infinity, so identical config + seed reproduces
 identical bytes (modulo the generated_at field).  A float array with
 fewer than half its entries distinct (psi repeats each of its values) has
-each distinct value formatted once; the bytes are the same.  Exit status: 0 on
-success, 2 when a computed residual lands beyond its tolerance (normalize:
-power iteration did not converge, or sup |L_fbar 1 - 1| > tol * max psi /
-min psi; tl: its reference's power iteration did not converge), 1 on
-usage/config errors and on a numerical breakdown of a valid config (no
-report is written then).
+each distinct value formatted once; the bytes are the same.
+
+Each subcommand takes only the flags it reads (_FLAGS).  Exit status: 0 on
+success; 2 when a check fails: a power iteration did not converge (rpf,
+pressure, normalize, change-of-measure, tl's reference), or a residual,
+deviation or certificate lands beyond its tolerance (normalize: sup
+|L_fbar 1 - 1| > tol * max psi / min psi); 1 on usage/config errors, on a
+numerical breakdown of a valid config and on an output that cannot be
+written (no report is written then).
 
 Config files are JSON objects; recognized keys:
 
@@ -32,7 +35,9 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from datetime import datetime, timezone
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -193,7 +198,8 @@ def _potential_from(cfg: dict, args) -> potentials.Potential:
         f = potentials.Potential.constant(_opt(args.d, 2), 0.0)
     else:
         f = _described_potential(desc, args)
-    return f if args.beta is None else potentials.scale(f, args.beta)
+    beta = vars(args).get("beta")  # a subcommand without --beta computes with f as given
+    return f if beta is None else potentials.scale(f, beta)
 
 
 def _described_potential(desc: dict, args) -> potentials.Potential:
@@ -254,10 +260,8 @@ def _random_point(rng: np.random.Generator, d: int) -> Point:
     return Point(prefix, cycle)
 
 
-def _random_table_potential(
-    rng: np.random.Generator, d: int, depth: int, scale: float = 1.0
-) -> potentials.Potential:
-    values = rng.uniform(-scale, scale, size=d**depth)
+def _random_table_potential(rng: np.random.Generator, d: int, depth: int) -> potentials.Potential:
+    values = rng.uniform(-1.0, 1.0, size=d**depth)
     return potentials.Potential.from_table(d, depth, values, label="sampled")
 
 
@@ -271,15 +275,11 @@ def _random_word(rng: np.random.Generator, d: int, max_len: int) -> tuple[int, .
 
 def _rpf_data(cfg, args):
     f = _potential_from(cfg, args)
-    depth = _opt(args.depth, max(f.depth() or 1, 1))
-    tol = _opt(args.tol, transfer.DEFAULT_TOL)
-    max_iter = _opt(args.max_iter, transfer.DEFAULT_MAX_ITER)
-    rpf = transfer.power_iterate(f, depth, tol=tol, max_iter=max_iter)
-    return f, rpf, tol
+    return f, transfer.power_iterate(f, _opt(args.depth, f.truncation_depth()), tol=args.tol, max_iter=args.max_iter)
 
 
 def _cmd_rpf(cfg, args):
-    _, rpf, _ = _rpf_data(cfg, args)
+    _, rpf = _rpf_data(cfg, args)
     results = {
         "lambda": rpf.lam,
         "log_lambda": rpf.log_lam,
@@ -294,7 +294,7 @@ def _cmd_rpf(cfg, args):
 
 
 def _cmd_pressure(cfg, args):
-    _, rpf, _ = _rpf_data(cfg, args)
+    _, rpf = _rpf_data(cfg, args)
     results = {
         "pressure": rpf.log_lam,
         "lambda": rpf.lam,
@@ -305,7 +305,7 @@ def _cmd_pressure(cfg, args):
 
 
 def _cmd_normalize(cfg, args):
-    f, rpf, tol = _rpf_data(cfg, args)
+    f, rpf = _rpf_data(cfg, args)
     fbar = transfer.normalize(f, rpf)
     check_depth = _opt(args.n, fbar.depth())
     check = transfer.check_normalized(fbar, check_depth)
@@ -318,19 +318,16 @@ def _cmd_normalize(cfg, args):
     }
     # check is per entry: up to max psi / min psi times the sup-norm residual held under tol
     psi = rpf.psi.values
-    return results, rpf.converged and check <= tol * psi.max() / psi.min(), None
+    return results, rpf.converged and check <= args.tol * psi.max() / psi.min(), None
 
 
 def _cmd_kernel(cfg, args):
-    for flag in ("depth", "r", "tol", "max_iter", "csv"):
-        _refuse(args, flag, "it computes one kernel, at volume --n, and writes no CSV")
     f = _potential_from(cfg, args)
-    n = _opt(args.n, 2)
     y = _point_from_literal(cfg.get("boundary", "|0"))
     word = parse_word(cfg.get("test_word", "0"))
     g = CylinderFunction.indicator(f.d, word)
     # the kernel and its log-partition from one sweep
-    _, K, _, log_zs = next(dlr._sweep(f, [g], [y], [n]))
+    _, K, _, log_zs = next(dlr._sweep(f, [g], [y], [args.n]))
     value, log_z = float(K[0, 0]), float(log_zs[0])
     results = {
         "partition": transfer.exp_or_inf(log_z),
@@ -338,7 +335,8 @@ def _cmd_kernel(cfg, args):
         "kernel_value": value,
         "test_word": cfg.get("test_word", "0"),
         "boundary": y.literal,
-        "n": n,
+        "n": args.n,
+        # without --beta the potential as given: beta 1
         "beta": _opt(args.beta, 1.0),
     }
     return results, True, None
@@ -346,7 +344,7 @@ def _cmd_kernel(cfg, args):
 
 def _cmd_tl(cfg, args):
     f = _potential_from(cfg, args)
-    n_max = _opt(args.n, 12)
+    n_max = args.n
     rng = np.random.default_rng(args.seed)
     if "cylinders" in cfg:
         cylinders = [parse_word(w) for w in cfg["cylinders"]]
@@ -361,9 +359,7 @@ def _cmd_tl(cfg, args):
         boundaries = [_point_from_literal(t) for t in cfg["boundaries"]]
     else:
         boundaries = [_random_point(rng, f.d) for _ in range(4)]
-    tol = _opt(args.tol, transfer.DEFAULT_TOL)
-    max_iter = _opt(args.max_iter, transfer.DEFAULT_MAX_ITER)
-    table = dlr.tl_sequence(f, cylinders, boundaries, n_max, tol=tol, max_iter=max_iter)
+    table = dlr.tl_sequence(f, cylinders, boundaries, n_max, tol=args.tol, max_iter=args.max_iter)
     results = {
         "worst": dict(zip(table.volumes.tolist(), table.worst.tolist())),
         "n_max": n_max,
@@ -375,16 +371,11 @@ def _cmd_tl(cfg, args):
 
 
 def _cmd_dlr_check(cfg, args):
-    _refuse(args, "config", "it checks the table potentials it samples from --seed")
-    d = _opt(args.d, 2)
-    depth = _opt(args.depth, 2)
-    n = _opt(args.n, 2)
-    r = _opt(args.r, 2)
-    tol = _opt(args.tol, 1e-12)
+    d, n, r = args.d, args.n, args.r
     rng = np.random.default_rng(args.seed)
     cases = []
     for _ in range(10):
-        f = _random_table_potential(rng, d, depth)
+        f = _random_table_potential(rng, d, args.depth)
         if args.beta is not None:
             f = potentials.scale(f, args.beta)
         q = int(rng.integers(1, n + r + 1))
@@ -395,28 +386,22 @@ def _cmd_dlr_check(cfg, args):
     results = {
         "residuals": residuals,
         "max_residual": worst,
-        "tol": tol,
+        "tol": args.tol,
         "n": n,
         "r": r,
         "instances": len(residuals),
     }
-    return results, worst < tol, None
-
-
-def _refuse(args, flag: str, reason: str) -> None:
-    """Subcommands refuse the flags they do not read (flag is the args
-    attribute, e.g. max_iter for --max-iter)."""
-    if getattr(args, flag) is not None:
-        raise UsageError(f"{args.command} takes no --{flag.replace('_', '-')}: {reason}")
+    return results, worst < args.tol, None
 
 
 def _cmd_interaction(cfg, args):
-    _refuse(args, "beta", "it reads the interaction of the potential as given")
-    if cfg.get("potential") is not None:
+    desc = cfg.get("potential")
+    if desc is not None:
+        # it telescopes a table; the long-range chain is --alpha's, without a config
+        if not isinstance(desc, dict) or desc.get("kind") not in ("table", "constant"):
+            raise UsageError("interaction --config must hold a table potential; --alpha applies without --config")
         f = _potential_from(cfg, args)
         depth = f.depth()
-        if depth is None:
-            raise UsageError("interaction subcommand needs a table potential or --alpha")
         y = _point_from_literal(cfg.get("boundary", "|0"))
         phi = interactions.from_potential(f, y, k_max=2 * depth, n_max=2 * depth)
         norm = interactions.interaction_norm(phi)
@@ -447,13 +432,11 @@ def _cmd_interaction(cfg, args):
 
 
 def _cmd_walters(cfg, args):
-    _refuse(args, "beta", "its estimates are those of the potential as given")
     f = _potential_from(cfg, args)
-    n_sup = _opt(args.n, 16)
     estimates = [
-        {"p": p, "value": potentials.walters_estimate(f, p, n_sup)} for p in (1, 2, 4, 8)
+        {"p": p, "value": potentials.walters_estimate(f, p, args.n)} for p in (1, 2, 4, 8)
     ]
-    jop = potentials.jop_series(f, eps=0.5, n_terms=max(n_sup, 8))
+    jop = potentials.jop_series(f, eps=0.5, n_terms=max(args.n, 8))
     results = {
         "estimates": estimates,
         "jop": {
@@ -471,7 +454,7 @@ def _cmd_uniqueness(cfg, args):
     f = _potential_from(cfg, args)
     if f.d < 2:
         raise UsageError(f"uniqueness --d must be >= 2: it compares tails on two symbols or more, got {f.d}")
-    N = _opt(args.n, 8)
+    N = args.n
     rng = np.random.default_rng(args.seed)
     # one pass over the 2N window, whose size guard refuses before any work;
     # its running maxima hold the estimate at N too
@@ -506,14 +489,8 @@ _ISING_MIN_TERMS = 14
 
 
 def _cmd_ising(cfg, args):
-    _refuse(args, "beta", "its series are those of the energy at beta = 1")
-    _refuse(args, "config", "its chain is set by --alpha and --cutoff")
-    alpha = _opt(args.alpha, 3.0)
-    cutoff = _opt(args.cutoff, 200)
-    if cutoff < 2:
-        raise UsageError(f"ising --cutoff must be >= 2, got {cutoff}")
-    params = ising.IsingParams(alpha=alpha, cutoff=cutoff)
-    terms = _opt(args.n, 100)
+    alpha, terms = args.alpha, args.n
+    params = ising.IsingParams(alpha=alpha, cutoff=args.cutoff)
     if alpha > 2 and terms < _ISING_MIN_TERMS:
         raise UsageError(f"ising --n must be >= {_ISING_MIN_TERMS} for alpha > 2, got {terms}")
     rng = np.random.default_rng(args.seed)
@@ -553,17 +530,13 @@ def _cmd_ising(cfg, args):
 
 
 def _cmd_change_of_measure(cfg, args):
-    _refuse(args, "beta", "it checks the potential as given")
-    depth = _opt(args.depth, 3)
-    tol = _opt(args.tol, 1e-9)
-    max_iter = _opt(args.max_iter, transfer.DEFAULT_MAX_ITER)
+    depth, tol = args.depth, args.tol
     if cfg.get("potential") is not None:
         corpus = [_potential_from(cfg, args)]
     else:
-        d = _opt(args.d, 2)
         rng = np.random.default_rng(args.seed)
-        corpus = [_random_table_potential(rng, d, 2) for _ in range(10)]
-    checks = [dlr.change_of_measure_check(f, depth, max_iter=max_iter) for f in corpus]
+        corpus = [_random_table_potential(rng, _opt(args.d, 2), 2) for _ in range(10)]
+    checks = [dlr.change_of_measure_check(f, depth, max_iter=args.max_iter) for f in corpus]
     deviations = [deviation for deviation, _ in checks]
     worst = max(deviations)
     results = {"deviations": deviations, "max_deviation": worst, "tol": tol, "depth": depth}
@@ -586,61 +559,82 @@ _COMMANDS = {
 }
 
 
+class _Flag(NamedTuple):
+    """A flag's type, the default it runs with (None: not given, or read from the input)
+    and its domain: a test of the value, and the usage error refusing values outside it."""
+
+    type: type = str
+    default: object = None
+    ok: Callable[[Any], bool] | None = None
+    need: str = ""
+
+    def __call__(self, default):  # the flag with a fixed default: _SITES(2)
+        return self._replace(default=default)
+
+
+_PATH = _Flag()
+_BETA = _Flag(float)
+_D = _Flag(int, None, lambda v: v >= 1, "--d must be >= 1")
+_SIZE = _Flag(int, None, lambda v: v >= 0, "{flag} must be >= 0")
+_SITES = _Flag(int, None, lambda v: v >= 1, "{flag} must be >= 1 for {command}")
+# --alpha and --cutoff set the long-range Ising chain (ising, interaction and
+# ising_lr configs), whose couplings are summable only at a finite alpha > 1
+_ALPHA = _Flag(float, None, lambda v: math.isfinite(v) and v > 1, "{command} --alpha must be a finite number > 1")
+_CUTOFF = _Flag(int, None, lambda v: v >= 2, "{command} --cutoff must be >= 2")
+_TOL = _Flag(float, transfer.DEFAULT_TOL, lambda v: math.isfinite(v) and v > 0.0, "--tol must be a positive finite number")
+_MAX_ITER = _Flag(int, transfer.DEFAULT_MAX_ITER, lambda v: v >= 1, "--max-iter must be >= 1")
+_SEED = _Flag(int, 0, lambda v: v >= 0, "--seed must be >= 0")
+
+# the potential of --config (0 on --d symbols without one); --d, --alpha and
+# --cutoff fill in what a constant or ising_lr config leaves out
+_POTENTIAL = {"--config": _PATH, "--d": _D, "--alpha": _ALPHA, "--cutoff": _CUTOFF}
+# --depth defaults to the potential's depth, normalize's --n to the normalised one's
+_EIGEN = {**_POTENTIAL, "--depth": _SITES, "--beta": _BETA, "--tol": _TOL, "--max-iter": _MAX_ITER}
+
+# the flags each subcommand reads, besides the --out of every report; the
+# parser refuses all others.  _SITES marks a number of sites, at least 1.
+_FLAGS = {
+    "rpf": _EIGEN,
+    "pressure": _EIGEN,
+    "normalize": {**_EIGEN, "--n": _SITES},
+    "kernel": {**_POTENTIAL, "--n": _SITES(2), "--beta": _BETA},
+    "tl": {**_POTENTIAL, "--n": _SIZE(12), "--beta": _BETA, "--tol": _TOL, "--max-iter": _MAX_ITER,
+           "--seed": _SEED, "--csv": _PATH},
+    "dlr-check": {"--d": _D(2), "--depth": _SIZE(2), "--n": _SITES(2), "--r": _SIZE(2), "--beta": _BETA,
+                  "--tol": _TOL(1e-12), "--seed": _SEED},
+    "interaction": {"--config": _PATH, "--d": _D, "--alpha": _ALPHA},
+    "walters": {**_POTENTIAL, "--n": _SITES(16)},
+    "uniqueness": {**_POTENTIAL, "--n": _SITES(8), "--beta": _BETA, "--seed": _SEED},
+    "ising": {"--n": _SIZE(100), "--alpha": _ALPHA(3.0), "--cutoff": _CUTOFF(200), "--seed": _SEED},
+    "change-of-measure": {**_POTENTIAL, "--depth": _SITES(3), "--tol": _TOL(1e-9), "--max-iter": _MAX_ITER,
+                          "--seed": _SEED},
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ruellekit", description=__doc__.splitlines()[0])
-    parser.add_argument("command", choices=sorted(_COMMANDS), metavar="subcommand")
-    parser.add_argument("--config", metavar="PATH")
-    parser.add_argument("--out", metavar="PATH")
-    parser.add_argument("--d", type=int)
-    parser.add_argument("--depth", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--r", type=int)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--cutoff", type=int)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--max-iter", type=int, dest="max_iter")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--csv", metavar="PATH")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
+    for command, flags in _FLAGS.items():
+        sub = commands.add_parser(command)
+        for flag, spec in {"--out": _PATH, **flags}.items():
+            sub.add_argument(flag, type=spec.type, default=spec.default, metavar="PATH" if spec.type is str else None)
     return parser
 
 
 _PARSER = _build_parser()
 
-# the flags each subcommand reads as a number of sites, which must be >= 1 there
-_SITE_FLAGS = {
-    "rpf": ("depth",),
-    "pressure": ("depth",),
-    "normalize": ("depth", "n"),
-    "kernel": ("n",),
-    "dlr-check": ("n",),
-    "walters": ("n",),
-    "uniqueness": ("n",),
-    "change-of-measure": ("depth",),
-}
-
 
 def run(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
-        for flag in ("n", "depth", "r"):
-            value = getattr(args, flag)
-            if value is not None and value < 0:
-                raise UsageError(f"--{flag} must be >= 0, got {value}")
-        for flag in _SITE_FLAGS.get(args.command, ()):
-            if getattr(args, flag) == 0:
-                raise UsageError(f"--{flag} must be >= 1 for {args.command}, got 0")
-        if args.d is not None and args.d < 1:
-            raise UsageError(f"--d must be >= 1, got {args.d}")
-        if args.max_iter is not None and args.max_iter < 1:
-            raise UsageError(f"--max-iter must be >= 1, got {args.max_iter}")
-        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0.0):
-            raise UsageError(f"--tol must be a positive finite number, got {args.tol}")
-        # --alpha feeds ising, interaction and ising_lr configs, whose couplings
-        # are summable only at a finite alpha > 1
-        if args.alpha is not None and not (math.isfinite(args.alpha) and args.alpha > 1):
-            raise UsageError(f"{args.command} --alpha must be a finite number > 1, got {args.alpha}")
-        cfg = _load_config(args.config)
+        args, extra = _PARSER.parse_known_args(argv)
+        flags = _FLAGS[args.command]
+        if extra:
+            raise UsageError(f"{args.command} takes no {extra[0].split('=')[0]}: it takes --out, {', '.join(flags)}")
+        for flag, spec in flags.items():
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if spec.ok is not None and value is not None and not spec.ok(value):
+                raise UsageError(f"{spec.need.format(command=args.command, flag=flag)}, got {value}")
+        cfg = _load_config(vars(args).get("config"))
         results, ok, table = _COMMANDS[args.command](cfg, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -666,9 +660,14 @@ def run(argv=None) -> int:
         "status": "ok" if ok else "check-failed",
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
-    _write_report(report, args.out)
-    if args.csv and table is not None:
-        _write_csv(table, args.csv)
+    try:
+        # the CSV first: a report says ok only beside the rows it counts
+        if table is not None and args.csv:
+            _write_csv(table, args.csv)
+        _write_report(report, args.out)
+    except OSError as exc:
+        print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
     return 0 if ok else 2
 
 

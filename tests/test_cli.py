@@ -197,11 +197,9 @@ def test_tl_fails_the_check_on_an_unconverged_reference(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["dlr-check", "ising"])
-def test_subcommands_without_a_config_refuse_the_flag(tmp_path, capsys, command):
+def test_subcommands_without_a_config_refuse_the_flag(tmp_path, monkeypatch, capsys, command):
     # neither reads a config: a user's potential would go unchecked
-    code, report = run(tmp_path, command, "--config", markov_config(tmp_path))
-    assert code == 1 and report is None
-    assert capsys.readouterr().err.startswith(f"usage error: {command} takes no --config")
+    assert_refused(tmp_path, monkeypatch, capsys, [command, "--config", markov_config(tmp_path)], "--config")
 
 
 def test_change_of_measure_honours_max_iter(tmp_path):
@@ -347,15 +345,16 @@ def test_walters_on_a_table_stops_at_its_depth(tmp_path):
 def test_negative_n_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
     calls = []
     monkeypatch.setattr(potentials, "tabulate", lambda *args: calls.append(args))
-    assert cli.run([command, "--config", markov_config(tmp_path), "--n", "-1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "--n" in err
+    config = ["--config", markov_config(tmp_path)] if "--config" in cli._FLAGS[command] else []
+    assert cli.run([command, *config, "--n", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: --n must be >= ")
     assert calls == []
 
 
-@pytest.mark.parametrize("flag", ["--depth", "--r"])
+@pytest.mark.parametrize("flag", ["--depth", "--r", "--seed"])
 def test_negative_depth_and_r_are_usage_errors(capsys, flag):
-    # --depth -1 used to die in rng.uniform(size=0.5), --r -1 in islice
+    # --depth -1 used to die in rng.uniform(size=0.5), --r -1 in islice,
+    # and --seed -1 in default_rng as an "invalid config"
     assert cli.run(["dlr-check", flag, "-1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: {flag} must be >= 0")
@@ -429,11 +428,8 @@ def test_tl_honours_max_iter(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [("--depth", "3"), ("--r", "2"), ("--tol", "1e-3"), ("--max-iter", "5"), ("--csv", "k.csv")])
 def test_kernel_refuses_the_flags_it_does_not_read(tmp_path, monkeypatch, capsys, flag, value):
-    monkeypatch.chdir(tmp_path)
-    code, report = run(tmp_path, "kernel", "--config", markov_config(tmp_path), "--n", "4", flag, value)
-    assert code == 1 and report is None
-    assert capsys.readouterr().err.startswith(f"usage error: kernel takes no {flag}:")
-    assert not (tmp_path / "k.csv").exists()
+    argv = ["kernel", "--config", markov_config(tmp_path), "--n", "4", flag, value]
+    assert_refused(tmp_path, monkeypatch, capsys, argv, flag)
 
 
 def test_uniqueness_reports_certificate(tmp_path):
@@ -634,15 +630,30 @@ def test_ising_refuses_bad_alpha_and_cutoff(tmp_path, capsys, flag, value, messa
     assert capsys.readouterr().err.startswith(f"usage error: {message}")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1", "0.5"])
-@pytest.mark.parametrize("command", ["interaction", "pressure"])
-def test_bad_alpha_is_a_usage_error_naming_the_flag(tmp_path, capsys, command, value):
-    # no config names the bad value: it is the flag's, which pressure reads into ising_lr
-    cfg = write_config(tmp_path, {"potential": {"kind": "ising_lr", "params": {"cutoff": 50}}})
-    argv = [f"--alpha={value}"] + (["--config", cfg, "--depth", "4"] if command == "pressure" else [])
+BAD_CHAIN_FLAGS = [
+    *(
+        pytest.param(command, "--alpha", value, "a finite number > 1", id=f"{command}-{value}")
+        for command in ("interaction", "pressure")
+        for value in ("nan", "inf", "-inf", "1", "0.5")
+    ),
+    *(
+        pytest.param(command, "--cutoff", value, ">= 2", id=f"{command}---cutoff={value}")
+        for command in ("pressure", "kernel", "walters")
+        for value in ("1", "0", "-3")
+    ),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,need", BAD_CHAIN_FLAGS)
+def test_bad_alpha_is_a_usage_error_naming_the_flag(tmp_path, monkeypatch, capsys, command, flag, value, need):
+    # no config names the bad value: it is the flag's, which the commands
+    # with a config read into ising_lr (this config names no cutoff)
+    cfg = write_config(tmp_path, {"potential": {"kind": "ising_lr", "params": {}}})
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, args: pytest.fail("the command ran"))
+    argv = [f"{flag}={value}"] + (["--config", cfg] if command != "interaction" else [])
     code, report = run(tmp_path, command, *argv)
     assert code == 1 and report is None
-    assert capsys.readouterr().err.startswith(f"usage error: {command} --alpha must be a finite number > 1")
+    assert capsys.readouterr().err.startswith(f"usage error: {command} {flag} must be {need}, got ")
 
 
 def test_ising_lr_config_refuses_beta(tmp_path, capsys):
@@ -654,19 +665,122 @@ def test_ising_lr_config_refuses_beta(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
-def test_ising_refuses_beta_flag(tmp_path, capsys):
-    code, report = run(tmp_path, "ising", "--beta", "2")
-    assert code == 1
-    assert report is None
-    assert "usage error" in capsys.readouterr().err
+def test_ising_refuses_beta_flag(tmp_path, monkeypatch, capsys):
+    assert_refused(tmp_path, monkeypatch, capsys, ["ising", "--beta", "2"], "--beta")
 
 
 @pytest.mark.parametrize("command", ["walters", "change-of-measure", "interaction"])
-def test_subcommands_without_beta_refuse_the_flag(tmp_path, capsys, command):
-    code, report = run(tmp_path, command, "--config", markov_config(tmp_path), "--beta", "7")
-    assert code == 1
-    assert report is None
-    assert f"usage error: {command} takes no --beta" in capsys.readouterr().err
+def test_subcommands_without_beta_refuse_the_flag(tmp_path, monkeypatch, capsys, command):
+    argv = [command, "--config", markov_config(tmp_path), "--beta", "7"]
+    assert_refused(tmp_path, monkeypatch, capsys, argv, "--beta")
+
+
+# a valid value of each flag of the command line
+FLAG_VALUES = {
+    "--config": markov_config, "--csv": "x.csv", "--d": "2", "--depth": "3", "--n": "5", "--r": "3",
+    "--beta": "2", "--alpha": "3", "--cutoff": "50", "--tol": "1e-3", "--max-iter": "5", "--seed": "1",
+}
+
+
+def dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+def assert_refused(tmp_path, monkeypatch, capsys, argv, flag):
+    """argv exits 1 as a usage error naming its subcommand and flag: no
+    report, no CSV, and the subcommand does not run."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda cfg, args: pytest.fail("the command ran"))
+    code, report = run(tmp_path, *argv)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith(f"usage error: {argv[0]} takes no {flag}:")
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "k.csv").exists()
+
+
+REFUSED_RUNS = [
+    *((command, flag, FLAG_VALUES[flag]) for command, flags in cli._FLAGS.items() for flag in FLAG_VALUES
+      if flag not in flags),
+    # none of the three is rpf's: the first is named
+    ("rpf", "--r", "3", "--n", "5", "--csv", "x.csv"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", REFUSED_RUNS, ids=lambda argv: " ".join(getattr(a, "__name__", a) for a in argv)
+)
+def test_flags_outside_a_subcommands_table_are_usage_errors(tmp_path, monkeypatch, capsys, argv):
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    assert_refused(tmp_path, monkeypatch, capsys, argv, argv[1])
+
+
+@pytest.mark.parametrize("command", list(cli._FLAGS))
+def test_params_echo_the_flags_of_a_subcommands_table(tmp_path, monkeypatch, command):
+    # absent, a flag reads its fixed default, or null where the default comes from the input
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, args: ({}, True, None))
+    flags = {flag: spec for flag, spec in cli._FLAGS[command].items() if flag != "--csv"}
+    code, report = run(tmp_path, command)
+    assert code == 0
+    assert report["params"] == {dest(flag): spec.default for flag, spec in flags.items()}
+    # every flag of the table at once is accepted, and each echoes its value
+    values = {flag: v(tmp_path) if callable(v) else v for flag, v in FLAG_VALUES.items()}
+    code, report = run(tmp_path, command, *(a for flag in cli._FLAGS[command] for a in (flag, values[flag])))
+    assert code == 0
+    assert report["params"] == {dest(flag): spec.type(values[flag]) for flag, spec in flags.items()}
+
+
+def help_flags(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        cli.run([command, "--help"])
+    assert done.value.code == 0
+    return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+
+
+@pytest.mark.parametrize("command", list(cli._FLAGS))
+def test_help_lists_exactly_the_flags_of_a_subcommands_table(capsys, command):
+    assert help_flags(capsys, command) == {"--out", *cli._FLAGS[command]}
+
+
+def test_readme_flag_table_lists_each_subcommands_flags_as_the_parser_does(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand          | flags")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        name, flags = re.fullmatch(r"\| `([a-z-]+)` +\| (.*) \|", line).groups()
+        rows[name] = {"--out", *re.findall(r"--[a-z][a-z-]*", flags)}
+    assert list(rows) == list(cli._FLAGS)
+    for command, flags in rows.items():
+        assert flags == help_flags(capsys, command), command
+
+
+def test_unwritable_report_path_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert cli.run(["rpf", "--out", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"cannot write {path}: ") and err.count("\n") == 1
+
+
+def test_unwritable_csv_path_leaves_no_report(tmp_path, capsys):
+    # the CSV is written first: no report says ok beside rows that were not written
+    path = tmp_path / "missing" / "x.csv"
+    assert cli.run(["tl", "--n", "3", "--csv", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"cannot write {path}: ") and err.count("\n") == 1
+    code, report = run(tmp_path, "tl", "--n", "3", "--csv", str(path))
+    assert code == 1 and report is None
+
+
+def test_interaction_config_must_hold_a_table_potential(tmp_path, capsys):
+    # the config wins over --alpha, and an ising_lr config has no table to telescope
+    code, report = run(tmp_path, "interaction", "--config", ising_config(tmp_path), "--alpha", "3")
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == (
+        "usage error: interaction --config must hold a table potential; --alpha applies without --config\n"
+    )
+    # a constant is a depth-0 table, on --d symbols when it names none
+    cfg = write_config(tmp_path, {"potential": {"kind": "constant", "params": {"value": 0.5}}}, name="c.json")
+    code, report = run(tmp_path, "interaction", "--config", cfg, "--d", "3")
+    assert code == 0 and report["results"]["kind"] == "from_potential"
 
 
 @pytest.mark.parametrize("config", ["table", "ising_lr"])
