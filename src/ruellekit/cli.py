@@ -25,6 +25,9 @@ Config files are JSON objects; recognized keys:
     cylinders   list of words such as "010"
     test_word   word whose indicator serves as the test function
 
+A key of the wrong JSON type (a potential that is not an object, a
+cylinders string, ...) is a usage error naming the key (_config_key).
+
 Randomness enters only through test-point/boundary sampling, from a
 single numpy Generator seeded by --seed.
 """
@@ -177,7 +180,17 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _sequence_from(desc: dict):
+def _config_key(cfg: dict, key: str, default, kind, what: str, entry=None):
+    """cfg[key], default when absent: a usage error naming key unless it is
+    a `kind` (and a list of `entry` when entry is given)."""
+    value = cfg.get(key, default)
+    if not isinstance(value, kind) or (entry is not None and not all(isinstance(v, entry) for v in value)):
+        raise UsageError(f"invalid config: {key} must be {what}, got {json.dumps(value)}")
+    return value
+
+
+def _sequence_from(params: dict, key: str):
+    desc = _config_key(params, key, None, dict, "a JSON object")
     form = desc.get("form")
     base = float(desc.get("base", 0.0))
     coef = float(desc.get("coef", 1.0))
@@ -193,7 +206,7 @@ def _sequence_from(desc: dict):
 def _potential_from(cfg: dict, args) -> potentials.Potential:
     """The config's potential (0 on --d symbols when it names none), times
     --beta when the flag is given."""
-    desc = cfg.get("potential")
+    desc = _config_key(cfg, "potential", None, (dict, type(None)), "a JSON object")
     if desc is None:
         f = potentials.Potential.constant(_opt(args.d, 2), 0.0)
     else:
@@ -204,7 +217,7 @@ def _potential_from(cfg: dict, args) -> potentials.Potential:
 
 def _described_potential(desc: dict, args) -> potentials.Potential:
     kind = desc.get("kind")
-    params = desc.get("params", {})
+    params = _config_key(desc, "params", {}, dict, "a JSON object")
     try:
         if kind == "constant":
             return potentials.Potential.constant(
@@ -214,8 +227,8 @@ def _described_potential(desc: dict, args) -> potentials.Potential:
             return potentials.Potential.from_table(
                 int(params["d"]),
                 int(params["depth"]),
-                [float(v) for v in params["values"]],
-                label=params.get("label", "config-table"),
+                [float(v) for v in _config_key(params, "values", None, list, "a list of numbers")],
+                label=_config_key(params, "label", "config-table", str, "a string"),
             )
         if kind == "ising_lr":
             if "beta" in params:
@@ -229,14 +242,13 @@ def _described_potential(desc: dict, args) -> potentials.Potential:
             )
             return ising.g_potential(ip)
         if kind == "hofbauer":
-            decay = params.get("var_decay")
             return potentials.make_hofbauer_walters(
-                _sequence_from(params["a_seq"]),
-                _sequence_from(params["c_seq"]),
+                _sequence_from(params, "a_seq"),
+                _sequence_from(params, "c_seq"),
                 float(params["a"]),
                 float(params["b"]),
                 float(params["c"]),
-                var_decay=_sequence_from(decay) if decay else None,
+                var_decay=_sequence_from(params, "var_decay") if params.get("var_decay") else None,
             )
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"invalid config: bad potential descriptor ({exc})")
@@ -323,9 +335,9 @@ def _cmd_normalize(cfg, args):
 
 def _cmd_kernel(cfg, args):
     f = _potential_from(cfg, args)
-    y = _point_from_literal(cfg.get("boundary", "|0"))
-    word = parse_word(cfg.get("test_word", "0"))
-    g = CylinderFunction.indicator(f.d, word)
+    y = _point_from_literal(_config_key(cfg, "boundary", "|0", str, "a point literal"))
+    test_word = _config_key(cfg, "test_word", "0", str, "a word")
+    g = CylinderFunction.indicator(f.d, parse_word(test_word))
     # the kernel and its log-partition from one sweep
     _, K, _, log_zs = next(dlr._sweep(f, [g], [y], [args.n]))
     value, log_z = float(K[0, 0]), float(log_zs[0])
@@ -333,7 +345,7 @@ def _cmd_kernel(cfg, args):
         "partition": transfer.exp_or_inf(log_z),
         "log_partition": log_z,
         "kernel_value": value,
-        "test_word": cfg.get("test_word", "0"),
+        "test_word": test_word,
         "boundary": y.literal,
         "n": args.n,
         # without --beta the potential as given: beta 1
@@ -347,7 +359,7 @@ def _cmd_tl(cfg, args):
     n_max = args.n
     rng = np.random.default_rng(args.seed)
     if "cylinders" in cfg:
-        cylinders = [parse_word(w) for w in cfg["cylinders"]]
+        cylinders = [parse_word(w) for w in _config_key(cfg, "cylinders", None, list, "a list of words", str)]
     else:
         # every word of length 1 and 2, in word_index order
         cylinders = [tuple(w) for q in (1, 2) for w in word_table(q, f.d).tolist()]
@@ -356,7 +368,9 @@ def _cmd_tl(cfg, args):
     if n_max < qmax:
         raise UsageError(f"--n {n_max} is below the deepest cylinder's length {qmax}")
     if "boundaries" in cfg:
-        boundaries = [_point_from_literal(t) for t in cfg["boundaries"]]
+        boundaries = [
+            _point_from_literal(t) for t in _config_key(cfg, "boundaries", None, list, "a list of point literals", str)
+        ]
     else:
         boundaries = [_random_point(rng, f.d) for _ in range(4)]
     table = dlr.tl_sequence(f, cylinders, boundaries, n_max, tol=args.tol, max_iter=args.max_iter)
@@ -402,7 +416,7 @@ def _cmd_interaction(cfg, args):
             raise UsageError("interaction --config must hold a table potential; --alpha applies without --config")
         f = _potential_from(cfg, args)
         depth = f.depth()
-        y = _point_from_literal(cfg.get("boundary", "|0"))
+        y = _point_from_literal(_config_key(cfg, "boundary", "|0", str, "a point literal"))
         phi = interactions.from_potential(f, y, k_max=2 * depth, n_max=2 * depth)
         norm = interactions.interaction_norm(phi)
         results = {

@@ -36,8 +36,8 @@ The iteration starts from the constant function / uniform measure
 - Plain: each pass applies L and its adjoint once: the products L psi
   and L* nu give the Rayleigh quotient and the residuals of the current
   (psi, nu), and the stop rule reads them.  Plain steps check the
-  squared and strided iterates and take the last step at the requested
-  depth.
+  squared and strided iterates, and the last checks are of the pair
+  at the requested depth.
 
 The iteration stops when both relative residuals fall under tol, and
 returns the vectors whose residuals it reports.  Squaring makes a table
@@ -45,24 +45,26 @@ run report more `iterations` than stepping would, rounded up to a power
 of two plus its checks (e.g. 30 -> 66), with far fewer operator calls.
 
 A table potential of depth m reads only a w_1 ... w_{m-1}, so its
-eigendata are fixed by the depth-(m-1) words: power_iterate iterates on
-depth k = min(max(m-1, 1), D) tables and lifts the pair to the requested
-depth D once (psi repeated, nu([a w]) = e^{f(a w)} nu([w]) / lambda
-level by level), then takes its last step(s) at depth D, plain ones.
-`iterations` counts the Ruelle steps at both depths.  Callables iterate
-at D throughout.
+eigendata are fixed by the depth-(m-1) words: every pass of power_iterate
+runs on depth k = min(max(m-1, 1), D) tables, and no depth-D operator is
+built.  The depth-D pair is the lift of the depth-k one (psi repeated,
+nu([a w]) = e^{f(a w)} nu([w]) / lambda level by level), and its
+residuals, checked once the depth-k pair has converged, are read from
+depth-k tables (_lifted).  RPFData builds the depth-D psi and nu when
+they are first read, so `pressure` at any depth allocates only depth-k
+tables.  Callables iterate at D throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .potentials import REFERENCE_TAIL, Potential, tabulate, var_upper
-from .shift import CylinderFunction, CylinderMeasure, sum_of_products
+from .shift import CylinderFunction, CylinderMeasure, check_table_size, sum_of_products
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -223,18 +225,32 @@ class RPFData:
     lam > 0 is simple and equals the spectral radius (the matrix is
     entrywise positive); psi > 0 with integral 1 against nu; nu has total
     mass 1.  log_lam is the finite-depth pressure.
+
+    psi and nu are built on first read from the depth-k pair the
+    iteration ran on (see power_iterate): psi repeated, nu lifted level
+    by level through the depth-k weights.  Those private fields stay out
+    of repr and ==.
     """
 
     d: int
     depth: int
     lam: float
     log_lam: float
-    psi: CylinderFunction
-    nu: CylinderMeasure
     residual_fn: float
     residual_meas: float
     iterations: int
     converged: bool
+    _psi: np.ndarray = field(repr=False, compare=False)      # depth-k psi, integral 1 against nu
+    _nu: np.ndarray = field(repr=False, compare=False)       # depth-k eigenmeasure
+    _weights: np.ndarray = field(repr=False, compare=False)  # depth-k weights, read by the lift
+
+    @cached_property
+    def psi(self) -> CylinderFunction:
+        return CylinderFunction(self.d, self.depth, np.repeat(self._psi, self.d ** self.depth // self._psi.size))
+
+    @cached_property
+    def nu(self) -> CylinderMeasure:
+        return CylinderMeasure(self.d, self.depth, _lift(self._weights, self._nu, self.depth))
 
 
 def power_iterate(
@@ -250,28 +266,31 @@ def power_iterate(
     every potential; lambda is read off the generalized Rayleigh quotient
     <nu, L psi> / <nu, psi> which is exact at the fixed point.
 
-    A table of depth m reads a w_1 ... w_{m-1} only, so the iteration runs
-    on depth k = min(max(m-1, 1), depth) tables (k = depth for callables).
-    Once the depth-k residuals are under tol, or at the last permitted
-    step, the pair is lifted to the requested depth D: psi does not read
-    past w_k, and L* nu = lambda nu read one cylinder at a time gives
-    nu([a w]) = e^{f(a w)} nu([w]) / lambda, one level at a time from
-    k to D.  The last step(s) run on the depth-D operator, plain, so the
-    reported residuals are those of the returned depth-D vectors, and
-    `iterations` counts the Ruelle steps at both depths.
+    A table of depth m reads a w_1 ... w_{m-1} only, so every pass runs on
+    depth k = min(max(m-1, 1), depth) tables (k = depth for callables),
+    and the depth-D operator is never built.  Once the depth-k residuals
+    are under tol, or at the last permitted step, the passes check the
+    residuals of the lifted pair at the requested depth D instead, read
+    from depth-k tables (_lifted): psi_D = psi_k o pi, and
+    nu_D([a w]) = e^{f(a w)} nu_D([w]) / lambda level by level from k to
+    D (_lift).  Such a check adds D - k applications of the adjoint at
+    depth k.  So the reported residuals are those of the returned
+    depth-D vectors, which RPFData builds only when they are read (of
+    their exact values: an unconverged pair whose nu spans more than the
+    float range has residuals its level-by-level rounding does not keep).
 
     A table whose depth k has at most _SQUARE_ENTRIES words starts from
     the iterates after 2^j steps, the row and column sums of the squared
     depth-k matrix (_squared); other operators start from the constant
     function and the uniform measure.  Each pass checks the residuals of
     the current pair with one plain step; while the pair has not
-    converged and four more steps stay within max_iter, it then takes
-    three more at once with L^3, built at the first such pass, when the
-    L^3 table holds at most _STRIDE_ENTRIES entries and every weight of L
-    is a normal float (past that, L^3's iterates part from the steps').
-    Otherwise the next iterate is that plain step's product.  So a
-    squared pair that converged builds no L^3.  `iterations` never
-    exceeds max_iter.
+    converged at depth k and four more steps stay within max_iter, it
+    then takes three more at once with L^3, built at the first such pass,
+    when the L^3 table holds at most _STRIDE_ENTRIES entries and every
+    weight of L is a normal float (past that, L^3's iterates part from
+    the steps').  Otherwise the next iterate is that plain step's
+    product.  So a squared pair that converged builds no L^3.
+    `iterations` never exceeds max_iter.
 
     The iteration runs on e^{-c} L_f, c the maximum of the truncated
     table, and adds c back to log lambda: exact, and no weight overflows.
@@ -283,11 +302,13 @@ def power_iterate(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    full = transfer_operator(f, depth)
-    top = float(np.max(full.log_weights))
-    full = full.gauged(growth=top)  # e^{-top} L: no weight exceeds 1
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    check_table_size(f.d, depth + 1)  # the depth-(D+1) truncation the returned pair stands for
     k = depth if f.table is None else min(max(f.table.depth - 1, 1), depth)
-    op = full if k == depth else transfer_operator(f, k).gauged(growth=top)
+    op = transfer_operator(f, k)
+    top = float(np.max(op.log_weights))
+    op = op.gauged(growth=top)  # e^{-top} L: no weight exceeds 1
     psi = np.ones(op.size)
     nu = np.full(op.size, 1.0 / op.size)
     iterations, converged = 0, False
@@ -300,24 +321,30 @@ def power_iterate(
         and op.weights.min() >= _TINY
     )
     stride = None
+    deep = k == depth  # whether the checks read the residuals at depth D
     while True:
         iterations += 1
-        if op is not full and (converged or iterations == max_iter):
-            psi, nu, op = np.repeat(psi, full.size // op.size), _lift(full, nu, op.depth), full
-            strided = False  # the depth-D steps stay plain
+        if not deep and (converged or iterations == max_iter):
+            deep, strided = True, False  # the depth-D checks run one step apart
         # L psi and L* nu give the residuals of (psi, nu) and the next iterate
         l_psi = op.apply(psi)
         l_nu = op.dual_apply(nu)
-        num, den = sum_of_products(nu, l_psi), sum_of_products(nu, psi)
+        # at depth D > k: the lifted nu's first-k marginal, and log L_k^(D-k) 1
+        marginal, reach = _lifted(op, nu, depth - k) if deep and k < depth else (nu, None)
+        num, den = sum_of_products(marginal, l_psi), sum_of_products(marginal, psi)
         if not (_TINY <= num < math.inf and den >= _TINY):
             # weights are in (0, 1] unless exp(f - max f) underflowed to 0;
             # below _TINY, lambda and psi / <nu, psi> leave the float range
             raise _breakdown()
         lam = num / den
         res_psi = float(abs(l_psi - lam * psi).max() / (lam * psi.max()))
-        res_nu = float(abs(l_nu - lam * nu).sum() / (lam * nu.sum()))
+        gap = abs(l_nu - lam * nu)
+        if reach is None:
+            res_nu = float(gap.sum() / (lam * nu.sum()))
+        else:
+            res_nu = exp_or_inf(_log_mass(gap, reach) - _log_mass(nu, reach) - math.log(lam))
         converged = max(res_psi, res_nu) < tol
-        if (converged and op is full) or iterations == max_iter:
+        if (converged and deep) or iterations == max_iter:
             break
         # one statement per vector: each frees its old iterate before the next
         # is made, which keeps a deep run's peak memory and page faults down
@@ -343,13 +370,50 @@ def power_iterate(
         depth=depth,
         lam=exp_or_inf(log_lam),
         log_lam=log_lam,
-        psi=CylinderFunction(f.d, depth, psi / sum_of_products(nu, psi)),
-        nu=CylinderMeasure(f.d, depth, nu),
         residual_fn=res_psi,
         residual_meas=res_nu,
         iterations=iterations,
         converged=converged,
+        _psi=psi / den,  # den = <nu_D, psi_D>
+        _nu=nu,
+        _weights=op.weights,
     )
+
+
+def _lifted(op: TransferOperator, nu: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, r): the depth-k tables that the residuals of the pair lifted
+    `levels` levels past k = op.depth read.
+
+    The lifted pair is psi_D = psi o pi and nu_D = T nu, with T the
+    positive linear lift of _lift (nu_D([a w]) = W(a, w) nu_D([w]) / c_j
+    at level j).  psi_D and L_D psi_D = (L_k psi) o pi read w_1 ... w_k
+    alone, so nu_D pairs with them as m does: the first-k marginal of
+    nu_D, (L_k*)^levels nu divided by its mass level by level.  And
+    L_D* T = T L_k*, so L_D* nu_D - lambda nu_D = T (L_k* nu - lambda nu),
+    whose l1 norm, like nu_D's mass, is a pairing with T* 1, which is
+    L_k^levels 1 up to a factor.  r is log L_k^levels 1, summed in logs
+    so that no word's share under- or overflows however wide the spread
+    or deep the lift.
+    """
+    log_weights = np.where(op.weights > 0.0, op.log_weights, -math.inf)
+    reach = np.zeros(op.size)
+    for _ in range(levels):
+        nu = op.dual_apply(nu)
+        mass = nu.sum()
+        if not mass > 0.0:
+            raise _breakdown()  # every weight the lift reads underflowed
+        nu = nu / mass
+        reach = np.logaddexp.reduce(log_weights + reach.take(op.preimages), axis=0)
+    return nu, reach
+
+
+def _log_mass(values: np.ndarray, log_scale: np.ndarray) -> float:
+    """log sum_y values[y] e^{log_scale[y]}, for values >= 0 (-inf when it is 0)."""
+    terms = np.log(values, out=np.full(values.size, -math.inf), where=values > 0.0) + log_scale
+    top = terms.max()
+    if top == -math.inf:
+        return top
+    return float(top + math.log(np.exp(terms - top).sum()))
 
 
 def _squared(op: TransferOperator, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -391,18 +455,19 @@ def _breakdown() -> NumericalBreakdown:
     )
 
 
-def _lift(full: TransferOperator, nu: np.ndarray, depth: int) -> np.ndarray:
-    """Lift a depth-k eigenmeasure of `full` (whose weights read a w_1 ... w_k)
-    to full.depth: nu_{j+1}([a w]) = W_j(a, w) nu_j([w]) / lambda.
+def _lift(weights: np.ndarray, nu: np.ndarray, depth: int) -> np.ndarray:
+    """Lift a depth-k eigenmeasure nu of the operator with depth-k weights
+    `weights` (weights[a, w] reads a w_1 ... w_k) to `depth`:
+    nu_{j+1}([a w]) = W(a, w_1 ... w_k) nu_j([w]) / lambda.
 
-    The mass of W_j * nu_j is <nu_j, L 1>, lambda at the fixed point, so
+    The mass of W * nu_j is <nu_j, L 1>, lambda at the fixed point, so
     each level is divided by its own mass: neither a wide spread nor a
     deep lift under- or overflows, and the result is a probability.
     """
-    d = full.d
-    for j in range(depth, full.depth):
-        # W_j[a, w] = full.weights[a, w 0...0], laid out as the words a w
-        nu = (full.weights[:, :: d ** (full.depth - j)] * nu).ravel()
+    d, size = weights.shape
+    while nu.size < d ** depth:
+        # the words a w, w = (w_1 ... w_k, rest): W[a, w_1 ... w_k] * nu[w]
+        nu = (weights[:, :, None] * nu.reshape(size, -1)).ravel()
         nu = nu / nu.sum()
     return nu
 

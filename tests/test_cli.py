@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import defaultdict
 from pathlib import Path
@@ -554,6 +555,60 @@ def test_size_guard_fires_before_any_table(tmp_path, monkeypatch, capsys):
     assert cli.run(["uniqueness", "--config", ising_config(tmp_path), "--n", "16"]) == 1
     assert "size guard" in capsys.readouterr().err
     assert calls == []
+
+
+DEPTH_4_TABLE = {"kind": "table", "params": {"d": 2, "depth": 4, "values": np.linspace(-1.0, 1.0, 16).tolist()}}
+
+
+def test_pressure_size_guard_refuses_depth_22_before_any_work(tmp_path, monkeypatch, capsys):
+    # the guard of the depth-(D+1) truncation: depth 21 runs, depth 22 is refused
+    cfg = write_config(tmp_path, {"potential": DEPTH_4_TABLE})
+    code, report = run(tmp_path, "pressure", "--config", cfg, "--depth", "21")
+    assert code == 0 and report["status"] == "ok"
+    built = []
+    monkeypatch.setattr(transfer, "transfer_operator", lambda *args: built.append(args))
+    assert cli.run(["pressure", "--config", cfg, "--depth", "22"]) == 1
+    assert capsys.readouterr().err == "size guard: table of 2**23 = 8388608 entries exceeds the 4194304 entry guard\n"
+    assert built == []
+
+
+def test_deep_pressure_allocates_no_depth_d_table(tmp_path):
+    # a 2**21-entry table of floats is 16 MiB; the whole run stays under 64 KiB
+    argv = ["pressure", "--config", write_config(tmp_path, {"potential": DEPTH_4_TABLE}), "--depth", "21"]
+    assert run(tmp_path, *argv)[0] == 0  # warm: first-call caches and imports
+    tracemalloc.start()
+    try:
+        code, report = run(tmp_path, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and report["status"] == "ok"
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("pressure", {"potential": 5}, "potential must be a JSON object, got 5"),
+    ("pressure", {"potential": {"kind": "table", "params": [2, 1, [0.0, 1.0]]}},
+     "params must be a JSON object, got [2, 1, [0.0, 1.0]]"),
+    ("pressure", {"potential": {"kind": "table", "params": {"d": 2, "depth": 2, "values": "0123"}}},
+     'values must be a list of numbers, got "0123"'),
+    ("normalize", {"potential": {"kind": "table", "params": {"d": 2, "depth": 1, "values": [0.0, 1.0], "label": 5}}},
+     "label must be a string, got 5"),
+    ("walters", {"potential": {"kind": "hofbauer", "params": {"a_seq": "power", "c_seq": {}, "a": 1, "b": 1, "c": 1}}},
+     'a_seq must be a JSON object, got "power"'),
+    ("tl", {"cylinders": "01"}, 'cylinders must be a list of words, got "01"'),
+    ("tl", {"cylinders": [0, 1]}, "cylinders must be a list of words, got [0, 1]"),
+    ("tl", {"boundaries": "0|1"}, 'boundaries must be a list of point literals, got "0|1"'),
+    ("kernel", {"boundary": 5}, "boundary must be a point literal, got 5"),
+    ("interaction", {"potential": {"kind": "constant"}, "boundary": ["|0"]},
+     'boundary must be a point literal, got ["|0"]'),
+    ("kernel", {"test_word": 0}, "test_word must be a word, got 0"),
+], ids=["potential", "params", "values", "label", "a_seq", "cylinders", "cylinder", "boundaries", "boundary", "interaction-boundary",
+        "test_word"])
+def test_config_keys_of_the_wrong_shape_are_usage_errors_naming_the_key(tmp_path, capsys, command, cfg, message):
+    code, report = run(tmp_path, command, "--config", write_config(tmp_path, cfg))
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == f"usage error: invalid config: {message}\n"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

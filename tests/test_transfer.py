@@ -1,6 +1,7 @@
 """Transfer-operator machinery against dense linear-algebra oracles."""
 
 import collections
+import dataclasses
 import math
 import warnings
 
@@ -17,7 +18,6 @@ from ruellekit.transfer import (
     DEFAULT_TOL,
     NumericalBreakdown,
     TransferOperator,
-    _lift,
     _squared,
     check_normalized,
     disjoint_union,
@@ -190,19 +190,23 @@ def test_scaled_potential_interpolates():
 
 @pytest.mark.parametrize("max_iter", [2, 10_000])
 def test_power_iterate_applies_each_operator_once_per_step(monkeypatch, max_iter):
-    calls = {"apply": 0, "dual_apply": 0}
+    # a depth-2 table iterates at depth k = 1: one call of each per checked
+    # step, and at D = 4 a depth-D check adds D - k = 3 adjoint calls, all at
+    # depth k (and as many log-domain sums).  max_iter 2 takes two plain steps,
+    # the second checked at depth D; the default squares, checks at depth k,
+    # and once at depth D
+    calls = {"apply": [], "dual_apply": []}
     for name in calls:
         method = getattr(TransferOperator, name)
 
         def counted(self, values, name=name, method=method):
-            calls[name] += 1
+            calls[name].append(self.size)
             return method(self, values)
 
         monkeypatch.setattr(TransferOperator, name, counted)
     rpf = power_iterate(Potential.from_table(2, 2, [0.3, -0.2, 0.9, 0.1]), 4, max_iter=max_iter)
     assert rpf.converged == (max_iter > 2)
-    assert 0 < calls["apply"] <= rpf.iterations
-    assert 0 < calls["dual_apply"] <= rpf.iterations
+    assert calls == {"apply": [2] * 2, "dual_apply": [2] * (2 + (4 - 1))}
 
 
 @pytest.mark.parametrize("max_iter", [2, 10_000])
@@ -254,13 +258,16 @@ def test_table_iterates_on_its_own_depth_and_lifts_once(monkeypatch):
         return psi, nu, steps
 
     monkeypatch.setattr(transfer, "_squared", squared)
+    built, build = [], transfer.transfer_operator
+    monkeypatch.setattr(transfer, "transfer_operator", lambda f, depth: built.append(depth) or build(f, depth))
     rpf = power_iterate(DEPTH_4_TABLE, 13)
-    assert rpf.converged and rpf.psi.depth == rpf.nu.depth == 13
-    for calls in sizes.values():
-        assert len(calls) == rpf.iterations
-        deep = [size for size in calls if size != 2**3]
-        assert 1 <= len(deep) <= 2 and set(deep) == {2**13}
-        assert calls[-len(deep):] == deep  # the depth-13 steps are the last ones
+    assert rpf.converged and rpf.iterations == 64 + 2
+    assert built == [3]  # no depth-13 operator
+    # 64 squared steps, a depth-3 check, and a depth-13 check made at depth 3:
+    # one call of each, and 13 - 3 more adjoint calls
+    assert sizes == {"apply": [2**3] * rpf.iterations, "dual_apply": [2**3] * (rpf.iterations + 13 - 3)}
+    # the depth-13 vectors are built when read
+    assert rpf.psi.depth == rpf.nu.depth == 13
 
 
 @pytest.mark.parametrize("depth", [5, 13, 14])
@@ -380,9 +387,26 @@ def test_power_table_is_the_matrix_power():
         assert np.max(np.abs(got / got.sum() - expected / expected.sum())) < 1e-15
 
 
-def stepwise_power_iterate(f, depth, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """(log lambda, psi, nu, converged): power_iterate's loop with one
-    residual check per Ruelle step."""
+def level_lift(full, nu, depth):
+    """The depth-k eigenmeasure nu lifted to full.depth through the depth-D
+    operator's weights: nu_{j+1}([a w]) = W_j(a, w) nu_j([w]) / lambda, each
+    level divided by its own mass."""
+    d = full.d
+    for j in range(depth, full.depth):
+        # W_j[a, w] = full.weights[a, w 0...0], laid out as the words a w
+        nu = (full.weights[:, :: d ** (full.depth - j)] * nu).ravel()
+        nu = nu / nu.sum()
+    return nu
+
+
+def stepwise_power_iterate(f, depth, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, leaps=False):
+    """(log lambda, psi, nu, converged, iterations): power_iterate's loop
+    with one residual check per Ruelle step, and an explicit depth-D
+    operator, lift and steps, whose Rayleigh quotients take numpy's
+    pairwise sums (einsum's running sum of 2^14 products leaves a
+    ~1e-14 floor under the residuals).  With leaps, the depth-k iterates
+    take power_iterate's squares and strides, so the schedule is
+    power_iterate's."""
     full = transfer_operator(f, depth)
     top = float(np.max(full.log_weights))
     full = full.gauged(growth=top)
@@ -390,14 +414,22 @@ def stepwise_power_iterate(f, depth, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     op = full if k == depth else transfer_operator(f, k).gauged(growth=top)
     psi = np.ones(op.size)
     nu = np.full(op.size, 1.0 / op.size)
-    converged = False
-    for iterations in range(1, max_iter + 1):
+    iterations, converged = 0, False
+    if leaps and f.table is not None and op.size <= transfer._SQUARE_ENTRIES and max_iter > 2:
+        psi, nu, iterations = _squared(op, tol, max_iter)
+    tiny = np.finfo(float).tiny
+    strided = leaps and max_iter > 4 and op.d**3 * op.size <= transfer._STRIDE_ENTRIES and op.weights.min() >= tiny
+    stride = None
+    while True:
+        iterations += 1
         if op is not full and (converged or iterations == max_iter):
-            psi, nu, op = np.repeat(psi, full.size // op.size), _lift(full, nu, op.depth), full
+            with np.errstate(invalid="ignore"):  # a lift whose weights all underflowed: NaN, a breakdown
+                psi, nu, op = np.repeat(psi, full.size // op.size), level_lift(full, nu, op.depth), full
+            strided = False
         l_psi = op.apply(psi)
         l_nu = op.dual_apply(nu)
-        num, den = sum_of_products(nu, l_psi), sum_of_products(nu, psi)
-        tiny = np.finfo(float).tiny
+        dot = (lambda a, b: (a * b).sum()) if op is full and k < depth else sum_of_products
+        num, den = dot(nu, l_psi), dot(nu, psi)
         if not (tiny <= num < math.inf and den >= tiny):
             raise NumericalBreakdown("the iterates left the float range")
         lam = num / den
@@ -408,12 +440,19 @@ def stepwise_power_iterate(f, depth, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
             break
         psi = l_psi / l_psi.max()
         nu = l_nu / l_nu.sum()
-    return math.log(lam) + top, psi / sum_of_products(nu, psi), nu, converged
+        if strided and not converged and iterations + 4 <= max_iter:
+            stride = stride or op.power(3)
+            psi, nu = stride.apply(psi), stride.dual_apply(nu)
+            if not (psi.max() > 0.0 and nu.sum() > 0.0):
+                raise NumericalBreakdown("the stride's weights underflowed")
+            psi, nu = psi / psi.max(), nu / nu.sum()
+            iterations += 3
+    return math.log(lam) + top, psi / sum_of_products(nu, psi), nu, converged, iterations
 
 
 def assert_matches_the_stepwise_loop(f, depth, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     rpf = power_iterate(f, depth, tol=tol, max_iter=max_iter)
-    log_lam, psi, nu, converged = stepwise_power_iterate(f, depth, tol, max_iter)
+    log_lam, psi, nu, converged, _ = stepwise_power_iterate(f, depth, tol, max_iter)
     assert rpf.converged == converged
     assert rpf.iterations <= max_iter
     if not converged:
@@ -560,3 +599,102 @@ def test_squares_are_the_power_iterates_and_stop_at_sqrt_tol(tol):
         p, n = op.apply(p), op.dual_apply(n)
         p, n = p / p.max(), n / n.sum()
     assert np.max(np.abs(psi - p)) < 1e-13 and np.sum(np.abs(nu - n)) < 1e-13
+
+
+def close(got, expected):
+    """Equal within abs 1e-15 or rel 1e-12, entry by entry."""
+    return bool(np.all(np.abs(np.subtract(got, expected)) <= np.maximum(1e-15, 1e-12 * np.abs(expected))))
+
+
+TOLS = (1e-3, 1e-8, 1e-12, 1e-14)
+SPREADS = (0.6, 20.0, 1000.0, 3000.0)
+
+
+def lift_depths(d, m):
+    """D from the iteration depth k to past 2k, and on to 14 (8 on three symbols)."""
+    return sorted({max(m - 1, 1), m, m + 1, 2 * m + 1, 14 if d == 2 else 8})
+
+
+# (d, m, D, tol, max_iter, beta * osc): max_iter 1, 2 and 3 at every spread and
+# depth, the default at the shallowest and deepest D; tol 1e-3 to 1e-14 in turn
+LIFT_CASES = [
+    (d, m, depth, TOLS[(i + j) % 4], max_iter, spread)
+    for d in (2, 3)
+    for m in (1, 2, 3, 4)
+    for i, depth in enumerate(lift_depths(d, m))
+    for max_iter in (1, 2, 3)
+    for j, spread in enumerate(SPREADS)
+] + [
+    (d, m, depth, TOLS[(i + m) % 4], DEFAULT_MAX_ITER, SPREADS[(i + m + d) % 4])
+    for d in (2, 3)
+    for m in (1, 2, 3, 4)
+    for i, depth in enumerate(lift_depths(d, m)[:: len(lift_depths(d, m)) - 1])
+]
+
+
+def test_depth_k_checks_equal_an_explicit_depth_d_step():
+    # every case ends as the explicit schedule ends: the same breakdown, or the
+    # same iterations and convergence with lambda, psi and nu equal; and one
+    # explicit depth-D step of the returned vectors gives the reported numbers.
+    # An unconverged pair at beta * osc past ~745 (weights below the float
+    # range) is left out of the last two: its psi and nu span more decades than
+    # a float, and one rounding of nu's entries moves its Rayleigh quotient by
+    # up to 1e-10 relative, so there the explicit step is off by more than the
+    # tolerance.  Its explicit residuals must still fail tol.
+    assert len(LIFT_CASES) >= 400
+    rng = np.random.default_rng(53)
+    seen = collections.Counter()
+    for case in LIFT_CASES:
+        d, m, depth, tol, max_iter, spread = case
+        values = rng.uniform(-1.0, 1.0, d**m)
+        f = Potential.from_table(d, m, values * spread / max(np.ptp(values), 1e-300))
+        try:
+            log_lam, psi, nu, converged, iterations = stepwise_power_iterate(f, depth, tol, max_iter, leaps=True)
+        except NumericalBreakdown:
+            with pytest.raises(NumericalBreakdown):
+                power_iterate(f, depth, tol, max_iter)
+            seen["breakdown"] += 1
+            continue
+        rpf = power_iterate(f, depth, tol, max_iter)
+        assert (rpf.iterations, rpf.converged) == (iterations, converged), case
+        p, n = rpf.psi.values, rpf.nu.weights
+        op = transfer_operator(f, depth)
+        top = float(op.log_weights.max())
+        op = op.gauged(growth=top)
+        l_p, l_n = op.apply(p), op.dual_apply(n)
+        # Rayleigh quotient with correctly rounded sums, and the residuals at it
+        lam = math.fsum(n * l_p) / math.fsum(n * p)
+        res_fn = np.max(np.abs(l_p - lam * p)) / (lam * p.max())
+        res_meas = np.sum(np.abs(l_n - lam * n)) / (lam * n.sum())
+        if not converged and spread > 745.0:
+            assert max(res_fn, res_meas) >= tol, case
+            seen["unconverged, wide"] += 1
+            continue
+        # log lambda within abs 1e-12: lambda within rel 1e-12
+        assert abs(rpf.log_lam - log_lam) <= 1e-12 and abs(math.log(lam) + top - rpf.log_lam) <= 1e-12, case
+        assert close(p, psi) and close(n, nu), case
+        assert close(res_fn, rpf.residual_fn) and close(res_meas, rpf.residual_meas), case
+        seen["converged" if converged else "unconverged"] += 1
+    assert min(seen.values()) > 0 and len(seen) == 4, seen
+
+
+@pytest.mark.parametrize("f,depth", [(DEPTH_4_TABLE, 13), (MARKOV, 9), (Potential.from_table(3, 3, np.linspace(-2.0, 1.0, 27)), 6)])
+def test_nu_is_the_level_lift_through_the_depth_d_weights(f, depth):
+    rpf = power_iterate(f, depth)
+    full = transfer_operator(f, depth)
+    full = full.gauged(growth=float(full.log_weights.max()))
+    k = f.table.depth - 1
+    assert np.array_equal(rpf.nu.weights, level_lift(full, rpf._nu, k))
+    assert np.array_equal(rpf.psi.values, np.repeat(rpf._psi, f.d ** (depth - k)))
+    assert rpf.nu is rpf.nu and rpf.psi is rpf.psi  # built once, on first read
+
+
+def test_rpf_data_keeps_its_depth_k_fields_out_of_repr_and_eq():
+    rpf = power_iterate(DEPTH_4_TABLE, 13)
+    assert "_psi" not in repr(rpf) and "_nu" not in repr(rpf) and "_weights" not in repr(rpf)
+    assert rpf == power_iterate(DEPTH_4_TABLE, 13)
+    assert rpf == dataclasses.replace(rpf, _psi=2.0 * rpf._psi, _nu=rpf._nu[::-1], _weights=None)
+    assert rpf != dataclasses.replace(rpf, iterations=rpf.iterations + 1)
+    assert [field.name for field in dataclasses.fields(rpf) if field.repr] == [
+        "d", "depth", "lam", "log_lam", "residual_fn", "residual_meas", "iterations", "converged",
+    ]
