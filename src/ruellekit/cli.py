@@ -16,17 +16,10 @@ deviation or certificate lands beyond its tolerance (normalize: sup
 numerical breakdown of a valid config and on an output that cannot be
 written (no report is written then).
 
-Config files are JSON objects; recognized keys:
-
-    potential   {"kind": "constant"|"table"|"ising_lr"|"hofbauer",
-                 "params": {...}}
-    boundary    point literal such as "01|1" (prefix "01", cycle "1")
-    boundaries  list of point literals
-    cylinders   list of words such as "010"
-    test_word   word whose indicator serves as the test function
-
-A key of the wrong JSON type (a potential that is not an object, a
-cylinders string, ...) is a usage error naming the key (_config_key).
+A config file is a JSON object of the keys its subcommand reads (_CONFIG),
+its potential's params those of its kind (_PARAMS).  Any other key, or one
+of the wrong JSON type, is a usage error naming it, raised before any work.
+--d (and interaction's --alpha) names the potential of a config without one.
 
 Randomness enters only through test-point/boundary sampling, from a
 single numpy Generator seeded by --seed.
@@ -165,94 +158,122 @@ def _opt(value, default):
     return default if value is None else value
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"invalid config (not valid JSON): {exc}")
-    if not isinstance(cfg, dict):
-        raise UsageError("invalid config: top level must be a JSON object")
+# A config entry's JSON type (_is): int, float (a number a float holds), str, [a list of one];
+# a table {key: (type, default[, words naming the type])}, default ... for a key
+# that must be given and None for one that may be absent; or (selector, {name:
+# table}) for an object whose selector names the table of its other keys.
+
+# a hofbauer sequence: base + coef * k^-exponent, or base + coef * ratio^k
+_SEQUENCE = ("form", {
+    "power": {"base": (float, 0.0), "coef": (float, 1.0), "exponent": (float, ...)},
+    "geometric": {"base": (float, 0.0), "coef": (float, 1.0), "ratio": (float, ...)},
+})
+# the params of each potential kind
+_PARAMS = {
+    "constant": {"d": (int, 2), "value": (float, 0.0)},
+    "table": {"d": (int, ...), "depth": (int, ...), "values": ([float], ..., "a list of numbers"),
+              "label": (str, "config-table")},
+    # no beta: --beta scales the potential, and a second factor in g would apply it twice
+    "ising_lr": {"alpha": (float, 3.0), "cutoff": (int, 200)},
+    "hofbauer": {"a_seq": (_SEQUENCE, ...), "c_seq": (_SEQUENCE, ...), "a": (float, ...), "b": (float, ...),
+                 "c": (float, ...), "var_decay": (_SEQUENCE, None)},
+}
+_DESCRIPTOR = ("kind", {kind: {"params": (params, {})} for kind, params in _PARAMS.items()})
+# the keys each subcommand reads from its --config; the checker refuses all others
+_CONFIG = {
+    **{command: {"potential": (_DESCRIPTOR, None)}
+       for command in ("rpf", "pressure", "normalize", "walters", "uniqueness", "change-of-measure")},
+    "kernel": {"potential": (_DESCRIPTOR, None), "boundary": (str, "|0", "a point literal"),
+               "test_word": (str, "0", "a word")},
+    "tl": {"potential": (_DESCRIPTOR, None), "cylinders": ([str], None, "a list of words"),
+           "boundaries": ([str], None, "a list of point literals")},
+    # it telescopes a table; the long-range chain is --alpha's, without a config potential
+    "interaction": {"potential": (("kind", {k: _DESCRIPTOR[1][k] for k in ("constant", "table")}), None),
+                    "boundary": (str, "|0", "a point literal")},
+}
+
+
+def _is(value, kind) -> bool:
+    if isinstance(kind, list):
+        return type(value) is list and all(_is(v, kind[0]) for v in value)
+    return type(value) is kind or kind is float and type(value) is int and abs(value) <= sys.float_info.max
+
+
+def _checked(value, kind, key: str, what: str = ""):
+    """value, the config entry `key`, with the defaults of its JSON type `kind` filled in: a usage
+    error naming the key (or one inside it) that is unknown, missing or not of its type."""
+    if not isinstance(kind, (dict, tuple)):
+        if _is(value, kind):
+            return float(value) if kind is float else value
+        what = what or {int: "an integer", float: "a number", str: "a string"}[kind]
+        raise UsageError(f"invalid config: {key} must be {what}, got {json.dumps(value)}")
+    if type(value) is not dict:
+        raise UsageError(f"invalid config: {key} must be a JSON object, got {json.dumps(value)}")
+    if isinstance(kind, tuple):
+        selector, tables = kind
+        name = value.get(selector)
+        if not (type(name) is str and name in tables):
+            raise UsageError(
+                f"invalid config: unknown {key} {selector} {json.dumps(name)}: one of {', '.join(tables)}")
+        rest = {k: v for k, v in value.items() if k != selector}
+        return {selector: name, **_checked(rest, tables[name], key)}
+    for k in value:
+        if k not in kind:
+            raise UsageError(f"invalid config: {key} takes no {k}: it takes {', '.join(kind)}")
+    for k, (_, default, *_) in kind.items():
+        if default is ... and k not in value:
+            raise UsageError(f"invalid config: {key} needs {k}")
+    # an absent key reads as its default, checked as a given one (a table's defaults filled in)
+    return {k: None if default is None and k not in value else _checked(value.get(k, default), entry, k, *words)
+            for k, (entry, default, *words) in kind.items()}
+
+
+def _load_config(args) -> dict:
+    """The --config keys the subcommand reads, checked, with their defaults filled in (_CONFIG)."""
+    cfg = {}
+    if vars(args).get("config") is not None:
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read config: {exc}")
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"invalid config (not valid JSON): {exc}")
+    cfg = _checked(cfg, _CONFIG.get(args.command, {}), f"the {args.command} config")
+    # each names the potential of a config without one
+    given = [flag for flag in ("--d", "--alpha") if vars(args).get(flag[2:]) is not None]
+    if given and cfg.get("potential") is not None:
+        raise UsageError(f"{args.command} {given[0]} applies without a config potential, and the config names one")
     return cfg
 
 
-def _config_key(cfg: dict, key: str, default, kind, what: str, entry=None):
-    """cfg[key], default when absent: a usage error naming key unless it is
-    a `kind` (and a list of `entry` when entry is given)."""
-    value = cfg.get(key, default)
-    if not isinstance(value, kind) or (entry is not None and not all(isinstance(v, entry) for v in value)):
-        raise UsageError(f"invalid config: {key} must be {what}, got {json.dumps(value)}")
-    return value
-
-
-def _sequence_from(params: dict, key: str):
-    desc = _config_key(params, key, None, dict, "a JSON object")
-    form = desc.get("form")
-    base = float(desc.get("base", 0.0))
-    coef = float(desc.get("coef", 1.0))
-    if form == "power":
-        exponent = float(desc["exponent"])
-        return lambda k: base + coef * k ** (-exponent)
-    if form == "geometric":
-        ratio = float(desc["ratio"])
-        return lambda k: base + coef * ratio**k
-    raise UsageError(f"invalid config: unknown sequence form {form!r}")
+def _sequence_from(desc: dict):
+    base, coef, x = desc["base"], desc["coef"], desc.get("exponent", desc.get("ratio"))
+    return (lambda k: base + coef * k ** (-x)) if desc["form"] == "power" else (lambda k: base + coef * x**k)
 
 
 def _potential_from(cfg: dict, args) -> potentials.Potential:
     """The config's potential (0 on --d symbols when it names none), times
     --beta when the flag is given."""
-    desc = _config_key(cfg, "potential", None, (dict, type(None)), "a JSON object")
+    desc = cfg["potential"]
     if desc is None:
         f = potentials.Potential.constant(_opt(args.d, 2), 0.0)
     else:
-        f = _described_potential(desc, args)
+        f = _described_potential(desc["kind"], desc["params"])
     beta = vars(args).get("beta")  # a subcommand without --beta computes with f as given
     return f if beta is None else potentials.scale(f, beta)
 
 
-def _described_potential(desc: dict, args) -> potentials.Potential:
-    kind = desc.get("kind")
-    params = _config_key(desc, "params", {}, dict, "a JSON object")
-    try:
-        if kind == "constant":
-            return potentials.Potential.constant(
-                int(params.get("d", _opt(args.d, 2))), float(params.get("value", 0.0))
-            )
-        if kind == "table":
-            return potentials.Potential.from_table(
-                int(params["d"]),
-                int(params["depth"]),
-                [float(v) for v in _config_key(params, "values", None, list, "a list of numbers")],
-                label=_config_key(params, "label", "config-table", str, "a string"),
-            )
-        if kind == "ising_lr":
-            if "beta" in params:
-                # --beta scales g; a second factor in g would apply it twice
-                raise UsageError(
-                    "invalid config: ising_lr takes no 'beta'; --beta scales the potential"
-                )
-            ip = ising.IsingParams(
-                alpha=float(params.get("alpha", _opt(args.alpha, 3.0))),
-                cutoff=int(params.get("cutoff", _opt(args.cutoff, 200))),
-            )
-            return ising.g_potential(ip)
-        if kind == "hofbauer":
-            return potentials.make_hofbauer_walters(
-                _sequence_from(params, "a_seq"),
-                _sequence_from(params, "c_seq"),
-                float(params["a"]),
-                float(params["b"]),
-                float(params["c"]),
-                var_decay=_sequence_from(params, "var_decay") if params.get("var_decay") else None,
-            )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"invalid config: bad potential descriptor ({exc})")
-    raise UsageError(f"invalid config: unknown potential kind {kind!r}")
+def _described_potential(kind: str, params: dict) -> potentials.Potential:
+    if kind == "constant":
+        return potentials.Potential.constant(params["d"], params["value"])
+    if kind == "table":
+        return potentials.Potential.from_table(**params)
+    if kind == "ising_lr":
+        return ising.g_potential(ising.IsingParams(**params))
+    # hofbauer, its sequences as functions of k
+    sequences = {k: _sequence_from(v) for k, v in params.items() if isinstance(v, dict)}
+    return potentials.make_hofbauer_walters(**{**params, **sequences})
 
 
 def _point_from_literal(text: str) -> Point:
@@ -287,6 +308,8 @@ def _random_word(rng: np.random.Generator, d: int, max_len: int) -> tuple[int, .
 
 def _rpf_data(cfg, args):
     f = _potential_from(cfg, args)
+    if args.depth is None and f.table is None:
+        raise UsageError(f"{args.command} needs --depth for the callable {cfg['potential']['kind']} potential")
     return f, transfer.power_iterate(f, _opt(args.depth, f.truncation_depth()), tol=args.tol, max_iter=args.max_iter)
 
 
@@ -335,9 +358,8 @@ def _cmd_normalize(cfg, args):
 
 def _cmd_kernel(cfg, args):
     f = _potential_from(cfg, args)
-    y = _point_from_literal(_config_key(cfg, "boundary", "|0", str, "a point literal"))
-    test_word = _config_key(cfg, "test_word", "0", str, "a word")
-    g = CylinderFunction.indicator(f.d, parse_word(test_word))
+    y = _point_from_literal(cfg["boundary"])
+    g = CylinderFunction.indicator(f.d, parse_word(cfg["test_word"]))
     # the kernel and its log-partition from one sweep
     _, K, _, log_zs = next(dlr._sweep(f, [g], [y], [args.n]))
     value, log_z = float(K[0, 0]), float(log_zs[0])
@@ -345,7 +367,7 @@ def _cmd_kernel(cfg, args):
         "partition": transfer.exp_or_inf(log_z),
         "log_partition": log_z,
         "kernel_value": value,
-        "test_word": test_word,
+        "test_word": cfg["test_word"],
         "boundary": y.literal,
         "n": args.n,
         # without --beta the potential as given: beta 1
@@ -358,8 +380,8 @@ def _cmd_tl(cfg, args):
     f = _potential_from(cfg, args)
     n_max = args.n
     rng = np.random.default_rng(args.seed)
-    if "cylinders" in cfg:
-        cylinders = [parse_word(w) for w in _config_key(cfg, "cylinders", None, list, "a list of words", str)]
+    if cfg["cylinders"] is not None:
+        cylinders = [parse_word(w) for w in cfg["cylinders"]]
     else:
         # every word of length 1 and 2, in word_index order
         cylinders = [tuple(w) for q in (1, 2) for w in word_table(q, f.d).tolist()]
@@ -367,10 +389,8 @@ def _cmd_tl(cfg, args):
     qmax = max(map(len, cylinders), default=0)
     if n_max < qmax:
         raise UsageError(f"--n {n_max} is below the deepest cylinder's length {qmax}")
-    if "boundaries" in cfg:
-        boundaries = [
-            _point_from_literal(t) for t in _config_key(cfg, "boundaries", None, list, "a list of point literals", str)
-        ]
+    if cfg["boundaries"] is not None:
+        boundaries = [_point_from_literal(t) for t in cfg["boundaries"]]
     else:
         boundaries = [_random_point(rng, f.d) for _ in range(4)]
     table = dlr.tl_sequence(f, cylinders, boundaries, n_max, tol=args.tol, max_iter=args.max_iter)
@@ -409,40 +429,22 @@ def _cmd_dlr_check(cfg, args):
 
 
 def _cmd_interaction(cfg, args):
-    desc = cfg.get("potential")
-    if desc is not None:
-        # it telescopes a table; the long-range chain is --alpha's, without a config
-        if not isinstance(desc, dict) or desc.get("kind") not in ("table", "constant"):
-            raise UsageError("interaction --config must hold a table potential; --alpha applies without --config")
-        f = _potential_from(cfg, args)
-        depth = f.depth()
-        y = _point_from_literal(_config_key(cfg, "boundary", "|0", str, "a point literal"))
-        phi = interactions.from_potential(f, y, k_max=2 * depth, n_max=2 * depth)
-        norm = interactions.interaction_norm(phi)
-        results = {
-            "kind": "from_potential",
-            "terms": len(phi.terms),
-            "norm": {"value": norm.value, "remainder": norm.remainder, "upper": norm.upper},
-        }
-        return results, True, None
-    if args.alpha is not None:
+    # the config's table telescoped, else --alpha's long-range chain, else the nearest-neighbour one
+    if cfg["potential"] is not None:
+        f, y = _potential_from(cfg, args), _point_from_literal(cfg["boundary"])
+        phi = interactions.from_potential(f, y, k_max=2 * f.depth(), n_max=2 * f.depth())
+        results, ok = {"kind": "from_potential", "terms": len(phi.terms)}, lambda norm: True
+    elif args.alpha is not None:
         phi = interactions.ising_lr(args.alpha)
-        norm = interactions.interaction_norm(phi)
         zv, ze = ising.zeta(args.alpha)
-        results = {
-            "kind": "ising_lr",
-            "alpha": args.alpha,
-            "norm": {"value": norm.value, "remainder": norm.remainder, "upper": norm.upper},
-            "two_zeta": 2.0 * zv,
-        }
-        return results, norm.upper <= 2.0 * (zv + ze) + 1e-12, None
-    phi = interactions.ising_nn()
+        results = {"kind": "ising_lr", "alpha": args.alpha, "two_zeta": 2.0 * zv}
+        ok = lambda norm: norm.upper <= 2.0 * (zv + ze) + 1e-12
+    else:
+        phi = interactions.ising_nn()
+        results, ok = {"kind": "ising_nn"}, lambda norm: norm.value == 1.0
     norm = interactions.interaction_norm(phi)
-    results = {
-        "kind": "ising_nn",
-        "norm": {"value": norm.value, "remainder": norm.remainder, "upper": norm.upper},
-    }
-    return results, norm.value == 1.0, None
+    results["norm"] = {"value": norm.value, "remainder": norm.remainder, "upper": norm.upper}
+    return results, ok(norm), None
 
 
 def _cmd_walters(cfg, args):
@@ -545,7 +547,7 @@ def _cmd_ising(cfg, args):
 
 def _cmd_change_of_measure(cfg, args):
     depth, tol = args.depth, args.tol
-    if cfg.get("potential") is not None:
+    if cfg["potential"] is not None:
         corpus = [_potential_from(cfg, args)]
     else:
         rng = np.random.default_rng(args.seed)
@@ -591,18 +593,16 @@ _BETA = _Flag(float)
 _D = _Flag(int, None, lambda v: v >= 1, "--d must be >= 1")
 _SIZE = _Flag(int, None, lambda v: v >= 0, "{flag} must be >= 0")
 _SITES = _Flag(int, None, lambda v: v >= 1, "{flag} must be >= 1 for {command}")
-# --alpha and --cutoff set the long-range Ising chain (ising, interaction and
-# ising_lr configs), whose couplings are summable only at a finite alpha > 1
+# --alpha and --cutoff set the long-range Ising chain, summable only at a finite alpha > 1
 _ALPHA = _Flag(float, None, lambda v: math.isfinite(v) and v > 1, "{command} --alpha must be a finite number > 1")
 _CUTOFF = _Flag(int, None, lambda v: v >= 2, "{command} --cutoff must be >= 2")
 _TOL = _Flag(float, transfer.DEFAULT_TOL, lambda v: math.isfinite(v) and v > 0.0, "--tol must be a positive finite number")
 _MAX_ITER = _Flag(int, transfer.DEFAULT_MAX_ITER, lambda v: v >= 1, "--max-iter must be >= 1")
 _SEED = _Flag(int, 0, lambda v: v >= 0, "--seed must be >= 0")
 
-# the potential of --config (0 on --d symbols without one); --d, --alpha and
-# --cutoff fill in what a constant or ising_lr config leaves out
-_POTENTIAL = {"--config": _PATH, "--d": _D, "--alpha": _ALPHA, "--cutoff": _CUTOFF}
-# --depth defaults to the potential's depth, normalize's --n to the normalised one's
+# the potential of --config, or 0 on --d symbols when it names none
+_POTENTIAL = {"--config": _PATH, "--d": _D}
+# --depth defaults to a table's depth, normalize's --n to the normalised one's
 _EIGEN = {**_POTENTIAL, "--depth": _SITES, "--beta": _BETA, "--tol": _TOL, "--max-iter": _MAX_ITER}
 
 # the flags each subcommand reads, besides the --out of every report; the
@@ -616,7 +616,7 @@ _FLAGS = {
            "--seed": _SEED, "--csv": _PATH},
     "dlr-check": {"--d": _D(2), "--depth": _SIZE(2), "--n": _SITES(2), "--r": _SIZE(2), "--beta": _BETA,
                   "--tol": _TOL(1e-12), "--seed": _SEED},
-    "interaction": {"--config": _PATH, "--d": _D, "--alpha": _ALPHA},
+    "interaction": {"--config": _PATH, "--alpha": _ALPHA},
     "walters": {**_POTENTIAL, "--n": _SITES(16)},
     "uniqueness": {**_POTENTIAL, "--n": _SITES(8), "--beta": _BETA, "--seed": _SEED},
     "ising": {"--n": _SIZE(100), "--alpha": _ALPHA(3.0), "--cutoff": _CUTOFF(200), "--seed": _SEED},
@@ -648,7 +648,7 @@ def run(argv=None) -> int:
             value = getattr(args, flag[2:].replace("-", "_"))
             if spec.ok is not None and value is not None and not spec.ok(value):
                 raise UsageError(f"{spec.need.format(command=args.command, flag=flag)}, got {value}")
-        cfg = _load_config(vars(args).get("config"))
+        cfg = _load_config(args)
         results, ok, table = _COMMANDS[args.command](cfg, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -611,6 +611,89 @@ def test_config_keys_of_the_wrong_shape_are_usage_errors_naming_the_key(tmp_path
     assert capsys.readouterr().err == f"usage error: invalid config: {message}\n"
 
 
+ISING_LR = {"kind": "ising_lr", "params": {"alpha": 3.0}}
+TABLE = {"kind": "table", "params": {"d": 2, "depth": 1, "values": [0.0, 1.0]}}
+CONSTANT = {"kind": "constant", "params": {"value": 0.5}}
+# the subcommands that read a potential from their config
+POTENTIAL_COMMANDS = [c for c, flags in cli._FLAGS.items() if "--config" in flags and c != "interaction"]
+
+
+def with_params(potential, **params):
+    return {"potential": {**potential, "params": {**potential["params"], **params}}}
+
+
+REFUSED_INPUTS = [
+    # values of the wrong JSON type: a bool is no number, an integer param needs a JSON integer
+    ("d-2.5", "pressure", with_params(CONSTANT, d=2.5), [], "invalid config: d must be an integer, got 2.5"),
+    ("d-true", "pressure", with_params(CONSTANT, d=True), [], "invalid config: d must be an integer, got true"),
+    ("alpha-string", "pressure", with_params(ISING_LR, alpha="3"), ["--depth", "7"],
+     'invalid config: alpha must be a number, got "3"'),
+    ("alpha-beyond-floats", "pressure", with_params(ISING_LR, alpha=10**400), ["--depth", "7"],
+     "invalid config: alpha must be a number, got 1000"),
+    ("cutoff-200.7", "pressure", with_params(ISING_LR, cutoff=200.7), ["--depth", "7"],
+     "invalid config: cutoff must be an integer, got 200.7"),
+    ("values-string", "pressure", with_params(TABLE, values=[0, "1"]), [],
+     'invalid config: values must be a list of numbers, got [0, "1"]'),
+    ("depth-1.9", "pressure", with_params(TABLE, depth=1.9), [], "invalid config: depth must be an integer, got 1.9"),
+    ("values-true", "pressure", with_params(TABLE, values=[0, True]), [],
+     "invalid config: values must be a list of numbers, got [0, true]"),
+    ("coef-true", "walters", {"potential": {"kind": "hofbauer", "params": {
+        "a_seq": {"form": "power", "coef": True, "exponent": 2.0}, "c_seq": {"form": "geometric", "ratio": 0.5},
+        "a": 0.25, "b": 5.0, "c": -0.75}}}, [], "invalid config: coef must be a number, got true"),
+    # --beta scales the potential: no params hold a second factor
+    ("table-beta", "pressure", with_params(TABLE, beta=2.0), [],
+     "invalid config: params takes no beta: it takes d, depth, values, label"),
+    ("ising_lr-beta", "pressure", with_params(ISING_LR, beta=2.0), ["--depth", "7"],
+     "invalid config: params takes no beta: it takes alpha, cutoff"),
+    # keys the subcommand does not read
+    ("kernel-boundaries", "kernel", {"potential": TABLE, "boundaries": ["|1"]}, [],
+     "invalid config: the kernel config takes no boundaries: it takes potential, boundary, test_word"),
+    ("tl-boundary", "tl", {"boundary": "|1"}, [],
+     "invalid config: the tl config takes no boundary: it takes potential, cylinders, boundaries"),
+    ("pressure-cylinders", "pressure", {"cylinders": ["0"]}, [],
+     "invalid config: the pressure config takes no cylinders: it takes potential"),
+    ("potentail", "pressure", {"potentail": TABLE}, [],
+     "invalid config: the pressure config takes no potentail: it takes potential"),
+    # the flags that filled in a config's potential
+    *((f"{command}{flag}", command, {"potential": ISING_LR}, [flag, value], f"{command} takes no {flag}:")
+      for command in POTENTIAL_COMMANDS for flag, value in (("--alpha", "2.5"), ("--cutoff", "50"))),
+    *((f"{command}--d", command, {"potential": CONSTANT}, ["--d", "3"],
+       f"{command} --d applies without a config potential, and the config names one")
+      for command in POTENTIAL_COMMANDS),
+    ("interaction--d", "interaction", {"potential": CONSTANT}, ["--d", "3"], "interaction takes no --d:"),
+    ("interaction--alpha", "interaction", {"potential": TABLE}, ["--alpha", "3"],
+     "interaction --alpha applies without a config potential, and the config names one"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,argv,message", [pytest.param(*case[1:], id=case[0]) for case in REFUSED_INPUTS])
+def test_refused_inputs_are_usage_errors_naming_the_key_or_flag(tmp_path, monkeypatch, capsys, command, cfg, argv,
+                                                                message):
+    # each exits 1 before its subcommand runs, with no report
+    argv = [command, "--config", write_config(tmp_path, cfg), *argv]
+    assert_refused_as(tmp_path, monkeypatch, capsys, argv, message)
+
+
+def test_each_subcommand_with_a_config_declares_its_keys():
+    assert set(cli._CONFIG) == {command for command, flags in cli._FLAGS.items() if "--config" in flags}
+
+
+@pytest.mark.parametrize("command", ["rpf", "pressure", "normalize"])
+@pytest.mark.parametrize("potential", ["ising_lr", "hofbauer"])
+def test_eigen_commands_need_depth_on_a_callable(tmp_path, monkeypatch, capsys, command, potential):
+    # a callable has no depth of its own; it used to run at depth 1
+    path = ising_config(tmp_path) if potential == "ising_lr" else hofbauer_config(tmp_path)
+    power_iterate = transfer.power_iterate
+    monkeypatch.setattr(transfer, "power_iterate", lambda *a, **k: pytest.fail("power iteration ran"))
+    code, report = run(tmp_path, command, "--config", path)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == f"usage error: {command} needs --depth for the callable {potential} potential\n"
+    monkeypatch.setattr(transfer, "power_iterate", power_iterate)
+    if potential == "ising_lr":
+        code, report = run(tmp_path, command, "--config", path, "--depth", "3")
+        assert code == 0 and report["status"] == "ok"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_table_is_refused(tmp_path, capsys, bad):
     cfg = write_config(
@@ -687,12 +770,12 @@ def test_ising_refuses_bad_alpha_and_cutoff(tmp_path, capsys, flag, value, messa
 
 BAD_CHAIN_FLAGS = [
     *(
-        pytest.param(command, "--alpha", value, "a finite number > 1", id=f"{command}-{value}")
+        pytest.param(command, "--alpha", value, "must be a finite number > 1, got", id=f"{command}-{value}")
         for command in ("interaction", "pressure")
         for value in ("nan", "inf", "-inf", "1", "0.5")
     ),
     *(
-        pytest.param(command, "--cutoff", value, ">= 2", id=f"{command}---cutoff={value}")
+        pytest.param(command, "--cutoff", value, "", id=f"{command}---cutoff={value}")
         for command in ("pressure", "kernel", "walters")
         for value in ("1", "0", "-3")
     ),
@@ -701,23 +784,24 @@ BAD_CHAIN_FLAGS = [
 
 @pytest.mark.parametrize("command,flag,value,need", BAD_CHAIN_FLAGS)
 def test_bad_alpha_is_a_usage_error_naming_the_flag(tmp_path, monkeypatch, capsys, command, flag, value, need):
-    # no config names the bad value: it is the flag's, which the commands
-    # with a config read into ising_lr (this config names no cutoff)
+    # interaction's --alpha is checked for its domain; the commands with a
+    # config take neither flag, whose values an ising_lr config names
     cfg = write_config(tmp_path, {"potential": {"kind": "ising_lr", "params": {}}})
     monkeypatch.setitem(cli._COMMANDS, command, lambda cfg, args: pytest.fail("the command ran"))
     argv = [f"{flag}={value}"] + (["--config", cfg] if command != "interaction" else [])
     code, report = run(tmp_path, command, *argv)
     assert code == 1 and report is None
-    assert capsys.readouterr().err.startswith(f"usage error: {command} {flag} must be {need}, got ")
+    expected = f"{command} {flag} {need}" if command == "interaction" else f"{command} takes no {flag}:"
+    assert capsys.readouterr().err.startswith(f"usage error: {expected}")
 
 
 def test_ising_lr_config_refuses_beta(tmp_path, capsys):
     # kernels scale g by --beta; a beta inside g would be applied twice
-    cfg = write_config(tmp_path, {"potential": {"kind": "ising_lr", "params": {"beta": 7}}})
-    code, report = run(tmp_path, "pressure", "--config", cfg, "--depth", "6", "--cutoff", "50")
+    cfg = write_config(tmp_path, {"potential": {"kind": "ising_lr", "params": {"beta": 7, "cutoff": 50}}})
+    code, report = run(tmp_path, "pressure", "--config", cfg, "--depth", "6")
     assert code == 1
     assert report is None
-    assert "invalid config" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("usage error: invalid config: params takes no beta")
 
 
 def test_ising_refuses_beta_flag(tmp_path, monkeypatch, capsys):
@@ -741,15 +825,20 @@ def dest(flag):
     return flag[2:].replace("-", "_")
 
 
-def assert_refused(tmp_path, monkeypatch, capsys, argv, flag):
-    """argv exits 1 as a usage error naming its subcommand and flag: no
-    report, no CSV, and the subcommand does not run."""
+def assert_refused_as(tmp_path, monkeypatch, capsys, argv, message):
+    """argv exits 1 with the usage error `message` (its start): no report,
+    no CSV, and the subcommand does not run."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setitem(cli._COMMANDS, argv[0], lambda cfg, args: pytest.fail("the command ran"))
     code, report = run(tmp_path, *argv)
     assert code == 1 and report is None
-    assert capsys.readouterr().err.startswith(f"usage error: {argv[0]} takes no {flag}:")
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "k.csv").exists()
+
+
+def assert_refused(tmp_path, monkeypatch, capsys, argv, flag):
+    """argv exits 1 as a usage error naming its subcommand and a flag it does not take."""
+    assert_refused_as(tmp_path, monkeypatch, capsys, argv, f"{argv[0]} takes no {flag}:")
 
 
 REFUSED_RUNS = [
@@ -777,8 +866,10 @@ def test_params_echo_the_flags_of_a_subcommands_table(tmp_path, monkeypatch, com
     code, report = run(tmp_path, command)
     assert code == 0
     assert report["params"] == {dest(flag): spec.default for flag, spec in flags.items()}
-    # every flag of the table at once is accepted, and each echoes its value
+    # every flag of the table at once is accepted, and each echoes its value;
+    # --d and --alpha name the potential of a config that names none
     values = {flag: v(tmp_path) if callable(v) else v for flag, v in FLAG_VALUES.items()}
+    values["--config"] = write_config(tmp_path, {}, name="empty.json")
     code, report = run(tmp_path, command, *(a for flag in cli._FLAGS[command] for a in (flag, values[flag])))
     assert code == 0
     assert report["params"] == {dest(flag): spec.type(values[flag]) for flag, spec in flags.items()}
@@ -808,6 +899,38 @@ def test_readme_flag_table_lists_each_subcommands_flags_as_the_parser_does(capsy
         assert flags == help_flags(capsys, command), command
 
 
+def readme_table(header):
+    """The rows of the README table whose header row starts with header: {first cell's name: the second cell}."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split(header)[1].split("\n\n")[0]
+    return dict(re.fullmatch(r"\| `([a-z_-]+)` +\| (.*?) *\|", line).groups() for line in table.splitlines()[2:])
+
+
+def readme_params(table):
+    """A params table as the README writes it: `name`: JSON type (default)."""
+    def json_type(kind, words):
+        if kind is cli._SEQUENCE:
+            return "sequence"
+        return words[0].removeprefix("a ") if words else {int: "integer", float: "number", str: "string"}[kind]
+
+    def default(value):
+        return {...: "required", None: "absent"}.get(value) or json.dumps(value)
+
+    return ", ".join(
+        f"`{name}`: {json_type(kind, words)} ({default(value)})" for name, (kind, value, *words) in table.items()
+    )
+
+
+def test_readme_config_schema_lists_each_subcommands_keys_and_each_kinds_params():
+    rows = readme_table("| subcommand          | config keys")
+    assert {command: re.findall(r"`(\w+)`", keys) for command, keys in rows.items()} == {
+        command: list(keys) for command, keys in cli._CONFIG.items()
+    }
+    assert readme_table("| kind       | params") == {kind: readme_params(t) for kind, t in cli._PARAMS.items()}
+    form, forms = cli._SEQUENCE
+    assert readme_table(f"| {form}        | params") == {name: readme_params(t) for name, t in forms.items()}
+
+
 def test_unwritable_report_path_is_a_one_line_error(tmp_path, capsys):
     path = tmp_path / "missing" / "x.json"
     assert cli.run(["rpf", "--out", str(path)]) == 1
@@ -825,17 +948,22 @@ def test_unwritable_csv_path_leaves_no_report(tmp_path, capsys):
     assert code == 1 and report is None
 
 
-def test_interaction_config_must_hold_a_table_potential(tmp_path, capsys):
-    # the config wins over --alpha, and an ising_lr config has no table to telescope
-    code, report = run(tmp_path, "interaction", "--config", ising_config(tmp_path), "--alpha", "3")
+def test_interaction_config_must_hold_a_table_potential(tmp_path, monkeypatch, capsys):
+    # an ising_lr config has no table to telescope
+    code, report = run(tmp_path, "interaction", "--config", ising_config(tmp_path))
     assert code == 1 and report is None
     assert capsys.readouterr().err == (
-        "usage error: interaction --config must hold a table potential; --alpha applies without --config\n"
+        'usage error: invalid config: unknown potential kind "ising_lr": one of constant, table\n'
     )
-    # a constant is a depth-0 table, on --d symbols when it names none
-    cfg = write_config(tmp_path, {"potential": {"kind": "constant", "params": {"value": 0.5}}}, name="c.json")
-    code, report = run(tmp_path, "interaction", "--config", cfg, "--d", "3")
+    # a constant is a depth-0 table, on the symbols its params name; interaction takes no --d
+    cfg = write_config(tmp_path, {"potential": {"kind": "constant", "params": {"d": 3, "value": 0.5}}}, name="c.json")
+    code, report = run(tmp_path, "interaction", "--config", cfg)
     assert code == 0 and report["results"]["kind"] == "from_potential"
+    (tmp_path / "report.json").unlink()
+    assert_refused(tmp_path, monkeypatch, capsys, ["interaction", "--config", cfg, "--d", "3"], "--d")
+    # the long-range chain is --alpha's, and a config potential leaves no room for it
+    argv = ["interaction", "--config", markov_config(tmp_path), "--alpha", "3"]
+    assert_refused_as(tmp_path, monkeypatch, capsys, argv, "interaction --alpha applies without a config potential")
 
 
 @pytest.mark.parametrize("config", ["table", "ising_lr"])
