@@ -13,13 +13,16 @@ success; 2 when a check fails: a power iteration did not converge (rpf,
 pressure, normalize, change-of-measure, tl's reference), or a residual,
 deviation or certificate lands beyond its tolerance (normalize: sup
 |L_fbar 1 - 1| > tol * max psi / min psi); 1 on usage/config errors, on a
-numerical breakdown of a valid config and on an output that cannot be
-written (no report is written then).
+computation that leaves the float range (uniqueness's underflowed kernel
+mass, change-of-measure's psi) and on an output that cannot be written
+(no report is written then).
 
 A config file is a JSON object of the keys its subcommand reads (_CONFIG),
-its potential's params those of its kind (_PARAMS).  Any other key, or one
-of the wrong JSON type, is a usage error naming it, raised before any work.
---d (and interaction's --alpha) names the potential of a config without one.
+its potential's params those of its kind (_PARAMS).  Any other key, one
+of the wrong JSON type or a param outside its domain is a usage error
+naming it, raised before any work, and so is a word or point literal off
+the potential's alphabet.  --d (and interaction's --alpha) names the
+potential of a config without one.
 
 Randomness enters only through test-point/boundary sampling, from a
 single numpy Generator seeded by --seed.
@@ -158,38 +161,69 @@ def _opt(value, default):
     return default if value is None else value
 
 
-# A config entry's JSON type (_is): int, float (a number a float holds), str, [a list of one];
-# a table {key: (type, default[, words naming the type])}, default ... for a key
-# that must be given and None for one that may be absent; or (selector, {name:
-# table}) for an object whose selector names the table of its other keys.
+class _Key(NamedTuple):
+    """A config entry: its JSON type (_is: int, float, a number a float
+    holds, str, [a list of one]), a table {key: _Key}, or (selector,
+    {name: table}) for an object whose selector names the table of its
+    other keys; its default, ... for a key that must be given and None for
+    one that may be absent; the words naming its type; and its domain, a
+    test of the value and the params beside it returning what is wrong."""
+
+    type: Any
+    default: Any = None
+    what: str = ""
+    domain: Callable[[Any, dict], str | None] | None = None
+
+
+def _at_least(low):
+    return lambda value, _: None if value >= low else f"must be >= {low}, got {value}"
+
+
+def _finite(value, _):
+    return None if math.isfinite(value) else f"must be finite, got {json.dumps(value)}"
+
+
+def _table_values(values, params):
+    d, depth = params["d"], params["depth"]
+    if not all(map(math.isfinite, values)):
+        return "must be finite numbers"
+    # no list holds 2**64 entries: d**depth need not be formed past that
+    if (d == 1 or depth < 64) and len(values) == d**depth:
+        return None
+    return f"must hold d**depth = {d}**{depth} numbers, got {len(values)}"
+
 
 # a hofbauer sequence: base + coef * k^-exponent, or base + coef * ratio^k
 _SEQUENCE = ("form", {
-    "power": {"base": (float, 0.0), "coef": (float, 1.0), "exponent": (float, ...)},
-    "geometric": {"base": (float, 0.0), "coef": (float, 1.0), "ratio": (float, ...)},
+    "power": {"base": _Key(float, 0.0), "coef": _Key(float, 1.0), "exponent": _Key(float, ...)},
+    "geometric": {"base": _Key(float, 0.0), "coef": _Key(float, 1.0), "ratio": _Key(float, ...)},
 })
+_D = _Key(int, ..., domain=_at_least(1))
 # the params of each potential kind
 _PARAMS = {
-    "constant": {"d": (int, 2), "value": (float, 0.0)},
-    "table": {"d": (int, ...), "depth": (int, ...), "values": ([float], ..., "a list of numbers"),
-              "label": (str, "config-table")},
-    # no beta: --beta scales the potential, and a second factor in g would apply it twice
-    "ising_lr": {"alpha": (float, 3.0), "cutoff": (int, 200)},
-    "hofbauer": {"a_seq": (_SEQUENCE, ...), "c_seq": (_SEQUENCE, ...), "a": (float, ...), "b": (float, ...),
-                 "c": (float, ...), "var_decay": (_SEQUENCE, None)},
+    "constant": {"d": _D._replace(default=2), "value": _Key(float, 0.0, domain=_finite)},
+    "table": {"d": _D, "depth": _Key(int, ..., domain=_at_least(0)),
+              "values": _Key([float], ..., "a list of numbers", _table_values), "label": _Key(str, "config-table")},
+    # no beta: --beta scales the potential, and a second factor in g would apply it twice;
+    # the chain's couplings are summable only at a finite alpha > 1
+    "ising_lr": {"alpha": _Key(float, 3.0, domain=lambda v, _: None if math.isfinite(v) and v > 1
+                                else f"must be a finite number > 1, got {json.dumps(v)}"),
+                 "cutoff": _Key(int, 200, domain=_at_least(2))},
+    "hofbauer": {"a_seq": _Key(_SEQUENCE, ...), "c_seq": _Key(_SEQUENCE, ...), "a": _Key(float, ...),
+                 "b": _Key(float, ...), "c": _Key(float, ...), "var_decay": _Key(_SEQUENCE, None)},
 }
-_DESCRIPTOR = ("kind", {kind: {"params": (params, {})} for kind, params in _PARAMS.items()})
+_DESCRIPTOR = ("kind", {kind: {"params": _Key(params, {})} for kind, params in _PARAMS.items()})
+_POINT, _WORD = _Key(str, "|0", "a point literal"), _Key(str, "0", "a word")
 # the keys each subcommand reads from its --config; the checker refuses all others
 _CONFIG = {
-    **{command: {"potential": (_DESCRIPTOR, None)}
+    **{command: {"potential": _Key(_DESCRIPTOR)}
        for command in ("rpf", "pressure", "normalize", "walters", "uniqueness", "change-of-measure")},
-    "kernel": {"potential": (_DESCRIPTOR, None), "boundary": (str, "|0", "a point literal"),
-               "test_word": (str, "0", "a word")},
-    "tl": {"potential": (_DESCRIPTOR, None), "cylinders": ([str], None, "a list of words"),
-           "boundaries": ([str], None, "a list of point literals")},
+    "kernel": {"potential": _Key(_DESCRIPTOR), "boundary": _POINT, "test_word": _WORD},
+    "tl": {"potential": _Key(_DESCRIPTOR), "cylinders": _Key([str], None, "a list of words"),
+           "boundaries": _Key([str], None, "a list of point literals")},
     # it telescopes a table; the long-range chain is --alpha's, without a config potential
-    "interaction": {"potential": (("kind", {k: _DESCRIPTOR[1][k] for k in ("constant", "table")}), None),
-                    "boundary": (str, "|0", "a point literal")},
+    "interaction": {"potential": _Key(("kind", {k: _DESCRIPTOR[1][k] for k in ("constant", "table")})),
+                    "boundary": _POINT},
 }
 
 
@@ -201,7 +235,8 @@ def _is(value, kind) -> bool:
 
 def _checked(value, kind, key: str, what: str = ""):
     """value, the config entry `key`, with the defaults of its JSON type `kind` filled in: a usage
-    error naming the key (or one inside it) that is unknown, missing or not of its type."""
+    error naming the key (or one inside it) that is unknown, missing, not of its type or outside
+    its domain."""
     if not isinstance(kind, (dict, tuple)):
         if _is(value, kind):
             return float(value) if kind is float else value
@@ -220,12 +255,17 @@ def _checked(value, kind, key: str, what: str = ""):
     for k in value:
         if k not in kind:
             raise UsageError(f"invalid config: {key} takes no {k}: it takes {', '.join(kind)}")
-    for k, (_, default, *_) in kind.items():
-        if default is ... and k not in value:
+    for k, entry in kind.items():
+        if entry.default is ... and k not in value:
             raise UsageError(f"invalid config: {key} needs {k}")
     # an absent key reads as its default, checked as a given one (a table's defaults filled in)
-    return {k: None if default is None and k not in value else _checked(value.get(k, default), entry, k, *words)
-            for k, (entry, default, *words) in kind.items()}
+    checked = {k: None if entry.default is None and k not in value else
+               _checked(value.get(k, entry.default), entry.type, k, entry.what) for k, entry in kind.items()}
+    for k, entry in kind.items():
+        wrong = entry.domain and checked[k] is not None and entry.domain(checked[k], checked)
+        if wrong:
+            raise UsageError(f"invalid config: {k} {wrong}")
+    return checked
 
 
 def _load_config(args) -> dict:
@@ -276,11 +316,29 @@ def _described_potential(kind: str, params: dict) -> potentials.Potential:
     return potentials.make_hofbauer_walters(**{**params, **sequences})
 
 
-def _point_from_literal(text: str) -> Point:
+def _point_from(text: str, d: int, key: str) -> Point:
+    """The point literal `text` of the config key `key`, on d symbols."""
     try:
-        return Point.from_literal(text)
+        y = Point.from_literal(text)
     except ValueError as exc:
-        raise UsageError(f"invalid config: bad point literal {text!r} ({exc})")
+        raise UsageError(f"invalid config: {key} {text!r} is no point literal ({exc})")
+    _check_alphabet(y.prefix + y.cycle, d, key, text)
+    return y
+
+
+def _word_from(text: str, d: int, key: str) -> tuple[int, ...]:
+    """The word `text` of the config key `key`, on d symbols."""
+    try:
+        word = parse_word(text)
+    except ValueError as exc:
+        raise UsageError(f"invalid config: {key} {text!r} is no word ({exc})")
+    _check_alphabet(word, d, key, text)
+    return word
+
+
+def _check_alphabet(symbols, d: int, key: str, text: str) -> None:
+    if any(s >= d for s in symbols):
+        raise UsageError(f"invalid config: {key} {text!r} has a symbol outside the potential's alphabet of size {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +373,12 @@ def _rpf_data(cfg, args):
 
 def _cmd_rpf(cfg, args):
     _, rpf = _rpf_data(cfg, args)
+    with np.errstate(over="ignore"):  # an entry past the float range rounds to Infinity
+        psi = np.exp(rpf.log_psi)
     results = {
         "lambda": rpf.lam,
         "log_lambda": rpf.log_lam,
-        "psi": rpf.psi.values,
+        "psi": psi,
         "nu": rpf.nu.weights,
         "residuals": {"function": rpf.residual_fn, "measure": rpf.residual_meas},
         "iterations": rpf.iterations,
@@ -352,14 +412,15 @@ def _cmd_normalize(cfg, args):
         "log_lambda": rpf.log_lam,
     }
     # check is per entry: up to max psi / min psi times the sup-norm residual held under tol
-    psi = rpf.psi.values
-    return results, rpf.converged and check <= args.tol * psi.max() / psi.min(), None
+    log_psi = rpf.log_psi
+    spread = transfer.exp_or_inf(float(log_psi.max() - log_psi.min()))
+    return results, rpf.converged and check <= args.tol * spread, None
 
 
 def _cmd_kernel(cfg, args):
     f = _potential_from(cfg, args)
-    y = _point_from_literal(cfg["boundary"])
-    g = CylinderFunction.indicator(f.d, parse_word(cfg["test_word"]))
+    y = _point_from(cfg["boundary"], f.d, "boundary")
+    g = CylinderFunction.indicator(f.d, _word_from(cfg["test_word"], f.d, "test_word"))
     # the kernel and its log-partition from one sweep
     _, K, _, log_zs = next(dlr._sweep(f, [g], [y], [args.n]))
     value, log_z = float(K[0, 0]), float(log_zs[0])
@@ -381,7 +442,7 @@ def _cmd_tl(cfg, args):
     n_max = args.n
     rng = np.random.default_rng(args.seed)
     if cfg["cylinders"] is not None:
-        cylinders = [parse_word(w) for w in cfg["cylinders"]]
+        cylinders = [_word_from(w, f.d, "cylinders") for w in cfg["cylinders"]]
     else:
         # every word of length 1 and 2, in word_index order
         cylinders = [tuple(w) for q in (1, 2) for w in word_table(q, f.d).tolist()]
@@ -390,7 +451,7 @@ def _cmd_tl(cfg, args):
     if n_max < qmax:
         raise UsageError(f"--n {n_max} is below the deepest cylinder's length {qmax}")
     if cfg["boundaries"] is not None:
-        boundaries = [_point_from_literal(t) for t in cfg["boundaries"]]
+        boundaries = [_point_from(t, f.d, "boundaries") for t in cfg["boundaries"]]
     else:
         boundaries = [_random_point(rng, f.d) for _ in range(4)]
     table = dlr.tl_sequence(f, cylinders, boundaries, n_max, tol=args.tol, max_iter=args.max_iter)
@@ -431,7 +492,8 @@ def _cmd_dlr_check(cfg, args):
 def _cmd_interaction(cfg, args):
     # the config's table telescoped, else --alpha's long-range chain, else the nearest-neighbour one
     if cfg["potential"] is not None:
-        f, y = _potential_from(cfg, args), _point_from_literal(cfg["boundary"])
+        f = _potential_from(cfg, args)
+        y = _point_from(cfg["boundary"], f.d, "boundary")
         phi = interactions.from_potential(f, y, k_max=2 * f.depth(), n_max=2 * f.depth())
         results, ok = {"kind": "from_potential", "terms": len(phi.terms)}, lambda norm: True
     elif args.alpha is not None:
@@ -656,7 +718,7 @@ def run(argv=None) -> int:
     except TableSizeError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return 1
-    except transfer.NumericalBreakdown as exc:
+    except dlr.NumericalBreakdown as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return 1
     except potentials.VariationUnavailable as exc:
@@ -664,7 +726,8 @@ def run(argv=None) -> int:
         print(f"no certified bound: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
+        # every config fault is refused before any work: this is the computation's
+        print(f"computation error: {exc}", file=sys.stderr)
         return 1
     report = {
         "schema": SCHEMA,

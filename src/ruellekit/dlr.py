@@ -3,12 +3,10 @@
 The volume-n kernel conditioned on a boundary configuration y averages a
 test function over all ways of rewriting the first n coordinates:
 
-    kernel(g | y) = sum_w  e^{S_n f(w . sigma^n y)} g(w . sigma^n y)
-                    / partition
+    kernel(g | y) = sum_w  e^{S_n f(w . sigma^n y)} g(w . sigma^n y) / partition
 
 where w runs over the d^n words.  Summed over w, numerator and partition
-function are iterates of the Ruelle operator (L h)(x) = sum_a
-e^{f(a x)} h(a x):
+function are iterates of the Ruelle operator (L h)(x) = sum_a e^{f(a x)} h(a x):
 
     kernel(g | y) = (L^n g)(sigma^n y) / (L^n 1)(sigma^n y).
 
@@ -16,53 +14,28 @@ Every function here sums the potential f it is given: the specification
 at inverse temperature beta is the kernel of the potential beta*f, which
 the caller forms with potentials.scale.
 
-For table-backed potentials the kernels of test functions are computed
-in that form by one engine: n operator steps on value tables of depth
-D = max(depth(g), depth(f) - 1, 1), each step exact, one pass serving
-every boundary (and every volume up to n) at once.  The cost grows
-linearly in n, and volumes are not bounded by the table-size guard.
+For table-backed potentials the kernels are read off the iterates of
+transfer.iterates, n steps of the depth-D operator on value tables, D =
+max(depth(g), depth(f) - 1, 1): each step exact, one pass serving every
+boundary and every volume up to n, at a cost linear in n, and each row
+in a log scale of its own, so no kernel underflows to 0 / 0 however
+large osc(f) is.  The kernel reads y through the D coordinates past the
+volume alone, so boundary dependence is structural rather than numerical.
 Potentials without a table (callables) are summed over the d^n volume
-words, weighted by potentials.tail_birkhoff: sum_{j <= n} d^j
-evaluations of f.
+words, weighted by potentials.tail_birkhoff, the maximum over each
+boundary's words subtracted.
 
-_sweep is the one fork between the two for kernel values.  Per volume
-it yields the kernels of a list of test functions at a list of
-boundaries, their error bounds and the log-partitions; kernel,
-log_partition, tl_sequence, sandwich_check and the inner kernels of
-dlr_residual read it.  kernel_measure, the kernel as a measure on the
-volume's cylinders, is that word enumeration for every potential: the
-d^n normalised word weights, bounded by the table-size guard.  A
+_sweep is the one fork between the two for kernel values: per volume the
+kernels of a list of test functions at a list of boundaries, their error
+bounds and the log-partitions, read by kernel, log_partition,
+tl_sequence, sandwich_check and dlr_residual.  kernel_measure is the word
+enumeration for every potential, bounded by the table-size guard.  A
 callable's tower check (finite_volume_dlr_check) is the DLR equation of
-its volume-(n+r) kernel, dlr_residual of kernel_measure.  Only
-constant_shift_check (a shifted gauge) and the table route of the tower
-check fork on their own.  The tower check takes a list of cases
-(f, z, g) and steps all its table cases on one engine: each case's
-operator is one block of a disjoint union (transfer.disjoint_union), so
-one n-step pass and its two continuations (r splitting steps, r plain
-steps) serve every case, whatever their number.
-
-tl_sequence returns its kernels as arrays, one TLTable: K[v, j, b] is the
-kernel mass of cylinder j at boundary b in the v-th volume, the stack of
-the per-volume K of one sweep, next to the reference masses nu_ref[j];
-the deviations |K - nu_ref| and each volume's worst deviation are one
-array operation each.
-
-The kernel reads y only through sigma^n y (the coordinates outside the
-volume); the engine reads exactly the first D of them, so boundary
-dependence is structural rather than numerical.  Its steps apply
-transfer.TransferOperator in a gauge of per-row log scales, renewed and
-exponentiated once per epoch, so no kernel underflows to 0 / 0 however
-large osc(f) is, and adding a constant to the exponent cancels in the
-normalised kernel.  The word enumeration subtracts the maximum over
-the words of each boundary.
-
-The boundary-independence certificate asks many small kernels at once:
-sandwich_check takes a list of draws (n, C, y, z) and reads all their
-kernels from one sweep over the distinct indicators 1_[C], boundaries and
-volumes, and D_estimate returns the running maxima of one pass, so one
-call serves every window up to N.  Each sandwich is decided on its log
-margin 2 D - |log K_y - log K_z|, which stays finite where the margin
-itself overflows.
+its volume-(n+r) kernel; the table cases of one call step together, each
+case's operator one block of a disjoint union (transfer.disjoint_union).
+tl_sequence returns its kernels as one array, TLTable.K[v, j, b].  The
+boundary-independence certificate, sandwich_check, reads all its kernels
+from one sweep and decides each sandwich on its log margin.
 """
 
 from __future__ import annotations
@@ -75,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import shift
+from . import shift, transfer
 from .potentials import (
     Hoelder,
     LocallyConstant,
@@ -98,20 +71,32 @@ from .shift import (
     word_tail_index,
 )
 from .transfer import (
-    DEFAULT_MAX_ITER, DEFAULT_TOL, NumericalBreakdown, disjoint_union, exp_or_inf, normalize,
-    power_iterate, transfer_operator,
+    DEFAULT_MAX_ITER, DEFAULT_TOL, disjoint_union, exp_or_inf, normalize, power_iterate, transfer_operator,
 )
 
-# Nominal rounding allowance of one computed kernel value.
-_KERNEL_ROUNDING = 1e-15
-
 _LN2 = math.log(2.0)
-_EPOCH_RANGE = 512 * _LN2  # how far a row may grow or shrink within an epoch
+
+
+class NumericalBreakdown(ValueError):
+    """Raised when a computation on valid input leaves the float range."""
+
+
+def _kernel_rounding(d: int, n: int) -> float:
+    """Rounding allowance of one volume-n kernel value: four units of
+    rounding per summand of the n steps' sums of d positive terms."""
+    return 4.0 * d * n * sys.float_info.epsilon / 2.0
 
 
 # ---------------------------------------------------------------------------
-# The kernel engine: Ruelle-operator iterates on value tables
+# The kernel reads of transfer.iterates: Ruelle-operator iterates on value tables
 # ---------------------------------------------------------------------------
+#
+# A block stacks one depth-D value table per function of the first D
+# coordinates (its columns; its rows are the table entries).  A step maps
+# every column h to L h, so after n steps the row of the word
+# (y_{n+1}, ..., y_{n+D}) holds (L^n h)(sigma^n y) for every boundary y at
+# once.  Steps are exact when D covers the test functions' depth and the
+# potential's reach past the preimage symbol, depth(f) - 1.
 
 def _engine_depth(f: Potential, q: int) -> int:
     """The engine depth D = max(q, depth(f) - 1, 1) for test functions of
@@ -120,105 +105,43 @@ def _engine_depth(f: Potential, q: int) -> int:
     return max(q, f.truncation_depth() - 1, 1)
 
 
-class _Engine:
-    """Iterates of the Ruelle operator L of f on blocks of columns.
+def _engine(f: Potential, q: int = 0):
+    """The depth-D operator of a table-backed f for test functions of depth <= q."""
+    return transfer_operator(f, _engine_depth(f, q))  # exact: depth + 1 >= depth(f)
 
-    A block stacks one depth-D value table per function of the first D
-    coordinates (its columns; its rows are the table entries).  A step
-    maps every column h to L h, so after n steps the row of the word
-    (y_{n+1}, ..., y_{n+D}) holds (L^n h)(sigma^n y) for every boundary y
-    at once.  Steps are exact when D covers the test functions' depth and
-    the potential's reach past the preimage symbol, depth(f) - 1.  Each
-    step is one application of `op`, the depth-D transfer operator of
-    f, in a gauge of the rows' log scales.
-    """
 
-    def __init__(self, op):
-        self.op, self.d, self.depth = op, op.d, op.depth
+def _columns(op, tests: list[CylinderFunction]) -> np.ndarray:
+    """The block [g_1, ..., g_k, 1] of depth-D value tables."""
+    return np.stack([np.repeat(g.values, op.size // g.values.size) for g in tests] + [np.ones(op.size)])
 
-    @classmethod
-    def of(cls, f: Potential, q: int = 0) -> "_Engine":
-        """The engine of a table-backed f for test functions of depth <= q."""
-        return cls(transfer_operator(f, _engine_depth(f, q)))  # exact: depth + 1 >= depth(f)
 
-    def columns(self, tests: list[CylinderFunction]) -> np.ndarray:
-        """The block [g_1, ..., g_k, 1] of depth-D value tables."""
-        size = self.op.size
-        return np.stack([np.repeat(g.values, size // g.values.size) for g in tests] + [np.ones(size)])
+def _row(op, y: Point, n: int) -> int:
+    """The row a volume-n kernel at boundary y reads: y_{n+1} ... y_{n+D}."""
+    return word_index(y.coords(n + op.depth)[n:], op.d)
 
-    def iterates(self, block: np.ndarray, split: int = 0, lift=None):
-        """Yield (n, block_n, lift_n, exp2_n) for n = 1, 2, ...
 
-        The n-th iterate is  block_n * exp(lift_n) * 2**exp2_n: lift_n is
-        the log scale of each row and exp2_n a common power of two.  An
-        epoch moves the row maxima into the lifts as exact powers of two
-        and exponentiates the weights once, in the gauge of the lifts less
-        the largest log-weight c, then steps while rows, growing at most
-        d-fold and shrinking at most by e^(least row maximum - c) per step,
-        stay within 2**512; past that, each row's own largest log-weight
-        goes to its lift, one step at a time.  On one symbol with equal row
-        maxima no row moves, and one epoch covers the run.  `lift` gives
-        the row log scales of the starting block (default 0).
-
-        The first `split` steps keep the preimage symbol apart instead of
-        summing over it: column u becomes the d columns u.a.  Started from
-        the constant 1, column u after j <= split steps holds
-        L^j 1_[u] = e^{S_j f(u x)} for each word u of length j.
-        """
-        op, n, exp2 = self.op, 0, 0
-        lift = np.zeros(op.size) if lift is None else lift
-        while True:
-            e = np.frexp(block.max(axis=0))[1]
-            block = np.ldexp(block, -e)
-            lift = lift + e * _LN2
-            # whole powers of two of the largest lift go to exp2, so lifts stay small
-            common = round(float(lift.max()) / _LN2)
-            lift, exp2 = lift - common * _LN2, exp2 + common
-            epoch = op.gauged(lift)
-            row_top = epoch.log_weights.max(axis=0)
-            top = float(row_top.max())
-            spread = max(math.log(self.d), top - float(row_top.min()))
-            steps = int(_EPOCH_RANGE // spread) if spread else sys.maxsize
-            growth = top if steps else row_top
-            epoch = epoch.gauged(growth=growth)
-            for k in range(1, max(steps, 1) + 1):
-                n += 1
-                block = epoch.terms(block).reshape(-1, op.size) if n <= split else epoch.apply(block)
-                yield n, block, lift + k * growth, exp2
-            lift = lift + k * growth
-
-    def run(self, block: np.ndarray, n: int, split: int = 0, lift=None):
-        """(block, lift) after n steps, in the scaling of `iterates`."""
-        for _, block, lift, _ in itertools.islice(self.iterates(block, split, lift), n):
-            pass
-        return block, lift
-
-    def row(self, y: Point, n: int) -> int:
-        """The row a volume-n kernel at boundary y reads: y_{n+1} ... y_{n+D}."""
-        return word_index(y.coords(n + self.depth)[n:], self.d)
-
-    def sweep(self, tests, boundaries, volumes):
-        """Yield (n, K, log_z) for each n of the increasing `volumes` (all >= 1):
-        K[b, j] is the volume-n kernel of tests[j] at boundaries[b] and
-        log_z[b] = log (L^n 1)(sigma^n boundaries[b])."""
-        last, depth, d = max(volumes, default=0), self.depth, self.d
-        # one read per boundary: y.coords(n + D) at every volume is quadratic in n
-        coords = np.array([y.coords(last + depth) for y in boundaries], dtype=np.int64)
-        coords = coords.reshape(len(boundaries), last + depth)
-        # the kernels read y_{n+1} ... y_{n+D}: every coordinate from the first volume on
-        top = int(coords[:, min(volumes, default=0):].max(initial=0))
-        if top >= d:
-            raise ValueError(f"symbol {top} outside alphabet of size {d}")
-        # rows[b, n]: the row a volume-n kernel at boundaries[b] reads, y_{n+1} ... y_{n+D}
-        rows = coords[:, :last + 1]
-        for k in range(1, depth):
-            rows = rows * d + coords[:, k:k + last + 1]
-        for n, block, lift, exp2 in itertools.islice(self.iterates(self.columns(tests)), last):
-            if n in volumes:
-                r = rows[:, n]
-                z = block[-1, r]
-                # L^n 1 = z * e^lift * 2**exp2 in the engine's row scaling
-                yield n, (block[:-1, r] / z).T, np.log(z) + lift[r] + exp2 * _LN2
+def _engine_sweep(op, tests, boundaries, volumes):
+    """Yield (n, K, log_z) for each n of the increasing `volumes` (all >= 1):
+    K[b, j] is the volume-n kernel of tests[j] at boundaries[b] and
+    log_z[b] = log (L^n 1)(sigma^n boundaries[b])."""
+    last, depth, d = max(volumes, default=0), op.depth, op.d
+    # one read per boundary: y.coords(n + D) at every volume is quadratic in n
+    coords = np.array([y.coords(last + depth) for y in boundaries], dtype=np.int64)
+    coords = coords.reshape(len(boundaries), last + depth)
+    # the kernels read y_{n+1} ... y_{n+D}: every coordinate from the first volume on
+    top = int(coords[:, min(volumes, default=0):].max(initial=0))
+    if top >= d:
+        raise ValueError(f"symbol {top} outside alphabet of size {d}")
+    # rows[b, n]: the row a volume-n kernel at boundaries[b] reads, y_{n+1} ... y_{n+D}
+    rows = coords[:, :last + 1]
+    for k in range(1, depth):
+        rows = rows * d + coords[:, k:k + last + 1]
+    for n, block, lift, exp2 in itertools.islice(transfer.iterates(op, _columns(op, tests)), last):
+        if n in volumes:
+            r = rows[:, n]
+            z = block[-1, r]
+            # L^n 1 = z * e^lift * 2**exp2 in the iterate's row scaling
+            yield n, (block[:-1, r] / z).T, np.log(z) + lift[r] + exp2 * _LN2
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +176,9 @@ def _sweep(f: Potential, tests, boundaries, volumes):
     if min(volumes, default=1) < 1:
         raise ValueError("volume must contain at least one site")
     if f.table is not None:
-        eng = _Engine.of(f, max((g.depth for g in tests), default=0))
-        for n, K, log_z in eng.sweep(tests, boundaries, volumes):
-            yield n, K, np.full(K.shape, _KERNEL_ROUNDING), log_z
+        op = _engine(f, max((g.depth for g in tests), default=0))
+        for n, K, log_z in _engine_sweep(op, tests, boundaries, volumes):
+            yield n, K, np.full(K.shape, _kernel_rounding(f.d, n)), log_z
         return
     for n in volumes:
         K = np.empty((len(boundaries), len(tests)))
@@ -270,7 +193,7 @@ def _sweep(f: Potential, tests, boundaries, volumes):
             for j, g in enumerate(tests):
                 gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
                 K[b, j] = sum_of_products(p, gv)
-                err[b, j] = spread * float(np.max(np.abs(gv))) + _KERNEL_ROUNDING
+                err[b, j] = spread * float(np.max(np.abs(gv))) + _kernel_rounding(f.d, n)
         yield n, K, err, log_z
 
 
@@ -320,9 +243,8 @@ def constant_shift_check(
         k1 = sum_of_products(_normalised(logw)[0], gv)
         k2 = sum_of_products(_normalised(logw - a_n)[0], gv)
         return abs(k1 - k2)
-    eng = _Engine.of(f, g.depth)
-    shifted = _Engine(eng.op.gauged(growth=a_n / n))
-    k1, k2 = (next(e.sweep([g], [y], [n]))[1][0, 0] for e in (eng, shifted))
+    op = _engine(f, g.depth)
+    k1, k2 = (next(_engine_sweep(o, [g], [y], [n]))[1][0, 0] for o in (op, op.gauged(growth=a_n / n)))
     return abs(k1 - k2)
 
 
@@ -334,32 +256,22 @@ def finite_volume_dlr_check(
     n: int, r: int, cases: list[tuple[Potential, Point, CylinderFunction]]
 ) -> list[float]:
     """Tower property of the kernels, one residual |lhs - rhs| per case
-    (f, z, g): averaging the volume-n kernel of f over the
-    volume-(n+r) one at boundary z reproduces the volume-(n+r) average of g.
+    (f, z, g): averaging the volume-n kernel of f over the volume-(n+r)
+    one at boundary z reproduces the volume-(n+r) average of g.
 
-    The inner kernel depends on its boundary through coordinates
-    n+1, ..., n+r of the outer word plus t = sigma^{n+r} z.  For a
-    table-backed f the two sides take separate routes through the
-    engine.  The left side reads the inner kernels at the boundaries u.t
-    (|u| = r) from the rows of one n-step pass, and weighs them by the
-    volume-(n+r) marginal of coordinates n+1..n+r, which is
+    For a table-backed f the left side reads the inner kernels at the
+    boundaries u.t (|u| = r, t = sigma^{n+r} z) from the rows of one
+    n-step pass and weighs them by the marginal of coordinates n+1..n+r,
     L^r(1_[u] L^n 1)(t) / (L^{n+r} 1)(t): r splitting steps continue the
-    pass's column L^n 1.  The right side is the volume-(n+r) kernel of g:
-    r further plain steps of the same pass.
-
-    The table cases take those three passes together.  Case j's operator
-    of f_j at depth D_j = max(depth(g_j), depth(f_j) - 1, 1) is block
-    j of one disjoint union (transfer.disjoint_union), which keeps each
-    case's preimages inside its own block, and each case reads its rows at
-    its block's offset.  Cases are packed in order into as few unions as
-    keep the split block, d**r times the union's size, within the
-    table-size guard; a case that alone exceeds it is refused before any
-    work.  A one-case union is the case's own operator, so a case checked
-    alone gets the per-case value bitwise; in a batch it moves only by
-    the rounding of the engine's shared row gauge.
-    For a callable f the check is the DLR equation of the volume-(n+r)
-    kernel itself: dlr_residual of kernel_measure(f, n + r, z) at
-    tail t.
+    pass's column L^n 1.  The right side is r further plain steps.  The
+    table cases take those passes together, case j's operator at depth
+    D_j = max(depth(g_j), depth(f_j) - 1, 1) block j of one disjoint union,
+    packed into as few unions as keep the split block (d**r times the
+    union's size) within the table-size guard; a case alone past it is
+    refused before any work.  A case checked alone gets the per-case value
+    bitwise; in a batch it moves only by the rounding of the shared gauge.
+    For a callable f the check is dlr_residual of kernel_measure(f, n + r,
+    z) at tail t.
     """
     if n < 1:
         raise ValueError("volume must contain at least one site")
@@ -394,7 +306,7 @@ def finite_volume_dlr_check(
 def _tower_pass(n: int, r: int, cases) -> list[float]:
     """The tower residuals of table cases (f, z, g), from one engine on the
     disjoint union of their operators (see finite_volume_dlr_check)."""
-    ops = [_Engine.of(f, g.depth).op for f, _, g in cases]
+    ops = [_engine(f, g.depth) for f, _, g in cases]
     starts = np.cumsum([0] + [op.size for op in ops[:-1]])
     reads = []
     for op, start, (_, z, _) in zip(ops, starts, cases):
@@ -403,12 +315,12 @@ def _tower_pass(n: int, r: int, cases) -> list[float]:
         # at boundary u.t the first D symbols of u.t
         row = start + word_index(tail.coords(op.depth), op.d)
         reads.append((row, start + word_tail_index(op.d, r, op.depth, tail)))
-    eng = _Engine(disjoint_union(ops))
+    union = disjoint_union(ops)
     tests = np.concatenate([np.repeat(g.values, op.size // g.values.size) for op, (_, _, g) in zip(ops, cases)])
-    block, lift = eng.run(np.stack([tests, np.ones(eng.op.size)]), n)
+    block, lift = transfer.run(union, np.stack([tests, np.ones(union.size)]), n)
     inner = block[0] / block[1]
-    marginal, _ = eng.run(block[1:], r, split=r, lift=lift)
-    outer, _ = eng.run(block, r, lift=lift)
+    marginal, _ = transfer.run(union, block[1:], r, split=r, lift=lift)
+    outer, _ = transfer.run(union, block, r, lift=lift)
     residuals = []
     for row, cells in reads:
         p = marginal[:, row]
@@ -565,15 +477,12 @@ def D_estimate(
     plus bound.
 
     values[n] = max over k <= n, over length-k words w, over pairs t, t'
-    from the tail set, of |S_k f(w.t) - S_k f(w.t')|, for n = 0, ..., N
-    (values[0] = 0): the running maxima of one pass, so values[-1] is the
-    estimate at N and values[n] the one a shorter window n would give.
-    bound is the metadata majorant sum_{i>=1} var_i(f) (finite for
-    locally-constant and Hoelder regularity, inf otherwise).  tail_birkhoff
-    gives S_k f(w.t) for every w.  For a depth-m table only the last m - 1
-    terms of S_k f(w.t) read t, and they read only the last m - 1 symbols
-    of w, so every k >= m - 1 gives the same maximum: tables stop at
-    k = min(N, m - 1) and repeat that maximum up to N.
+    from the tail set, of |S_k f(w.t) - S_k f(w.t')| (values[0] = 0): the
+    running maxima of one tail_birkhoff pass.  bound is the metadata
+    majorant sum_{i>=1} var_i(f) (inf without a summable closed form).  For
+    a depth-m table only the last m - 1 terms of S_k f(w.t) read t, and
+    only the last m - 1 symbols of w, so tables stop at k = min(N, m - 1)
+    and repeat that maximum up to N.
     """
     tails = default_tails(f.d) if tails is None else tails
     if len(tails) < 2:
@@ -607,20 +516,15 @@ def sandwich_check(
     """Does  e^{-2 D} <= kernel([C]|y) / kernel([C]|z) <= e^{2 D}  hold for
     each draw (n, C, y, z), D the boundary-oscillation constant of f?
 
-    Returns (holds, margin, log_margin) per draw, where log_margin =
-    2 D - |log K_y - log K_z| is the log of the worst of the two
-    multiplicative slacks and margin = e^{log_margin} (inf past the float
-    range).  holds reads the log margin, so it is decided however wide
-    D is.  Valid whenever sigma^n y and sigma^n z lie in the tail family
-    D was estimated over.
-
-    Every kernel comes from one sweep over the distinct indicators 1_[C],
-    boundaries and volumes; for a table-backed potential that is one
-    engine pass at the depth of the deepest cylinder.  A shallower
-    indicator lifted to that depth repeats its rows and the engine rescales
-    each row by its constant-1 column, so every kernel is bitwise the one
-    kernel() gives for its draw alone.  The kernel masses are positive; one
-    that underflows to 0 raises NumericalBreakdown.
+    Returns (holds, margin, log_margin) per draw: log_margin = 2 D -
+    |log K_y - log K_z|, the log of the worse multiplicative slack, margin
+    = e^{log_margin} (inf past the float range); holds reads the log
+    margin, so it is decided however wide D is.  Valid whenever sigma^n y
+    and sigma^n z lie in the tail family D was estimated over.  Every
+    kernel comes from one sweep over the distinct indicators, boundaries
+    and volumes, bitwise the one kernel() gives for its draw alone.  A
+    kernel mass that underflows to 0 raises NumericalBreakdown: its ratio
+    needs scales per column, which the iterates do not keep.
     """
     if any(n < len(C) for n, C, _, _ in draws):
         raise ValueError("volume must resolve the cylinder")
@@ -660,6 +564,9 @@ def change_of_measure_check(
     the two integrals agree because mu has density psi against nu.
     """
     rpf = power_iterate(f, depth, tol, max_iter)
+    psi = rpf.psi.values  # refused past the float range
+    if not psi.min() > 0.0:
+        raise ValueError(f"psi leaves the float range: it spans e^{np.ptp(rpf.log_psi):.6g}")
     fixed = power_iterate(normalize(f, rpf), depth, tol, max_iter)
-    deviation = float(np.max(np.abs(rpf.nu.weights - fixed.nu.weights / rpf.psi.values)))
+    deviation = float(np.max(np.abs(rpf.nu.weights - fixed.nu.weights / psi)))
     return deviation, rpf.converged and fixed.converged

@@ -2,61 +2,52 @@
 
 For a potential f the operator acts on functions by
 (L_f g)(x) = sum over one-step preimages a.x of exp(f(a.x)) g(a.x).
-Restricted to depth-m tables it becomes a d**m x d**m matrix with d
-positive entries per row: the weight of row w and preimage symbol a is
-exp(f(a w_1 ... w_m tail...)), where the potential is truncated at depth
-m+1 with the all-zero reference tail (potentials.REFERENCE_TAIL).  The
-truncation is exact for locally-constant potentials of depth <= m+1.
+Restricted to depth-m tables it is a d**m x d**m matrix with d positive
+entries per row: row w weighs preimage symbol a by exp(f(a w_1 ... w_m
+tail...)), f truncated at depth m+1 with the all-zero reference tail
+(potentials.REFERENCE_TAIL), exact for locally-constant f of depth <= m+1.
 
-TransferOperator is the one code applying L_f and its adjoint, for power
-iteration and dlr's kernels alike, each one gather over its preimage
-index, in a gauge (h, c) of row log scales: the matrix D_{h+c}^{-1} L_f D_h.
-power_iterate is the one route to the leading
-eigenvalue lambda (log lambda is the finite-depth pressure), the positive
-eigenfunction psi, and the eigenprobability nu of the adjoint, with the
-normalisations nu(whole space) = 1 and integral of psi against nu = 1.
-The iteration starts from the constant function / uniform measure
-(deterministic) and reaches its iterates in one of three ways.
+TransferOperator is the one code applying L_f and its adjoint, in a gauge
+(h, c) of row log scales: the matrix D_{h+c}^{-1} L_f D_h.  Iterate is the
+one iterator of L_f and its adjoint, for power iteration and dlr's kernels
+alike: each table entry carries a log scale of its own, so no iterate
+under- or overflows however wide the spread of f.
 
-- Squared: a table whose iteration depth has at most _SQUARE_ENTRIES
-  words squares its dense matrix, scaled by the maximum after each
-  product, until a product changes the scaled power by at most sqrt(tol)
-  (the next would change it by about tol) or the next would pass
-  max_iter.  The row and column sums of L^(2^j) are the power iterates
-  of psi and nu after 2^j Ruelle steps, and `iterations` counts them so.
-- Strided: callables, tables above that cap, and a squared pair that
-  has not converged take the next iterate three Ruelle steps further on
-  after each check, with one application of L^3 (TransferOperator.power)
-  and its adjoint, so one residual check serves four steps.  A pass takes
-  one plain step instead when four would pass max_iter, and so does
-  every pass when the L^3 table would hold more than _STRIDE_ENTRIES
-  entries (there its gather costs more than the checks it saves) or a
-  weight of L is below the normal float range (there L^3's iterates
-  part from the steps').
-- Plain: each pass applies L and its adjoint once: the products L psi
-  and L* nu give the Rayleigh quotient and the residuals of the current
-  (psi, nu), and the stop rule reads them.  Plain steps check the
-  squared and strided iterates, and the last checks are of the pair
-  at the requested depth.
+power_iterate is the one route to the leading eigenvalue lambda (log
+lambda is the finite-depth pressure), the eigenfunction psi and the
+eigenprobability nu, normalised by nu(whole space) = 1 and nu(psi) = 1.
+From the constant function and the uniform measure it reaches its
+iterates in three ways, every step after the squares an Iterate's:
 
-The iteration stops when both relative residuals fall under tol, and
-returns the vectors whose residuals it reports.  Squaring makes a table
-run report more `iterations` than stepping would, rounded up to a power
-of two plus its checks (e.g. 30 -> 66), with far fewer operator calls.
+- Squared: a table of at most _SQUARE_ENTRIES words at its iteration
+  depth, none of whose weights e^{f - max f} underflows to 0, squares its
+  dense matrix (scaled by the maximum) until a product changes the power
+  by at most sqrt(tol), a square loses an entry to underflow, or the next
+  would pass max_iter: the row and column sums of L^(2^j) are the
+  iterates after 2^j steps, and `iterations` counts them so.
+- Strided: after each check, three Ruelle steps at once with L^3
+  (TransferOperator.power) and its adjoint, so one check serves four
+  steps, while four stay within max_iter and the L^3 table holds at most
+  _STRIDE_ENTRIES entries (past that its gather costs more than the checks
+  it saves).
+- Plain: each pass steps psi under L and nu under its adjoint once; the
+  two steps give the Rayleigh quotient and the residuals of the current
+  pair, and the stop rule reads them.
 
-A table potential of depth m reads only a w_1 ... w_{m-1}, so its
-eigendata are fixed by the depth-(m-1) words: every pass of power_iterate
-runs on depth k = min(max(m-1, 1), D) tables, and no depth-D operator is
-built.  The depth-D pair is the lift of the depth-k one (psi repeated,
-nu([a w]) = e^{f(a w)} nu([w]) / lambda level by level), and its
-residuals, checked once the depth-k pair has converged, are read from
-depth-k tables (_lifted).  RPFData builds the depth-D psi and nu when
-they are first read, so `pressure` at any depth allocates only depth-k
-tables.  Callables iterate at D throughout.
+The iteration stops when both relative residuals fall under tol and the
+pair's Collatz-Wielandt bounds lie within e^_ENCLOSURE of each other, and
+returns the vectors whose residuals it reports, as logs: psi and nu are
+rounded once each, when read.  A table potential of depth m reads only
+a w_1 ... w_{m-1}, so every pass runs on depth k = min(max(m-1, 1), D)
+tables; the depth-D pair is the lift of the depth-k one, its residuals
+read from depth-k tables (_lifted), and no depth-D operator is built.
+Callables iterate at D throughout.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -77,12 +68,14 @@ _STRIDE_ENTRIES = 2**14
 # matrix of: an einsum product costs ~3 us at 8 words, ~91 us at 64, where
 # stepping wins
 _SQUARE_ENTRIES = 32
-# the smallest positive normal float
-_TINY = float(np.finfo(float).tiny)
-
-
-class NumericalBreakdown(ValueError):
-    """Raised when a computation on valid input leaves the float range."""
+_LN2 = math.log(2.0)
+# the largest log ratio of a converged pair's Collatz-Wielandt bounds on lambda:
+# a pair of a non-dominant eigenvalue passed the residuals with bounds e^48
+# apart (beta * osc 745), converged pairs at beta * osc <= 20 stay within e^8.5
+# (tol 1e-3) and within e^0.02 at the default tol
+_ENCLOSURE = 16.0
+_EPOCH_RANGE = 512 * _LN2  # how far a row may grow or shrink within an epoch
+_SPAN = 500  # rows within 2**-_SPAN of the largest share one scale: they stay normal floats
 
 
 def exp_or_inf(x: float) -> float:
@@ -129,19 +122,17 @@ class TransferOperator:
         return TransferOperator(self.d, self.depth, logs - growth, self.preimages, self.truncation_bound)
 
     def power(self, p: int) -> "TransferOperator":
-        """L^p in the same layout, gauged by its own largest log-weight:
-        the row of the preimage word u = u_1 ... u_p (lexicographic index)
-        weighs the child word u w of word w by the product of the p steps'
-        weights, e^{S_p f(u w)} in the operator's gauge.
-
-        The gauge keeps the largest weight at 1, so a table whose
-        lambda^(p-1) lies below the float range still has weights."""
+        """L^p in the same layout and gauge: the row of the preimage word
+        u = u_1 ... u_p (lexicographic index) weighs the child word u w of
+        word w by the product of the p steps' weights, e^{S_p f(u w)} in
+        the operator's gauge, kept as logs (an Iterate exponentiates them
+        in a gauge of its own)."""
         logs, pre = self.log_weights, self.preimages
         for _ in range(p - 1):
             # a symbol b in front of every child word: row b * d**j + row
             logs = (self.log_weights[:, pre] + logs).reshape(-1, self.size)
             pre = self.preimages[:, pre].reshape(-1, self.size)
-        return TransferOperator(self.d, self.depth, logs - logs.max(), pre, self.truncation_bound)
+        return TransferOperator(self.d, self.depth, logs, pre, self.truncation_bound)
 
     def terms(self, values: np.ndarray) -> np.ndarray:
         """The summands of L per preimage symbol, shape (..., d, d**m)."""
@@ -218,6 +209,112 @@ def transfer_operator(f: Potential, depth: int) -> TransferOperator:
     return TransferOperator(d, depth, values.reshape(d, d ** depth), _preimage_index(d, depth), bound)
 
 
+class Iterate:
+    """Iterates of L, or of its adjoint L*, on log-scaled tables.
+
+    `block` stacks tables of one operator's size (its columns; one table
+    for the adjoint), the iterate block * e^(lift + growth) * 2**exp2:
+    a log scale per table entry (row), one gained by all rows alike, and
+    a common power of two.  A step applies the operator gauged by the
+    lifts (the adjoint through the one gauged by the negated lifts).
+
+    An epoch moves the row maxima into the lifts as powers of two and
+    exponentiates each operator's weights once, less its largest
+    log-weight c; rows then grow at most r-fold per step (r =
+    len(op.preimages)) and shrink at most by e^(least row maximum - c),
+    and the epoch steps while that stays within 2**512.  An operator whose
+    spread alone passes that steps once, each row in its own gauge.
+    """
+
+    def __init__(self, block: np.ndarray, lift=None, adjoint: bool = False):
+        self.block, self.adjoint, self.exp2, self.growth = block, adjoint, 0, 0.0
+        self.lift, self._epochs = 0.0 if lift is None else lift, {}
+        self._renew()
+
+    @property
+    def scale(self) -> np.ndarray:
+        return self.lift + (self.growth + self.exp2 * _LN2)
+
+    def step(self, op: TransferOperator, split: bool = False):
+        """Apply op to every column (its adjoint for an adjoint iterate);
+        with split, keep the preimage symbol apart: column u becomes the d
+        columns u.a.  Returns (block, lift, rise): the iterate stepped
+        from, and each row's log growth (one float when common to all)."""
+        epoch = self._epochs.get(id(op)) or (self._room > 0.0 and self._join(op))
+        if not epoch or epoch[3] > self._room:
+            self._renew()
+            epoch = self._join(op)
+        _, gauged, rise, cost = epoch
+        block, lift = self.block, self.lift
+        if self.adjoint:
+            self.block = gauged.dual_apply(block)
+        elif split:
+            self.block = gauged.terms(block).reshape(-1, op.size)
+        else:
+            self.block = gauged.apply(block)
+        if cost < _EPOCH_RANGE:
+            self.growth += rise
+        else:
+            self.lift = lift + rise
+        self._room -= cost
+        return block, lift, rise
+
+    def _renew(self) -> None:
+        """Start an epoch: each row's maximum to [1/2, 1), its power of two
+        to the lift, whole powers of two of the largest lift to exp2."""
+        top = self.block.max(axis=0) if self.block.ndim > 1 else self.block
+        self._room = _EPOCH_RANGE
+        high = math.frexp(top.max())[1] if isinstance(self.lift, float) else None
+        if high is not None and high - math.frexp(top.min())[1] <= _SPAN:
+            # every row within 2**-_SPAN of the largest: one scale serves all, and the gauge stays
+            self.block, self.exp2 = self.block * math.ldexp(1.0, -high), self.exp2 + high
+            return
+        e = np.frexp(top)[1]
+        self.block = np.ldexp(self.block, -e)
+        lift = self.lift + _LN2 * e
+        common = round(float(lift.max()) / _LN2)
+        self.lift, self.exp2, self._epochs = lift - common * _LN2, self.exp2 + common, {}
+
+    def _join(self, op: TransferOperator):
+        """op in the gauge of this epoch's lifts: (op, gauged op, rise, cost)."""
+        logs = op.log_weights
+        if not isinstance(self.lift, float):  # a common scale leaves op as it is
+            shift = self.lift[op.preimages] - self.lift
+            logs = logs - shift if self.adjoint else logs + shift
+        # the weights into word j under the adjoint are entries j*r ... j*r + r - 1 of the flat table
+        row_top = logs.reshape(op.size, -1).max(axis=1) if self.adjoint else logs.max(axis=0)
+        top = float(row_top.max())
+        cost = max(math.log(len(op.preimages)), top - float(row_top.min()))
+        if cost < _EPOCH_RANGE:
+            rise, logs = top, logs - top if top else logs
+        else:  # one step, each row in its own gauge
+            rise, cost = row_top, _EPOCH_RANGE
+            logs = logs - (row_top[op.preimages] if self.adjoint else row_top)
+        gauged = op if logs is op.log_weights else TransferOperator(op.d, op.depth, logs, op.preimages, op.truncation_bound)
+        epoch = self._epochs[id(op)] = (op, gauged, rise, cost)
+        return epoch
+
+
+def iterates(op: TransferOperator, block: np.ndarray, split: int = 0, lift=None):
+    """Yield (n, block_n, lift_n, exp2_n) for n = 1, 2, ...: the n-th
+    iterate of the block's columns under L is block_n * e^lift_n *
+    2**exp2_n (Iterate), the first `split` steps split.  Started from the
+    constant 1, column u after j <= split steps holds L^j 1_[u] =
+    e^{S_j f(u x)} for each word u of length j."""
+    it = Iterate(block, lift)
+    for n in itertools.count(1):
+        it.step(op, n <= split)
+        lift = it.lift + it.growth
+        yield n, it.block, lift if isinstance(lift, np.ndarray) else np.full(op.size, lift), it.exp2
+
+
+def run(op: TransferOperator, block: np.ndarray, n: int, split: int = 0, lift=None):
+    """(block, lift) after n steps, in the scaling of `iterates`."""
+    for _, block, lift, _ in itertools.islice(iterates(op, block, split, lift), n):
+        pass
+    return block, lift
+
+
 @dataclass(frozen=True)
 class RPFData:
     """Leading eigendata of the depth-m transfer operator.
@@ -226,10 +323,9 @@ class RPFData:
     entrywise positive); psi > 0 with integral 1 against nu; nu has total
     mass 1.  log_lam is the finite-depth pressure.
 
-    psi and nu are built on first read from the depth-k pair the
-    iteration ran on (see power_iterate): psi repeated, nu lifted level
-    by level through the depth-k weights.  Those private fields stay out
-    of repr and ==.
+    psi and nu are built on first read from the logs of the depth-k pair
+    (see power_iterate), each rounded once; psi past the float range is
+    refused, log_psi is not.  The private fields stay out of repr and ==.
     """
 
     d: int
@@ -240,17 +336,25 @@ class RPFData:
     residual_meas: float
     iterations: int
     converged: bool
-    _psi: np.ndarray = field(repr=False, compare=False)      # depth-k psi, integral 1 against nu
-    _nu: np.ndarray = field(repr=False, compare=False)       # depth-k eigenmeasure
-    _weights: np.ndarray = field(repr=False, compare=False)  # depth-k weights, read by the lift
+    _log_psi: np.ndarray = field(repr=False, compare=False)      # depth-k log psi, integral 1 against nu
+    _log_nu: np.ndarray = field(repr=False, compare=False)       # depth-k log eigenmeasure, up to a constant
+    _log_weights: np.ndarray = field(repr=False, compare=False)  # depth-k log-weights, read by the lift
+
+    @cached_property
+    def log_psi(self) -> np.ndarray:
+        return np.repeat(self._log_psi, self.d ** self.depth // self._log_psi.size)
 
     @cached_property
     def psi(self) -> CylinderFunction:
-        return CylinderFunction(self.d, self.depth, np.repeat(self._psi, self.d ** self.depth // self._psi.size))
+        with np.errstate(over="ignore"):
+            values = np.exp(self._log_psi)
+        if not np.isfinite(values).all():
+            raise ValueError(f"psi leaves the float range: it spans e^{np.ptp(self._log_psi):.6g}")
+        return CylinderFunction(self.d, self.depth, np.repeat(values, self.d ** self.depth // values.size))
 
     @cached_property
     def nu(self) -> CylinderMeasure:
-        return CylinderMeasure(self.d, self.depth, _lift(self._weights, self._nu, self.depth))
+        return CylinderMeasure(self.d, self.depth, _lift(self._log_weights, self._log_nu, self.depth))
 
 
 def power_iterate(
@@ -263,42 +367,22 @@ def power_iterate(
 
     Entrywise positivity makes the iteration a contraction in the Hilbert
     projective metric, so the deterministic all-ones start converges for
-    every potential; lambda is read off the generalized Rayleigh quotient
-    <nu, L psi> / <nu, psi> which is exact at the fixed point.
+    every potential with a simple dominant eigenvalue; lambda is the
+    generalized Rayleigh quotient <nu, L psi> / <nu, psi>, exact at the
+    fixed point, and (for an unconverged pair) kept within the run's
+    Collatz-Wielandt enclosure of lambda: log (L^n psi_0 / psi_0) / n
+    lies between its least and largest entry, at each check n.
 
-    A table of depth m reads a w_1 ... w_{m-1} only, so every pass runs on
-    depth k = min(max(m-1, 1), depth) tables (k = depth for callables),
-    and the depth-D operator is never built.  Once the depth-k residuals
-    are under tol, or at the last permitted step, the passes check the
-    residuals of the lifted pair at the requested depth D instead, read
-    from depth-k tables (_lifted): psi_D = psi_k o pi, and
-    nu_D([a w]) = e^{f(a w)} nu_D([w]) / lambda level by level from k to
-    D (_lift).  Such a check adds D - k applications of the adjoint at
-    depth k.  So the reported residuals are those of the returned
-    depth-D vectors, which RPFData builds only when they are read (of
-    their exact values: an unconverged pair whose nu spans more than the
-    float range has residuals its level-by-level rounding does not keep).
-
-    A table whose depth k has at most _SQUARE_ENTRIES words starts from
-    the iterates after 2^j steps, the row and column sums of the squared
-    depth-k matrix (_squared); other operators start from the constant
-    function and the uniform measure.  Each pass checks the residuals of
-    the current pair with one plain step; while the pair has not
-    converged at depth k and four more steps stay within max_iter, it
-    then takes three more at once with L^3, built at the first such pass,
-    when the L^3 table holds at most _STRIDE_ENTRIES entries and every
-    weight of L is a normal float (past that, L^3's iterates part from
-    the steps').  Otherwise the next iterate is that plain step's
-    product.  So a squared pair that converged builds no L^3.
-    `iterations` never exceeds max_iter.
-
-    The iteration runs on e^{-c} L_f, c the maximum of the truncated
-    table, and adds c back to log lambda: exact, and no weight overflows.
-    lam is inf when e^{log_lam} exceeds the float range.
-    A table spread so wide that weights underflow to 0 can drive the
-    iterates to 0 / 0, or drive lambda or <nu, psi> below the smallest
-    normal float, past which the residuals and psi / <nu, psi> leave the
-    float range; that raises NumericalBreakdown.
+    Every pass runs on depth k tables (see the module docstring).  Once
+    the depth-k pair has converged, or at the last permitted step, the
+    checks read the residuals of the lifted pair at depth D from depth-k
+    tables (_lifted): psi_D = psi_k o pi, and nu_D([a w]) = e^{f(a w)}
+    nu_D([w]) / lambda level by level (_lift), so they are those of the
+    returned depth-D vectors, which RPFData builds only when read.  A
+    squared pair that converged builds no L^3, and `iterations` never
+    exceeds max_iter.  The iteration runs on e^{-c} L_f, c the maximum
+    of the truncated table, and adds c back to log lambda; lam is inf
+    when e^{log_lam} exceeds the float range.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -309,62 +393,69 @@ def power_iterate(
     op = transfer_operator(f, k)
     top = float(np.max(op.log_weights))
     op = op.gauged(growth=top)  # e^{-top} L: no weight exceeds 1
-    psi = np.ones(op.size)
-    nu = np.full(op.size, 1.0 / op.size)
-    iterations, converged = 0, False
     if f.table is not None and op.size <= _SQUARE_ENTRIES and max_iter > 2:
         psi, nu, iterations = _squared(op, tol, max_iter)
-    # no stride once a weight leaves the normal range: L^3's iterates part from the steps'
-    strided = (
-        max_iter > _STRIDE
-        and op.d ** (_STRIDE - 1) * op.size <= _STRIDE_ENTRIES
-        and op.weights.min() >= _TINY
-    )
-    stride = None
+    else:
+        psi, nu, iterations = np.ones(op.size), np.full(op.size, 1.0 / op.size), 0
+    psi, nu = Iterate(psi), Iterate(nu, adjoint=True)
+    origin, start = (psi.block, psi.scale), iterations  # psi_0 and its step
+    strided = max_iter > _STRIDE and op.d ** (_STRIDE - 1) * op.size <= _STRIDE_ENTRIES
+    stride, scales, converged = None, (None, None), False
     deep = k == depth  # whether the checks read the residuals at depth D
     while True:
         iterations += 1
         if not deep and (converged or iterations == max_iter):
             deep, strided = True, False  # the depth-D checks run one step apart
-        # L psi and L* nu give the residuals of (psi, nu) and the next iterate
-        l_psi = op.apply(psi)
-        l_nu = op.dual_apply(nu)
-        # at depth D > k: the lifted nu's first-k marginal, and log L_k^(D-k) 1
-        marginal, reach = _lifted(op, nu, depth - k) if deep and k < depth else (nu, None)
-        num, den = sum_of_products(marginal, l_psi), sum_of_products(marginal, psi)
-        if not (_TINY <= num < math.inf and den >= _TINY):
-            # weights are in (0, 1] unless exp(f - max f) underflowed to 0;
-            # below _TINY, lambda and psi / <nu, psi> leave the float range
-            raise _breakdown()
-        lam = num / den
-        res_psi = float(abs(l_psi - lam * psi).max() / (lam * psi.max()))
-        gap = abs(l_nu - lam * nu)
-        if reach is None:
-            res_nu = float(gap.sum() / (lam * nu.sum()))
+        # one step of each gives the residuals of the pair (p, n) and the next iterate
+        p, s, g = psi.step(op)
+        n, t, h = nu.step(op)
+        if scales[0] is not s or scales[1] is not t:
+            # each entry's scale against the largest, while the lifts stay
+            scales = s, t, _relative(s), _relative(t), _relative(t + s)
+        _, _, w_psi, w_nu, w_pair = scales
+        # L psi = l_psi e^(s + G) and L* nu = l_nu e^(t + H) against p e^s and n e^t
+        l_psi, G = _risen(psi.block, g)
+        l_nu, H = _risen(nu.block, h)
+        m, u, log_m = n, t, None  # the nu that pairs with psi: at depth D > k, nu_D's first-k marginal
+        if deep and k < depth:
+            lifted = lambda x: _lifted(nu, op, x, t, depth - k)  # noqa: E731
+            m, u = lifted(n)
+            w_pair, log_m = _relative(u + s), _log_mass(m, u)
+        w = m * w_pair
+        den, num = sum_of_products(w, p), sum_of_products(w, l_psi)
+        if num > 0.0 and isinstance(g, float):
+            log_ratio = math.log(num / den)  # log lambda - G
+        else:  # rows in gauges of their own: the pairing in logs, where rows of l_psi underflowed
+            v = u + s
+            log_ratio = _log_mass(m * psi.block, v + g) - G - math.log(den) - float(np.max(v))
+        res_psi = _residual(p, l_psi, exp_or_inf(-log_ratio), lambda x: (x * w_psi).max(), (p * w_psi).max())
+        factor = exp_or_inf(H - G - log_ratio)  # L* nu / lambda = l_nu e^t * factor
+        if deep and k < depth:
+            # T g and T nu have the l1 norms of their first-k marginals' masses (_lifted)
+            res_nu = _residual(n, l_nu, factor, lambda x: exp_or_inf(_log_mass(*lifted(x)) - log_m), 1.0)
         else:
-            res_nu = exp_or_inf(_log_mass(gap, reach) - _log_mass(nu, reach) - math.log(lam))
-        converged = max(res_psi, res_nu) < tol
+            res_nu = _residual(n, l_nu, factor, lambda x: (x * w_nu).sum(), (n * w_nu).sum())
+        # the residuals bound lambda's error only where psi is the Perron vector: a
+        # converged pair also keeps lambda within its Collatz-Wielandt bounds
+        # min (L psi / psi) <= lambda <= max (L psi / psi), at most e^_ENCLOSURE apart
+        converged = max(res_psi, res_nu) < tol and _enclosure(p, l_psi) <= _ENCLOSURE
         if (converged and deep) or iterations == max_iter:
             break
-        # one statement per vector: each frees its old iterate before the next
-        # is made, which keeps a deep run's peak memory and page faults down
-        psi = l_psi / l_psi.max()
-        nu = l_nu / l_nu.sum()
         if strided and not converged and iterations + _STRIDE <= max_iter:
-            if stride is None:
-                # L^3 in its own gauge: its steps take the iterate, the checks use op
-                stride = op.power(_STRIDE - 1)
-            # from the normalised pair: a psi spread times the spread of L^3's
-            # weights must not pass the float range on top of lambda's scale
-            psi = stride.apply(psi)
-            nu = stride.dual_apply(nu)
-            scale, mass = psi.max(), nu.sum()
-            if not (scale > 0.0 and mass > 0.0):
-                raise _breakdown()  # L^3's weights underflowed where L's did not
-            psi = psi / scale
-            nu = nu / mass
+            stride = stride or op.power(_STRIDE - 1)  # built at the first stride
+            psi.step(stride)
+            nu.step(stride)
             iterations += _STRIDE - 1
-    log_lam = math.log(lam) + top
+    log_lam = G + log_ratio
+    if not converged:
+        # an unconverged pair's Rayleigh quotient may lie far off (a nearly periodic
+        # cycle): keep it within log (L^n psi_0 / psi_0) / n, whose least and largest
+        # entries enclose log lambda (Collatz-Wielandt)
+        rates = (np.log(psi.block / origin[0]) + psi.scale - origin[1]) / (iterations - start)
+        log_lam = min(max(log_lam, float(rates.min())), float(rates.max()))
+    log_lam += top
+    # psi over <nu_D, psi_D>: m e^u paired with p e^s, over the mass of m e^u
+    log_pair = math.log(den) + float(np.max(u + s)) - (_log_mass(m, u) if log_m is None else log_m)
     return RPFData(
         d=f.d,
         depth=depth,
@@ -374,46 +465,67 @@ def power_iterate(
         residual_meas=res_nu,
         iterations=iterations,
         converged=converged,
-        _psi=psi / den,  # den = <nu_D, psi_D>
-        _nu=nu,
-        _weights=op.weights,
+        _log_psi=np.log(p) + s - log_pair,
+        _log_nu=np.log(n) + t,
+        _log_weights=op.log_weights,
     )
 
 
-def _lifted(op: TransferOperator, nu: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """(m, r): the depth-k tables that the residuals of the pair lifted
-    `levels` levels past k = op.depth read.
+def _enclosure(before: np.ndarray, after: np.ndarray) -> float:
+    """log max (after / before) - log min (after / before): the log ratio of
+    the Collatz-Wielandt bounds on lambda, inf where a row of after underflowed."""
+    ratios = after / before
+    low = float(ratios.min())
+    return math.log(float(ratios.max()) / low) if low > 0.0 else math.inf
 
-    The lifted pair is psi_D = psi o pi and nu_D = T nu, with T the
-    positive linear lift of _lift (nu_D([a w]) = W(a, w) nu_D([w]) / c_j
-    at level j).  psi_D and L_D psi_D = (L_k psi) o pi read w_1 ... w_k
-    alone, so nu_D pairs with them as m does: the first-k marginal of
-    nu_D, (L_k*)^levels nu divided by its mass level by level.  And
-    L_D* T = T L_k*, so L_D* nu_D - lambda nu_D = T (L_k* nu - lambda nu),
-    whose l1 norm, like nu_D's mass, is a pairing with T* 1, which is
-    L_k^levels 1 up to a factor.  r is log L_k^levels 1, summed in logs
-    so that no word's share under- or overflows however wide the spread
-    or deep the lift.
+
+def _relative(log_scale: np.ndarray) -> np.ndarray:
+    """e^(log_scale - its maximum): 1 for a common scale."""
+    return 1.0 if isinstance(log_scale, float) else np.exp(log_scale - log_scale.max())
+
+
+def _risen(block: np.ndarray, rise):
+    """(block e^(rise - top), top), top the largest rise of a step."""
+    top = rise if isinstance(rise, float) else float(rise.max())
+    return (block, top) if isinstance(rise, float) else (block * np.exp(rise - top), top)
+
+
+def _residual(before, after, factor, norm, scale) -> float:
+    """norm(|after * factor - before|) / scale, scale = norm(before): the
+    relative residual of x = before whose L x / lambda is after * factor,
+    in x's scaling.  A factor past the float range (a step far off
+    lambda) gives an inf residual, and 0 one of 1."""
+    if not 0.0 < factor < math.inf:
+        return 1.0 if factor == 0.0 else math.inf
+    return float(norm(np.abs(after - before / factor))) * factor / float(scale)
+
+
+def _lifted(nu: Iterate, op: TransferOperator, block: np.ndarray, lift: np.ndarray, levels: int):
+    """(m, u): the first-k marginal m e^u of a depth-k measure x = block e^lift
+    at nu's scale, lifted `levels` levels past k = op.depth: (L_k*)^levels x.
+
+    T, the positive linear lift of _lift, gives T x this marginal up to a
+    factor common to every x, and psi_D, L_D psi_D = (L_k psi) o pi read
+    w_1 ... w_k alone: nu_D pairs with them as its marginal does.  And
+    L_D* T = T L_k*, so L_D* nu_D - lambda nu_D = T g, g = L_k* nu - lambda
+    nu, and T |g|, T nu have the l1 norms of their marginals' masses.  The
+    steps are a twin of the Iterate nu, in its epoch.
     """
-    log_weights = np.where(op.weights > 0.0, op.log_weights, -math.inf)
-    reach = np.zeros(op.size)
+    twin = copy.copy(nu)  # the epoch's gauged operators stay valid at nu's lifts
+    twin.block, twin.lift = block, lift
     for _ in range(levels):
-        nu = op.dual_apply(nu)
-        mass = nu.sum()
-        if not mass > 0.0:
-            raise _breakdown()  # every weight the lift reads underflowed
-        nu = nu / mass
-        reach = np.logaddexp.reduce(log_weights + reach.take(op.preimages), axis=0)
-    return nu, reach
+        twin.step(op)
+    return twin.block, twin.scale
 
 
-def _log_mass(values: np.ndarray, log_scale: np.ndarray) -> float:
+def _log_mass(values: np.ndarray, log_scale) -> float:
     """log sum_y values[y] e^{log_scale[y]}, for values >= 0 (-inf when it is 0)."""
-    terms = np.log(values, out=np.full(values.size, -math.inf), where=values > 0.0) + log_scale
-    top = terms.max()
-    if top == -math.inf:
-        return top
-    return float(top + math.log(np.exp(terms - top).sum()))
+    if not isinstance(log_scale, float):  # the largest term to 1 before exponentiating
+        logs = np.log(values, out=np.full(values.shape, -math.inf), where=values > 0.0) + log_scale
+        log_scale = float(logs.max())
+        values = np.exp(logs - log_scale) if log_scale > -math.inf else values
+    total = float(values.sum())
+    return math.log(total) + log_scale if total > 0.0 else -math.inf
 
 
 def _squared(op: TransferOperator, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -421,26 +533,25 @@ def _squared(op: TransferOperator, tol: float, max_iter: int) -> tuple[np.ndarra
     function and the uniform measure, from the squares of op's matrix.
 
     Each square is scaled by its maximum.  Squaring stops once a product
-    changes the scaled power by at most sqrt(tol): the error falls
-    quadratically, so the last power's is about tol.  It also stops
-    before 2^j + 1 steps would pass max_iter, which leaves the residual
-    check a step, and before a square in which a sum underflowed to 0
-    where the exact power is positive: steps, normalised one at a time,
-    keep such entries, so they take over from the last power.  The
-    products are np.einsum's, not BLAS's (see shift.sum_of_products).
+    changes the scaled power by at most sqrt(tol) (the error falls
+    quadratically), before 2^j + 1 steps would pass max_iter, and before a
+    square in which a sum underflowed to 0 where the exact power is
+    positive; a matrix with a weight that underflowed is not squared (j =
+    0).  The products are np.einsum's, not BLAS's (shift.sum_of_products).
     """
+    if not op.weights.min() > 0.0:
+        return np.ones(op.size), np.full(op.size, 1.0 / op.size), 0
     power = op.matrix()
-    power = power / power.max()
-    reach = power > 0.0  # where the exact power is positive
+    power /= power.max()
     steps, enough = 1, math.sqrt(tol)
     while 2 * steps < max_iter:
         square = np.einsum("ij,jk->ik", power, power)
-        reach = np.einsum("ij,jk->ik", reach, reach)
-        positive = np.count_nonzero(square)
-        if positive == 0 or positive < np.count_nonzero(reach):
+        # L^n is positive at the d**min(n, k) child words of each word
+        if np.count_nonzero(square) < op.size * op.d ** min(2 * steps, op.depth):
             break
-        square = square / square.max()
-        change = float(np.abs(square - power).max())
+        square /= square.max()
+        power -= square
+        change = float(np.abs(power, out=power).max())
         power, steps = square, 2 * steps
         if change <= enough:
             break
@@ -448,28 +559,33 @@ def _squared(op: TransferOperator, tol: float, max_iter: int) -> tuple[np.ndarra
     return psi / psi.max(), nu / nu.sum(), steps
 
 
-def _breakdown() -> NumericalBreakdown:
-    return NumericalBreakdown(
-        "power iteration broke down: weights exp(f - max f) underflow, "
-        "the spread of the table is too wide for double precision"
-    )
-
-
-def _lift(weights: np.ndarray, nu: np.ndarray, depth: int) -> np.ndarray:
-    """Lift a depth-k eigenmeasure nu of the operator with depth-k weights
-    `weights` (weights[a, w] reads a w_1 ... w_k) to `depth`:
+def _lift(log_weights: np.ndarray, log_nu: np.ndarray, depth: int) -> np.ndarray:
+    """Lift a depth-k eigenmeasure e^log_nu of the operator with depth-k
+    log-weights (log_weights[a, w] reads a w_1 ... w_k) to `depth`:
     nu_{j+1}([a w]) = W(a, w_1 ... w_k) nu_j([w]) / lambda.
 
-    The mass of W * nu_j is <nu_j, L 1>, lambda at the fixed point, so
-    each level is divided by its own mass: neither a wide spread nor a
-    deep lift under- or overflows, and the result is a probability.
-    """
-    d, size = weights.shape
-    while nu.size < d ** depth:
+    Each entry keeps a mantissa and a power of two of its own, so neither a
+    wide spread nor a deep lift (depth is bounded by the table-size guard)
+    under- or overflows, and each level rounds as one product does; the
+    result is divided by its mass once, at the end."""
+    d, size = log_weights.shape
+    (weights, shifts), (nu, exps) = _split(log_weights), _split(log_nu)
+    while nu.size < d ** depth:  # mantissas in [1/2, 1): products of under 1000 stay normal
         # the words a w, w = (w_1 ... w_k, rest): W[a, w_1 ... w_k] * nu[w]
         nu = (weights[:, :, None] * nu.reshape(size, -1)).ravel()
-        nu = nu / nu.sum()
-    return nu
+        exps = (shifts[:, :, None] + exps.reshape(size, -1)).ravel()
+    nu = np.ldexp(nu, (exps - exps.max()).astype(np.int64))
+    return nu / nu.sum()
+
+
+def _split(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, k): e^logs = m * 2**k, m in [1/2, 1), rounded once where e^logs
+    is a normal float."""
+    if logs.min() >= -700.0:
+        return np.frexp(np.exp(logs))
+    shift = np.where(logs < -700.0, np.floor(logs / _LN2), 0.0)
+    m, k = np.frexp(np.exp(logs - shift * _LN2))
+    return m, k + shift
 
 
 def normalize(f: Potential, rpf: RPFData) -> Potential:
@@ -483,10 +599,8 @@ def normalize(f: Potential, rpf: RPFData) -> Potential:
     """
     if rpf.d != f.d:
         raise ValueError("alphabet mismatch between potential and eigendata")
-    if np.min(rpf.psi.values) <= 0.0:
-        raise ValueError("eigenfunction must be strictly positive")
     # its log-weights are those of L_f in the gauge (log psi, log lambda)
-    op = transfer_operator(f, rpf.depth).gauged(np.log(rpf.psi.values), rpf.log_lam)
+    op = transfer_operator(f, rpf.depth).gauged(rpf.log_psi, rpf.log_lam)
     return Potential.from_table(
         f.d, rpf.depth + 1, op.log_weights.ravel(),
         label=(f.label + "~normalised") if f.label else "normalised",

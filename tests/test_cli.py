@@ -22,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from karp import bracket
 
-from ruellekit import cli, dlr, potentials, transfer
+from ruellekit import cli, dlr, interactions, potentials, transfer
 from ruellekit.shift import CylinderFunction, Point, parse_word
 
 GOLDEN = (3.0 + math.sqrt(5.0)) / 2.0
@@ -663,6 +664,19 @@ REFUSED_INPUTS = [
     ("interaction--d", "interaction", {"potential": CONSTANT}, ["--d", "3"], "interaction takes no --d:"),
     ("interaction--alpha", "interaction", {"potential": TABLE}, ["--alpha", "3"],
      "interaction --alpha applies without a config potential, and the config names one"),
+    # params outside their domains, refused before the constructors see them
+    ("constant-d-0", "pressure", with_params(CONSTANT, d=0), [], "invalid config: d must be >= 1, got 0"),
+    ("table-d-0", "pressure", with_params(TABLE, d=0, values=[0.0]), [], "invalid config: d must be >= 1, got 0"),
+    ("table-depth--1", "pressure", with_params(TABLE, depth=-1), [], "invalid config: depth must be >= 0, got -1"),
+    ("table-values-3", "pressure", with_params(TABLE, depth=2, values=[0, 1, 2]), [],
+     "invalid config: values must hold d**depth = 2**2 numbers, got 3"),
+    ("table-values-huge-depth", "pressure", with_params(TABLE, depth=10**6), [],
+     "invalid config: values must hold d**depth = 2**1000000 numbers, got 2"),
+    ("alpha-1", "pressure", with_params(ISING_LR, alpha=1), ["--depth", "7"],
+     "invalid config: alpha must be a finite number > 1, got 1.0"),
+    ("alpha-inf", "pressure", with_params(ISING_LR, alpha=math.inf), ["--depth", "7"],
+     "invalid config: alpha must be a finite number > 1, got Infinity"),
+    ("cutoff-1", "pressure", with_params(ISING_LR, cutoff=1), ["--depth", "7"], "invalid config: cutoff must be >= 2, got 1"),
 ]
 
 
@@ -672,6 +686,28 @@ def test_refused_inputs_are_usage_errors_naming_the_key_or_flag(tmp_path, monkey
     # each exits 1 before its subcommand runs, with no report
     argv = [command, "--config", write_config(tmp_path, cfg), *argv]
     assert_refused_as(tmp_path, monkeypatch, capsys, argv, message)
+
+
+OFF_THE_ALPHABET = [
+    ("kernel", {"test_word": "2"}, "test_word '2' has a symbol outside the potential's alphabet of size 2"),
+    ("kernel", {"boundary": "0|12"}, "boundary '0|12' has a symbol outside the potential's alphabet of size 2"),
+    ("tl", {"cylinders": ["0", "0a"]}, "cylinders '0a' is no word (word '0a' must be a string of digits)"),
+    # the sweep reads only the coordinates past the volume: "2|0" used to exit 0
+    ("tl", {"boundaries": ["|1", "2|0"]}, "boundaries '2|0' has a symbol outside the potential's alphabet of size 2"),
+    ("interaction", {"potential": CONSTANT, "boundary": "3|0"},
+     "boundary '3|0' has a symbol outside the potential's alphabet of size 2"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,message", OFF_THE_ALPHABET, ids=[c[0] + "-" + next(iter(c[1])) for c in OFF_THE_ALPHABET])
+def test_words_and_points_off_the_alphabet_are_usage_errors_naming_the_key(tmp_path, monkeypatch, capsys, command,
+                                                                           cfg, message):
+    # checked where they are parsed, before any kernel or telescoping runs
+    for module, name in [(dlr, "_sweep"), (dlr, "tl_sequence"), (interactions, "from_potential")]:
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: pytest.fail("the computation ran"))
+    code, report = run(tmp_path, command, "--config", write_config(tmp_path, cfg))
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == f"usage error: invalid config: {message}\n"
 
 
 def test_each_subcommand_with_a_config_declares_its_keys():
@@ -719,23 +755,33 @@ def test_kernel_reports_log_partition_outside_the_float_range(tmp_path):
     assert report["results"]["kernel_value"] == 0.5
 
 
-def test_numerical_breakdown_is_not_a_config_error(tmp_path, capsys):
-    # a valid table whose weights exp(f - max f) underflow: no report, exit 1,
-    # and the breakdown is caught before lambda is divided out, so numpy warns of nothing
-    cfg = write_config(
-        tmp_path,
-        {"potential": {"kind": "table", "params": {"d": 2, "depth": 3, "values": [
-            -1999.42, -0.81, -1999.84, -0.61, -1999.38, -2000.02, 0.98, -2000.63]}}},
-    )
+WIDE_TABLE = {"kind": "table", "params": {"d": 2, "depth": 3, "values": [
+    -1999.42, -0.81, -1999.84, -0.61, -1999.38, -2000.02, 0.98, -2000.63]}}
+
+
+def test_wide_table_eigendata_stay_in_karps_bracket(tmp_path, capsys):
+    # beta * osc ~ 2001: weights exp(f - max f) underflow to 0, and lambda comes
+    # from a cycle of four words, nearly periodic, so no power iteration
+    # converges.  Each eigen subcommand reports (check-failed), with no numpy
+    # warning, and the pressure lies in Karp's bracket [-499.955, -499.262]
+    cfg = write_config(tmp_path, {"potential": WIDE_TABLE})
+    low, high = bracket(transfer.transfer_operator(potentials.Potential.from_table(**WIDE_TABLE["params"]), 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, report = run(tmp_path, "pressure", "--config", cfg)
-    assert code == 1
-    assert report is None
-    assert capsys.readouterr().err == (
-        "numerical breakdown: power iteration broke down: weights exp(f - max f) "
-        "underflow, the spread of the table is too wide for double precision\n"
-    )
+        code, report = run(tmp_path, "pressure", "--config", cfg, name="default.json")
+        assert code == 2 and -499.955 - 1e-9 <= report["results"]["pressure"] <= -499.262
+        # each step re-gauges every row, so the others stop at 2,000 steps (4-step phases: still tight)
+        reports = {command: run(tmp_path, command, "--config", cfg, "--max-iter", "2000", name=f"{command}.json")
+                   for command in ("pressure", "tl", "rpf", "normalize")}
+        code, report = run(tmp_path, "change-of-measure", "--config", cfg, "--max-iter", "2000", name="com.json")
+    assert {command: code for command, (code, _) in reports.items()} == dict.fromkeys(reports, 2)
+    assert all(report["status"] == "check-failed" for _, report in reports.values())
+    assert low <= reports["pressure"][1]["results"]["pressure"] <= high
+    assert reports["rpf"][1]["results"]["log_lambda"] == reports["pressure"][1]["results"]["pressure"]
+    # psi spans e^1991: change-of-measure divides by it, and names it
+    err = capsys.readouterr().err
+    assert code == 1 and report is None
+    assert err.startswith("computation error: psi leaves the float range") and "numerical breakdown" not in err
 
 
 def test_ising_refuses_too_few_terms_for_its_own_points(tmp_path, capsys):
@@ -908,17 +954,15 @@ def readme_table(header):
 
 def readme_params(table):
     """A params table as the README writes it: `name`: JSON type (default)."""
-    def json_type(kind, words):
-        if kind is cli._SEQUENCE:
+    def json_type(key):
+        if key.type is cli._SEQUENCE:
             return "sequence"
-        return words[0].removeprefix("a ") if words else {int: "integer", float: "number", str: "string"}[kind]
+        return key.what.removeprefix("a ") or {int: "integer", float: "number", str: "string"}[key.type]
 
     def default(value):
         return {...: "required", None: "absent"}.get(value) or json.dumps(value)
 
-    return ", ".join(
-        f"`{name}`: {json_type(kind, words)} ({default(value)})" for name, (kind, value, *words) in table.items()
-    )
+    return ", ".join(f"`{name}`: {json_type(key)} ({default(key.default)})" for name, key in table.items())
 
 
 def test_readme_config_schema_lists_each_subcommands_keys_and_each_kinds_params():

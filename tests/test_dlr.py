@@ -5,14 +5,18 @@ import itertools
 import math
 from functools import cached_property
 
+import mpmath
 import numpy as np
 import pytest
 
 from ruellekit.dlr import (
-    _KERNEL_ROUNDING,
     _LN2,
     D_estimate,
-    _Engine,
+    _columns,
+    _engine,
+    _engine_sweep,
+    _kernel_rounding,
+    _row,
     _representative_point_bound,
     change_of_measure_check,
     constant_shift_check,
@@ -25,7 +29,7 @@ from ruellekit.dlr import (
     sandwich_check,
     tl_sequence,
 )
-from ruellekit import dlr, shift
+from ruellekit import dlr, shift, transfer
 from ruellekit.ising import IsingParams, g_potential
 from ruellekit.potentials import GenericContinuous, Hoelder, Potential, birkhoff, scale, tail_birkhoff
 from ruellekit.shift import (
@@ -289,7 +293,7 @@ def test_tower_check_refuses_volume_zero_on_both_routes(monkeypatch):
     g = CylinderFunction.indicator(2, (0,))
     z = Point.from_literal("|1")
     engines = []
-    monkeypatch.setattr(_Engine, "of", lambda *args: engines.append(args))
+    monkeypatch.setattr(dlr, "_engine", lambda *args: engines.append(args))
     messages = []
     for pot in (f, h):
         with pytest.raises(ValueError) as info:
@@ -565,16 +569,16 @@ def enumerated_kernel(f, beta, n, tail, g):
     shifted = np.exp(logw - top)
     p = shifted / shifted.sum()
     gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
-    bound = math.expm1(2.0 * werr) * float(np.max(np.abs(gv))) + _KERNEL_ROUNDING
+    bound = math.expm1(2.0 * werr) * float(np.max(np.abs(gv))) + _kernel_rounding(f.d, n)
     return sum_of_products(p, gv), bound, top + math.log(float(shifted.sum())), p
 
 
 def engine_pass(f, beta, n, tests):
-    """(engine, block, lift, exp2) after n plain steps from the columns of tests."""
-    eng = _Engine.of(scale(f, beta), max((g.depth for g in tests), default=0))
-    for _, block, lift, exp2 in itertools.islice(eng.iterates(eng.columns(tests)), n):
+    """(engine operator, block, lift, exp2) after n plain steps from the columns of tests."""
+    op = _engine(scale(f, beta), max((g.depth for g in tests), default=0))
+    for _, block, lift, exp2 in itertools.islice(transfer.iterates(op, _columns(op, tests)), n):
         pass
-    return eng, block, lift, exp2
+    return op, block, lift, exp2
 
 
 def reference_kernels(f, beta, n, g, tails):
@@ -583,16 +587,16 @@ def reference_kernels(f, beta, n, g, tails):
     if f.table is None:
         values, bounds = np.array([enumerated_kernel(f, beta, n, t, g)[:2] for t in tails]).T
         return values, bounds
-    eng, block, _, _ = engine_pass(f, beta, n, [g])
-    rows = [word_index(t.coords(eng.depth), f.d) for t in tails]
-    return (block[0] / block[1])[rows], np.full(len(tails), _KERNEL_ROUNDING)
+    op, block, _, _ = engine_pass(f, beta, n, [g])
+    rows = [word_index(t.coords(op.depth), f.d) for t in tails]
+    return (block[0] / block[1])[rows], np.full(len(tails), _kernel_rounding(f.d, n))
 
 
 def reference_log_partition(f, beta, n, y):
     if f.table is None:
         return enumerated_kernel(f, beta, n, shift_n(y, n), CylinderFunction.constant(f.d, 1.0))[2]
-    eng, block, lift, exp2 = engine_pass(f, beta, n, [])
-    row = eng.row(y, n)
+    op, block, lift, exp2 = engine_pass(f, beta, n, [])
+    row = _row(op, y, n)
     return math.log(float(block[0, row])) + float(lift[row]) + exp2 * _LN2
 
 
@@ -656,15 +660,15 @@ def test_sweep_equals_the_per_boundary_routes(beta):
 
 def reference_table_tower_check(beta, n, r, f, z, g):
     """A table's tower check on its own engine: three passes per case."""
-    eng = _Engine.of(scale(f, beta), g.depth)
-    block, lift = eng.run(eng.columns([g]), n)
+    op = _engine(scale(f, beta), g.depth)
+    block, lift = transfer.run(op, _columns(op, [g]), n)
     inner = block[0] / block[1]
-    marginal, _ = eng.run(block[1:], r, split=r, lift=lift)
-    row = eng.row(z, n + r)
+    marginal, _ = transfer.run(op, block[1:], r, split=r, lift=lift)
+    row = _row(op, z, n + r)
     p = marginal[:, row]
-    cells = word_tail_index(f.d, r, eng.depth, shift_n(z, n + r))
+    cells = word_tail_index(f.d, r, op.depth, shift_n(z, n + r))
     lhs = sum_of_products(p, inner[cells]) / float(p.sum())
-    outer, _ = eng.run(block, r, lift=lift)
+    outer, _ = transfer.run(op, block, r, lift=lift)
     return abs(lhs - float(outer[0, row] / outer[1, row]))
 
 
@@ -680,10 +684,10 @@ def tower_cases(rng, d, n, r, count):
 
 
 def count_engine_passes(monkeypatch):
-    """The sizes of the tables of every _Engine.iterates pass started from now on."""
+    """The sizes of the tables of every transfer.iterates pass started from now on."""
     passes = []
-    iterates = _Engine.iterates
-    monkeypatch.setattr(_Engine, "iterates", lambda self, *args: passes.append(self.op.size) or iterates(self, *args))
+    iterates = transfer.iterates
+    monkeypatch.setattr(transfer, "iterates", lambda op, *args: passes.append(op.size) or iterates(op, *args))
     return passes
 
 
@@ -774,18 +778,18 @@ def test_engine_sweep_reads_each_boundary_once(monkeypatch, d):
     tests = [CylinderFunction(d, q, rng.uniform(-1.0, 1.0, d**q)) for q in (1, 2, 4)]
     boundaries = [random_point(rng, d) for _ in range(5)]
     volumes = [1, 2, 5, 9, 40]
-    eng = _Engine.of(scale(f, 1.3), 4)
+    op = _engine(scale(f, 1.3), 4)
     # the per-volume read: y.coords(n + D) for every boundary at every volume
     expected = []
-    for n, block, lift, exp2 in itertools.islice(eng.iterates(eng.columns(tests)), volumes[-1]):
+    for n, block, lift, exp2 in itertools.islice(transfer.iterates(op, _columns(op, tests)), volumes[-1]):
         if n in volumes:
-            rows = [eng.row(y, n) for y in boundaries]
+            rows = [_row(op, y, n) for y in boundaries]
             log_z = np.array([math.log(block[-1, i]) + lift[i] + exp2 * _LN2 for i in rows])
             expected.append((n, (block[:-1, rows] / block[-1, rows]).T, log_z))
     reads = []
     coords = Point.coords
     monkeypatch.setattr(Point, "coords", lambda self, n: reads.append(self) or coords(self, n))
-    swept = list(eng.sweep(tests, boundaries, volumes))
+    swept = list(_engine_sweep(op, tests, boundaries, volumes))
     assert len(reads) == len(boundaries) and all(a is b for a, b in zip(reads, boundaries))
     for (n, K, log_z), (m, K_ref, log_z_ref) in zip(swept, expected, strict=True):
         assert n == m
@@ -861,3 +865,33 @@ def test_scaled_kernel_is_beta_kernel():
     assert kernel(scale(f, beta), 3, y, g) == pytest.approx(
         brute_kernel(f, beta, 3, y, g), rel=1e-12
     )
+
+
+def exact_kernel(values, n):
+    """The volume-n kernel of 1_[0] at 0^inf of a depth-3 table on two symbols,
+    from 60-digit powers of its depth-2 matrix: (M^n g)(00) / (M^n 1)(00)."""
+    with mpmath.workdps(60):
+        M = mpmath.matrix(4, 4)
+        for a, i in itertools.product(range(2), range(4)):
+            # word i = w_1 w_2 reads the child a w_1 with weight e^{f(a w_1 w_2)}
+            M[i, 2 * a + i // 2] += mpmath.exp(mpmath.mpf(float(values[4 * a + i])))
+        power, square, k = mpmath.eye(4), M, n
+        while k:
+            if k & 1:
+                power = power * square
+            square, k = square * square, k >> 1
+        return float((power * mpmath.matrix([1, 1, 0, 0]))[0] / (power * mpmath.matrix([1, 1, 1, 1]))[0])
+
+
+def test_table_kernels_hold_their_rounding_bound_at_every_volume():
+    # n steps of d-term sums of positive terms: a few d * n units of rounding,
+    # where one nominal 1e-15 was exceeded from n ~ 100 on
+    rng = np.random.default_rng(61)
+    y, g = Point.constant(0), CylinderFunction.indicator(2, (0,))
+    for _ in range(20):
+        values = rng.normal(0.0, 3.0, 8)
+        f = Potential.from_table(2, 3, values)
+        for n in (10, 100, 1000, 3000):
+            _, K, err, _ = next(dlr._sweep(f, [g], [y], [n]))
+            assert err[0, 0] == _kernel_rounding(2, n)
+            assert abs(K[0, 0] - exact_kernel(values, n)) <= err[0, 0]
