@@ -3,10 +3,12 @@
 The volume-n kernel conditioned on a boundary configuration y averages a
 test function over all ways of rewriting the first n coordinates:
 
-    kernel(g | y) = sum_w  e^{S_n f(w . sigma^n y)} g(w . sigma^n y) / partition
+    kernel(g | y) = sum_w  e^{S_n f(w . sigma^n y)} g(w . sigma^n y)
+                    / partition
 
 where w runs over the d^n words.  Summed over w, numerator and partition
-function are iterates of the Ruelle operator (L h)(x) = sum_a e^{f(a x)} h(a x):
+function are iterates of the Ruelle operator (L h)(x) = sum_a
+e^{f(a x)} h(a x):
 
     kernel(g | y) = (L^n g)(sigma^n y) / (L^n 1)(sigma^n y).
 
@@ -14,28 +16,55 @@ Every function here sums the potential f it is given: the specification
 at inverse temperature beta is the kernel of the potential beta*f, which
 the caller forms with potentials.scale.
 
-For table-backed potentials the kernels are read off the iterates of
-transfer.iterates, n steps of the depth-D operator on value tables, D =
-max(depth(g), depth(f) - 1, 1): each step exact, one pass serving every
-boundary and every volume up to n, at a cost linear in n, and each row
-in a log scale of its own, so no kernel underflows to 0 / 0 however
-large osc(f) is.  The kernel reads y through the D coordinates past the
-volume alone, so boundary dependence is structural rather than numerical.
+For table-backed potentials the kernels of test functions are computed
+in that form by one engine, the iterates of transfer.iterates: n
+operator steps on value tables of depth D = max(depth(g), depth(f) - 1,
+1), each step exact, one pass serving every boundary (and every volume
+up to n) at once.  The cost grows linearly in n, and volumes are not
+bounded by the table-size guard.
 Potentials without a table (callables) are summed over the d^n volume
-words, weighted by potentials.tail_birkhoff, the maximum over each
-boundary's words subtracted.
+words, weighted by potentials.tail_birkhoff: sum_{j <= n} d^j
+evaluations of f.
 
-_sweep is the one fork between the two for kernel values: per volume the
-kernels of a list of test functions at a list of boundaries, their error
-bounds and the log-partitions, read by kernel, log_partition,
-tl_sequence, sandwich_check and dlr_residual.  kernel_measure is the word
-enumeration for every potential, bounded by the table-size guard.  A
+_sweep is the one fork between the two for kernel values.  Per volume
+it yields the kernels of a list of test functions at a list of
+boundaries, their error bounds and the log-partitions; kernel,
+log_partition, tl_sequence, sandwich_check and the inner kernels of
+dlr_residual read it.  kernel_measure, the kernel as a measure on the
+volume's cylinders, is that word enumeration for every potential: the
+d^n normalised word weights, bounded by the table-size guard.  A
 callable's tower check (finite_volume_dlr_check) is the DLR equation of
-its volume-(n+r) kernel; the table cases of one call step together, each
-case's operator one block of a disjoint union (transfer.disjoint_union).
-tl_sequence returns its kernels as one array, TLTable.K[v, j, b].  The
-boundary-independence certificate, sandwich_check, reads all its kernels
-from one sweep and decides each sandwich on its log margin.
+its volume-(n+r) kernel, dlr_residual of kernel_measure.  Only
+constant_shift_check (a shifted gauge) and the table route of the tower
+check fork on their own.  The tower check takes a list of cases
+(f, z, g) and steps all its table cases on one engine: each case's
+operator is one block of a disjoint union (transfer.disjoint_union), so
+one n-step pass and its two continuations (r splitting steps, r plain
+steps) serve every case, whatever their number.
+
+tl_sequence returns its kernels as arrays, one TLTable: K[v, j, b] is the
+kernel mass of cylinder j at boundary b in the v-th volume, the stack of
+the per-volume K of one sweep, next to the reference masses nu_ref[j];
+the deviations |K - nu_ref| and each volume's worst deviation are one
+array operation each.
+
+The kernel reads y only through sigma^n y (the coordinates outside the
+volume); the engine reads exactly the first D of them, so boundary
+dependence is structural rather than numerical.  Its steps are those of
+transfer.Iterate, which power iteration steps on as well: the operator
+in a gauge of per-row log scales, renewed and exponentiated once per
+epoch, so no kernel underflows to 0 / 0 however large osc(f) is, and
+adding a constant to the exponent cancels in the normalised kernel.
+The word enumeration subtracts the maximum over the words of each
+boundary.
+
+The boundary-independence certificate asks many small kernels at once:
+sandwich_check takes a list of draws (n, C, y, z) and reads all their
+kernels from one sweep over the distinct indicators 1_[C], boundaries and
+volumes, and D_estimate returns the running maxima of one pass, so one
+call serves every window up to N.  Each sandwich is decided on its log
+margin 2 D - |log K_y - log K_z|, which stays finite where the margin
+itself overflows.
 """
 
 from __future__ import annotations
@@ -82,8 +111,10 @@ class NumericalBreakdown(ValueError):
 
 
 def _kernel_rounding(d: int, n: int) -> float:
-    """Rounding allowance of one volume-n kernel value: four units of
-    rounding per summand of the n steps' sums of d positive terms."""
+    """Rounding allowance of one volume-n kernel of a test function bounded
+    by 1 in absolute value: four units of rounding per summand of n sums of
+    d terms, for the table route's n steps (the callable route's one sum
+    over the d^n words is d**n terms, n = 1); it scales with max |g|."""
     return 4.0 * d * n * sys.float_info.epsilon / 2.0
 
 
@@ -177,8 +208,9 @@ def _sweep(f: Potential, tests, boundaries, volumes):
         raise ValueError("volume must contain at least one site")
     if f.table is not None:
         op = _engine(f, max((g.depth for g in tests), default=0))
+        sizes = np.array([np.max(np.abs(g.values)) for g in tests])  # max |g| per test
         for n, K, log_z in _engine_sweep(op, tests, boundaries, volumes):
-            yield n, K, np.full(K.shape, _kernel_rounding(f.d, n)), log_z
+            yield n, K, np.full(K.shape, _kernel_rounding(f.d, n)) * sizes, log_z
         return
     for n in volumes:
         K = np.empty((len(boundaries), len(tests)))
@@ -193,7 +225,7 @@ def _sweep(f: Potential, tests, boundaries, volumes):
             for j, g in enumerate(tests):
                 gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
                 K[b, j] = sum_of_products(p, gv)
-                err[b, j] = spread * float(np.max(np.abs(gv))) + _kernel_rounding(f.d, n)
+                err[b, j] = (spread + _kernel_rounding(f.d**n, 1)) * float(np.max(np.abs(gv)))
         yield n, K, err, log_z
 
 
@@ -256,22 +288,32 @@ def finite_volume_dlr_check(
     n: int, r: int, cases: list[tuple[Potential, Point, CylinderFunction]]
 ) -> list[float]:
     """Tower property of the kernels, one residual |lhs - rhs| per case
-    (f, z, g): averaging the volume-n kernel of f over the volume-(n+r)
-    one at boundary z reproduces the volume-(n+r) average of g.
+    (f, z, g): averaging the volume-n kernel of f over the
+    volume-(n+r) one at boundary z reproduces the volume-(n+r) average of g.
 
-    For a table-backed f the left side reads the inner kernels at the
-    boundaries u.t (|u| = r, t = sigma^{n+r} z) from the rows of one
-    n-step pass and weighs them by the marginal of coordinates n+1..n+r,
+    The inner kernel depends on its boundary through coordinates
+    n+1, ..., n+r of the outer word plus t = sigma^{n+r} z.  For a
+    table-backed f the two sides take separate routes through the
+    engine.  The left side reads the inner kernels at the boundaries u.t
+    (|u| = r) from the rows of one n-step pass, and weighs them by the
+    volume-(n+r) marginal of coordinates n+1..n+r, which is
     L^r(1_[u] L^n 1)(t) / (L^{n+r} 1)(t): r splitting steps continue the
-    pass's column L^n 1.  The right side is r further plain steps.  The
-    table cases take those passes together, case j's operator at depth
-    D_j = max(depth(g_j), depth(f_j) - 1, 1) block j of one disjoint union,
-    packed into as few unions as keep the split block (d**r times the
-    union's size) within the table-size guard; a case alone past it is
-    refused before any work.  A case checked alone gets the per-case value
-    bitwise; in a batch it moves only by the rounding of the shared gauge.
-    For a callable f the check is dlr_residual of kernel_measure(f, n + r,
-    z) at tail t.
+    pass's column L^n 1.  The right side is the volume-(n+r) kernel of g:
+    r further plain steps of the same pass.
+
+    The table cases take those three passes together.  Case j's operator
+    of f_j at depth D_j = max(depth(g_j), depth(f_j) - 1, 1) is block
+    j of one disjoint union (transfer.disjoint_union), which keeps each
+    case's preimages inside its own block, and each case reads its rows at
+    its block's offset.  Cases are packed in order into as few unions as
+    keep the split block, d**r times the union's size, within the
+    table-size guard; a case that alone exceeds it is refused before any
+    work.  A one-case union is the case's own operator, so a case checked
+    alone gets the per-case value bitwise; in a batch it moves only by
+    the rounding of the engine's shared row gauge.
+    For a callable f the check is the DLR equation of the volume-(n+r)
+    kernel itself: dlr_residual of kernel_measure(f, n + r, z) at
+    tail t.
     """
     if n < 1:
         raise ValueError("volume must contain at least one site")
@@ -477,12 +519,15 @@ def D_estimate(
     plus bound.
 
     values[n] = max over k <= n, over length-k words w, over pairs t, t'
-    from the tail set, of |S_k f(w.t) - S_k f(w.t')| (values[0] = 0): the
-    running maxima of one tail_birkhoff pass.  bound is the metadata
-    majorant sum_{i>=1} var_i(f) (inf without a summable closed form).  For
-    a depth-m table only the last m - 1 terms of S_k f(w.t) read t, and
-    only the last m - 1 symbols of w, so tables stop at k = min(N, m - 1)
-    and repeat that maximum up to N.
+    from the tail set, of |S_k f(w.t) - S_k f(w.t')|, for n = 0, ..., N
+    (values[0] = 0): the running maxima of one pass, so values[-1] is the
+    estimate at N and values[n] the one a shorter window n would give.
+    bound is the metadata majorant sum_{i>=1} var_i(f) (finite for
+    locally-constant and Hoelder regularity, inf otherwise).  tail_birkhoff
+    gives S_k f(w.t) for every w.  For a depth-m table only the last m - 1
+    terms of S_k f(w.t) read t, and they read only the last m - 1 symbols
+    of w, so every k >= m - 1 gives the same maximum: tables stop at
+    k = min(N, m - 1) and repeat that maximum up to N.
     """
     tails = default_tails(f.d) if tails is None else tails
     if len(tails) < 2:
@@ -516,15 +561,20 @@ def sandwich_check(
     """Does  e^{-2 D} <= kernel([C]|y) / kernel([C]|z) <= e^{2 D}  hold for
     each draw (n, C, y, z), D the boundary-oscillation constant of f?
 
-    Returns (holds, margin, log_margin) per draw: log_margin = 2 D -
-    |log K_y - log K_z|, the log of the worse multiplicative slack, margin
-    = e^{log_margin} (inf past the float range); holds reads the log
-    margin, so it is decided however wide D is.  Valid whenever sigma^n y
-    and sigma^n z lie in the tail family D was estimated over.  Every
-    kernel comes from one sweep over the distinct indicators, boundaries
-    and volumes, bitwise the one kernel() gives for its draw alone.  A
-    kernel mass that underflows to 0 raises NumericalBreakdown: its ratio
-    needs scales per column, which the iterates do not keep.
+    Returns (holds, margin, log_margin) per draw, where log_margin =
+    2 D - |log K_y - log K_z| is the log of the worst of the two
+    multiplicative slacks and margin = e^{log_margin} (inf past the float
+    range).  holds reads the log margin, so it is decided however wide
+    D is.  Valid whenever sigma^n y and sigma^n z lie in the tail family
+    D was estimated over.
+
+    Every kernel comes from one sweep over the distinct indicators 1_[C],
+    boundaries and volumes; for a table-backed potential that is one
+    engine pass at the depth of the deepest cylinder.  A shallower
+    indicator lifted to that depth repeats its rows and the engine rescales
+    each row by its constant-1 column, so every kernel is bitwise the one
+    kernel() gives for its draw alone.  The kernel masses are positive; one
+    that underflows to 0 raises NumericalBreakdown.
     """
     if any(n < len(C) for n, C, _, _ in draws):
         raise ValueError("volume must resolve the cylinder")

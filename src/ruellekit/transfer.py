@@ -40,8 +40,8 @@ returns the vectors whose residuals it reports, as logs: psi and nu are
 rounded once each, when read.  A table potential of depth m reads only
 a w_1 ... w_{m-1}, so every pass runs on depth k = min(max(m-1, 1), D)
 tables; the depth-D pair is the lift of the depth-k one, its residuals
-read from depth-k tables (_lifted), and no depth-D operator is built.
-Callables iterate at D throughout.
+read from depth-k tables (_lifted, _reach), and no depth-D operator is
+built.  Callables iterate at D throughout.
 """
 
 from __future__ import annotations
@@ -215,8 +215,10 @@ class Iterate:
     `block` stacks tables of one operator's size (its columns; one table
     for the adjoint), the iterate block * e^(lift + growth) * 2**exp2:
     a log scale per table entry (row), one gained by all rows alike, and
-    a common power of two.  A step applies the operator gauged by the
-    lifts (the adjoint through the one gauged by the negated lifts).
+    a common power of two.  The lift is one float while a single power of
+    two serves every row, and an array from the first epoch that needs
+    one per row.  A step applies the operator gauged by the lifts (the
+    adjoint through the one gauged by the negated lifts).
 
     An epoch moves the row maxima into the lifts as powers of two and
     exponentiates each operator's weights once, less its largest
@@ -239,7 +241,8 @@ class Iterate:
         """Apply op to every column (its adjoint for an adjoint iterate);
         with split, keep the preimage symbol apart: column u becomes the d
         columns u.a.  Returns (block, lift, rise): the iterate stepped
-        from, and each row's log growth (one float when common to all)."""
+        from (up to the factor common to all rows), and the log growth of
+        each row that the new block leaves out (one float when common)."""
         epoch = self._epochs.get(id(op)) or (self._room > 0.0 and self._join(op))
         if not epoch or epoch[3] > self._room:
             self._renew()
@@ -254,7 +257,7 @@ class Iterate:
             self.block = gauged.apply(block)
         if cost < _EPOCH_RANGE:
             self.growth += rise
-        else:
+        else:  # the room is spent: the next step renews the epoch at these lifts
             self.lift = lift + rise
         self._room -= cost
         return block, lift, rise
@@ -264,8 +267,8 @@ class Iterate:
         to the lift, whole powers of two of the largest lift to exp2."""
         top = self.block.max(axis=0) if self.block.ndim > 1 else self.block
         self._room = _EPOCH_RANGE
-        high = math.frexp(top.max())[1] if isinstance(self.lift, float) else None
-        if high is not None and high - math.frexp(top.min())[1] <= _SPAN:
+        high = math.frexp(top.max())[1]
+        if not isinstance(self.lift, np.ndarray) and high - math.frexp(top.min())[1] <= _SPAN:
             # every row within 2**-_SPAN of the largest: one scale serves all, and the gauge stays
             self.block, self.exp2 = self.block * math.ldexp(1.0, -high), self.exp2 + high
             return
@@ -278,7 +281,7 @@ class Iterate:
     def _join(self, op: TransferOperator):
         """op in the gauge of this epoch's lifts: (op, gauged op, rise, cost)."""
         logs = op.log_weights
-        if not isinstance(self.lift, float):  # a common scale leaves op as it is
+        if isinstance(self.lift, np.ndarray):  # a common scale leaves op as it is
             shift = self.lift[op.preimages] - self.lift
             logs = logs - shift if self.adjoint else logs + shift
         # the weights into word j under the adjoint are entries j*r ... j*r + r - 1 of the flat table
@@ -300,12 +303,12 @@ def iterates(op: TransferOperator, block: np.ndarray, split: int = 0, lift=None)
     iterate of the block's columns under L is block_n * e^lift_n *
     2**exp2_n (Iterate), the first `split` steps split.  Started from the
     constant 1, column u after j <= split steps holds L^j 1_[u] =
-    e^{S_j f(u x)} for each word u of length j."""
-    it = Iterate(block, lift)
+    e^{S_j f(u x)} for each word u of length j.  The lifts are an array
+    from the start: the kernels read them row by row."""
+    it = Iterate(block, np.zeros(op.size) if lift is None else lift)
     for n in itertools.count(1):
         it.step(op, n <= split)
-        lift = it.lift + it.growth
-        yield n, it.block, lift if isinstance(lift, np.ndarray) else np.full(op.size, lift), it.exp2
+        yield n, it.block, it.lift + it.growth, it.exp2
 
 
 def run(op: TransferOperator, block: np.ndarray, n: int, split: int = 0, lift=None):
@@ -376,13 +379,14 @@ def power_iterate(
     Every pass runs on depth k tables (see the module docstring).  Once
     the depth-k pair has converged, or at the last permitted step, the
     checks read the residuals of the lifted pair at depth D from depth-k
-    tables (_lifted): psi_D = psi_k o pi, and nu_D([a w]) = e^{f(a w)}
-    nu_D([w]) / lambda level by level (_lift), so they are those of the
-    returned depth-D vectors, which RPFData builds only when read.  A
-    squared pair that converged builds no L^3, and `iterations` never
-    exceeds max_iter.  The iteration runs on e^{-c} L_f, c the maximum
-    of the truncated table, and adds c back to log lambda; lam is inf
-    when e^{log_lam} exceeds the float range.
+    tables (_lifted, _reach), at D - k more adjoint steps each: psi_D =
+    psi_k o pi, and nu_D([a w]) = e^{f(a w)} nu_D([w]) / lambda level by
+    level (_lift), so they are those of the returned depth-D vectors,
+    which RPFData builds only when read.  A squared pair that converged
+    builds no L^3, and `iterations` never exceeds max_iter.  The
+    iteration runs on e^{-c} L_f, c the maximum of the truncated table,
+    and adds c back to log lambda; lam is inf when e^{log_lam} exceeds
+    the float range.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -398,64 +402,54 @@ def power_iterate(
     else:
         psi, nu, iterations = np.ones(op.size), np.full(op.size, 1.0 / op.size), 0
     psi, nu = Iterate(psi), Iterate(nu, adjoint=True)
-    origin, start = (psi.block, psi.scale), iterations  # psi_0 and its step
+    origin, start = np.log(psi.block) + psi.scale, iterations  # log psi_0 and its step
     strided = max_iter > _STRIDE and op.d ** (_STRIDE - 1) * op.size <= _STRIDE_ENTRIES
-    stride, scales, converged = None, (None, None), False
+    stride, reach, converged = None, _reach(op, depth - k), False
     deep = k == depth  # whether the checks read the residuals at depth D
-    while True:
-        iterations += 1
-        if not deep and (converged or iterations == max_iter):
-            deep, strided = True, False  # the depth-D checks run one step apart
-        # one step of each gives the residuals of the pair (p, n) and the next iterate
-        p, s, g = psi.step(op)
-        n, t, h = nu.step(op)
-        if scales[0] is not s or scales[1] is not t:
-            # each entry's scale against the largest, while the lifts stay
-            scales = s, t, _relative(s), _relative(t), _relative(t + s)
-        _, _, w_psi, w_nu, w_pair = scales
-        # L psi = l_psi e^(s + G) and L* nu = l_nu e^(t + H) against p e^s and n e^t
-        l_psi, G = _risen(psi.block, g)
-        l_nu, H = _risen(nu.block, h)
-        m, u, log_m = n, t, None  # the nu that pairs with psi: at depth D > k, nu_D's first-k marginal
-        if deep and k < depth:
-            lifted = lambda x: _lifted(nu, op, x, t, depth - k)  # noqa: E731
-            m, u = lifted(n)
-            w_pair, log_m = _relative(u + s), _log_mass(m, u)
-        w = m * w_pair
-        den, num = sum_of_products(w, p), sum_of_products(w, l_psi)
-        if num > 0.0 and isinstance(g, float):
-            log_ratio = math.log(num / den)  # log lambda - G
-        else:  # rows in gauges of their own: the pairing in logs, where rows of l_psi underflowed
-            v = u + s
-            log_ratio = _log_mass(m * psi.block, v + g) - G - math.log(den) - float(np.max(v))
-        res_psi = _residual(p, l_psi, exp_or_inf(-log_ratio), lambda x: (x * w_psi).max(), (p * w_psi).max())
-        factor = exp_or_inf(H - G - log_ratio)  # L* nu / lambda = l_nu e^t * factor
-        if deep and k < depth:
-            # T g and T nu have the l1 norms of their first-k marginals' masses (_lifted)
-            res_nu = _residual(n, l_nu, factor, lambda x: exp_or_inf(_log_mass(*lifted(x)) - log_m), 1.0)
-        else:
-            res_nu = _residual(n, l_nu, factor, lambda x: (x * w_nu).sum(), (n * w_nu).sum())
-        # the residuals bound lambda's error only where psi is the Perron vector: a
-        # converged pair also keeps lambda within its Collatz-Wielandt bounds
-        # min (L psi / psi) <= lambda <= max (L psi / psi), at most e^_ENCLOSURE apart
-        converged = max(res_psi, res_nu) < tol and _enclosure(p, l_psi) <= _ENCLOSURE
-        if (converged and deep) or iterations == max_iter:
-            break
-        if strided and not converged and iterations + _STRIDE <= max_iter:
-            stride = stride or op.power(_STRIDE - 1)  # built at the first stride
-            psi.step(stride)
-            nu.step(stride)
-            iterations += _STRIDE - 1
-    log_lam = G + log_ratio
-    if not converged:
-        # an unconverged pair's Rayleigh quotient may lie far off (a nearly periodic
-        # cycle): keep it within log (L^n psi_0 / psi_0) / n, whose least and largest
-        # entries enclose log lambda (Collatz-Wielandt)
-        rates = (np.log(psi.block / origin[0]) + psi.scale - origin[1]) / (iterations - start)
-        log_lam = min(max(log_lam, float(rates.min())), float(rates.max()))
+    # each vector a block and its log scale, a float common to every entry or one
+    # per entry: (p, a) psi and (n, t) nu, (m, u) the nu that pairs with psi
+    with np.errstate(over="ignore", divide="ignore"):
+        while True:
+            iterations += 1
+            if not deep and (converged or iterations == max_iter):
+                deep, strided = True, False  # the depth-D checks run one step apart
+            # at depth D > k, nu_D's first-k marginal pairs with psi, and r = log T* 1
+            # weighs nu's l1 norms (_lifted, _reach)
+            lifted = _lifted(nu, op, depth - k) if deep and k < depth else None
+            # each up to a factor common to all entries: L psi = l e^(a + g) against
+            # p e^a, and L* nu = l_nu e^(t + h) against n e^t
+            p, a, g = psi.step(op)
+            n, t, h = nu.step(op)
+            (m, u), r = ((n, t), 0.0) if lifted is None else (lifted, reach)
+            w, low = _weights(m, u, p, a)  # <m e^u, p e^a> = <w, p> e^low
+            v, G = _weights(w, 0.0, psi.block, g)  # <w, L psi> = <v, l> e^G
+            den, num = sum_of_products(w, p), sum_of_products(v, psi.block)
+            log_lam = math.log(num / den) + G
+            # L psi / lambda and L* nu / lambda in the scales of psi and nu
+            up = psi.block * (np.exp(g - G) * (den / num))
+            down = nu.block * (np.exp(h - G) * (den / num))
+            res_psi = _relative(np.abs(up - p), p, a, np.ndarray.max)
+            res_nu = _relative(np.abs(down - n), n, t + r, np.ndarray.sum)
+            # the residuals bound lambda's error only where psi is the Perron vector: a
+            # converged pair also keeps lambda within its Collatz-Wielandt bounds
+            # min (L psi / psi) <= lambda <= max (L psi / psi), at most e^_ENCLOSURE apart
+            ratios = up / p
+            converged = max(res_psi, res_nu) < tol and ratios.max() <= math.exp(_ENCLOSURE) * ratios.min()
+            if (converged and deep) or iterations == max_iter:
+                break
+            if strided and not converged and iterations + _STRIDE <= max_iter:
+                stride = stride or op.power(_STRIDE - 1)  # built at the first stride
+                psi.step(stride)
+                nu.step(stride)
+                iterations += _STRIDE - 1
+        if not converged:
+            # an unconverged pair's Rayleigh quotient may lie far off (a nearly periodic
+            # cycle): keep it within log (L^n psi_0 / psi_0) / n, whose least and largest
+            # entries enclose log lambda (Collatz-Wielandt)
+            rates = (np.log(psi.block) + psi.scale - origin) / (iterations - start)
+            log_lam = min(max(log_lam, float(rates.min())), float(rates.max()))
+    share, high = _weights(m, u, np.ones(m.size), 0.0)  # nu_D's mass: share.sum() e^high
     log_lam += top
-    # psi over <nu_D, psi_D>: m e^u paired with p e^s, over the mass of m e^u
-    log_pair = math.log(den) + float(np.max(u + s)) - (_log_mass(m, u) if log_m is None else log_m)
     return RPFData(
         d=f.d,
         depth=depth,
@@ -465,67 +459,57 @@ def power_iterate(
         residual_meas=res_nu,
         iterations=iterations,
         converged=converged,
-        _log_psi=np.log(p) + s - log_pair,
+        _log_psi=np.log(p) + a - (math.log(den / share.sum()) + low - high),  # psi / <nu_D, psi_D>
         _log_nu=np.log(n) + t,
         _log_weights=op.log_weights,
     )
 
 
-def _enclosure(before: np.ndarray, after: np.ndarray) -> float:
-    """log max (after / before) - log min (after / before): the log ratio of
-    the Collatz-Wielandt bounds on lambda, inf where a row of after underflowed."""
-    ratios = after / before
-    low = float(ratios.min())
-    return math.log(float(ratios.max()) / low) if low > 0.0 else math.inf
+def _lifted(nu: Iterate, op: TransferOperator, levels: int):
+    """(m, u): the first-k marginal m e^u of the lift of nu `levels` levels
+    past k = op.depth, up to a constant factor: (L_k*)^levels nu.
 
-
-def _relative(log_scale: np.ndarray) -> np.ndarray:
-    """e^(log_scale - its maximum): 1 for a common scale."""
-    return 1.0 if isinstance(log_scale, float) else np.exp(log_scale - log_scale.max())
-
-
-def _risen(block: np.ndarray, rise):
-    """(block e^(rise - top), top), top the largest rise of a step."""
-    top = rise if isinstance(rise, float) else float(rise.max())
-    return (block, top) if isinstance(rise, float) else (block * np.exp(rise - top), top)
-
-
-def _residual(before, after, factor, norm, scale) -> float:
-    """norm(|after * factor - before|) / scale, scale = norm(before): the
-    relative residual of x = before whose L x / lambda is after * factor,
-    in x's scaling.  A factor past the float range (a step far off
-    lambda) gives an inf residual, and 0 one of 1."""
-    if not 0.0 < factor < math.inf:
-        return 1.0 if factor == 0.0 else math.inf
-    return float(norm(np.abs(after - before / factor))) * factor / float(scale)
-
-
-def _lifted(nu: Iterate, op: TransferOperator, block: np.ndarray, lift: np.ndarray, levels: int):
-    """(m, u): the first-k marginal m e^u of a depth-k measure x = block e^lift
-    at nu's scale, lifted `levels` levels past k = op.depth: (L_k*)^levels x.
-
-    T, the positive linear lift of _lift, gives T x this marginal up to a
-    factor common to every x, and psi_D, L_D psi_D = (L_k psi) o pi read
-    w_1 ... w_k alone: nu_D pairs with them as its marginal does.  And
-    L_D* T = T L_k*, so L_D* nu_D - lambda nu_D = T g, g = L_k* nu - lambda
-    nu, and T |g|, T nu have the l1 norms of their marginals' masses.  The
-    steps are a twin of the Iterate nu, in its epoch.
+    T, the positive linear lift of _lift, gives T nu this marginal, and
+    psi_D, L_D psi_D = (L_k psi) o pi read w_1 ... w_k alone: nu_D pairs
+    with them as its marginal does.  The steps are a twin of the Iterate
+    nu, in its epoch.
     """
     twin = copy.copy(nu)  # the epoch's gauged operators stay valid at nu's lifts
-    twin.block, twin.lift = block, lift
     for _ in range(levels):
         twin.step(op)
-    return twin.block, twin.scale
+    return twin.block, twin.lift
 
 
-def _log_mass(values: np.ndarray, log_scale) -> float:
-    """log sum_y values[y] e^{log_scale[y]}, for values >= 0 (-inf when it is 0)."""
-    if not isinstance(log_scale, float):  # the largest term to 1 before exponentiating
-        logs = np.log(values, out=np.full(values.shape, -math.inf), where=values > 0.0) + log_scale
-        log_scale = float(logs.max())
-        values = np.exp(logs - log_scale) if log_scale > -math.inf else values
-    total = float(values.sum())
-    return math.log(total) + log_scale if total > 0.0 else -math.inf
+def _reach(op: TransferOperator, levels: int) -> np.ndarray:
+    """log L_k^levels 1, summed in logs.  L_D* T = T L_k*, so L_D* nu_D -
+    lambda nu_D = T g, g = L_k* nu - lambda nu, and T maps each entry of g
+    to entries of one sign: the l1 norms of T g and of T nu are their
+    pairings with T* 1, L_k^levels 1 up to a factor."""
+    reach = np.zeros(op.size)
+    for _ in range(levels):
+        reach = np.logaddexp.reduce(op.log_weights + reach.take(op.preimages), axis=0)
+    return reach
+
+
+def _weights(m: np.ndarray, u, p: np.ndarray, a) -> tuple[np.ndarray, float]:
+    """(w, c): the weights w = m e^(u + a - c) that pair m e^u with p e^a,
+    <m e^u, p e^a> = <w, p> e^c, c the log of the largest term m p e^(u + a)
+    (u + a when the log scales u and a are floats, common to all entries)."""
+    s = u + a
+    if not isinstance(s, np.ndarray):
+        return m, s
+    c = float((np.log(m * p) + s).max())
+    return np.exp(np.log(m) + (s - c)), c  # in logs: m e^(s - c) may be 0 * inf
+
+
+def _relative(gap: np.ndarray, x: np.ndarray, log_scale, norm) -> float:
+    """norm(gap e^log_scale) / norm(x e^log_scale), for gap, x >= 0 and norm
+    ndarray.max or ndarray.sum: a float log_scale cancels, and an array is
+    taken to the largest term of x first."""
+    if isinstance(log_scale, np.ndarray):
+        shift = log_scale - float((np.log(x) + log_scale).max())
+        gap, x = np.exp(np.log(gap) + shift), np.exp(np.log(x) + shift)
+    return float(norm(gap)) / float(norm(x))
 
 
 def _squared(op: TransferOperator, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -11,6 +11,7 @@ mean cycle m(f): log lambda lies in [m(f), m(f) + log d].
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -25,6 +26,32 @@ def max_mean_cycle(op) -> float:
         np.maximum.at(heaviest, op.preimages.ravel(), (op.log_weights + walks[j - 1]).ravel())
         walks[j] = heaviest
     return float(np.max(np.min((walks[n] - walks[:n]) / (n - np.arange(n))[:, None], axis=0)))
+
+
+def exact_log_spectral_radius(op, digits: int = 50) -> float:
+    """log lambda of the operator in `digits`-digit arithmetic, at any spread.
+
+    A diagonal similarity by Karp's max-plus eigenvector x (max_j (W_ij +
+    x_j) = m(f) + x_i, x a column of the max-plus closure of W - m(f) at a
+    word of a critical cycle) takes every row's largest entry to e^{m(f)}
+    and leaves lambda as it is, so lambda is at least the largest entry of
+    the balanced matrix, and a 50-digit solve resolves it however far the
+    table spreads.  Without the balancing, lambda can lie 10^-300 below
+    the matrix norm, under what 50 digits resolve."""
+    n, m = op.size, max_mean_cycle(op)
+    closure = np.full((n, n), -math.inf)
+    rows = np.broadcast_to(np.arange(n), op.preimages.shape)
+    np.maximum.at(closure, (rows.ravel(), op.preimages.ravel()), op.log_weights.ravel() - m)
+    for j in range(n):  # Floyd-Warshall in (max, +): the heaviest walk of one edge or more
+        closure = np.maximum(closure, closure[:, j:j + 1] + closure[j:j + 1, :])
+    x = closure[:, int(np.argmax(np.diag(closure)))]  # a critical word: its closed walks weigh 0
+    with mpmath.workdps(digits):
+        mat = mpmath.matrix(n, n)
+        for logs, pre in zip(op.log_weights, op.preimages):
+            for i, (w, j) in enumerate(zip(logs, pre)):
+                mat[i, int(j)] += mpmath.exp(mpmath.mpf(float(w)) + float(x[j]) - float(x[i]) - m)
+        radius = max(abs(v) for v in mpmath.eig(mat, left=False, right=False))
+        return float(mpmath.log(radius) + m)
 
 
 def brute_max_mean_cycle(op) -> float:

@@ -569,7 +569,7 @@ def enumerated_kernel(f, beta, n, tail, g):
     shifted = np.exp(logw - top)
     p = shifted / shifted.sum()
     gv = g.values[word_tail_index(g.d, n, g.depth, tail)]
-    bound = math.expm1(2.0 * werr) * float(np.max(np.abs(gv))) + _kernel_rounding(f.d, n)
+    bound = (math.expm1(2.0 * werr) + _kernel_rounding(f.d**n, 1)) * float(np.max(np.abs(gv)))
     return sum_of_products(p, gv), bound, top + math.log(float(shifted.sum())), p
 
 
@@ -589,7 +589,7 @@ def reference_kernels(f, beta, n, g, tails):
         return values, bounds
     op, block, _, _ = engine_pass(f, beta, n, [g])
     rows = [word_index(t.coords(op.depth), f.d) for t in tails]
-    return (block[0] / block[1])[rows], np.full(len(tails), _kernel_rounding(f.d, n))
+    return (block[0] / block[1])[rows], np.full(len(tails), _kernel_rounding(f.d, n) * np.max(np.abs(g.values)))
 
 
 def reference_log_partition(f, beta, n, y):
@@ -867,9 +867,10 @@ def test_scaled_kernel_is_beta_kernel():
     )
 
 
-def exact_kernel(values, n):
-    """The volume-n kernel of 1_[0] at 0^inf of a depth-3 table on two symbols,
-    from 60-digit powers of its depth-2 matrix: (M^n g)(00) / (M^n 1)(00)."""
+def exact_kernel(values, n, g=(1.0, 1.0, 0.0, 0.0)):
+    """The volume-n kernel at 0^inf of a depth-2 g (default 1_[0]) and a
+    depth-3 table on two symbols, from 60-digit powers of its depth-2
+    matrix: (M^n g)(00) / (M^n 1)(00)."""
     with mpmath.workdps(60):
         M = mpmath.matrix(4, 4)
         for a, i in itertools.product(range(2), range(4)):
@@ -880,7 +881,7 @@ def exact_kernel(values, n):
             if k & 1:
                 power = power * square
             square, k = square * square, k >> 1
-        return float((power * mpmath.matrix([1, 1, 0, 0]))[0] / (power * mpmath.matrix([1, 1, 1, 1]))[0])
+        return float((power * mpmath.matrix(list(g)))[0] / (power * mpmath.matrix([1, 1, 1, 1]))[0])
 
 
 def test_table_kernels_hold_their_rounding_bound_at_every_volume():
@@ -895,3 +896,18 @@ def test_table_kernels_hold_their_rounding_bound_at_every_volume():
             _, K, err, _ = next(dlr._sweep(f, [g], [y], [n]))
             assert err[0, 0] == _kernel_rounding(2, n)
             assert abs(K[0, 0] - exact_kernel(values, n)) <= err[0, 0]
+
+
+def test_kernel_rounding_scales_with_the_test_function():
+    # a signed test function of values ~1e3: the sums' rounding is relative to
+    # max |g|, and the kernel's to cancellation among the words
+    rng = np.random.default_rng(71)
+    y = Point.constant(0)
+    for _ in range(10):
+        values = rng.normal(0.0, 3.0, 8)
+        g = CylinderFunction(2, 2, rng.uniform(-1e3, 1e3, 4))
+        f = Potential.from_table(2, 3, values)
+        for n in (10, 100, 1000):
+            _, K, err, _ = next(dlr._sweep(f, [g], [y], [n]))
+            assert err[0, 0] == _kernel_rounding(2, n) * np.max(np.abs(g.values))
+            assert abs(K[0, 0] - exact_kernel(values, n, g.values)) <= err[0, 0]
