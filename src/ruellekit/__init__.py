@@ -20,13 +20,11 @@ from .shift import (
     shift_n,
 )
 from .potentials import (
-    BirkhoffSum,
     GenericContinuous,
     Hoelder,
     LocallyConstant,
     Potential,
     SummableVariation,
-    birkhoff,
     jop_series,
     make_hofbauer_walters,
     walters_estimate,

@@ -193,10 +193,11 @@ def _table_values(values, params):
     return f"must hold d**depth = {d}**{depth} numbers, got {len(values)}"
 
 
+_REAL = _Key(float, ..., domain=_finite)
 # a hofbauer sequence: base + coef * k^-exponent, or base + coef * ratio^k
 _SEQUENCE = ("form", {
-    "power": {"base": _Key(float, 0.0), "coef": _Key(float, 1.0), "exponent": _Key(float, ...)},
-    "geometric": {"base": _Key(float, 0.0), "coef": _Key(float, 1.0), "ratio": _Key(float, ...)},
+    "power": {"base": _REAL._replace(default=0.0), "coef": _REAL._replace(default=1.0), "exponent": _REAL},
+    "geometric": {"base": _REAL._replace(default=0.0), "coef": _REAL._replace(default=1.0), "ratio": _REAL},
 })
 _D = _Key(int, ..., domain=_at_least(1))
 # the params of each potential kind
@@ -209,8 +210,8 @@ _PARAMS = {
     "ising_lr": {"alpha": _Key(float, 3.0, domain=lambda v, _: None if math.isfinite(v) and v > 1
                                 else f"must be a finite number > 1, got {json.dumps(v)}"),
                  "cutoff": _Key(int, 200, domain=_at_least(2))},
-    "hofbauer": {"a_seq": _Key(_SEQUENCE, ...), "c_seq": _Key(_SEQUENCE, ...), "a": _Key(float, ...),
-                 "b": _Key(float, ...), "c": _Key(float, ...), "var_decay": _Key(_SEQUENCE, None)},
+    "hofbauer": {"a_seq": _Key(_SEQUENCE, ...), "c_seq": _Key(_SEQUENCE, ...), "a": _REAL, "b": _REAL, "c": _REAL,
+                 "var_decay": _Key(_SEQUENCE, None)},
 }
 _DESCRIPTOR = ("kind", {kind: {"params": _Key(params, {})} for kind, params in _PARAMS.items()})
 _POINT, _WORD = _Key(str, "|0", "a point literal"), _Key(str, "0", "a word")

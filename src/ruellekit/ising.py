@@ -335,9 +335,6 @@ def g_potential(params: IsingParams) -> Potential:
 
     J = params.cutoff
 
-    def fn(x: Point) -> tuple[float, float]:
-        return g_one_sided(params, x)
-
     def batch(length: int, tail: Point) -> tuple[np.ndarray, float]:
         """g(u . tail) for every word u, from spin matrices of the words.
 
@@ -346,12 +343,12 @@ def g_potential(params: IsingParams) -> Potential:
         it is taken once, as its exact sums against the pieces of the power
         table.  Word i's piece sums are -s_0 times its head's, over
         j = 1..m-1, plus T's, and _round_rows rounds their exact total: the
-        sum that fn rounds, so every value is fn's to the bit.  The words
-        go in blocks of _WORD_BLOCK rows, so memory does not grow with
-        their number.
+        sum that g_one_sided rounds, so every value is its to the bit.  The
+        words go in blocks of _WORD_BLOCK rows, so memory does not grow
+        with their number.
         """
         if length == 0:  # the tail is the whole point
-            value, bound = fn(tail)
+            value, bound = g_one_sided(params, tail)
             return np.array([value]), bound
         zv, ze = params.cutoff_zeta
         pieces = params._table.pieces
@@ -368,9 +365,7 @@ def g_potential(params: IsingParams) -> Potential:
             values[lo : lo + len(s)] = _round_rows(-s[:, :1] * (head_sums + tail_sums))
         return values - zv, _tail_bracket(a, J)[1] + ze
 
-    return Potential.from_callable(
-        2, fn, SummableVariation(var_bound), label=f"ising-lr-g(alpha={a})", batch=batch
-    )
+    return Potential.from_callable(2, batch, SummableVariation(var_bound), label=f"ising-lr-g(alpha={a})")
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,20 @@
 
 A potential is a real function on the shift space together with a
 declaration of how fast it forgets remote coordinates.  Every evaluation
-returns a pair (value, error_bound): the bound is a certified absolute
-error (0.0 when the value is exact, as for finite-depth tables).
+returns values with one certified absolute error bound (0.0 when the
+values are exact, as for finite-depth tables).
 
-tabulate(f, length, tail), the values f(u . tail) over all words u of a
-length, is the one path by which the package reads f on many words: the
-transfer operator, tail_birkhoff, interactions and the kernels of
-callables use it.  It checks the table size, then calls the
-potential's word evaluator, f.batch(length, tail), when it has one.  A
-table potential reads its words by index arithmetic; the Ising g, the
-run-length family below and c*f of any of them compute all words at once
-without building a Point per word.  A potential without a word evaluator
-is evaluated once per word: that loop is the definition of tabulate, and
-every word evaluator must equal it bit for bit.  birkhoff, the sum along
-one point, is the reference for tests.
+The package reads a potential on cylinders only: tabulate(f, length,
+tail) returns f(u . tail) for every word u of a length, in word_index
+order.  It checks the table size, calls the potential's word evaluator,
+f.batch(length, tail), and checks that the evaluator returned one value
+per word.  The transfer operator, tail_birkhoff, interactions and the
+kernels read f through it.  The value at one point x is the length-0
+reading tabulate(f, 0, x).  A table potential reads its words by index
+arithmetic; the Ising g, the run-length family below and c*f of any of
+them compute all words at once without building a Point per word.
+Every word evaluator must equal its own length-0 readings of the words
+u . tail bit for bit.
 
 Regularity metadata drives the variation estimates:
 
@@ -42,8 +42,6 @@ from .shift import (
     CylinderFunction,
     Point,
     check_table_size,
-    prepend,
-    shift,
     word_table,
     word_tail_index,
 )
@@ -96,23 +94,21 @@ class VariationUnavailable(ValueError):
 
 @dataclass(frozen=True)
 class Potential:
-    """A potential: certified evaluator + regularity metadata.
+    """A potential: word evaluator + regularity metadata.
 
-    `table` is set exactly for locally-constant potentials and is the
-    exact value table at `regularity.depth`; the fast vectorised paths in
-    the transfer and kernel modules key off it.  `batch`, when set, is a word
-    evaluator: batch(length, tail) returns what tabulate(f, length, tail)
-    returns without it, without evaluating fn once per word.
+    `batch` is the word evaluator: batch(length, tail) returns f(u . tail)
+    for each of the d**length words u, in word_index order, and the
+    largest evaluation bound; read it through tabulate.  `table` is set
+    exactly for locally-constant potentials and is the exact value table
+    at `regularity.depth`; the fast vectorised paths in the transfer and
+    kernel modules key off it.
     """
 
     d: int
     regularity: object
-    fn: Callable[[Point], tuple[float, float]] = field(repr=False)
+    batch: Callable[[int, Point], tuple[np.ndarray, float]] = field(repr=False)
     table: CylinderFunction | None = field(default=None, repr=False)
     label: str = ""
-    batch: Callable[[int, Point], tuple[np.ndarray, float]] | None = field(
-        default=None, repr=False
-    )
 
     def __post_init__(self):
         if (self.table is None) == isinstance(self.regularity, LocallyConstant):
@@ -127,32 +123,23 @@ class Potential:
     def from_table(cls, d: int, depth: int, values, label: str = "") -> "Potential":
         tab = CylinderFunction(d, depth, values)
 
-        def fn(x: Point) -> tuple[float, float]:
-            return tab.value_at(x), 0.0
-
         def batch(length: int, tail: Point) -> tuple[np.ndarray, float]:
             if length >= depth:
                 # u . tail reads the leading `depth` symbols of u alone
                 return np.repeat(tab.values, d ** (length - depth)), 0.0
             return tab.values[word_tail_index(d, length, depth, tail)], 0.0
 
-        return cls(d, LocallyConstant(depth), fn, tab, label, batch)
+        return cls(d, LocallyConstant(depth), batch, tab, label)
 
     @classmethod
     def constant(cls, d: int, c: float, label: str = "") -> "Potential":
         return cls.from_table(d, 0, [float(c)], label or f"constant({c})")
 
     @classmethod
-    def from_callable(
-        cls, d: int, fn, regularity, label: str = "", batch=None
-    ) -> "Potential":
-        return cls(d, regularity, fn, None, label, batch)
+    def from_callable(cls, d: int, batch, regularity, label: str = "") -> "Potential":
+        return cls(d, regularity, batch, None, label)
 
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, x: Point) -> tuple[float, float]:
-        """Return (value, certified absolute error bound) at x."""
-        return self.fn(x)
+    # -- metadata ------------------------------------------------------------
 
     def depth(self) -> int | None:
         if isinstance(self.regularity, LocallyConstant):
@@ -171,11 +158,6 @@ def scale(f: Potential, c: float) -> Potential:
         return Potential.from_table(
             f.d, f.table.depth, c * f.table.values, label=f"{c}*{f.label}"
         )
-    base = f.fn
-
-    def fn(x: Point) -> tuple[float, float]:
-        v, e = base(x)
-        return c * v, abs(c) * e
 
     def batch(length: int, tail: Point) -> tuple[np.ndarray, float]:
         values, err = tabulate(f, length, tail)
@@ -187,21 +169,20 @@ def scale(f: Potential, c: float) -> Potential:
     elif isinstance(reg, SummableVariation):
         bound = reg.var_bound
         reg = SummableVariation(lambda n: abs(c) * bound(n))
-    return Potential(f.d, reg, fn, None, f"{c}*{f.label}", batch)
+    return Potential(f.d, reg, batch, None, f"{c}*{f.label}")
 
 
 def tabulate(f: Potential, length: int, tail: Point) -> tuple[np.ndarray, float]:
     """f(u . tail) for each of the d**length words u, in word_index order,
-    and the largest evaluation bound.  The word evaluator when f has one,
-    else one certified evaluation per word."""
-    check_table_size(f.d, length)
-    if f.batch is not None:
-        return f.batch(length, tail)
-    values = np.empty(f.d ** length)
-    err = 0.0
-    for i, row in enumerate(word_table(length, f.d)):
-        values[i], e = f.evaluate(prepend(tail, row))
-        err = max(err, e)
+    and the largest evaluation bound: f's word evaluator, after the table
+    size guard, its values checked to be one per word."""
+    size = check_table_size(f.d, length)
+    values, err = f.batch(length, tail)
+    if np.shape(values) != (size,):
+        raise ValueError(
+            f"the word evaluator of potential {f.label!r} returned values of shape "
+            f"{np.shape(values)} at length {length}, where ({size},) is due"
+        )
     return values, err
 
 
@@ -222,27 +203,6 @@ def tail_birkhoff(f: Potential, n: int, tail: Point):
         err += e
         mag += float(np.max(np.abs(values)))
         yield sums, err + (j - 1) * math.ulp(1.0) * mag
-
-
-@dataclass(frozen=True)
-class BirkhoffSum:
-    n: int
-    value: float
-    error_bound: float
-
-
-def birkhoff(f: Potential, x: Point, n: int) -> BirkhoffSum:
-    """S_n f(x) = f(x) + f(sigma x) + ... + f(sigma^{n-1} x), with bound."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    vals, errs = [], []
-    y = x
-    for _ in range(n):
-        v, e = f.evaluate(y)
-        vals.append(v)
-        errs.append(e)
-        y = shift(y)
-    return BirkhoffSum(n=n, value=math.fsum(vals), error_bound=math.fsum(errs))
 
 
 def birkhoff_table(f: Potential, n: int) -> CylinderFunction:
@@ -401,14 +361,11 @@ def make_hofbauer_walters(
             return a if k is None or k == 1 else float(a_seq(k))
         return c if k is None else b if k == 1 else float(c_seq(k))
 
-    def fn(x: Point) -> tuple[float, float]:
-        s = x.coord(1)
-        return value(s, run(x, s)), 0.0
-
     def batch(length: int, tail: Point) -> tuple[np.ndarray, float]:
         """Leading runs read from the word table, one value per run length."""
-        if length == 0:
-            return np.array([fn(tail)[0]]), 0.0
+        if length == 0:  # the tail is the whole point
+            s = tail.coord(1)
+            return np.array([value(s, run(tail, s))]), 0.0
         words = word_table(length, 2)
         differs = words != words[:, :1]
         runs = np.where(differs.any(axis=1), differs.argmax(axis=1), length)
@@ -426,4 +383,4 @@ def make_hofbauer_walters(
         reg = SummableVariation(var_decay)
     else:
         reg = GenericContinuous()
-    return Potential.from_callable(2, fn, reg, label, batch)
+    return Potential.from_callable(2, batch, reg, label)

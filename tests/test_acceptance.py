@@ -12,6 +12,7 @@ import math
 import mpmath
 import numpy as np
 
+from pointwise import birkhoff
 from ruellekit import dlr, interactions, ising, potentials, transfer
 from ruellekit.shift import CylinderFunction, Point, prepend
 
@@ -52,7 +53,7 @@ def test_criterion_01_eigenvalue_matches_dense_solve():
         dense = np.empty((d, d))
         for i in range(d):
             for j in range(d):
-                dense[j, i] = math.exp(f.evaluate(Point((i, j), (0,)))[0])
+                dense[j, i] = math.exp(f.table.value_at(Point((i, j), (0,))))
         lam = max(abs(np.linalg.eigvals(dense)))
         worst_rel = max(worst_rel, abs(rpf.lam - lam) / lam)
         worst_res = max(worst_res, rpf.residual_fn, rpf.residual_meas)
@@ -111,14 +112,14 @@ def test_criterion_05_interaction_rebuilds_potential():
         f = _random_table(rng, 2, m)
         y = _random_point(rng, 2, max_prefix=2, max_cycle=1)
         phi = interactions.from_potential(f, y, k_max=8, n_max=max(m, 1))
-        fy = f.evaluate(y)[0]
+        fy = f.table.value_at(y)
         for _ in range(20):
             x = _random_point(rng, 2)
             rec = interactions.reconstruct_at_site1(phi, x)
-            worst_rec = max(worst_rec, abs(rec - (f.evaluate(x)[0] - fy)))
+            worst_rec = max(worst_rec, abs(rec - (f.table.value_at(x) - fy)))
             for n in range(1, 9):
                 ham = interactions.hamiltonian_from_interaction(phi, n, x)
-                target = potentials.birkhoff(f, x, n).value - n * fy
+                target = birkhoff(f, x, n)[0] - n * fy
                 worst_ham = max(worst_ham, abs(ham - target))
     ok = worst_rec < 1e-14 and worst_ham < 1e-14
     _report(5, ok, f"depths 1-4, 20 points each: reconstruction {worst_rec:.2e}, "

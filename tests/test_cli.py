@@ -615,6 +615,8 @@ def test_config_keys_of_the_wrong_shape_are_usage_errors_naming_the_key(tmp_path
 ISING_LR = {"kind": "ising_lr", "params": {"alpha": 3.0}}
 TABLE = {"kind": "table", "params": {"d": 2, "depth": 1, "values": [0.0, 1.0]}}
 CONSTANT = {"kind": "constant", "params": {"value": 0.5}}
+HOFBAUER = {"kind": "hofbauer", "params": {"a_seq": {"form": "power", "exponent": 2.0},
+                                           "c_seq": {"form": "geometric", "ratio": 0.5}, "a": 0.25, "b": 5.0, "c": -0.75}}
 # the subcommands that read a potential from their config
 POTENTIAL_COMMANDS = [c for c, flags in cli._FLAGS.items() if "--config" in flags and c != "interaction"]
 
@@ -677,6 +679,15 @@ REFUSED_INPUTS = [
     ("alpha-inf", "pressure", with_params(ISING_LR, alpha=math.inf), ["--depth", "7"],
      "invalid config: alpha must be a finite number > 1, got Infinity"),
     ("cutoff-1", "pressure", with_params(ISING_LR, cutoff=1), ["--depth", "7"], "invalid config: cutoff must be >= 2, got 1"),
+    # each number of a hofbauer potential and of both its sequence forms
+    *((f"hofbauer-{key}-{json.dumps(bad)}", "pressure", with_params(HOFBAUER, **{key: bad}), ["--depth", "4"],
+       f"invalid config: {key} must be finite, got {json.dumps(bad)}")
+      for key in ("a", "b", "c") for bad in (math.nan, math.inf)),
+    *((f"hofbauer-{seq}-{key}-{json.dumps(bad)}", "pressure",
+       with_params(HOFBAUER, **{seq: {**HOFBAUER["params"][seq], key: bad}}), ["--depth", "4"],
+       f"invalid config: {key} must be finite, got {json.dumps(bad)}")
+      for seq, keys in (("a_seq", ("base", "coef", "exponent")), ("c_seq", ("base", "coef", "ratio")))
+      for key in keys for bad in (math.nan, math.inf)),
 ]
 
 

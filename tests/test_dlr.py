@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from pointwise import birkhoff, from_point_function
 from ruellekit.dlr import (
     _LN2,
     D_estimate,
@@ -31,7 +32,7 @@ from ruellekit.dlr import (
 )
 from ruellekit import dlr, shift, transfer
 from ruellekit.ising import IsingParams, g_potential
-from ruellekit.potentials import GenericContinuous, Hoelder, Potential, birkhoff, scale, tail_birkhoff
+from ruellekit.potentials import GenericContinuous, Hoelder, Potential, scale, tail_birkhoff
 from ruellekit.shift import (
     CylinderFunction,
     CylinderMeasure,
@@ -54,7 +55,7 @@ def brute_log_weights(f, beta, n, y):
     """beta S_n f(w . sigma^n y) for every volume word w, lexicographic."""
     tail = shift_n(y, n)
     return np.array([
-        beta * birkhoff(f, prepend(tail, w), n).value
+        beta * birkhoff(f, prepend(tail, w), n)[0]
         for w in itertools.product(range(f.d), repeat=n)
     ])
 
@@ -140,7 +141,7 @@ def test_partition_matches_enumeration_oracle(d, depth, n):
 def test_log_partition_outside_the_float_range():
     # at n = 2, Z = 2 e^-640000 (1 + e^-640000): Z underflows to 0, its log does not
     f = Potential.from_table(2, 2, [0.0, -800.0, 0.0, -800.0])
-    h = Potential.from_callable(2, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=1600.0))
+    h = Potential.from_callable(2, f.batch, Hoelder(gamma=1.0, constant=1600.0))
     y = Point.from_literal("|1")
     assert brute_log_partition(f, 800.0, 2, y) == pytest.approx(-640000.0 + math.log(2.0), rel=1e-15)
     for n in (1, 2, 5):
@@ -289,7 +290,7 @@ def test_kernel_engine_exponentiates_once_per_epoch(monkeypatch):
 def test_tower_check_refuses_volume_zero_on_both_routes(monkeypatch):
     # the table route used to read the unstepped block as a volume-0 kernel
     f = Potential.from_table(2, 2, [0.3, -0.5, 0.9, 0.1])
-    h = Potential.from_callable(2, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=2.0))
+    h = Potential.from_callable(2, f.batch, Hoelder(gamma=1.0, constant=2.0))
     g = CylinderFunction.indicator(2, (0,))
     z = Point.from_literal("|1")
     engines = []
@@ -309,7 +310,7 @@ def test_callable_potential_matches_its_table():
     # a callable has no table, so its kernels are summed over the volume words
     rng = np.random.default_rng(33)
     f = Potential.from_table(2, 2, rng.uniform(-1.0, 1.0, 4))
-    h = Potential.from_callable(2, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=2.0))
+    h = Potential.from_callable(2, f.batch, Hoelder(gamma=1.0, constant=2.0))
     g = CylinderFunction(2, 3, rng.uniform(-1.0, 1.0, 8))
     y, z = Point.from_literal("10|011"), Point.from_literal("|1")
     for n in (1, 4):
@@ -486,12 +487,12 @@ def test_D_estimate_stabilizes_and_bounds():
     assert v1 <= b1 + 1e-12
     assert b1 == b2
 
-    h = Potential.from_callable(2, lambda x: (0.0, 0.0), Hoelder(gamma=0.5, constant=1.0))
+    h = from_point_function(2, lambda x: (0.0, 0.0), Hoelder(gamma=0.5, constant=1.0))
     _, bh = D_estimate(h, 3)
     q = 2.0**-0.5
     assert bh == pytest.approx(q / (1 - q))
 
-    rough = Potential.from_callable(2, lambda x: (0.0, 0.0), GenericContinuous())
+    rough = from_point_function(2, lambda x: (0.0, 0.0), GenericContinuous())
     _, binf = D_estimate(rough, 3)
     assert math.isinf(binf)
 
@@ -505,7 +506,7 @@ def test_D_estimate_matches_enumeration_oracle(d, m):
     brute = 0.0
     for N in range(1, m + 2):
         for w in itertools.product(range(d), repeat=N):
-            vals = [birkhoff(f, prepend(t, w), N).value for t in tails]
+            vals = [birkhoff(f, prepend(t, w), N)[0] for t in tails]
             brute = max(brute, max(vals) - min(vals))
         assert D_estimate(f, N)[0][-1] == pytest.approx(brute, abs=1e-13)
         # the running maxima of one longer pass hold every shorter window's estimate
@@ -517,7 +518,7 @@ def test_D_estimate_of_callable_twin_matches_table(d, m):
     # the callable runs every n <= N, the table stops at n = m - 1
     rng = np.random.default_rng([d, m, 6])
     f = Potential.from_table(d, m, rng.uniform(-1.0, 1.0, d**m))
-    h = Potential.from_callable(d, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=2.0))
+    h = Potential.from_callable(d, f.batch, Hoelder(gamma=1.0, constant=2.0))
     tails = default_tails(d) + [Point.from_literal("1|0"), Point.from_literal("01|10")]
     for N in range(1, m + 2):
         for ts in (None, tails):
@@ -534,7 +535,7 @@ def test_callable_kernel_evaluates_each_tail_word_once():
         calls.append(x)
         return f.table.value_at(x), 0.0
 
-    h = Potential.from_callable(2, fn, Hoelder(gamma=1.0, constant=2.0))
+    h = from_point_function(2, fn, Hoelder(gamma=1.0, constant=2.0))
     g = CylinderFunction.indicator(2, (1, 0))
     y = Point.from_literal("0|110")
     n = 8
@@ -546,7 +547,7 @@ def test_callable_kernel_evaluates_each_tail_word_once():
     # one weight pass per boundary and volume serves every cylinder:
     # 4 boundaries x sum_{n=2}^{8} (2^{n+1} - 2) = 4,008 evaluations
     f = Potential.from_table(2, 2, np.random.default_rng(37).uniform(-1.0, 1.0, 4))
-    h = Potential.from_callable(2, fn, Hoelder(gamma=1.0, constant=2.0))  # fn reads this f
+    h = from_point_function(2, fn, Hoelder(gamma=1.0, constant=2.0))  # fn reads this f
     cylinders = [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
     boundaries = [Point.from_literal(t) for t in ("|0", "|1", "0|110", "1|01")]
     reference = power_iterate(f, 2).nu
@@ -624,8 +625,8 @@ def reference_tower_check(f, beta, n, r, z, g):
 
 
 def twin(f):
-    """The callable that evaluates a table potential point by point."""
-    return Potential.from_callable(f.d, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=2.0))
+    """The callable twin of a table potential: its word evaluator, without its table."""
+    return Potential.from_callable(f.d, f.batch, Hoelder(gamma=1.0, constant=2.0))
 
 
 @pytest.mark.parametrize("beta", [1.0, -0.7, 2.5])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pointwise import birkhoff, from_point_function, value
 from ruellekit.interactions import (
     Interaction,
     InteractionTerm,
@@ -16,7 +17,7 @@ from ruellekit.interactions import (
     reconstruct_at_site1,
 )
 from ruellekit.ising import zeta
-from ruellekit.potentials import Hoelder, Potential, birkhoff
+from ruellekit.potentials import Hoelder, Potential
 from ruellekit.shift import CylinderFunction, Point
 
 
@@ -73,10 +74,10 @@ def test_reconstruction_is_exact(depth, seed):
     f = Potential.from_table(2, depth, rng.uniform(-1.0, 1.0, 2**depth))
     y = Point.from_literal("|0")
     phi = from_potential(f, y, k_max=depth + 2, n_max=depth + 2)
-    fy = f.evaluate(y)[0]
+    fy = value(f, y)[0]
     for x in random_points(seed + 10, 2, 10):
         lhs = reconstruct_at_site1(phi, x)
-        rhs = f.evaluate(x)[0] - fy
+        rhs = value(f, x)[0] - fy
         assert abs(lhs - rhs) < 1e-14
 
 
@@ -85,11 +86,11 @@ def test_hamiltonian_identity():
     f = Potential.from_table(2, 3, rng.uniform(-1.0, 1.0, 8))
     y = Point.from_literal("|0")
     phi = from_potential(f, y, k_max=12, n_max=6)
-    fy = f.evaluate(y)[0]
+    fy = value(f, y)[0]
     for x in random_points(17, 2, 10):
         for n in (1, 2, 5, 8):
             H = hamiltonian_from_interaction(phi, n, x)
-            S = birkhoff(f, x, n).value
+            S = birkhoff(f, x, n)[0]
             assert H == pytest.approx(S - n * fy, abs=1e-12)
     with pytest.raises(ValueError):
         hamiltonian_from_interaction(phi, 0, y)
@@ -115,7 +116,7 @@ def test_hoelder_terms_decay_geometrically():
     def fn(x):
         return math.fsum(x.coord(i) * 2.0 ** (-gamma * i) for i in range(1, 60)) * K * (1 - 2**-gamma), 1e-13
 
-    f = Potential.from_callable(2, fn, Hoelder(gamma=gamma, constant=K))
+    f = from_point_function(2, fn, Hoelder(gamma=gamma, constant=K))
     phi = from_potential(f, Point.constant(0), k_max=6, n_max=6)
     assert 0 < phi.norm_remainder < math.inf
     for term in phi.terms:
@@ -129,7 +130,7 @@ def test_hoelder_terms_decay_geometrically():
 def test_from_potential_of_callable_twin_matches_table(d, depth, y):
     rng = np.random.default_rng([d, depth])
     f = Potential.from_table(d, depth, rng.uniform(-1.0, 1.0, d**depth))
-    h = Potential.from_callable(d, lambda x: (f.table.value_at(x), 0.0), Hoelder(gamma=1.0, constant=2.0))
+    h = Potential.from_callable(d, f.batch, Hoelder(gamma=1.0, constant=2.0))
     y = Point.from_literal(y)
     phi_f = from_potential(f, y, k_max=depth + 2, n_max=depth + 1)
     phi_h = from_potential(h, y, k_max=depth + 2, n_max=depth + 1)
@@ -147,7 +148,7 @@ def test_from_potential_evaluates_f_once_per_word():
         calls.append(x)
         return math.fsum(x.coord(i) * 2.0 ** (-0.5 * i) for i in range(1, 20)), 1e-13
 
-    f = Potential.from_callable(2, fn, Hoelder(gamma=0.5, constant=4.0))
+    f = from_point_function(2, fn, Hoelder(gamma=0.5, constant=4.0))
     phi = from_potential(f, Point.from_literal("1|0"), k_max=3, n_max=3)
     assert len(phi.terms) == 3 * 4  # no term vanishes, so each tabulation is stored
     # one evaluation per word of each term, plus f(y)

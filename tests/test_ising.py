@@ -1,6 +1,5 @@
 """Long-range chain: certified series against independent oracles."""
 
-import dataclasses
 import functools
 import math
 import tracemalloc
@@ -9,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from pointwise import per_word, reading
 from ruellekit import ising
 from ruellekit.ising import (
     IsingParams,
@@ -118,7 +118,7 @@ def test_g_potential_equals_g_one_sided_exactly():
         gp = g_potential(params)
         for text in ("|1", "|0", "1|0", "0110|01", "10|110"):
             x = Point.from_literal(text)
-            assert gp.evaluate(x) == g_one_sided(params, x)
+            assert reading(gp, x) == g_one_sided(params, x)
 
 
 def test_transfer_h_vanishes_on_constant_configuration():
@@ -355,20 +355,24 @@ def test_g_equals_scalar_oracle_on_every_depth_7_word(params, monkeypatch):
     monkeypatch.setattr(ising, "_WORD_BLOCK", 5)
     gp = g_potential(params)
     zeta_cut = zeta(params.alpha, params.cutoff)
-    # the word evaluator makes no per-point evaluation: count calls of fn
+    # the word evaluator reads a point by g_one_sided only at length 0, where
+    # the tail is the whole point: count its calls
     calls = []
-    counted = dataclasses.replace(gp, fn=lambda x: calls.append(x) or gp.fn(x))
+    monkeypatch.setattr(ising, "g_one_sided", lambda *args: calls.append(args) or g_one_sided(*args))
     for tail in ("|0", "|1", "|10", "0110|01", "1101001|0"):
         y = Point.from_literal(tail)
-        values, err = tabulate(counted, 7, y)
+        calls.clear()
+        values, err = tabulate(gp, 7, y)
+        assert calls == []
         oracle = [scalar_g(params, prepend(y, index_word(i, 7, 2)), zeta_cut) for i in range(2**7)]
         assert values.tolist() == [v for v, _ in oracle]
         assert err == max(e for _, e in oracle)
         for length in (0, 1, 3):
-            values, err = tabulate(counted, length, y)
-            words, oracle_err = tabulate(dataclasses.replace(gp, batch=None), length, y)
+            calls.clear()
+            values, err = tabulate(gp, length, y)
+            assert len(calls) == (length == 0)
+            words, oracle_err = per_word(gp, length, y)
             assert values.tolist() == words.tolist() and err == oracle_err
-    assert calls == []
     with pytest.raises(ValueError):
         tabulate(gp, 1, Point.from_literal("0|2"))
     for text in ("|1", "0|1", "0110|01", "10|110"):
@@ -454,7 +458,7 @@ def test_symbols_outside_the_spin_alphabet_are_refused(left, right):
         with pytest.raises(ValueError):
             g_one_sided(P3, x.right)
         with pytest.raises(ValueError):
-            g_potential(P3).evaluate(x.right)
+            tabulate(g_potential(P3), 0, x.right)
 
 
 def test_symbols_past_a_byte_are_refused_by_name():

@@ -163,7 +163,6 @@ def oracle_batch(params, length, tail):
 def oracle_g_potential(params, g_potential=ising.g_potential):
     return dataclasses.replace(
         g_potential(params),
-        fn=lambda x: oracle_g(params, x),
         batch=lambda length, tail: oracle_batch(params, length, tail),
     )
 

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from pointwise import birkhoff, from_point_function, per_word, reading, value
+from ruellekit import cli
+from ruellekit.dlr import D_estimate
 from ruellekit.ising import IsingParams, g_potential
 from ruellekit.potentials import (
     GenericContinuous,
@@ -13,7 +16,6 @@ from ruellekit.potentials import (
     Potential,
     SummableVariation,
     VariationUnavailable,
-    birkhoff,
     birkhoff_table,
     jop_series,
     make_hofbauer_walters,
@@ -44,7 +46,7 @@ def brute_var(f, n, probe_depth=6):
         vals = []
         for e_idx in range(d ** (probe_depth - n)):
             ext = tuple((e_idx // d ** (probe_depth - n - 1 - k)) % d for k in range(probe_depth - n))
-            vals.append(f.evaluate(Point(word + ext, (0,)))[0])
+            vals.append(value(f, Point(word + ext, (0,)))[0])
         worst = max(worst, max(vals) - min(vals))
     return worst
 
@@ -63,11 +65,11 @@ def test_hoelder_variation_majorant():
         # genuinely gamma-Hoelder: geometric series in the coordinates
         return sum(x.coord(i) * 2.0 ** (-0.5 * i) for i in range(1, 40)), 1e-12
 
-    f = Potential.from_callable(2, fn, Hoelder(gamma=0.5, constant=4.0))
+    f = from_point_function(2, fn, Hoelder(gamma=0.5, constant=4.0))
     for n in (1, 2, 5):
         assert var_upper(f, n) == 4.0 * 2.0 ** (-0.5 * n)
     with pytest.raises(VariationUnavailable):
-        var_upper(Potential.from_callable(2, fn, GenericContinuous()), 1)
+        var_upper(from_point_function(2, fn, GenericContinuous()), 1)
 
 
 def test_birkhoff_matches_table_and_loop():
@@ -78,13 +80,10 @@ def test_birkhoff_matches_table_and_loop():
         for trial in range(20):
             rng = np.random.default_rng(trial)
             x = Point(tuple(rng.integers(0, 2, 6)), (int(rng.integers(0, 2)),))
-            loop = math.fsum(f.evaluate(Point(x.coords(12)[k:], (x.coords(12)[-1],)))[0] for k in range(n))
-            b = birkhoff(f, x, n)
-            assert b.n == n
-            assert b.value == pytest.approx(table.value_at(x), abs=1e-13)
-            assert b.value == pytest.approx(loop, abs=1e-12)
-    with pytest.raises(ValueError):
-        birkhoff(f, Point.constant(0), 0)
+            loop = math.fsum(value(f, Point(x.coords(12)[k:], (x.coords(12)[-1],)))[0] for k in range(n))
+            b, _ = birkhoff(f, x, n)
+            assert b == pytest.approx(table.value_at(x), abs=1e-13)
+            assert b == pytest.approx(loop, abs=1e-12)
 
 
 def test_truncate_exact_for_tables():
@@ -100,7 +99,7 @@ def test_truncate_exact_for_tables():
         return float(x.coord(1)), 1e-9
 
     # truncating a callable charges the variation majorant plus evaluation error
-    g = Potential.from_callable(2, fn, Hoelder(gamma=1.0, constant=1.0))
+    g = from_point_function(2, fn, Hoelder(gamma=1.0, constant=1.0))
     assert transfer_operator(g, 2).truncation_bound == pytest.approx(2.0**-3 + 1e-9)
 
 
@@ -108,13 +107,13 @@ def test_truncate_exact_for_tables():
 def test_a_potential_has_a_table_exactly_when_locally_constant():
     # a LocallyConstant callable had no table for var_upper and power_iterate
     # to read (AttributeError) and D_estimate's bound checked nothing
-    fn = MARKOV.fn
+    batch = MARKOV.batch
     with pytest.raises(ValueError, match="from_table"):
-        Potential.from_callable(2, fn, LocallyConstant(1))
+        Potential.from_callable(2, batch, LocallyConstant(1))
     with pytest.raises(ValueError, match="from_table"):
-        Potential(2, LocallyConstant(2), fn)
+        Potential(2, LocallyConstant(2), batch)
     with pytest.raises(ValueError, match="from_table"):
-        Potential(2, Hoelder(gamma=1.0, constant=1.0), fn, MARKOV.table)
+        Potential(2, Hoelder(gamma=1.0, constant=1.0), batch, MARKOV.table)
 
 
 TAILS = ("|0", "|1", "|01", "2|10", "0110|2", "21|0")
@@ -125,7 +124,7 @@ def tail_twins(d, depth, seed, err=0.0):
     bound `err`), and boundary tails, purely periodic and with a prefix."""
     rng = np.random.default_rng([d, depth, seed])
     f = Potential.from_table(d, depth, rng.uniform(-1.0, 1.0, d**depth))
-    h = Potential.from_callable(d, lambda x: (f.table.value_at(x), err), Hoelder(gamma=1.0, constant=2.0))
+    h = from_point_function(d, lambda x: (f.table.value_at(x), err), Hoelder(gamma=1.0, constant=2.0))
     tails = [Point.from_literal(t) for t in TAILS if max(map(int, t.replace("|", ""))) < d]
     return f, h, tails
 
@@ -137,23 +136,57 @@ def test_tabulate_matches_point_oracle(d, depth):
     for tail in tails:
         for length in range(0, depth + 3):
             words = list(itertools.product(range(d), repeat=length))
-            oracle = [f.evaluate(prepend(tail, u))[0] for u in words]
+            oracle = [value(f, prepend(tail, u))[0] for u in words]
             values, err = tabulate(f, length, tail)
             assert list(values) == oracle and err == 0.0
             values, err = tabulate(h, length, tail)
             assert list(values) == oracle and err == 1e-9
 
 
-@pytest.mark.parametrize("d,depth", [(1, 2), (2, 0), (2, 1), (2, 3), (3, 2)])
-def test_table_word_evaluator_equals_per_word_path(d, depth):
-    # below the table depth the tail is read; at and above it the values repeat
-    f, _, tails = tail_twins(d, depth, 3)
-    oracle = dataclasses.replace(f, batch=None)
-    for tail in tails:
-        for length in range(max(depth - 1, 0), depth + 4):
-            values, err = tabulate(f, length, tail)
-            expected, expected_err = tabulate(oracle, length, tail)
-            assert values.tolist() == expected.tolist() and err == expected_err == 0.0
+HOFBAUER_TAILS = ("|0", "|1", "0|1", "1|0", "000|1", "11|01", "01|10", "|01")
+ISING_TAILS = ("|0", "|1", "|10", "0110|01", "1101001|0")
+# params of each potential kind of the config files (cli._PARAMS)
+WORD_EVALUATOR_CASES = {
+    "constant": [{"value": 0.75}, {"d": 3, "value": -1.25}],
+    "table": [{"d": d, "depth": m, "values": tail_twins(d, m, 3)[0].table.values.tolist()}
+              for d, m in ((1, 2), (2, 0), (2, 1), (2, 3), (3, 2))],
+    # cutoffs 2 and 5 stop inside the longer words
+    "ising_lr": [{"alpha": 3.0, "cutoff": 40}, {"alpha": 2.05, "cutoff": 200}, {"alpha": 2.2, "cutoff": 5},
+                 {"alpha": 3.0, "cutoff": 2}],
+    # a_seq(k) = 1/k + 0.1 and c_seq(k) = 0.3 - 0.5^k
+    "hofbauer": [{"a_seq": {"form": "power", "base": 0.1, "exponent": 1.0},
+                  "c_seq": {"form": "geometric", "base": 0.3, "coef": -1.0, "ratio": 0.5},
+                  "a": 0.1, "b": 5.0, "c": 0.3},
+                 {"a_seq": {"form": "geometric", "ratio": 0.25}, "c_seq": {"form": "power", "exponent": 2.0},
+                  "a": 0.0, "b": -1.5, "c": 0.0, "var_decay": {"form": "power", "coef": 2.0, "exponent": 2.0}}],
+}
+
+
+@pytest.mark.parametrize("kind", list(cli._PARAMS))
+def test_word_evaluator_equals_its_length_0_readings(kind):
+    # every kind a config names, and c*f of it: a kind without cases fails here
+    for params in WORD_EVALUATOR_CASES[kind]:
+        f = cli._described_potential(kind, cli._checked(params, cli._PARAMS[kind], kind))
+        tails = {Point.from_literal(t) for t in TAILS + HOFBAUER_TAILS + ISING_TAILS
+                 if max(map(int, t.replace("|", ""))) < f.d}
+        for p in (f, scale(f, -1.7)):
+            for tail in tails:
+                # every length up to 6, and to 5 on three symbols
+                for length in range(7 if f.d < 3 else 6):
+                    values, err = tabulate(p, length, tail)
+                    expected, expected_err = per_word(p, length, tail)
+                    assert values.tobytes() == expected.tobytes() and err == expected_err
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 1), (), (8,)])
+def test_tabulate_refuses_values_not_one_per_word(shape):
+    # D_estimate stacks and subtracts the sums it is given: a lopsided word
+    # evaluator is stopped where it is read
+    h = Potential.from_callable(2, lambda length, tail: (np.zeros(shape), 0.0), GenericContinuous(), "lopsided")
+    with pytest.raises(ValueError, match=r"'lopsided' returned values of shape .* at length 2, where \(4,\) is due"):
+        tabulate(h, 2, Point.constant(0))
+    with pytest.raises(ValueError, match="lopsided"):
+        D_estimate(h, 2)
 
 
 @pytest.mark.parametrize("d,depth", [(2, 1), (2, 3), (3, 2)])
@@ -165,7 +198,7 @@ def test_tail_birkhoff_matches_point_oracle(d, depth):
             for j, (sums, err) in enumerate(tail_birkhoff(p, n, tail), start=1):
                 words = list(itertools.product(range(d), repeat=j))
                 assert sums.shape == (len(words),)
-                oracle = [birkhoff(f, prepend(tail, u), j).value for u in words]
+                oracle = [birkhoff(f, prepend(tail, u), j)[0] for u in words]
                 assert np.max(np.abs(sums - oracle)) <= 1e-13
                 # j evaluation bounds plus the rounding of j - 1 additions
                 assert j * e <= err <= j * e + 1e-13
@@ -178,7 +211,7 @@ def test_tail_birkhoff_matches_point_oracle(d, depth):
 def test_scale_rescales_tables_and_metadata():
     f2 = scale(MARKOV, -2.0)
     assert f2.table.values[0] == pytest.approx(-2.0 * math.log(2.0))
-    h = Potential.from_callable(2, lambda x: (0.0, 0.0), Hoelder(gamma=0.5, constant=3.0))
+    h = from_point_function(2, lambda x: (0.0, 0.0), Hoelder(gamma=0.5, constant=3.0))
     assert scale(h, 4.0).regularity.constant == 12.0
 
 
@@ -237,7 +270,7 @@ def test_jop_series_flags():
     def var_bound(n):
         return c * (math.log(n + 1) - math.log(n))
 
-    g = Potential.from_callable(2, lambda x: (0.0, 0.0), SummableVariation(var_bound))
+    g = from_point_function(2, lambda x: (0.0, 0.0), SummableVariation(var_bound))
     res2 = jop_series(g, eps=0.5, n_terms=256)
     assert not res2.diverging
     assert res2.last_term == pytest.approx(257.0**-2, rel=0.05)
@@ -251,13 +284,13 @@ def test_hofbauer_walters_classification():
     c_seq = lambda k: -1.0 / k**2
     f = make_hofbauer_walters(a_seq, c_seq, a=0.25, b=5.0, c=-0.75)
     # leading zero-run of length k: k = 1 gives a, longer runs give a_seq(k)
-    assert f.evaluate(Point.constant(0))[0] == 0.25
-    assert f.evaluate(Point.from_literal("01|1"))[0] == 0.25
-    assert f.evaluate(Point.from_literal("0001|1"))[0] == pytest.approx(1.0 / 3)
+    assert reading(f, Point.constant(0))[0] == 0.25
+    assert reading(f, Point.from_literal("01|1"))[0] == 0.25
+    assert reading(f, Point.from_literal("0001|1"))[0] == pytest.approx(1.0 / 3)
     # leading one-run of length k: k = 1 gives b, longer runs give c_seq(k)
-    assert f.evaluate(Point.from_literal("10|0"))[0] == 5.0
-    assert f.evaluate(Point.from_literal("110|0"))[0] == pytest.approx(-0.25)
-    assert f.evaluate(Point.constant(1))[0] == -0.75
+    assert reading(f, Point.from_literal("10|0"))[0] == 5.0
+    assert reading(f, Point.from_literal("110|0"))[0] == pytest.approx(-0.25)
+    assert reading(f, Point.constant(1))[0] == -0.75
     assert f.d == 2
 
 
@@ -273,12 +306,11 @@ def test_hofbauer_word_evaluator_equals_per_word_path():
         return -(0.5**k) + 0.3
 
     f = make_hofbauer_walters(a_seq, c_seq, a=0.1, b=5.0, c=0.3)
-    oracle = dataclasses.replace(f, batch=None)
     # constant tails of either symbol, and tails with prefixes
-    for tail in ("|0", "|1", "0|1", "1|0", "000|1", "11|01", "01|10", "|01"):
+    for tail in HOFBAUER_TAILS:
         y = Point.from_literal(tail)
         for length in range(0, 7):
-            expected = tabulate(oracle, length, y)
+            expected = per_word(f, length, y)
             calls.clear()
             values, err = tabulate(f, length, y)
             assert values.tolist() == expected[0].tolist() and err == expected[1] == 0.0
@@ -296,23 +328,23 @@ def test_hofbauer_word_evaluator_equals_per_word_path():
 
 def test_scale_keeps_the_word_evaluator():
     f = make_hofbauer_walters(lambda k: 1.0 / k, lambda k: 0.3 - 1.0 / k, 0.0, 0.7, 0.3)
-    h = Potential.from_callable(2, lambda x: (math.sin(x.coord(1) + 2 * x.coord(2)), 1e-9), GenericContinuous())
+    h = from_point_function(2, lambda x: (math.sin(x.coord(1) + 2 * x.coord(2)), 1e-9), GenericContinuous())
     g = g_potential(IsingParams(alpha=3.0, cutoff=40))
     y = Point.from_literal("01|10")
     calls = []
     for p in (f, h, g):
-        words, err = tabulate(dataclasses.replace(p, batch=None), 5, y)
-        counted = dataclasses.replace(p, fn=lambda x, fn=p.fn: calls.append(x) or fn(x))
+        words, err = per_word(p, 5, y)
+        counted = dataclasses.replace(p, batch=lambda n, t, batch=p.batch: calls.append(n) or batch(n, t))
         for c in (-2.5, 0.3, 1.0 / 3.0):
             calls.clear()
             values, bound = tabulate(scale(counted, c), 5, y)
             assert values.tolist() == (c * words).tolist()
             assert bound == abs(c) * err
-            # c*f evaluates per point only when f does
-            assert (calls == []) == (p.batch is not None)
-            # and its per-word path agrees to the bit
-            per_word = tabulate(dataclasses.replace(scale(p, c), batch=None), 5, y)
-            assert per_word[0].tolist() == values.tolist() and per_word[1] == bound
+            # c*f reads f's word evaluator once, at the same length
+            assert calls == [5]
+            # and its per-word readings agree to the bit
+            oracle = per_word(scale(p, c), 5, y)
+            assert oracle[0].tolist() == values.tolist() and oracle[1] == bound
 
 
 def test_hofbauer_walters_metadata():
@@ -327,6 +359,6 @@ def test_hofbauer_walters_metadata():
 
 def test_from_table_reads_the_leading_word():
     f = Potential.from_table(3, 1, [0.0, 1.0, 2.0])
-    assert f.evaluate(Point.from_literal("2|0"))[0] == 2.0
+    assert reading(f, Point.from_literal("2|0"))[0] == 2.0
     with pytest.raises(ValueError):
         Potential.from_table(2, 2, [1.0, 2.0, 3.0])

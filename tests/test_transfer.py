@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from karp import bracket, brute_max_mean_cycle, exact_log_spectral_radius, max_mean_cycle
+from pointwise import from_point_function
 from ruellekit import transfer
 from ruellekit.ising import IsingParams, g_potential
 from ruellekit.potentials import Hoelder, Potential, scale
@@ -130,7 +131,7 @@ def test_underflowing_weights_keep_lambda_in_karps_bracket():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_callable_values_are_refused(bad):
-    f = Potential.from_callable(2, lambda x: (bad if x.coord(2) else 0.0, 0.0), Hoelder(1.0, 1.0))
+    f = from_point_function(2, lambda x: (bad if x.coord(2) else 0.0, 0.0), Hoelder(1.0, 1.0))
     with pytest.raises(ValueError, match="finite"):
         transfer_operator(f, 2)
     with pytest.raises(ValueError, match="finite"):
