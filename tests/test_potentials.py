@@ -143,6 +143,17 @@ def test_tabulate_matches_point_oracle(d, depth):
             assert list(values) == oracle and err == 1e-9
 
 
+@pytest.mark.parametrize("d,depth", [(1, 2), (2, 0), (2, 1), (2, 3), (3, 2)])
+def test_table_word_evaluator_equals_per_word_path(d, depth):
+    # below the table depth the tail is read; at and above it the values repeat
+    f, _, tails = tail_twins(d, depth, 3)
+    for tail in tails:
+        for length in range(max(depth - 1, 0), depth + 4):
+            values, err = tabulate(f, length, tail)
+            expected, expected_err = per_word(f, length, tail)
+            assert values.tolist() == expected.tolist() and err == expected_err == 0.0
+
+
 HOFBAUER_TAILS = ("|0", "|1", "0|1", "1|0", "000|1", "11|01", "01|10", "|01")
 ISING_TAILS = ("|0", "|1", "|10", "0110|01", "1101001|0")
 # params of each potential kind of the config files (cli._PARAMS)
