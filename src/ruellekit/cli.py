@@ -8,14 +8,15 @@ identical bytes (modulo the generated_at field).  A float array with
 fewer than half its entries distinct (psi repeats each of its values) has
 each distinct value formatted once; the bytes are the same.
 
-Each subcommand takes only the flags it reads (_FLAGS).  Exit status: 0 on
-success; 2 when a check fails: a power iteration did not converge (rpf,
-pressure, normalize, change-of-measure, tl's reference), or a residual,
-deviation or certificate lands beyond its tolerance (normalize: sup
-|L_fbar 1 - 1| > tol * max psi / min psi); 1 on usage/config errors, on a
-computation that leaves the float range (uniqueness's underflowed kernel
-mass, change-of-measure's psi) and on an output that cannot be written
-(no report is written then).
+Each subcommand takes only the flags it reads (_FLAGS), each a _Key as a
+config param is, refused outside its domain as "<flag> must ..., got <v>".
+Exit status: 0 on success; 2 when a check fails: a power iteration did not
+converge (rpf, pressure, normalize, change-of-measure, tl's reference), or
+a residual, deviation or certificate lands beyond its tolerance
+(normalize: sup |L_fbar 1 - 1| at fbar's depth > tol * max psi / min psi);
+1 on usage/config errors, on a computation that leaves the float range
+(uniqueness's underflowed kernel mass, change-of-measure's psi) and on an
+output that cannot be written (no report is written then).
 
 A config file is a JSON object of the keys its subcommand reads (_CONFIG),
 its potential's params those of its kind (_PARAMS).  Any other key, one
@@ -162,17 +163,19 @@ def _opt(value, default):
 
 
 class _Key(NamedTuple):
-    """A config entry: its JSON type (_is: int, float, a number a float
-    holds, str, [a list of one]), a table {key: _Key}, or (selector,
-    {name: table}) for an object whose selector names the table of its
-    other keys; its default, ... for a key that must be given and None for
-    one that may be absent; the words naming its type; and its domain, a
-    test of the value and the params beside it returning what is wrong."""
+    """A flag or config entry: its type (a flag's int, float or str; an entry's JSON type, _is: int,
+    float, a number a float holds, str, [a list of one]), a table {key: _Key}, or (selector, {name:
+    table}) for an object whose selector names the table of its other keys; its default, ... for a
+    key that must be given and None for one that may be absent; the words naming its type; and its
+    domain, a test of the value and the inputs beside it returning what is wrong."""
 
     type: Any
     default: Any = None
     what: str = ""
     domain: Callable[[Any, dict], str | None] | None = None
+
+    def __call__(self, default):  # the input with another default: _SITES(2)
+        return self._replace(default=default)
 
 
 def _at_least(low):
@@ -194,22 +197,23 @@ def _table_values(values, params):
 
 
 _REAL = _Key(float, ..., domain=_finite)
+_D = _Key(int, ..., domain=_at_least(1))
+# the long-range Ising chain's couplings are summable only at a finite alpha > 1
+_ALPHA = _Key(float, 3.0, domain=lambda v, _: None if math.isfinite(v) and v > 1
+              else f"must be a finite number > 1, got {json.dumps(v)}")
+_CUTOFF = _Key(int, 200, domain=_at_least(2))
 # a hofbauer sequence: base + coef * k^-exponent, or base + coef * ratio^k
 _SEQUENCE = ("form", {
-    "power": {"base": _REAL._replace(default=0.0), "coef": _REAL._replace(default=1.0), "exponent": _REAL},
-    "geometric": {"base": _REAL._replace(default=0.0), "coef": _REAL._replace(default=1.0), "ratio": _REAL},
+    "power": {"base": _REAL(0.0), "coef": _REAL(1.0), "exponent": _REAL},
+    "geometric": {"base": _REAL(0.0), "coef": _REAL(1.0), "ratio": _REAL},
 })
-_D = _Key(int, ..., domain=_at_least(1))
 # the params of each potential kind
 _PARAMS = {
-    "constant": {"d": _D._replace(default=2), "value": _Key(float, 0.0, domain=_finite)},
+    "constant": {"d": _D(2), "value": _Key(float, 0.0, domain=_finite)},
     "table": {"d": _D, "depth": _Key(int, ..., domain=_at_least(0)),
               "values": _Key([float], ..., "a list of numbers", _table_values), "label": _Key(str, "config-table")},
-    # no beta: --beta scales the potential, and a second factor in g would apply it twice;
-    # the chain's couplings are summable only at a finite alpha > 1
-    "ising_lr": {"alpha": _Key(float, 3.0, domain=lambda v, _: None if math.isfinite(v) and v > 1
-                                else f"must be a finite number > 1, got {json.dumps(v)}"),
-                 "cutoff": _Key(int, 200, domain=_at_least(2))},
+    # no beta: --beta scales the potential, and a second factor in g would apply it twice
+    "ising_lr": {"alpha": _ALPHA, "cutoff": _CUTOFF},
     "hofbauer": {"a_seq": _Key(_SEQUENCE, ...), "c_seq": _Key(_SEQUENCE, ...), "a": _REAL, "b": _REAL, "c": _REAL,
                  "var_decay": _Key(_SEQUENCE, None)},
 }
@@ -262,11 +266,16 @@ def _checked(value, kind, key: str, what: str = ""):
     # an absent key reads as its default, checked as a given one (a table's defaults filled in)
     checked = {k: None if entry.default is None and k not in value else
                _checked(value.get(k, entry.default), entry.type, k, entry.what) for k, entry in kind.items()}
-    for k, entry in kind.items():
-        wrong = entry.domain and checked[k] is not None and entry.domain(checked[k], checked)
-        if wrong:
-            raise UsageError(f"invalid config: {k} {wrong}")
+    _check_domains(kind, checked, "invalid config: ")
     return checked
+
+
+def _check_domains(table: dict, values: dict, prefix: str) -> None:
+    """A usage error naming the first input of `table` whose value (in `values`) lies outside its domain."""
+    for key, entry in table.items():
+        wrong = entry.domain and values[key] is not None and entry.domain(values[key], values)
+        if wrong:
+            raise UsageError(f"{prefix}{key} {wrong}")
 
 
 def _load_config(args) -> dict:
@@ -403,18 +412,16 @@ def _cmd_pressure(cfg, args):
 def _cmd_normalize(cfg, args):
     f, rpf = _rpf_data(cfg, args)
     fbar = transfer.normalize(f, rpf)
-    check_depth = _opt(args.n, fbar.depth())
-    check = transfer.check_normalized(fbar, check_depth)
+    check = transfer.check_normalized(fbar)
     results = {
         "depth": fbar.depth(),
         "values": fbar.table.values,
-        "check_depth": check_depth,
+        "check_depth": fbar.depth(),
         "check_sup_norm": check,
         "log_lambda": rpf.log_lam,
     }
     # check is per entry: up to max psi / min psi times the sup-norm residual held under tol
-    log_psi = rpf.log_psi
-    spread = transfer.exp_or_inf(float(log_psi.max() - log_psi.min()))
+    spread = transfer.exp_or_inf(float(np.ptp(rpf.log_psi)))
     return results, rpf.converged and check <= args.tol * spread, None
 
 
@@ -638,34 +645,20 @@ _COMMANDS = {
 }
 
 
-class _Flag(NamedTuple):
-    """A flag's type, the default it runs with (None: not given, or read from the input)
-    and its domain: a test of the value, and the usage error refusing values outside it."""
-
-    type: type = str
-    default: object = None
-    ok: Callable[[Any], bool] | None = None
-    need: str = ""
-
-    def __call__(self, default):  # the flag with a fixed default: _SITES(2)
-        return self._replace(default=default)
-
-
-_PATH = _Flag()
-_BETA = _Flag(float)
-_D = _Flag(int, None, lambda v: v >= 1, "--d must be >= 1")
-_SIZE = _Flag(int, None, lambda v: v >= 0, "{flag} must be >= 0")
-_SITES = _Flag(int, None, lambda v: v >= 1, "{flag} must be >= 1 for {command}")
-# --alpha and --cutoff set the long-range Ising chain, summable only at a finite alpha > 1
-_ALPHA = _Flag(float, None, lambda v: math.isfinite(v) and v > 1, "{command} --alpha must be a finite number > 1")
-_CUTOFF = _Flag(int, None, lambda v: v >= 2, "{command} --cutoff must be >= 2")
-_TOL = _Flag(float, transfer.DEFAULT_TOL, lambda v: math.isfinite(v) and v > 0.0, "--tol must be a positive finite number")
-_MAX_ITER = _Flag(int, transfer.DEFAULT_MAX_ITER, lambda v: v >= 1, "--max-iter must be >= 1")
-_SEED = _Flag(int, 0, lambda v: v >= 0, "--seed must be >= 0")
+# a flag's default is the one it runs with, None when it is not given or is read from the input;
+# --d, --alpha and --cutoff are the params of those names (_PARAMS)
+_PATH = _Key(str)
+_BETA = _Key(float)
+_SIZE = _Key(int, None, domain=_at_least(0))
+_SITES = _Key(int, None, domain=_at_least(1))
+_TOL = _Key(float, transfer.DEFAULT_TOL, domain=lambda v, _: None if math.isfinite(v) and v > 0.0
+            else f"must be a positive finite number, got {json.dumps(v)}")
+_MAX_ITER = _Key(int, transfer.DEFAULT_MAX_ITER, domain=_at_least(1))
+_SEED = _Key(int, 0, domain=_at_least(0))
 
 # the potential of --config, or 0 on --d symbols when it names none
-_POTENTIAL = {"--config": _PATH, "--d": _D}
-# --depth defaults to a table's depth, normalize's --n to the normalised one's
+_POTENTIAL = {"--config": _PATH, "--d": _D(None)}
+# --depth defaults to a table's depth
 _EIGEN = {**_POTENTIAL, "--depth": _SITES, "--beta": _BETA, "--tol": _TOL, "--max-iter": _MAX_ITER}
 
 # the flags each subcommand reads, besides the --out of every report; the
@@ -673,16 +666,16 @@ _EIGEN = {**_POTENTIAL, "--depth": _SITES, "--beta": _BETA, "--tol": _TOL, "--ma
 _FLAGS = {
     "rpf": _EIGEN,
     "pressure": _EIGEN,
-    "normalize": {**_EIGEN, "--n": _SITES},
+    "normalize": _EIGEN,
     "kernel": {**_POTENTIAL, "--n": _SITES(2), "--beta": _BETA},
     "tl": {**_POTENTIAL, "--n": _SIZE(12), "--beta": _BETA, "--tol": _TOL, "--max-iter": _MAX_ITER,
            "--seed": _SEED, "--csv": _PATH},
     "dlr-check": {"--d": _D(2), "--depth": _SIZE(2), "--n": _SITES(2), "--r": _SIZE(2), "--beta": _BETA,
                   "--tol": _TOL(1e-12), "--seed": _SEED},
-    "interaction": {"--config": _PATH, "--alpha": _ALPHA},
+    "interaction": {"--config": _PATH, "--alpha": _ALPHA(None)},
     "walters": {**_POTENTIAL, "--n": _SITES(16)},
     "uniqueness": {**_POTENTIAL, "--n": _SITES(8), "--beta": _BETA, "--seed": _SEED},
-    "ising": {"--n": _SIZE(100), "--alpha": _ALPHA(3.0), "--cutoff": _CUTOFF(200), "--seed": _SEED},
+    "ising": {"--n": _SIZE(100), "--alpha": _ALPHA, "--cutoff": _CUTOFF, "--seed": _SEED},
     "change-of-measure": {**_POTENTIAL, "--depth": _SITES(3), "--tol": _TOL(1e-9), "--max-iter": _MAX_ITER,
                           "--seed": _SEED},
 }
@@ -707,10 +700,7 @@ def run(argv=None) -> int:
         flags = _FLAGS[args.command]
         if extra:
             raise UsageError(f"{args.command} takes no {extra[0].split('=')[0]}: it takes --out, {', '.join(flags)}")
-        for flag, spec in flags.items():
-            value = getattr(args, flag[2:].replace("-", "_"))
-            if spec.ok is not None and value is not None and not spec.ok(value):
-                raise UsageError(f"{spec.need.format(command=args.command, flag=flag)}, got {value}")
+        _check_domains(flags, {flag: getattr(args, flag[2:].replace("-", "_")) for flag in flags}, "")
         cfg = _load_config(args)
         results, ok, table = _COMMANDS[args.command](cfg, args)
     except UsageError as exc:

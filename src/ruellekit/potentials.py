@@ -111,11 +111,10 @@ class Potential:
     label: str = ""
 
     def __post_init__(self):
-        if (self.table is None) == isinstance(self.regularity, LocallyConstant):
-            raise ValueError(
-                "a potential has a value table exactly when its regularity is "
-                "LocallyConstant: build a locally-constant one with from_table"
-            )
+        table_depth = None if self.table is None else self.table.depth
+        if table_depth != self.depth():
+            raise ValueError("a potential has a value table exactly when its regularity is LocallyConstant of "
+                             f"the table's depth, not {self.depth()} and {table_depth}: build one with from_table")
 
     # -- constructors -------------------------------------------------------
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,7 +98,6 @@ def _primitive_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     for p in range(1, n + 1):
         if n % p == 0 and cycle == cycle[:p] * (n // p):
             return cycle[:p]
-    return cycle
 
 
 @dataclass(frozen=True)

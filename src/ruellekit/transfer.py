@@ -55,7 +55,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .potentials import REFERENCE_TAIL, Potential, tabulate, var_upper
-from .shift import CylinderFunction, CylinderMeasure, check_table_size, sum_of_products
+from .shift import MAX_TABLE_ENTRIES, CylinderFunction, CylinderMeasure, check_table_size, sum_of_products
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -150,7 +150,7 @@ class TransferOperator:
 
     def matrix(self) -> np.ndarray:
         """Dense d**m x d**m matrix (small depths only)."""
-        if self.size ** 2 > 2 ** 22:
+        if self.size ** 2 > MAX_TABLE_ENTRIES:
             raise ValueError("dense matrix would exceed the size guard")
         mat = np.zeros((self.size, self.size))
         rows = np.arange(self.size)
@@ -591,8 +591,10 @@ def normalize(f: Potential, rpf: RPFData) -> Potential:
     )
 
 
-def check_normalized(fbar: Potential, depth: int) -> float:
-    """sup |L_fbar 1 - 1| over the depth-m words."""
-    op = transfer_operator(fbar, depth)
-    return float(np.max(np.abs(op.apply(np.ones(op.size)) - 1.0)))
+def check_normalized(fbar: Potential) -> float:
+    """sup |L_fbar 1 - 1| at fbar's depth: sup_w |sum_a e^{fbar(a w)} - 1|, from its table refined to depth >= 1."""
+    if fbar.table is None:
+        raise ValueError("check_normalized reads a table potential, as normalize returns")
+    table = fbar.table.refine(fbar.truncation_depth())
+    return float(np.max(np.abs(np.exp(table.values.reshape(fbar.d, -1)).sum(axis=0) - 1.0)))
 

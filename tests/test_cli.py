@@ -365,7 +365,6 @@ def test_negative_depth_and_r_are_usage_errors(capsys, flag):
 ZERO_FLAG_RUNS = [
     ("kernel", "--n", "0"),
     ("dlr-check", "--n", "0"),
-    ("normalize", "--n", "0"),
     ("walters", "--n", "0"),
     ("uniqueness", "--config", markov_config, "--n", "0"),
     *((command, "--depth", "0") for command in ("rpf", "pressure", "normalize", "change-of-measure")),
@@ -721,6 +720,40 @@ def test_words_and_points_off_the_alphabet_are_usage_errors_naming_the_key(tmp_p
     assert capsys.readouterr().err == f"usage error: invalid config: {message}\n"
 
 
+CONFIG_REFUSALS = [
+    ("needs", "pressure", {"potential": {"kind": "table", "params": {"d": 2, "depth": 1}}},
+     "invalid config: params needs values"),
+    ("point-literal", "kernel", {"boundary": "0|"}, "invalid config: boundary '0|' is no point literal"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,message", [c[1:] for c in CONFIG_REFUSALS], ids=[c[0] for c in CONFIG_REFUSALS])
+def test_config_refusals(tmp_path, capsys, command, cfg, message):
+    code, report = run(tmp_path, command, "--config", write_config(tmp_path, cfg))
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith(f"usage error: {message}")
+
+
+SHARED_DOMAINS = [
+    ("kernel", "--d", "0", CONSTANT, 0, "must be >= 1, got 0"),
+    ("interaction", "--alpha", "1", ISING_LR, 1, "must be a finite number > 1, got 1.0"),
+    ("ising", "--alpha", "inf", ISING_LR, math.inf, "must be a finite number > 1, got Infinity"),
+    ("ising", "--cutoff", "1", ISING_LR, 1, "must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,potential,param_value,wrong", SHARED_DOMAINS,
+                         ids=[f"{c[0]} {c[1]} {c[2]}" for c in SHARED_DOMAINS])
+def test_a_flag_and_the_param_of_its_name_share_one_domain(tmp_path, monkeypatch, capsys, command, flag, value,
+                                                           potential, param_value, wrong):
+    name = flag[2:]
+    assert cli._FLAGS[command][flag].domain is cli._PARAMS[potential["kind"]][name].domain
+    assert_refused_as(tmp_path, monkeypatch, capsys, [command, flag, value], f"{flag} {wrong}")
+    cfg = write_config(tmp_path, with_params(potential, **{name: param_value}), name="param.json")
+    assert_refused_as(tmp_path, monkeypatch, capsys, ["pressure", "--config", cfg, "--depth", "3"],
+                      f"invalid config: {name} {wrong}")
+
+
 def test_each_subcommand_with_a_config_declares_its_keys():
     assert set(cli._CONFIG) == {command for command, flags in cli._FLAGS.items() if "--config" in flags}
 
@@ -812,10 +845,10 @@ def test_ising_refuses_too_few_terms_for_its_own_points(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag,value,message",
     [
-        ("--alpha", "nan", "ising --alpha must be a finite number > 1"),
-        ("--alpha", "inf", "ising --alpha must be a finite number > 1"),
-        ("--alpha", "1", "ising --alpha must be a finite number > 1"),
-        ("--cutoff", "1", "ising --cutoff must be >= 2"),
+        ("--alpha", "nan", "--alpha must be a finite number > 1, got NaN"),
+        ("--alpha", "inf", "--alpha must be a finite number > 1, got Infinity"),
+        ("--alpha", "1", "--alpha must be a finite number > 1, got 1.0"),
+        ("--cutoff", "1", "--cutoff must be >= 2, got 1"),
     ],
 )
 def test_ising_refuses_bad_alpha_and_cutoff(tmp_path, capsys, flag, value, message):
@@ -848,7 +881,7 @@ def test_bad_alpha_is_a_usage_error_naming_the_flag(tmp_path, monkeypatch, capsy
     argv = [f"{flag}={value}"] + (["--config", cfg] if command != "interaction" else [])
     code, report = run(tmp_path, command, *argv)
     assert code == 1 and report is None
-    expected = f"{command} {flag} {need}" if command == "interaction" else f"{command} takes no {flag}:"
+    expected = f"{flag} {need}" if command == "interaction" else f"{command} takes no {flag}:"
     assert capsys.readouterr().err.startswith(f"usage error: {expected}")
 
 

@@ -497,6 +497,32 @@ def test_D_estimate_stabilizes_and_bounds():
     assert math.isinf(binf)
 
 
+MARKOV_DLR = Potential.from_table(2, 2, [math.log(2.0), 0.0, 0.0, 0.0])
+DLR_REFUSALS = [
+    ("tl_sequence", lambda: tl_sequence(MARKOV_DLR, [], [Point.constant(0)], 3),
+     "need at least one cylinder and one boundary"),
+    ("D_estimate", lambda: D_estimate(MARKOV_DLR, 3, [Point.constant(0)]), "need at least two tails to compare"),
+    ("dlr_residual", lambda: dlr_residual(MARKOV_DLR, CylinderMeasure.uniform(2, 2), 3,
+                                          CylinderFunction.indicator(2, (0,)), Point.constant(0)),
+     "measure depth 2 does not resolve the volume 3"),
+]
+
+
+@pytest.mark.parametrize("call,message", [case[1:] for case in DLR_REFUSALS], ids=[c[0] for c in DLR_REFUSALS])
+def test_dlr_refusals(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value).startswith(message)
+
+
+def test_dlr_residual_of_a_potential_without_variation_bounds_has_no_finite_quadrature_bound():
+    # the integrand reads past the measure's depth, and nothing bounds how far it moves
+    rough = from_point_function(2, lambda x: (0.1 * x.coord(3), 0.0), GenericContinuous())
+    _, quad = dlr_residual(rough, CylinderMeasure.uniform(2, 2), 1, CylinderFunction.indicator(2, (0,)),
+                           Point.constant(0))
+    assert quad == math.inf
+
+
 @pytest.mark.parametrize("d,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
 def test_D_estimate_matches_enumeration_oracle(d, m):
     # the table branch stops at n = m - 1; the oracle runs every n <= m + 1

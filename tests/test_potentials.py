@@ -116,6 +116,15 @@ def test_a_potential_has_a_table_exactly_when_locally_constant():
         Potential(2, Hoelder(gamma=1.0, constant=1.0), batch, MARKOV.table)
 
 
+def test_a_table_potentials_depth_is_its_tables():
+    # a depth-3 table declared LocallyConstant(5) telescoped with remainder 14
+    # (upper 21) where the table itself telescopes exactly (upper 7)
+    t = Potential.from_table(2, 3, np.arange(8.0))
+    with pytest.raises(ValueError, match="of the table's depth, not 5 and 3"):
+        Potential(2, LocallyConstant(5), t.batch, t.table)
+    assert Potential(2, LocallyConstant(3), t.batch, t.table).depth() == 3
+
+
 TAILS = ("|0", "|1", "|01", "2|10", "0110|2", "21|0")
 
 
@@ -288,6 +297,12 @@ def test_jop_series_flags():
 
     with pytest.raises(ValueError):
         jop_series(MARKOV, eps=0.5, n_terms=2)
+
+
+def test_jop_series_exponent_is_infinite_when_its_last_term_underflows():
+    # var_1 = 2000 of a depth-2 table: every term is e^-2000, 0 in floats
+    res = jop_series(Potential.from_table(2, 2, [0.0, 2000.0, 0.0, 0.0]), eps=0.5, n_terms=8)
+    assert res.last_term == 0.0 and res.growth_exponent == math.inf and not res.diverging
 
 
 def test_hofbauer_walters_classification():

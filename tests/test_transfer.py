@@ -155,7 +155,46 @@ def test_normalize_and_check():
         f = Potential.from_table(2, 2, rng.uniform(-1.0, 1.0, 4))
         fbar = normalize(f, power_iterate(f, 2, tol=1e-13))
         assert fbar.depth() == 3
-        assert check_normalized(fbar, 8) < 1e-10
+        assert check_normalized(fbar) < 1e-10
+
+
+@pytest.mark.parametrize("max_iter", [3, DEFAULT_MAX_ITER])
+@pytest.mark.parametrize("d", [2, 3])
+def test_check_normalized_reads_the_operator_at_the_tables_own_depth(d, max_iter):
+    # the oracle: L_fbar 1 - 1 through the depth-m operator, m the table's depth
+    rng = np.random.default_rng(10 * d + max_iter)
+    for m in range(1, 5):
+        for depth in range(max(m - 1, 1), m + 3):
+            for spread in (0.3, 3.0, 30.0):
+                f = Potential.from_table(d, m, rng.normal(0.0, spread, d**m))
+                fbar = normalize(f, power_iterate(f, depth, max_iter=max_iter))
+                op = transfer_operator(fbar, fbar.depth())
+                oracle = float(np.max(np.abs(op.apply(np.ones(op.size)) - 1.0)))
+                assert check_normalized(fbar) == oracle, (m, depth, spread)
+    # a constant reads at depth 1: the d preimages of every word
+    assert check_normalized(Potential.constant(d, -math.log(d) + 0.5)) == abs(d * math.exp(-math.log(d) + 0.5) - 1.0)
+
+
+TRANSFER_REFUSALS = [
+    # an unconverged pair whose log psi passes 1000
+    ("psi", lambda: power_iterate(Potential.from_table(2, 3, np.random.default_rng(5).normal(0.0, 1000.0, 8)), 3,
+                                  max_iter=500).psi,
+     "psi leaves the float range: it spans e^"),
+    # 4096**2 entries
+    ("matrix", lambda: transfer_operator(Potential.constant(2, 0.0), 12).matrix(),
+     "dense matrix would exceed the size guard"),
+    ("normalize", lambda: normalize(Potential.constant(3, 0.0), power_iterate(MARKOV, 2)),
+     "alphabet mismatch between potential and eigendata"),
+    ("check_normalized", lambda: check_normalized(g_potential(IsingParams(alpha=3.0, cutoff=50))),
+     "check_normalized reads a table potential"),
+]
+
+
+@pytest.mark.parametrize("call,message", [case[1:] for case in TRANSFER_REFUSALS], ids=[c[0] for c in TRANSFER_REFUSALS])
+def test_transfer_refusals(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value).startswith(message)
 
 
 def test_normalized_apply_fixes_one():
