@@ -615,8 +615,6 @@ def change_of_measure_check(
     """
     rpf = power_iterate(f, depth, tol, max_iter)
     psi = rpf.psi.values  # refused past the float range
-    if not psi.min() > 0.0:
-        raise ValueError(f"psi leaves the float range: it spans e^{np.ptp(rpf.log_psi):.6g}")
     fixed = power_iterate(normalize(f, rpf), depth, tol, max_iter)
     deviation = float(np.max(np.abs(rpf.nu.weights - fixed.nu.weights / psi)))
     return deviation, rpf.converged and fixed.converged

@@ -17,14 +17,20 @@ power_iterate is the one route to the leading eigenvalue lambda (log
 lambda is the finite-depth pressure), the eigenfunction psi and the
 eigenprobability nu, normalised by nu(whole space) = 1 and nu(psi) = 1.
 From the constant function and the uniform measure it reaches its
-iterates in three ways, every step after the squares an Iterate's:
+iterates in three ways, every step after the squares and their one
+dense check an Iterate's:
 
 - Squared: a table of at most _SQUARE_ENTRIES words at its iteration
   depth, none of whose weights e^{f - max f} underflows to 0, squares its
-  dense matrix (scaled by the maximum) until a product changes the power
-  by at most sqrt(tol), a square loses an entry to underflow, or the next
-  would pass max_iter: the row and column sums of L^(2^j) are the
-  iterates after 2^j steps, and `iterations` counts them so.
+  dense matrix M (scaled by the maximum) until a product changes the
+  power by at most sqrt(tol), a square loses an entry to underflow, or
+  the next would pass max_iter: the row and column sums of L^(2^j) are
+  the iterates after 2^j steps, and `iterations` counts them so.  A pair
+  whose squares converged is checked once, at depth D, from M psi, nu M,
+  nu's first-k marginal nu M^(D-k) and the weights M^(D-k) 1 of nu's
+  residual, M^(D-k) a product of the squares; if it converges it is
+  returned, and otherwise (or where M^(D-k) loses an entry to
+  underflow) the pair steps on.
 - Strided: after each check, three Ruelle steps at once with L^3
   (TransferOperator.power) and its adjoint, so one check serves four
   steps, while four stay within max_iter and the L^3 table holds at most
@@ -35,13 +41,15 @@ iterates in three ways, every step after the squares an Iterate's:
   pair, and the stop rule reads them.
 
 The iteration stops when both relative residuals fall under tol and the
-pair's Collatz-Wielandt bounds lie within e^_ENCLOSURE of each other, and
+pair's Collatz-Wielandt bounds lie within e^_ENCLOSURE of each other
+(_check, the one stop rule of the dense check and of every pass), and
 returns the vectors whose residuals it reports, as logs: psi and nu are
 rounded once each, when read.  A table potential of depth m reads only
 a w_1 ... w_{m-1}, so every pass runs on depth k = min(max(m-1, 1), D)
 tables; the depth-D pair is the lift of the depth-k one, its residuals
-read from depth-k tables (_lifted, _reach), and no depth-D operator is
-built.  Callables iterate at D throughout.
+read from depth-k tables (the dense powers above, or _lifted and _reach
+for an Iterate), and no depth-D operator is built.  Callables iterate at
+D throughout.
 """
 
 from __future__ import annotations
@@ -327,8 +335,9 @@ class RPFData:
     mass 1.  log_lam is the finite-depth pressure.
 
     psi and nu are built on first read from the logs of the depth-k pair
-    (see power_iterate), each rounded once; psi past the float range is
-    refused, log_psi is not.  The private fields stay out of repr and ==.
+    (see power_iterate), each rounded once; psi past the float range, an
+    entry that overflows or rounds to 0, is refused, log_psi is not.  The
+    private fields stay out of repr and ==.
     """
 
     d: int
@@ -351,7 +360,7 @@ class RPFData:
     def psi(self) -> CylinderFunction:
         with np.errstate(over="ignore"):
             values = np.exp(self._log_psi)
-        if not np.isfinite(values).all():
+        if not (values.min() > 0.0 and values.max() < math.inf):
             raise ValueError(f"psi leaves the float range: it spans e^{np.ptp(self._log_psi):.6g}")
         return CylinderFunction(self.d, self.depth, np.repeat(values, self.d ** self.depth // values.size))
 
@@ -376,17 +385,19 @@ def power_iterate(
     Collatz-Wielandt enclosure of lambda: log (L^n psi_0 / psi_0) / n
     lies between its least and largest entry, at each check n.
 
-    Every pass runs on depth k tables (see the module docstring).  Once
-    the depth-k pair has converged, or at the last permitted step, the
-    checks read the residuals of the lifted pair at depth D from depth-k
-    tables (_lifted, _reach), at D - k more adjoint steps each: psi_D =
-    psi_k o pi, and nu_D([a w]) = e^{f(a w)} nu_D([w]) / lambda level by
-    level (_lift), so they are those of the returned depth-D vectors,
-    which RPFData builds only when read.  A squared pair that converged
-    builds no L^3, and `iterations` never exceeds max_iter.  The
-    iteration runs on e^{-c} L_f, c the maximum of the truncated table,
-    and adds c back to log lambda; lam is inf when e^{log_lam} exceeds
-    the float range.
+    Every pass runs on depth k tables (see the module docstring).  A pair
+    whose squares converged is checked once, at depth D, on the dense
+    matrix M of L_k and its power M^(D-k) (_squared), and returned if it
+    converges.  Otherwise, once the depth-k pair has converged, or at the
+    last permitted step, the checks read the residuals of the lifted pair
+    at depth D from depth-k tables (_lifted, _reach), at D - k more
+    adjoint steps each: psi_D = psi_k o pi, and nu_D([a w]) = e^{f(a w)}
+    nu_D([w]) / lambda level by level (_lift), so they are those of the
+    returned depth-D vectors, which RPFData builds only when read.  A
+    squared pair that converged builds no L^3, and `iterations` never
+    exceeds max_iter.  The iteration runs on e^{-c} L_f, c the maximum of
+    the truncated table, and adds c back to log lambda; lam is inf when
+    e^{log_lam} exceeds the float range.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -398,17 +409,26 @@ def power_iterate(
     top = float(np.max(op.log_weights))
     op = op.gauged(growth=top)  # e^{-top} L: no weight exceeds 1
     if f.table is not None and op.size <= _SQUARE_ENTRIES and max_iter > 2:
-        psi, nu, iterations = _squared(op, tol, max_iter)
+        psi, nu, iterations, dense = _squared(op, depth - k, tol, max_iter)
     else:
-        psi, nu, iterations = np.ones(op.size), np.full(op.size, 1.0 / op.size), 0
-    psi, nu = Iterate(psi), Iterate(nu, adjoint=True)
-    origin, start = np.log(psi.block) + psi.scale, iterations  # log psi_0 and its step
-    strided = max_iter > _STRIDE and op.d ** (_STRIDE - 1) * op.size <= _STRIDE_ENTRIES
-    stride, reach, converged = None, _reach(op, depth - k), False
-    deep = k == depth  # whether the checks read the residuals at depth D
+        psi, nu, iterations, dense = np.ones(op.size), np.full(op.size, 1.0 / op.size), 0, None
     # each vector a block and its log scale, a float common to every entry or one
     # per entry: (p, a) psi and (n, t) nu, (m, u) the nu that pairs with psi
     with np.errstate(over="ignore", divide="ignore"):
+        if dense is not None:
+            # one step at depth D: L psi = M psi and L* nu = nu M, nu_D's first-k
+            # marginal nu P and the weights P 1 of nu's residual, P = M^(D-k)
+            mat, power = dense
+            pair = psi, 0.0, nu, 0.0, np.einsum("i,ij->j", nu, power), 0.0
+            lp, ln = np.einsum("ij,j->i", mat, psi), np.einsum("i,ij->j", nu, mat)
+            check = _check(*pair, lp, 0.0, ln, 0.0, np.log(power.sum(axis=1)), tol)
+            if check[3]:  # converged
+                return _eigendata(f, depth, op, top, pair, check, iterations + 1)
+        psi, nu = Iterate(psi), Iterate(nu, adjoint=True)
+        origin, start = np.log(psi.block) + psi.scale, iterations  # log psi_0 and its step
+        strided = max_iter > _STRIDE and op.d ** (_STRIDE - 1) * op.size <= _STRIDE_ENTRIES
+        stride, reach, converged = None, _reach(op, depth - k), False
+        deep = k == depth  # whether the checks read the residuals at depth D
         while True:
             iterations += 1
             if not deep and (converged or iterations == max_iter):
@@ -416,25 +436,10 @@ def power_iterate(
             # at depth D > k, nu_D's first-k marginal pairs with psi, and r = log T* 1
             # weighs nu's l1 norms (_lifted, _reach)
             lifted = _lifted(nu, op, depth - k) if deep and k < depth else None
-            # each up to a factor common to all entries: L psi = l e^(a + g) against
-            # p e^a, and L* nu = l_nu e^(t + h) against n e^t
             p, a, g = psi.step(op)
             n, t, h = nu.step(op)
             (m, u), r = ((n, t), 0.0) if lifted is None else (lifted, reach)
-            w, low = _weights(m, u, p, a)  # <m e^u, p e^a> = <w, p> e^low
-            v, G = _weights(w, 0.0, psi.block, g)  # <w, L psi> = <v, l> e^G
-            den, num = sum_of_products(w, p), sum_of_products(v, psi.block)
-            log_lam = math.log(num / den) + G
-            # L psi / lambda and L* nu / lambda in the scales of psi and nu
-            up = psi.block * (np.exp(g - G) * (den / num))
-            down = nu.block * (np.exp(h - G) * (den / num))
-            res_psi = _relative(np.abs(up - p), p, a, np.ndarray.max)
-            res_nu = _relative(np.abs(down - n), n, t + r, np.ndarray.sum)
-            # the residuals bound lambda's error only where psi is the Perron vector: a
-            # converged pair also keeps lambda within its Collatz-Wielandt bounds
-            # min (L psi / psi) <= lambda <= max (L psi / psi), at most e^_ENCLOSURE apart
-            ratios = up / p
-            converged = max(res_psi, res_nu) < tol and ratios.max() <= math.exp(_ENCLOSURE) * ratios.min()
+            log_lam, res_psi, res_nu, converged = _check(p, a, n, t, m, u, psi.block, g, nu.block, h, r, tol)
             if (converged and deep) or iterations == max_iter:
                 break
             if strided and not converged and iterations + _STRIDE <= max_iter:
@@ -448,6 +453,43 @@ def power_iterate(
             # entries enclose log lambda (Collatz-Wielandt)
             rates = (np.log(psi.block) + psi.scale - origin) / (iterations - start)
             log_lam = min(max(log_lam, float(rates.min())), float(rates.max()))
+    check = log_lam, res_psi, res_nu, converged
+    return _eigendata(f, depth, op, top, (p, a, n, t, m, u), check, iterations)
+
+
+def _check(p, a, n, t, m, u, lp, g, ln, h, r, tol: float) -> tuple[float, float, float, bool]:
+    """(log lambda, psi's residual, nu's residual, converged) of one step of
+    the pair psi = p e^a, nu = n e^t: L psi = lp e^(a + g) and L* nu =
+    ln e^(t + h), each up to a factor common to all entries.
+
+    lambda is the Rayleigh quotient against m e^u, nu_D's first-k
+    marginal; psi's residual is relative in the max norm, nu's in the l1
+    norm weighted by e^r (L^(D-k) 1, up to a factor).  The pair converges
+    when both fall under tol and its Collatz-Wielandt bounds
+    min (L psi / psi) <= lambda <= max (L psi / psi) lie at most
+    e^_ENCLOSURE apart: the residuals bound lambda's error only where psi
+    is the Perron vector.
+    """
+    w, low = _weights(m, u, p, a)  # <m e^u, p e^a> = <w, p> e^low
+    v, G = _weights(w, 0.0, lp, g)  # <w, L psi> = <v, lp> e^G
+    den, num = sum_of_products(w, p), sum_of_products(v, lp)
+    # L psi / lambda and L* nu / lambda in the scales of psi and nu
+    up = lp * (np.exp(g - G) * (den / num))
+    down = ln * (np.exp(h - G) * (den / num))
+    res_psi = _relative(np.abs(up - p), p, a, np.ndarray.max)
+    res_nu = _relative(np.abs(down - n), n, t + r, np.ndarray.sum)
+    ratios = up / p
+    converged = max(res_psi, res_nu) < tol and ratios.max() <= math.exp(_ENCLOSURE) * ratios.min()
+    return math.log(num / den) + G, res_psi, res_nu, converged
+
+
+def _eigendata(f: Potential, depth: int, op: TransferOperator, top: float, pair, check, iterations: int) -> RPFData:
+    """RPFData of a checked pair (p, a, n, t, m, u) of power_iterate and
+    its _check, log lambda that of e^{-top} L."""
+    p, a, n, t, m, u = pair
+    log_lam, res_psi, res_nu, converged = check
+    with np.errstate(over="ignore", divide="ignore"):
+        w, low = _weights(m, u, p, a)  # <m e^u, p e^a> = <w, p> e^low
     share, high = _weights(m, u, np.ones(m.size), 0.0)  # nu_D's mass: share.sum() e^high
     log_lam += top
     return RPFData(
@@ -459,7 +501,7 @@ def power_iterate(
         residual_meas=res_nu,
         iterations=iterations,
         converged=converged,
-        _log_psi=np.log(p) + a - (math.log(den / share.sum()) + low - high),  # psi / <nu_D, psi_D>
+        _log_psi=np.log(p) + a - (math.log(sum_of_products(w, p) / share.sum()) + low - high),  # psi / <nu_D, psi_D>
         _log_nu=np.log(n) + t,
         _log_weights=op.log_weights,
     )
@@ -512,35 +554,64 @@ def _relative(gap: np.ndarray, x: np.ndarray, log_scale, norm) -> float:
     return float(norm(gap)) / float(norm(x))
 
 
-def _squared(op: TransferOperator, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(psi, nu, 2^j): the power iterates 2^j Ruelle steps from the constant
-    function and the uniform measure, from the squares of op's matrix.
+def _squared(
+    op: TransferOperator, levels: int, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray, int, tuple | None]:
+    """(psi, nu, 2^j, dense): the power iterates 2^j Ruelle steps from the
+    constant function and the uniform measure, from the squares of op's
+    matrix M, and dense = (M, M^levels) once the squares converged, for
+    power_iterate's one check at depth op.depth + levels; else None.
 
     Each square is scaled by its maximum.  Squaring stops once a product
     changes the scaled power by at most sqrt(tol) (the error falls
     quadratically), before 2^j + 1 steps would pass max_iter, and before a
     square in which a sum underflowed to 0 where the exact power is
     positive; a matrix with a weight that underflowed is not squared (j =
-    0).  The products are np.einsum's, not BLAS's (shift.sum_of_products).
+    0).  M^levels is the product of the squares M^(2^i) of levels' binary
+    digits i (squared on past 2^j where levels needs it), each product
+    scaled by its maximum; one that loses an entry to underflow leaves
+    dense None, as squares that stop short of sqrt(tol) do.  The products
+    are np.einsum's, not BLAS's (shift.sum_of_products).
     """
     if not op.weights.min() > 0.0:
-        return np.ones(op.size), np.full(op.size, 1.0 / op.size), 0
-    power = op.matrix()
-    power /= power.max()
-    steps, enough = 1, math.sqrt(tol)
-    while 2 * steps < max_iter:
-        square = np.einsum("ij,jk->ik", power, power)
-        # L^n is positive at the d**min(n, k) child words of each word
-        if np.count_nonzero(square) < op.size * op.d ** min(2 * steps, op.depth):
+        return np.ones(op.size), np.full(op.size, 1.0 / op.size), 0, None
+    matrix = op.matrix()
+    squares, change, enough = [matrix / matrix.max()], math.inf, math.sqrt(tol)  # squares[i]: M^(2^i)
+    while 2 ** len(squares) < max_iter and change > enough:
+        square = _product(squares[-1], squares[-1], 2 ** len(squares), op)
+        if square is None:
             break
-        square /= square.max()
-        power -= square
-        change = float(np.abs(power, out=power).max())
-        power, steps = square, 2 * steps
-        if change <= enough:
-            break
+        change = float(np.abs(square - squares[-1]).max())
+        squares.append(square)
+    steps, power = 2 ** (len(squares) - 1), squares[-1]
     psi, nu = power.sum(axis=1), power.sum(axis=0)
-    return psi / psi.max(), nu / nu.sum(), steps
+    deep = _power(squares, levels, op) if change <= enough else None
+    return psi / psi.max(), nu / nu.sum(), steps, None if deep is None else (matrix, deep)
+
+
+def _power(squares: list, n: int, op: TransferOperator) -> np.ndarray | None:
+    """M^n scaled by its maximum, from squares[i] = M^(2^i) (appending the
+    squares n needs), or None where a product lost an entry to underflow."""
+    power = np.identity(op.size)
+    for i in range(n.bit_length()):
+        if i == len(squares):
+            squares.append(_product(squares[-1], squares[-1], 2**i, op))
+        if n >> i & 1:
+            power = squares[i] if n % 2**i == 0 else _product(power, squares[i], n % 2 ** (i + 1), op)
+    return power
+
+
+def _product(a, b, steps: int, op: TransferOperator) -> np.ndarray | None:
+    """a b = M^steps scaled by its maximum, or None where a or b is None or
+    a sum underflowed to 0 where M^steps is positive."""
+    if a is None or b is None:
+        return None
+    product = np.einsum("ij,jk->ik", a, b)
+    # L^n is positive at the d**min(n, k) child words of each word
+    if np.count_nonzero(product) < op.size * op.d ** min(steps, op.depth):
+        return None
+    product /= product.max()
+    return product
 
 
 def _lift(log_weights: np.ndarray, log_nu: np.ndarray, depth: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from ruellekit.shift import CylinderFunction, integrate, sum_of_products
 from ruellekit.transfer import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    Iterate,
     TransferOperator,
     _squared,
     check_normalized,
@@ -180,6 +181,9 @@ TRANSFER_REFUSALS = [
     ("psi", lambda: power_iterate(Potential.from_table(2, 3, np.random.default_rng(5).normal(0.0, 1000.0, 8)), 3,
                                   max_iter=500).psi,
      "psi leaves the float range: it spans e^"),
+    # a converged pair whose log psi falls to -6000: its psi rounds to 0
+    ("psi-underflow", lambda: power_iterate(Potential.from_table(2, 3, [3000.0] + [0.0] * 7), 3).psi,
+     "psi leaves the float range: it spans e^"),
     # 4096**2 entries
     ("matrix", lambda: transfer_operator(Potential.constant(2, 0.0), 12).matrix(),
      "dense matrix would exceed the size guard"),
@@ -263,8 +267,8 @@ def test_power_iterate_applies_each_operator_once_per_step(monkeypatch, max_iter
     # a depth-2 table iterates at depth k = 1: one call of each per checked
     # step, and at D = 4 a depth-D check adds D - k = 3 adjoint calls, all at
     # depth k (and as many log-domain sums).  max_iter 2 takes two plain steps,
-    # the second checked at depth D; the default squares, checks at depth k,
-    # and once at depth D
+    # the second checked at depth D; the default squares, and checks the
+    # converged square once at depth D on its dense matrix, with no call
     calls = {"apply": [], "dual_apply": []}
     for name in calls:
         method = getattr(TransferOperator, name)
@@ -276,7 +280,10 @@ def test_power_iterate_applies_each_operator_once_per_step(monkeypatch, max_iter
         monkeypatch.setattr(TransferOperator, name, counted)
     rpf = power_iterate(Potential.from_table(2, 2, [0.3, -0.2, 0.9, 0.1]), 4, max_iter=max_iter)
     assert rpf.converged == (max_iter > 2)
-    assert calls == {"apply": [2] * 2, "dual_apply": [2] * (2 + (4 - 1))}
+    if max_iter == 2:
+        assert calls == {"apply": [2] * 2, "dual_apply": [2] * (2 + (4 - 1))}
+    else:
+        assert calls == {"apply": [], "dual_apply": []}
 
 
 @pytest.mark.parametrize("max_iter", [2, 10_000])
@@ -321,21 +328,26 @@ def test_table_iterates_on_its_own_depth_and_lifts_once(monkeypatch):
 
         monkeypatch.setattr(TransferOperator, name, counted)
 
-    def squared(op, tol, max_iter):
-        psi, nu, steps = _squared(op, tol, max_iter)
+    dense_checks = []
+
+    def squared(op, levels, tol, max_iter):
+        psi, nu, steps, dense = _squared(op, levels, tol, max_iter)
         for calls in sizes.values():
             calls.extend([op.size] * steps)
-        return psi, nu, steps
+        dense_checks.append((levels, dense is not None))
+        return psi, nu, steps, dense
 
     monkeypatch.setattr(transfer, "_squared", squared)
+    monkeypatch.setattr(transfer, "Iterate", _Refused("Iterate"))
     built, build = [], transfer.transfer_operator
     monkeypatch.setattr(transfer, "transfer_operator", lambda f, depth: built.append(depth) or build(f, depth))
     rpf = power_iterate(DEPTH_4_TABLE, 13)
-    assert rpf.converged and rpf.iterations == 64 + 2
+    assert rpf.converged and rpf.iterations == 64 + 1
     assert built == [3]  # no depth-13 operator
-    # 64 squared steps, a depth-3 check, and a depth-13 check made at depth 3:
-    # one call of each, and 13 - 3 more adjoint calls
-    assert sizes == {"apply": [2**3] * rpf.iterations, "dual_apply": [2**3] * (rpf.iterations + 13 - 3)}
+    # 64 squared steps, and one depth-13 check made on the dense matrix of L_3
+    # and its power L_3^(13 - 3): no call and no Iterate
+    assert sizes == {"apply": [2**3] * 64, "dual_apply": [2**3] * 64}
+    assert dense_checks == [(13 - 3, True)]
     # the depth-13 vectors are built when read
     assert rpf.psi.depth == rpf.nu.depth == 13
 
@@ -479,25 +491,28 @@ def stepwise_power_iterate(f, depth, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
     pairwise sums (einsum's running sum of 2^14 products leaves a
     ~1e-14 floor under the residuals).  With leaps, the depth-k iterates
     take power_iterate's squares and strides, so the schedule is
-    power_iterate's.  Its stop rule is the residuals' alone, and its
-    iterates are plain floats, which weights that underflow to 0 can
-    drive to 0 / 0: that raises OracleBreakdown."""
+    power_iterate's: a pair whose squares converged goes straight to one
+    step at depth D, and if that does not converge, the iteration goes on
+    from the squared pair at depth k.  Its stop rule is the residuals'
+    alone, and its iterates are plain floats, which weights that underflow
+    to 0 can drive to 0 / 0: that raises OracleBreakdown."""
     full = transfer_operator(f, depth)
     top = float(np.max(full.log_weights))
     full = full.gauged(growth=top)
     k = depth if f.table is None else min(max(f.table.depth - 1, 1), depth)
-    op = full if k == depth else transfer_operator(f, k).gauged(growth=top)
+    small = op = full if k == depth else transfer_operator(f, k).gauged(growth=top)
     psi = np.ones(op.size)
     nu = np.full(op.size, 1.0 / op.size)
-    iterations, converged = 0, False
+    iterations, converged, straight = 0, False, False
     if leaps and f.table is not None and op.size <= transfer._SQUARE_ENTRIES and max_iter > 2:
-        psi, nu, iterations = _squared(op, tol, max_iter)
+        psi, nu, iterations, dense = _squared(op, depth - k, tol, max_iter)
+        squared, straight = (psi, nu, iterations), dense is not None
     tiny = np.finfo(float).tiny
-    strided = leaps and max_iter > 4 and op.d**3 * op.size <= transfer._STRIDE_ENTRIES
+    strided = strides = leaps and max_iter > 4 and op.d**3 * op.size <= transfer._STRIDE_ENTRIES
     stride = None
     while True:
         iterations += 1
-        if op is not full and (converged or iterations == max_iter):
+        if op is not full and (converged or straight or iterations == max_iter):
             with np.errstate(invalid="ignore"):  # a lift whose weights all underflowed: NaN, a breakdown
                 psi, nu, op = np.repeat(psi, full.size // op.size), level_lift(full, nu, op.depth), full
             strided = False
@@ -511,6 +526,9 @@ def stepwise_power_iterate(f, depth, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         res_psi = float(abs(l_psi - lam * psi).max() / (lam * psi.max()))
         res_nu = float(abs(l_nu - lam * nu).sum() / (lam * nu.sum()))
         converged = max(res_psi, res_nu) < tol
+        if straight and not converged:  # the squared pair steps on at depth k
+            (psi, nu, iterations), op, straight, strided = squared, small, False, strides
+            continue
         if (converged and op is full) or iterations == max_iter:
             break
         psi = l_psi / l_psi.max()
@@ -683,7 +701,7 @@ def test_stepped_wide_tables_converge_into_karps_bracket():
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-14])
 def test_squares_are_the_power_iterates_and_stop_at_sqrt_tol(tol):
     op = transfer_operator(DEPTH_4_TABLE, 3)
-    psi, nu, steps = _squared(op, tol, DEFAULT_MAX_ITER)
+    psi, nu, steps, (mat, deep) = _squared(op, 13 - 3, tol, DEFAULT_MAX_ITER)
     # the scaled powers one square at a time: every change but the last exceeds sqrt(tol)
     power = op.matrix() / op.matrix().max()
     changes = []
@@ -700,11 +718,26 @@ def test_squares_are_the_power_iterates_and_stop_at_sqrt_tol(tol):
         p, n = op.apply(p), op.dual_apply(n)
         p, n = p / p.max(), n / n.sum()
     assert np.max(np.abs(psi - p)) < 1e-13 and np.sum(np.abs(nu - n)) < 1e-13
+    # the converged squares' dense pair: the matrix and its power L^(13 - 3), scaled
+    expected = np.linalg.matrix_power(op.matrix(), 13 - 3)
+    assert np.array_equal(mat, op.matrix()) and close(deep, expected / expected.max())
 
 
 def close(got, expected):
     """Equal within abs 1e-15 or rel 1e-12, entry by entry."""
     return bool(np.all(np.abs(np.subtract(got, expected)) <= np.maximum(1e-15, 1e-12 * np.abs(expected))))
+
+
+def explicit_step(f, depth, p, n):
+    """(lambda, c, psi's residual, nu's residual) of one explicit step of
+    the depth-D pair (p, n) under e^{-c} L_f, c the table's maximum: the
+    Rayleigh quotient with correctly rounded sums, and the residuals at it."""
+    op = transfer_operator(f, depth)
+    top = float(op.log_weights.max())
+    op = op.gauged(growth=top)
+    l_p, l_n = op.apply(p), op.dual_apply(n)
+    lam = math.fsum(n * l_p) / math.fsum(n * p)
+    return lam, top, np.max(np.abs(l_p - lam * p)) / (lam * p.max()), np.sum(np.abs(l_n - lam * n)) / (lam * n.sum())
 
 
 TOLS = (1e-3, 1e-8, 1e-12, 1e-14)
@@ -775,15 +808,9 @@ def test_depth_k_checks_equal_an_explicit_depth_d_step():
             seen["refused", bool(rpf.converged)] += 1
             continue
         assert (rpf.iterations, rpf.converged) == (iterations, converged), case
-        p, n = rpf.psi.values, rpf.nu.weights
-        op = transfer_operator(f, depth)
-        top = float(op.log_weights.max())
-        op = op.gauged(growth=top)
-        l_p, l_n = op.apply(p), op.dual_apply(n)
-        # Rayleigh quotient with correctly rounded sums, and the residuals at it
-        lam = math.fsum(n * l_p) / math.fsum(n * p)
-        res_fn = np.max(np.abs(l_p - lam * p)) / (lam * p.max())
-        res_meas = np.sum(np.abs(l_n - lam * n)) / (lam * n.sum())
+        # psi's values, some of which may round to 0, where RPFData.psi refuses them
+        p, n = np.exp(rpf.log_psi), rpf.nu.weights
+        lam, top, res_fn, res_meas = explicit_step(f, depth, p, n)
         if not converged and spread > 745.0:
             assert max(res_fn, res_meas) >= tol, case
             seen["unconverged, wide"] += 1
@@ -803,6 +830,62 @@ def test_depth_k_checks_equal_an_explicit_depth_d_step():
         "converged": 90, "unconverged": 193, "unconverged, wide": 102, "breakdown": 54,
         ("refused", True): 4, ("refused", False): 29, "clipped": 1,
     }, seen
+
+
+# (d, m, D, tol): every table that squares (at most 32 words at its iteration
+# depth k), at every D from k to 14 (8 on three symbols)
+DENSE_CASES = [
+    (d, m, depth, tol)
+    for d, top_m, deepest in ((2, 6, 14), (3, 4, 8))
+    for m in range(1, top_m + 1)
+    for depth in range(max(m - 1, 1), deepest + 1)
+    for tol in (1e-8, 1e-12)
+]
+
+
+def test_converged_squares_finish_on_the_dense_matrix(monkeypatch):
+    # a pair whose squares converged is checked once, at depth D, on the dense
+    # matrix and its power L^(D - k), and returned with no Iterate: lambda is the
+    # dense eigensolve's, and the residuals are those of one explicit depth-D
+    # step of the returned vectors
+    iterates, finished = [], 0
+    monkeypatch.setattr(transfer, "Iterate", lambda *args, **kwargs: iterates.append(args) or Iterate(*args, **kwargs))
+    rng = np.random.default_rng(71)
+    for case in DENSE_CASES:
+        d, m, depth, tol = case
+        f = Potential.from_table(d, m, rng.uniform(-1.0, 1.0, d**m))
+        iterates.clear()
+        rpf = power_iterate(f, depth, tol)
+        assert rpf.converged and max(rpf.residual_fn, rpf.residual_meas) < tol, case
+        assert rpf.log_lam == pytest.approx(math.log(dense_spectral_radius(f, max(m - 1, 1))), abs=1e-13), case
+        _, _, res_fn, res_meas = explicit_step(f, depth, rpf.psi.values, rpf.nu.weights)
+        assert close(res_fn, rpf.residual_fn) and close(res_meas, rpf.residual_meas), case
+        # psi is normalised against nu_D, through nu_D's first-k marginal
+        assert integrate(rpf.nu, rpf.psi) == pytest.approx(1.0, abs=1e-12), case
+        if not iterates:
+            steps = rpf.iterations - 1  # the squares' 2^j steps, and the check
+            assert steps & (steps - 1) == 0, case
+            finished += 1
+    assert len(DENSE_CASES) == 206 and finished == 206
+
+
+def test_a_dense_power_that_underflows_leaves_the_squared_pair_to_iterate(monkeypatch):
+    # beta * osc 700: M = [[1, e^-700], [e^-690, e^-350]] (k = 1) squares once to
+    # sqrt(tol), and at D = 11 its power M^10 loses an entry to underflow, its
+    # square M^8 holding e^-1390: the squared pair steps on as an Iterate, as it
+    # does where no dense check is made
+    f = Potential.from_table(2, 2, [0.0, -690.0, -700.0, -350.0])
+    op = transfer_operator(f, 1)
+    assert _squared(op, 1, DEFAULT_TOL, DEFAULT_MAX_ITER)[2] == 2 and _squared(op, 1, DEFAULT_TOL, DEFAULT_MAX_ITER)[3]
+    assert _squared(op, 10, DEFAULT_TOL, DEFAULT_MAX_ITER)[2:] == (2, None)
+    rpf = power_iterate(f, 11)
+    assert rpf.converged and rpf.iterations == 2 + 2  # a depth-k check, then one at depth D
+    assert rpf.log_lam == pytest.approx(math.log(dense_spectral_radius(f, 1)), abs=1e-15)
+    squared = transfer._squared
+    monkeypatch.setattr(transfer, "_squared", lambda *args: squared(*args)[:3] + (None,))
+    iterated = power_iterate(f, 11)
+    assert rpf == iterated and np.array_equal(rpf.log_psi, iterated.log_psi)
+    assert np.array_equal(rpf.nu.weights, iterated.nu.weights)
 
 
 @pytest.mark.parametrize("f,depth", [(DEPTH_4_TABLE, 13), (MARKOV, 9), (Potential.from_table(3, 3, np.linspace(-2.0, 1.0, 27)), 6)])
