@@ -10,6 +10,8 @@ each distinct value formatted once; the bytes are the same.
 
 Each subcommand takes only the flags it reads (_FLAGS), each a _Key as a
 config param is, refused outside its domain as "<flag> must ..., got <v>".
+The parser is that table (_parse): a flag is its exact name, given once,
+as --flag value or --flag=value; any other token is a usage error.
 Exit status: 0 on success; 2 when a check fails: a power iteration did not
 converge (rpf, pressure, normalize, change-of-measure, tl's reference), or
 a residual, deviation or certificate lands beyond its tolerance
@@ -31,12 +33,13 @@ single numpy Generator seeded by --seed.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from collections.abc import Callable
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quoted
+from types import SimpleNamespace
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -49,11 +52,6 @@ SCHEMA = "ruelle-kit/1"
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        raise UsageError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +95,14 @@ def _emit(obj, pad: str) -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) lays it out, floats by _format_float."""
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
+    if isinstance(obj, str):
+        return _quoted(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
     if not isinstance(obj, (dict, list, tuple, np.ndarray)):
         return json.dumps(int(obj) if isinstance(obj, np.integer) else obj)
     if len(obj) == 0:
@@ -106,7 +112,7 @@ def _emit(obj, pad: str) -> str:
     if isinstance(obj, dict):
         # json.dumps writes a non-string key (tl's int keys) as the string of its JSON text
         body = sep.join(
-            f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_emit(v, inner)}"
+            f"{_quoted(k if isinstance(k, str) else json.dumps(k))}: {_emit(v, inner)}"
             for k, v in sorted(obj.items())
         )
         return "{\n" + inner + body + "\n" + pad + "}"
@@ -232,6 +238,10 @@ _CONFIG = {
 }
 
 
+# the words naming each type in the usage error for a flag value or config entry not of it
+_TYPE_WHAT = {int: "an integer", float: "a number", str: "a string"}
+
+
 def _is(value, kind) -> bool:
     if isinstance(kind, list):
         return type(value) is list and all(_is(v, kind[0]) for v in value)
@@ -245,7 +255,7 @@ def _checked(value, kind, key: str, what: str = ""):
     if not isinstance(kind, (dict, tuple)):
         if _is(value, kind):
             return float(value) if kind is float else value
-        what = what or {int: "an integer", float: "a number", str: "a string"}[kind]
+        what = what or _TYPE_WHAT[kind]
         raise UsageError(f"invalid config: {key} must be {what}, got {json.dumps(value)}")
     if type(value) is not dict:
         raise UsageError(f"invalid config: {key} must be a JSON object, got {json.dumps(value)}")
@@ -662,7 +672,7 @@ _POTENTIAL = {"--config": _PATH, "--d": _D(None)}
 _EIGEN = {**_POTENTIAL, "--depth": _SITES, "--beta": _BETA, "--tol": _TOL, "--max-iter": _MAX_ITER}
 
 # the flags each subcommand reads, besides the --out of every report; the
-# parser refuses all others.  _SITES marks a number of sites, at least 1.
+# parser (_parse) refuses all others.  _SITES marks a number of sites, at least 1.
 _FLAGS = {
     "rpf": _EIGEN,
     "pressure": _EIGEN,
@@ -681,26 +691,65 @@ _FLAGS = {
 }
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="ruellekit", description=__doc__.splitlines()[0])
-    commands = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
-    for command, flags in _FLAGS.items():
-        sub = commands.add_parser(command)
-        for flag, spec in {"--out": _PATH, **flags}.items():
-            sub.add_argument(flag, type=spec.type, default=spec.default, metavar="PATH" if spec.type is str else None)
-    return parser
+def _dest(flag: str) -> str:
+    """The name of a flag's value in args and in a report's params: --max-iter's is max_iter."""
+    return flag[2:].replace("-", "_")
 
 
-_PARSER = _build_parser()
+def _usage(command: str | None) -> str:
+    """The --help text of a subcommand, from its _FLAGS row, or of ruellekit when command is None."""
+    if command is None:
+        return (f"usage: ruellekit <subcommand> [--out PATH] [flags of the subcommand]\n\n"
+                f"{__doc__.splitlines()[0]}\n\nsubcommands: {', '.join(_FLAGS)}\n"
+                "ruellekit <subcommand> --help lists the flags of a subcommand\n")
+    flags = {"--out": _PATH, **_FLAGS[command]}
+    words = (f"[{flag} {'PATH' if spec.type is str else _dest(flag).upper()}]" for flag, spec in flags.items())
+    return f"usage: ruellekit {command} [-h] {' '.join(words)}\n"
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The subcommand of argv, as command, and the value of each flag of its _FLAGS row and of --out,
+    by its _dest name: the flag's default when it is absent, else its one value, given as `--flag value`
+    or `--flag=value`, of its type and inside its domain.  Any other token, a flag given twice, or a
+    value missing or not of its flag's type is a usage error; -h or --help prints the usage and exits 0."""
+    if not argv:
+        raise UsageError(f"ruellekit needs a subcommand: one of {', '.join(_FLAGS)}")
+    command = argv[0]
+    if command in ("-h", "--help"):
+        print(_usage(None), end="")
+        raise SystemExit(0)
+    if command not in _FLAGS:
+        raise UsageError(f"unknown subcommand {json.dumps(command)}: one of {', '.join(_FLAGS)}")
+    flags = _FLAGS[command]
+    table = {"--out": _PATH, **flags}
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_usage(command), end="")
+            raise SystemExit(0)
+        flag, eq, text = token.partition("=")
+        spec = table.get(flag)
+        if spec is None:
+            raise UsageError(f"{command} takes no {flag}: it takes --out, {', '.join(flags)}")
+        if flag in given:
+            raise UsageError(f"{flag} is given twice: {command} takes each flag once")
+        if not eq:
+            text = next(tokens, None)
+            if text is None:
+                raise UsageError(f"{flag} needs a value")
+        try:
+            given[flag] = spec.type(text)
+        except ValueError:
+            raise UsageError(f"{flag} must be {_TYPE_WHAT[spec.type]}, got {json.dumps(text)}") from None
+    values = {flag: given.get(flag, spec.default) for flag, spec in table.items()}
+    _check_domains(flags, values, "")
+    return SimpleNamespace(command=command, **{_dest(flag): value for flag, value in values.items()})
 
 
 def run(argv=None) -> int:
     try:
-        args, extra = _PARSER.parse_known_args(argv)
-        flags = _FLAGS[args.command]
-        if extra:
-            raise UsageError(f"{args.command} takes no {extra[0].split('=')[0]}: it takes --out, {', '.join(flags)}")
-        _check_domains(flags, {flag: getattr(args, flag[2:].replace("-", "_")) for flag in flags}, "")
+        args = _parse(sys.argv[1:] if argv is None else argv)
         cfg = _load_config(args)
         results, ok, table = _COMMANDS[args.command](cfg, args)
     except UsageError as exc:

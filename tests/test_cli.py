@@ -517,8 +517,20 @@ def test_console_script_is_cli_run(tmp_path):
 
 
 def test_unknown_subcommand_exit_1(capsys):
-    assert cli.run(["frobnicate"]) == 1
-    assert "usage error" in capsys.readouterr().err
+    # and no subcommand, or a stray token after one
+    for argv, message in [(["frobnicate"], 'unknown subcommand "frobnicate": one of rpf, '),
+                          ([], "ruellekit needs a subcommand: one of rpf, "),
+                          (["pressure", "foo"], "pressure takes no foo: it takes --out, ")]:
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_lists_the_subcommands(capsys, flag):
+    with pytest.raises(SystemExit) as done:
+        cli.run([flag])
+    assert done.value.code == 0
+    assert re.search(r"^subcommands: (.*)$", capsys.readouterr().out, re.M).group(1).split(", ") == list(cli._FLAGS)
 
 
 def test_unreadable_config_exit_1(tmp_path, capsys):
@@ -931,11 +943,24 @@ def assert_refused(tmp_path, monkeypatch, capsys, argv, flag):
     assert_refused_as(tmp_path, monkeypatch, capsys, argv, f"{argv[0]} takes no {flag}:")
 
 
+def prefixes(flags):
+    """{prefix: the first of the flags it begins}, for each proper prefix past `--` that is no flag itself."""
+    found = {}
+    for flag in flags:
+        for end in range(3, len(flag)):
+            found.setdefault(flag[:end], flag)
+    return {prefix: flag for prefix, flag in found.items() if prefix not in flags}
+
+
 REFUSED_RUNS = [
     *((command, flag, FLAG_VALUES[flag]) for command, flags in cli._FLAGS.items() for flag in FLAG_VALUES
       if flag not in flags),
+    # a flag's name is given in full: no prefix stands for it
+    *((command, prefix, {**FLAG_VALUES, "--out": "other.json"}[flag]) for command, flags in cli._FLAGS.items()
+      for prefix, flag in prefixes(["--out", *flags]).items()),
     # none of the three is rpf's: the first is named
     ("rpf", "--r", "3", "--n", "5", "--csv", "x.csv"),
+    ("pressure", "--dep", "5", "--max", "3", "--t", "1e-3"),
 ]
 
 
@@ -963,6 +988,51 @@ def test_params_echo_the_flags_of_a_subcommands_table(tmp_path, monkeypatch, com
     code, report = run(tmp_path, command, *(a for flag in cli._FLAGS[command] for a in (flag, values[flag])))
     assert code == 0
     assert report["params"] == {dest(flag): spec.type(values[flag]) for flag, spec in flags.items()}
+    # --flag=value is --flag value
+    code, joined = run(tmp_path, command, *(f"{flag}={values[flag]}" for flag in cli._FLAGS[command]))
+    assert code == 0
+    assert {**joined, "generated_at": None} == {**report, "generated_at": None}
+
+
+# the flag given first is given again
+REPEATED_FLAG_RUNS = [
+    ("pressure", "--depth", "5", "--depth", "7"),
+    ("pressure", "--depth", "5", "--depth", "5"),
+    ("tl", "--n=6", "--n", "8", "--csv", "x.csv"),
+    ("kernel", "--config", markov_config, "--config", markov_config),
+    # run() gives --out after it
+    ("ising", "--out", "other.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", REPEATED_FLAG_RUNS, ids=lambda argv: " ".join(getattr(a, "__name__", a) for a in argv)
+)
+def test_a_flag_given_twice_is_a_usage_error_naming_it(tmp_path, monkeypatch, capsys, argv):
+    # neither value is the one the user meant
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    flag = argv[1].split("=")[0]
+    assert_refused_as(tmp_path, monkeypatch, capsys, argv, f"{flag} is given twice: {argv[0]} takes each flag once")
+    assert not (tmp_path / "other.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["kernel", "--n", "x"], '--n must be an integer, got "x"'),
+        (["kernel", "--n=2.5"], '--n must be an integer, got "2.5"'),
+        (["rpf", "--tol", "abc"], '--tol must be a number, got "abc"'),
+        (["pressure", "--depth"], "--depth needs a value"),
+    ],
+    ids=["n-x", "n=2.5", "tol-abc", "depth-without-a-value"],
+)
+def test_values_not_of_their_flags_type_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    # refused before any work as a config entry of the wrong type is; the last flag has no value after it
+    monkeypatch.setitem(cli._COMMANDS, argv[0], lambda cfg, args: pytest.fail("the command ran"))
+    out = tmp_path / "report.json"
+    assert cli.run([argv[0], "--out", str(out), *argv[1:]]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def help_flags(capsys, command):
